@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
+.PHONY: all build test race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
 
 all: build
 
@@ -15,6 +15,12 @@ vet:
 
 race:
 	$(GO) test -race ./...
+
+# race-plc runs the PLC register file and everything that shares it across
+# goroutines — the Modbus server's view of the scan images, the simulated
+# plant's scan cycle, and the insure-plcd panel — under the race detector.
+race-plc:
+	$(GO) test -race -count=1 ./internal/plc ./internal/modbus ./internal/sim ./cmd/insure-plcd
 
 # race-faults runs just the concurrency-heavy fault-injection and fieldbus
 # suites under the race detector (dropped connections, retry/backoff, and
@@ -142,12 +148,13 @@ bench-scaling:
 
 # check is the CI gate: static analysis, a clean build, the full test suite
 # under the race detector (the parallel experiment engine and campaign
-# runner are exercised concurrently there), the injected-fault smoke
+# runner are exercised concurrently there), the PLC register file's
+# concurrent fieldbus view under the race detector, the injected-fault smoke
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
 # storage gates, and the multicore scaling gate.
-check: vet vet-storage build race race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
+check: vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:

@@ -59,6 +59,11 @@ type panel struct {
 	tputGauges    []*telemetry.Gauge
 	relayCycles   *telemetry.Gauge
 	failedRelays  *telemetry.Gauge
+
+	// The PLC scan's process images, moved under one register lock each.
+	scanInputs []uint16 // 2n unit voltage/current codes
+	scanSystem []uint16 // solar and load power codes
+	scanCoils  []bool   // 2n charge/discharge relay coils
 }
 
 // newPanel wires the plant and registers its telemetry. The plant loop
@@ -76,6 +81,10 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 		bank:   bank,
 		fabric: relay.NewFabric(n),
 		probes: make([]*sensor.BatteryProbe, n),
+
+		scanInputs: make([]uint16, 2*n),
+		scanSystem: make([]uint16, 2),
+		scanCoils:  make([]bool, 2*n),
 	}
 	for i := range p.probes {
 		p.probes[i] = sensor.NewBatteryProbe(i)
@@ -84,28 +93,29 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 	p.controller = plc.New(n)
 	p.controller.Sample = func(r *plc.RegisterFile) {
 		for i, u := range p.bank.Units() {
-			snap := u.Snapshot()
-			p.probes[i].Sample(snap.Terminal, snap.LastCurrent)
-			_ = r.SetInput(plc.InputVolt(i), p.probes[i].Volt.Raw())
-			_ = r.SetInput(plc.InputCurrent(i), p.probes[i].Current.Raw())
+			pr := p.probes[i]
+			pr.Sample(u.TerminalVoltage(), u.LastCurrent())
+			p.scanInputs[plc.InputVolt(i)] = pr.Volt.Raw()
+			p.scanInputs[plc.InputCurrent(i)] = pr.Current.Raw()
 		}
-		_ = r.SetInput(plc.InputSolarPower, uint16(p.solarW))
-		_ = r.SetInput(plc.InputLoadPower, uint16(p.loadW))
+		_ = r.SetInputs(plc.InputVoltBase, p.scanInputs)
+		p.scanSystem[0] = plc.PowerCode(p.solarW)
+		p.scanSystem[1] = plc.PowerCode(p.loadW)
+		_ = r.SetInputs(plc.InputSolarPower, p.scanSystem)
 	}
 	p.controller.Actuate = func(r *plc.RegisterFile) {
+		if r.CoilsInto(p.scanCoils, plc.CoilChargeBase) != nil {
+			return
+		}
 		for i := 0; i < n; i++ {
-			cr, err1 := r.ReadCoils(plc.CoilCharge(i), 1)
-			dr, err2 := r.ReadCoils(plc.CoilDischarge(i), 1)
-			if err1 != nil || err2 != nil {
-				continue
-			}
+			cr, dr := p.scanCoils[plc.CoilCharge(i)], p.scanCoils[plc.CoilDischarge(i)]
 			pair := p.fabric.Pair(i)
 			switch {
-			case cr[0] && dr[0]:
+			case cr && dr:
 				pair.SetMode(relay.Open) // interlock
-			case cr[0]:
+			case cr:
 				pair.SetMode(relay.Charging)
-			case dr[0]:
+			case dr:
 				pair.SetMode(relay.Discharging)
 			default:
 				pair.SetMode(relay.Open)

@@ -115,3 +115,66 @@ func TestPanelHealthz(t *testing.T) {
 		t.Fatalf("faulted panel: code=%d body=%v", code, body)
 	}
 }
+
+// TestPanelPowerCodesClamped drives out-of-range -solar/-load flag values
+// through the panel's scan: the power registers must read the clamped
+// whole-watt code, never a wrapped or implementation-defined conversion.
+func TestPanelPowerCodesClamped(t *testing.T) {
+	for _, tc := range []struct {
+		w    float64
+		want uint16
+	}{
+		{-5, 0},
+		{0, 0},
+		{70000, 65535},
+	} {
+		p, err := newPanel(2, 0.5, tc.w, tc.w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.controller.ScanNow()
+		got, err := p.controller.Regs.ReadInput(plc.InputSolarPower, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != tc.want || got[1] != tc.want {
+			t.Errorf("%v W: solar/load registers = %v, want %d", tc.w, got, tc.want)
+		}
+	}
+}
+
+// TestPanelScanBlockImages checks the panel's scan moves whole images: the
+// relay fabric follows every unit's coil pair (with the double-closed
+// interlock), the unit codes match the probes, and the scan allocates
+// nothing.
+func TestPanelScanBlockImages(t *testing.T) {
+	const n = 3
+	p, err := newPanel(n, 0.5, 400, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	regs := p.controller.Regs
+	for _, c := range []uint16{plc.CoilCharge(0), plc.CoilDischarge(1), plc.CoilCharge(2), plc.CoilDischarge(2)} {
+		if err := regs.WriteCoil(c, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.controller.ScanNow()
+	for i, want := range []relay.Mode{relay.Charging, relay.Discharging, relay.Open} {
+		if got := p.fabric.Pair(i).Mode(); got != want {
+			t.Errorf("unit %d in mode %v, want %v", i, got, want)
+		}
+	}
+	img, err := regs.ReadInput(plc.InputVoltBase, 2*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range p.probes {
+		if img[plc.InputVolt(i)] != pr.Volt.Raw() || img[plc.InputCurrent(i)] != pr.Current.Raw() {
+			t.Errorf("unit %d: registers %v, probe codes %d/%d", i, img[2*i:2*i+2], pr.Volt.Raw(), pr.Current.Raw())
+		}
+	}
+	if a := testing.AllocsPerRun(500, p.controller.ScanNow); a != 0 {
+		t.Errorf("panel scan allocates %.2f times per call, want 0", a)
+	}
+}

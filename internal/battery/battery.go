@@ -150,6 +150,13 @@ func (p Params) Validate() error {
 type BankSoA struct {
 	p Params
 
+	// kk is the KiBaM head-difference decay rate k(1/c + 1/(1−c)), and
+	// relax1 = 1 − exp(−kk·1 s) is the fraction of that difference relaxed
+	// over the simulation's 1 s step. Both depend only on p, are set once
+	// in NewBankSoA and never written again, so fleet-shared stores may read
+	// them from any worker.
+	kk, relax1 float64
+
 	// KiBaM wells, in amp-hours.
 	avail []float64 // y1: immediately extractable charge
 	bound []float64 // y2: chemically bound charge
@@ -179,8 +186,12 @@ func NewBankSoA(p Params, n int, soc float64) (*BankSoA, error) {
 		return nil, fmt.Errorf("battery: initial SoC %v out of [0,1]", soc)
 	}
 	cap := float64(p.CapacityAh)
+	c := p.CapacityRatio
+	kk := p.RateConst * (1/c + 1/(1-c))
 	s := &BankSoA{
 		p:          p,
+		kk:         kk,
+		relax1:     1 - math.Exp(-kk),
 		avail:      make([]float64, n),
 		bound:      make([]float64, n),
 		lastI:      make([]units.Amp, n),
@@ -237,7 +248,11 @@ func (u *Unit) Params() Params { return u.s.p }
 // fade as wear accumulates toward the lifetime throughput, and by any
 // injected capacity-loss fault.
 func (u *Unit) capAh() float64 {
-	fade := u.s.p.FadeAtEOL * math.Min(u.WearFraction(), 1.5)
+	w := u.WearFraction()
+	if w > 1.5 {
+		w = 1.5
+	}
+	fade := u.s.p.FadeAtEOL * w
 	return float64(u.s.p.CapacityAh) * (1 - fade) * (1 - u.s.faultLoss[u.i])
 }
 
@@ -294,6 +309,11 @@ func (u *Unit) TerminalVoltage() units.Volt {
 	return units.Volt(float64(u.OCV()) - float64(u.s.lastI[u.i])*u.s.p.InternalOhm)
 }
 
+// LastCurrent is the most recent current through the unit: positive on
+// discharge, negative on charge, zero at rest. With TerminalVoltage it is
+// everything a transducer reads, without Snapshot's SoC and energy work.
+func (u *Unit) LastCurrent() units.Amp { return u.s.lastI[u.i] }
+
 // BelowCutoff reports whether the protection threshold has been crossed.
 func (u *Unit) BelowCutoff() bool { return u.TerminalVoltage() < u.s.p.CutoffVolt }
 
@@ -309,9 +329,13 @@ func (s *BankSoA) diffuse(i int, dtSec float64, capAh float64) {
 	h1 := s.avail[i] / c
 	h2 := s.bound[i] / (1 - c)
 	// Closed-form relaxation of the head difference avoids Euler
-	// instability at large dt: Δh decays with rate k(1/c + 1/(1−c)).
-	kk := s.p.RateConst * (1/c + 1/(1-c))
-	delta := (h2 - h1) * (1 - math.Exp(-kk*dtSec))
+	// instability at large dt: Δh decays with rate kk. The 1 s step's
+	// factor is precomputed; it is the same expression evaluated once.
+	relax := s.relax1
+	if dtSec != 1 {
+		relax = 1 - math.Exp(-s.kk*dtSec)
+	}
+	delta := (h2 - h1) * relax
 	// Convert head change back to charge moved (both wells see the same
 	// transferred charge q; h1 rises by q/c, h2 falls by q/(1−c)).
 	q := delta / (1/c + 1/(1-c))
@@ -333,7 +357,11 @@ func (s *BankSoA) diffuse(i int, dtSec float64, capAh float64) {
 
 // capAhAt is capAh for slot i (the Unit method with the handle unwrapped).
 func (s *BankSoA) capAhAt(i int) float64 {
-	fade := s.p.FadeAtEOL * math.Min(float64(s.throughput[i])/float64(s.p.LifetimeAh), 1.5)
+	w := float64(s.throughput[i]) / float64(s.p.LifetimeAh)
+	if w > 1.5 {
+		w = 1.5
+	}
+	fade := s.p.FadeAtEOL * w
 	return float64(s.p.CapacityAh) * (1 - fade) * (1 - s.faultLoss[i])
 }
 

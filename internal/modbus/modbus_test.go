@@ -154,7 +154,7 @@ func TestClientServerRegisters(t *testing.T) {
 
 func TestClientServerInputAndDiscrete(t *testing.T) {
 	regs := plc.NewRegisterFile(8, 8, 8, 8)
-	_ = regs.SetInput(3, 2222)
+	_ = regs.SetInputs(3, []uint16{2222})
 	_ = regs.SetDiscrete(1, true)
 	c := newPair(t, regs)
 

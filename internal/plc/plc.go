@@ -13,6 +13,8 @@ import (
 	"errors"
 	"sync"
 	"time"
+
+	"insure/internal/units"
 )
 
 // Register-map layout for the InSURE battery controller. All addresses are
@@ -51,6 +53,11 @@ func InputVolt(i int) uint16 { return uint16(2*i + InputVoltBase) }
 // InputCurrent returns the input-register address of unit i's current code.
 func InputCurrent(i int) uint16 { return uint16(2*i + InputCurrentBase) }
 
+// PowerCode is the input-register code for a power reading: whole watts,
+// clamped to the register's [0, 65535] range (a bare float-to-uint16
+// conversion of an out-of-range value is implementation-defined in Go).
+func PowerCode(w units.Watt) uint16 { return uint16(units.Clamp(float64(w), 0, 65535)) }
+
 // ErrAddress is returned for out-of-range register accesses, matching the
 // Modbus "illegal data address" exception semantics.
 var ErrAddress = errors.New("plc: illegal data address")
@@ -58,6 +65,12 @@ var ErrAddress = errors.New("plc: illegal data address")
 // RegisterFile is the PLC's process image: the four standard register
 // banks. It is safe for concurrent access — the scan cycle and the fieldbus
 // server touch it from different goroutines.
+//
+// Every call takes the lock once, so a block call is atomic: the scan cycle
+// publishes its input image with SetInputs and reads its coil image with
+// CoilsInto, one lock per block per pass, and a fieldbus client's block read
+// sees each block of a scan as a whole — never half of one pass and half of
+// the next.
 type RegisterFile struct {
 	mu       sync.RWMutex
 	coils    []bool
@@ -76,15 +89,17 @@ func NewRegisterFile(coils, discrete, holding, input int) *RegisterFile {
 	}
 }
 
-// Coil returns a single coil state without allocating. The scan cycle's
-// actuation pass uses it so a steady-state scan stays allocation-free.
-func (r *RegisterFile) Coil(addr uint16) (bool, error) {
+// CoilsInto copies len(dst) coil states starting at addr into dst without
+// allocating. The scan cycle's actuation pass reads its whole relay image
+// this way, under one lock.
+func (r *RegisterFile) CoilsInto(dst []bool, addr uint16) error {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if int(addr) >= len(r.coils) {
-		return false, ErrAddress
+	if int(addr)+len(dst) > len(r.coils) {
+		return ErrAddress
 	}
-	return r.coils[addr], nil
+	copy(dst, r.coils[addr:])
+	return nil
 }
 
 // ReadCoils returns count coil states starting at addr.
@@ -168,14 +183,16 @@ func (r *RegisterFile) ReadInput(addr, count uint16) ([]uint16, error) {
 	return out, nil
 }
 
-// SetInput stores an input-register code (driven by the analog modules).
-func (r *RegisterFile) SetInput(addr uint16, v uint16) error {
+// SetInputs stores len(vals) input-register codes starting at addr under
+// one lock (driven by the analog modules). Nothing is written when the
+// block does not fit.
+func (r *RegisterFile) SetInputs(addr uint16, vals []uint16) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if int(addr) >= len(r.input) {
+	if int(addr)+len(vals) > len(r.input) {
 		return ErrAddress
 	}
-	r.input[addr] = v
+	copy(r.input[addr:], vals)
 	return nil
 }
 

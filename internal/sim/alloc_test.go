@@ -6,6 +6,7 @@ import (
 
 	"insure/internal/core"
 	"insure/internal/journal"
+	"insure/internal/plc"
 	"insure/internal/sim"
 	"insure/internal/telemetry"
 	"insure/internal/trace"
@@ -45,13 +46,32 @@ func TestTickAllocFree(t *testing.T) {
 
 // TestScanNowAllocFree pins the wired PLC scan cycle — sensor transduction
 // into input registers plus coil-driven relay actuation — at zero
-// allocations.
+// allocations, for the whole scan and for each hook's block call on its
+// own, and checks the scan really published the probes' codes.
 func TestScanNowAllocFree(t *testing.T) {
 	sys, _ := newSteadySystem(t)
+	regs := sys.PLC.Regs
 	if n := testing.AllocsPerRun(2000, func() {
 		sys.PLC.ScanNow()
 	}); n != 0 {
 		t.Fatalf("wired PLC.ScanNow allocates %.2f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() { sys.PLC.Sample(regs) }); n != 0 {
+		t.Fatalf("wired PLC.Sample allocates %.2f times per call, want 0", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() { sys.PLC.Actuate(regs) }); n != 0 {
+		t.Fatalf("wired PLC.Actuate allocates %.2f times per call, want 0", n)
+	}
+	n := sys.Config().BatteryCount
+	img, err := regs.ReadInput(plc.InputVoltBase, uint16(2*n))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range sys.Probes {
+		if img[plc.InputVolt(i)] != p.Volt.Raw() || img[plc.InputCurrent(i)] != p.Current.Raw() {
+			t.Errorf("unit %d: registers %d/%d, probe codes %d/%d", i,
+				img[plc.InputVolt(i)], img[plc.InputCurrent(i)], p.Volt.Raw(), p.Current.Raw())
+		}
 	}
 }
 

@@ -178,6 +178,11 @@ type System struct {
 	scratchCharging    []int
 	scratchDischarging []int
 	scratchOpen        []int
+	// The PLC scan's process images: 2n unit input codes, the solar and
+	// load codes, and 2n relay coils, each moved under one register lock.
+	scanInputs []uint16
+	scanSystem []uint16
+	scanCoils  []bool
 
 	// Accounting.
 	harvested     units.WattHour // solar energy actually used (load+charge)
@@ -240,6 +245,9 @@ func New(cfg Config, sink Sink) (*System, error) {
 		scratchCharging:    make([]int, 0, cfg.BatteryCount),
 		scratchDischarging: make([]int, 0, cfg.BatteryCount),
 		scratchOpen:        make([]int, 0, cfg.BatteryCount),
+		scanInputs:         make([]uint16, 2*cfg.BatteryCount),
+		scanSystem:         make([]uint16, 2),
+		scanCoils:          make([]bool, 2*cfg.BatteryCount),
 	}
 	s.buildSolarLUT(end)
 	s.Secondary = cfg.Secondary
@@ -308,28 +316,29 @@ func (s *System) LoadNow() units.Watt { return s.loadNow }
 // Brownouts counts forced shutdowns from supply collapse.
 func (s *System) Brownouts() int { return s.brownouts }
 
-// wirePLC binds the analog sampling and coil actuation hooks.
+// wirePLC binds the analog sampling and coil actuation hooks. Each pass
+// fills a scan image in the System's scratch and moves it with one block
+// call, so a scan takes the register lock three times however many units
+// the bank has.
 func (s *System) wirePLC() {
 	s.PLC.Sample = func(r *plc.RegisterFile) {
 		for i, u := range s.Bank.Units() {
-			snap := u.Snapshot()
-			s.Probes[i].Sample(snap.Terminal, snap.LastCurrent)
-			_ = r.SetInput(plc.InputVolt(i), s.Probes[i].Volt.Raw())
-			_ = r.SetInput(plc.InputCurrent(i), s.Probes[i].Current.Raw())
+			p := s.Probes[i]
+			p.Sample(u.TerminalVoltage(), u.LastCurrent())
+			s.scanInputs[plc.InputVolt(i)] = p.Volt.Raw()
+			s.scanInputs[plc.InputCurrent(i)] = p.Current.Raw()
 		}
-		_ = r.SetInput(plc.InputSolarPower, uint16(units.Clamp(float64(s.solarNow), 0, 65535)))
-		_ = r.SetInput(plc.InputLoadPower, uint16(units.Clamp(float64(s.loadNow), 0, 65535)))
+		_ = r.SetInputs(plc.InputVoltBase, s.scanInputs)
+		s.scanSystem[0] = plc.PowerCode(s.solarNow)
+		s.scanSystem[1] = plc.PowerCode(s.loadNow)
+		_ = r.SetInputs(plc.InputSolarPower, s.scanSystem)
 	}
 	s.PLC.Actuate = func(r *plc.RegisterFile) {
+		if r.CoilsInto(s.scanCoils, plc.CoilChargeBase) != nil {
+			return
+		}
 		for i := 0; i < s.Bank.Size(); i++ {
-			cr, err := r.Coil(plc.CoilCharge(i))
-			if err != nil {
-				continue
-			}
-			dr, err := r.Coil(plc.CoilDischarge(i))
-			if err != nil {
-				continue
-			}
+			cr, dr := s.scanCoils[plc.CoilCharge(i)], s.scanCoils[plc.CoilDischarge(i)]
 			pair := s.Fabric.Pair(i)
 			switch {
 			case cr && dr:
