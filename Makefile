@@ -18,9 +18,12 @@ race:
 
 # race-plc runs the PLC register file and everything that shares it across
 # goroutines — the Modbus server's view of the scan images, the simulated
-# plant's scan cycle, and the insure-plcd panel — under the race detector.
+# plant's scan cycle, and the insure-plcd panel — under the race detector,
+# then the managers' full days over the fieldbus, which race the control
+# pass's image invalidation and block coil writes against the panel server.
 race-plc:
 	$(GO) test -race -count=1 ./internal/plc ./internal/modbus ./internal/sim ./cmd/insure-plcd
+	$(GO) test -race -count=1 -run 'Fieldbus' ./internal/core ./internal/baseline
 
 # race-faults runs just the concurrency-heavy fault-injection and fieldbus
 # suites under the race detector (dropped connections, retry/backoff, and

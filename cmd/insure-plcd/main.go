@@ -70,6 +70,9 @@ type panel struct {
 // publishes into the registry with atomic stores, so the HTTP goroutines
 // never race with the physics.
 func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
+	if n > plc.MaxUnits {
+		return nil, fmt.Errorf("-units %d exceeds the PLC register map's %d", n, plc.MaxUnits)
+	}
 	bank, err := battery.NewBank(battery.DefaultParams(), n, soc)
 	if err != nil {
 		return nil, err
@@ -192,7 +195,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("insure-plcd: ")
 	listen := flag.String("listen", "127.0.0.1:1502", "Modbus TCP listen address")
-	n := flag.Int("units", 6, "battery units")
+	n := flag.Int("units", 6, fmt.Sprintf("battery units (at most %d)", plc.MaxUnits))
 	soc := flag.Float64("soc", 0.5, "initial state of charge")
 	solarW := flag.Float64("solar", 400, "charge-bus power budget (W)")
 	loadW := flag.Float64("load", 300, "discharge-bus load (W)")

@@ -178,3 +178,25 @@ func TestPanelScanBlockImages(t *testing.T) {
 		t.Errorf("panel scan allocates %.2f times per call, want 0", a)
 	}
 }
+
+// TestPanelUnitCap checks the -units bound: a 48-unit panel is the largest
+// the register map addresses, and a 49th unit's codes would land on the
+// solar-power register, so the panel refuses it.
+func TestPanelUnitCap(t *testing.T) {
+	p, err := newPanel(plc.MaxUnits, 0.5, 400, 300)
+	if err != nil {
+		t.Fatalf("%d-unit panel refused: %v", plc.MaxUnits, err)
+	}
+	p.controller.ScanNow()
+	last := plc.MaxUnits - 1
+	img, err := p.controller.Regs.ReadInput(plc.InputVolt(last), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr := p.probes[last]; img[0] != pr.Volt.Raw() || img[1] != pr.Current.Raw() {
+		t.Errorf("unit %d registers %v, probe codes %d/%d", last, img, pr.Volt.Raw(), pr.Current.Raw())
+	}
+	if _, err := newPanel(plc.MaxUnits+1, 0.5, 400, 300); err == nil {
+		t.Errorf("%d-unit panel accepted", plc.MaxUnits+1)
+	}
+}

@@ -57,6 +57,8 @@ type Manager struct {
 	seenBrownouts int
 	holdDownUntil time.Duration
 	lastNow       time.Duration
+
+	modes []relay.Mode // the pass's relay command, reused
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -185,18 +187,19 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 		}
 	}
 
-	// Unified buffer actuation: all units share one electrical role.
-	deficit := sys.Cluster.Power() > sys.SolarNow()
-	for i := 0; i < sys.Bank.Size(); i++ {
-		switch {
-		case m.lockout:
-			// Protection keeps the pack on the charge bus only.
-			sys.SetUnitMode(i, relay.Charging)
-		case deficit:
-			sys.SetUnitMode(i, relay.Discharging)
-		default:
-			sys.SetUnitMode(i, relay.Charging) // batch charging of the whole pack
-		}
+	// Unified buffer actuation: all units share one electrical role. A
+	// protection lockout keeps the pack on the charge bus only; otherwise a
+	// deficit discharges the whole pack and a surplus batch-charges it.
+	mode := relay.Charging
+	if !m.lockout && sys.Cluster.Power() > sys.SolarNow() {
+		mode = relay.Discharging
 	}
+	if len(m.modes) != sys.Bank.Size() {
+		m.modes = make([]relay.Mode, sys.Bank.Size())
+	}
+	for i := range m.modes {
+		m.modes[i] = mode
+	}
+	sys.SetUnitModes(m.modes)
 	sys.PLC.ScanNow()
 }

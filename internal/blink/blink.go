@@ -43,6 +43,8 @@ type Manager struct {
 	seenBrownouts int
 	holdDownUntil time.Duration
 	lastNow       time.Duration
+
+	modes []relay.Mode // the pass's relay command, reused
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -108,13 +110,16 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 
 	// Unified ride-through buffer: all units discharge under deficit,
 	// otherwise all charge. No health management.
-	deficit := sys.Cluster.Power() > sys.SolarNow()
-	for i := 0; i < sys.Bank.Size(); i++ {
-		if deficit {
-			sys.SetUnitMode(i, relay.Discharging)
-		} else {
-			sys.SetUnitMode(i, relay.Charging)
-		}
+	mode := relay.Charging
+	if sys.Cluster.Power() > sys.SolarNow() {
+		mode = relay.Discharging
 	}
+	if len(m.modes) != sys.Bank.Size() {
+		m.modes = make([]relay.Mode, sys.Bank.Size())
+	}
+	for i := range m.modes {
+		m.modes[i] = mode
+	}
+	sys.SetUnitModes(m.modes)
 	sys.PLC.ScanNow()
 }

@@ -921,8 +921,8 @@ func (m *Manager) temporalCap(sys *sim.System) {
 	}
 }
 
-// applyModes writes the group decisions to the PLC coils and logs mode
-// transitions to the deployment logbook.
+// applyModes logs mode transitions to the deployment logbook, then writes
+// every unit's relay command to the PLC coils in one block.
 func (m *Manager) applyModes(sys *sim.System, now time.Duration) {
 	chargingNow := m.memberSet(&m.memberA)
 	for _, i := range m.activeCharge {
@@ -939,13 +939,13 @@ func (m *Manager) applyModes(sys *sim.System, now time.Duration) {
 		case g == GroupCharging && chargingNow[i]:
 			mode = relay.Charging
 		}
-		sys.SetUnitMode(i, mode)
 		if mode != m.lastModes[i] {
 			sys.Log.Addf(now, logbook.Power, fmt.Sprintf("battery#%d", i+1),
 				"%s -> %s (group %s)", m.lastModes[i], mode, g)
 			m.lastModes[i] = mode
 		}
 	}
+	sys.SetUnitModes(m.lastModes)
 	sys.PLC.ScanNow()
 }
 

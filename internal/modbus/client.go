@@ -23,15 +23,16 @@ type Client struct {
 	addr string
 	txn  uint16
 
-	// Fault counters are atomics, not c.mu-guarded fields: c.mu is held
+	// The counters are atomics, not c.mu-guarded fields: c.mu is held
 	// across the entire retry loop including its backoff sleeps, so a
 	// mutex-guarded reader (a live /metrics scrape) would stall for whole
 	// backoff windows — and, before this change, raced with the bare
 	// increments under load. Atomic reads are wait-free and safe to call
 	// from any goroutine at any time.
-	retries    atomic.Int64
-	timeouts   atomic.Int64
-	reconnects atomic.Int64
+	transactions atomic.Int64
+	retries      atomic.Int64
+	timeouts     atomic.Int64
+	reconnects   atomic.Int64
 
 	// Timeout bounds each round trip (default 5 s).
 	Timeout time.Duration
@@ -65,6 +66,11 @@ func Dial(addr string) (*Client, error) {
 // Close shuts the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
+// Transactions returns how many requests the client has issued, each
+// counted once however often it was retried and whether or not it
+// succeeded. Safe to call concurrently with in-flight requests.
+func (c *Client) Transactions() int64 { return c.transactions.Load() }
+
 // Retries returns how many round trips were retried after a transport
 // failure. Safe to call concurrently with in-flight requests; it never
 // blocks on the connection mutex.
@@ -79,6 +85,7 @@ func (c *Client) Reconnects() int64 { return c.reconnects.Load() }
 // roundTrip sends a request PDU and returns the response PDU, retrying
 // transport failures with exponential backoff.
 func (c *Client) roundTrip(pdu []byte) ([]byte, error) {
+	c.transactions.Add(1)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	resp, err := c.attempt(pdu)

@@ -8,6 +8,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -286,6 +287,79 @@ func TestWriteMultipleCoils(t *testing.T) {
 	}
 	if err := c.WriteCoils(0, nil); err == nil {
 		t.Error("empty coil write accepted")
+	}
+}
+
+// TestWriteCoilsPairNeverTorn swings one relay pair between the discharge
+// and charge buses with multi-coil writes while a reader takes the pair's
+// coil image the way the PLC scan does. A request applied coil by coil
+// exposes [true true] between its two stores: a double-closed command that
+// the scan's interlock answers by opening the pair. Run it with -race.
+func TestWriteCoilsPairNeverTorn(t *testing.T) {
+	const swings = 3000
+	regs := plc.NewRegisterFile(2, 0, 0, 0)
+	c := newPair(t, regs)
+	done := make(chan struct{})
+	var torn atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		pair := make([]bool, 2)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if err := regs.CoilsInto(pair, 0); err != nil {
+				t.Error(err)
+				return
+			}
+			if pair[0] && pair[1] {
+				torn.Add(1)
+			}
+		}
+	}()
+	charge, discharge := []bool{true, false}, []bool{false, true}
+	for k := 0; k < swings; k++ {
+		vals := discharge
+		if k%2 == 1 {
+			vals = charge
+		}
+		if err := c.WriteCoils(plc.CoilChargeBase, vals); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+	if n := torn.Load(); n > 0 {
+		t.Errorf("the scan saw the pair double-closed %d times in %d swings", n, swings)
+	}
+}
+
+// TestClientCountsTransactions checks that every request counts once,
+// including one the panel refuses.
+func TestClientCountsTransactions(t *testing.T) {
+	regs := plc.NewRegisterFile(8, 0, 0, 8)
+	c := newPair(t, regs)
+	if err := c.WriteCoils(0, []bool{true, false}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadInput(0, 8); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadInput(4, 8); err == nil {
+		t.Fatal("out-of-range read accepted")
+	}
+	if got := c.Transactions(); got != 3 {
+		t.Errorf("Transactions() = %d, want 3", got)
+	}
+	reg := telemetry.NewRegistry()
+	c.RegisterTelemetry(reg)
+	if v, ok := reg.Snapshot().Gauges["insure_modbus_client_transactions"]; !ok || v != 3 {
+		t.Errorf("insure_modbus_client_transactions = %v (registered %v), want 3", v, ok)
 	}
 }
 

@@ -288,15 +288,11 @@ func (s *Server) handle(pdu []byte) []byte {
 		if err != nil {
 			return exception(fn, ExIllegalValue)
 		}
-		// Validate the whole range before mutating any coil so a partial
-		// write cannot leave the relay fabric half-switched.
-		if _, err := s.regs.ReadCoils(addr, count); err != nil {
+		// One locked block write: the scan cycle sees every coil of the
+		// request or none, so a relay pair swung between the buses is never
+		// seen double-closed, and an out-of-range request writes nothing.
+		if err := s.regs.SetCoils(addr, bits); err != nil {
 			return exception(fn, ExIllegalAddress)
-		}
-		for i, b := range bits {
-			if err := s.regs.WriteCoil(addr+uint16(i), b); err != nil {
-				return exception(fn, ExIllegalAddress)
-			}
 		}
 		resp := make([]byte, 5)
 		resp[0] = fn

@@ -41,6 +41,12 @@ const (
 	HoldControlPeriodS  = 2 // control period, seconds
 )
 
+// MaxUnits is the largest bank the register map addresses: unit 48's codes
+// and coils would land on InputSolarPower and CoilP1. It also keeps a whole
+// bank's 2n unit codes within one Modbus block read (125 registers) and its
+// 2n relay coils within one block write.
+const MaxUnits = 48
+
 // CoilCharge returns the coil address of unit i's charge relay.
 func CoilCharge(i int) uint16 { return uint16(2*i + CoilChargeBase) }
 
@@ -70,7 +76,7 @@ var ErrAddress = errors.New("plc: illegal data address")
 // publishes its input image with SetInputs and reads its coil image with
 // CoilsInto, one lock per block per pass, and a fieldbus client's block read
 // sees each block of a scan as a whole — never half of one pass and half of
-// the next.
+// the next. A coordinator's relay command lands the same way, with SetCoils.
 type RegisterFile struct {
 	mu       sync.RWMutex
 	coils    []bool
@@ -112,6 +118,20 @@ func (r *RegisterFile) ReadCoils(addr, count uint16) ([]bool, error) {
 	out := make([]bool, count)
 	copy(out, r.coils[addr:int(addr)+int(count)])
 	return out, nil
+}
+
+// SetCoils stores len(vals) coil states starting at addr under one lock, so
+// a scan's CoilsInto sees all of them or none: a relay pair swung from
+// discharge to charge is never seen with both coils closed. Nothing is
+// written when the block does not fit.
+func (r *RegisterFile) SetCoils(addr uint16, vals []bool) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if int(addr)+len(vals) > len(r.coils) {
+		return ErrAddress
+	}
+	copy(r.coils[addr:], vals)
+	return nil
 }
 
 // WriteCoil sets a single coil.

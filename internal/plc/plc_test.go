@@ -88,26 +88,42 @@ func TestBlockCallsBounds(t *testing.T) {
 	if got, _ := r.ReadCoils(0, 4); !reflect.DeepEqual(got, []bool{false, false, false, true}) {
 		t.Errorf("coils after failed CoilsInto = %v, want untouched", got)
 	}
+	if err := r.SetCoils(2, []bool{true, true, true}); !errors.Is(err, ErrAddress) {
+		t.Errorf("SetCoils OOB error = %v", err)
+	}
+	if got, _ := r.ReadCoils(0, 4); !reflect.DeepEqual(got, []bool{false, false, false, true}) {
+		t.Errorf("coils after failed SetCoils = %v, want untouched", got)
+	}
 	// In-range edge blocks succeed, including the empty block at the end.
 	if err := r.SetInputs(4, nil); err != nil {
 		t.Errorf("empty SetInputs at end = %v", err)
 	}
+	if err := r.SetCoils(4, nil); err != nil {
+		t.Errorf("empty SetCoils at end = %v", err)
+	}
 	if err := r.CoilsInto(dst[:2], 2); err != nil || dst[0] || !dst[1] {
 		t.Errorf("CoilsInto(2..3) = %v, %v", dst[:2], err)
 	}
+	if err := r.SetCoils(1, []bool{true, false, false}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := r.ReadCoils(0, 4); !reflect.DeepEqual(got, []bool{false, true, false, false}) {
+		t.Errorf("coils after SetCoils(1..3) = %v", got)
+	}
 }
 
-// TestBlockCallsAllocFree pins the scan cycle's block calls at zero
-// allocations.
+// TestBlockCallsAllocFree pins the scan cycle's and the coordinator's block
+// calls at zero allocations.
 func TestBlockCallsAllocFree(t *testing.T) {
 	r := NewRegisterFile(12, 0, 0, 12)
 	in := make([]uint16, 12)
 	coils := make([]bool, 12)
 	if n := testing.AllocsPerRun(1000, func() {
 		_ = r.SetInputs(0, in)
+		_ = r.SetCoils(0, coils)
 		_ = r.CoilsInto(coils, 0)
 	}); n != 0 {
-		t.Fatalf("SetInputs+CoilsInto allocate %.2f times per call, want 0", n)
+		t.Fatalf("SetInputs+SetCoils+CoilsInto allocate %.2f times per call, want 0", n)
 	}
 }
 

@@ -6,14 +6,16 @@ import (
 	"insure/internal/modbus"
 	"insure/internal/plc"
 	"insure/internal/relay"
-	"insure/internal/units"
 )
 
 // AttachRemotePanel switches the system's control plane from in-process
 // register access to the prototype's real path (§4): the PLC register file
 // is served over Modbus TCP on loopback, and every manager actuation
-// (SetUnitMode) and telemetry read (UnitReading) travels through a Modbus
-// client connection. The returned function tears the panel down.
+// (SetUnitModes, SetUnitMode) and telemetry read (UnitReading) travels
+// through a Modbus client connection. A control pass polls the panel the
+// way a PLC master polls its slave: one block read of the unit codes and
+// one block write of the relay coils. The returned function tears the
+// panel down.
 //
 // This is how the deployment actually runs when the coordination node and
 // the battery control panel are separate machines; tests use it to prove
@@ -72,6 +74,7 @@ func (s *System) ConnectRemote(addr string) (*modbus.Client, func() error, error
 		return nil, nil, fmt.Errorf("sim: panel dial: %w", err)
 	}
 	s.remote = cli
+	s.imageFresh = false
 	return cli, func() error {
 		s.remote = nil
 		return cli.Close()
@@ -81,21 +84,34 @@ func (s *System) ConnectRemote(addr string) (*modbus.Client, func() error, error
 // RemoteAttached reports whether the control plane runs over Modbus.
 func (s *System) RemoteAttached() bool { return s.remote != nil }
 
-// remoteSetUnitMode writes the relay pair atomically over the fieldbus.
+// remoteSetUnitMode writes one relay pair atomically over the fieldbus.
 func (s *System) remoteSetUnitMode(i int, m relay.Mode) error {
 	pair := []bool{m == relay.Charging, m == relay.Discharging}
 	return s.remote.WriteCoils(plc.CoilCharge(i), pair)
 }
 
-// remoteUnitReading fetches and decodes unit telemetry over the fieldbus.
-func (s *System) remoteUnitReading(i int) (units.Volt, units.Amp, error) {
-	codes, err := s.remote.ReadInput(plc.InputVolt(i), 2)
-	if err != nil {
-		return 0, 0, err
+// pollImage makes the probes hold the panel's unit codes for the current
+// PLC scan. The first reading of a control pass, or the first after a scan,
+// fetches all 2n codes with one block read and installs them in the probes;
+// later readings decode from them, since the input registers cannot change
+// until the PLC samples again. The image is keyed on PLC.Scans rather than
+// on the Sample hook, which harnesses wrap.
+//
+// A failed read costs the pass nothing further: the probes already hold the
+// codes the scan published, so the rest of the pass reads them locally and
+// sees the same values.
+func (s *System) pollImage() {
+	scans := s.PLC.Scans()
+	if s.imageFresh && s.imageScan == scans {
+		return
 	}
-	probe := s.Probes[i]
-	probe.Volt.SetRaw(codes[0])
-	probe.Current.SetRaw(codes[1])
-	v, cur := probe.Readings()
-	return v, cur, nil
+	s.imageFresh, s.imageScan = true, scans
+	codes, err := s.remote.ReadInput(plc.InputVoltBase, uint16(2*len(s.Probes)))
+	if err != nil || len(codes) != 2*len(s.Probes) {
+		return
+	}
+	for i, p := range s.Probes {
+		p.Volt.SetRaw(codes[plc.InputVolt(i)])
+		p.Current.SetRaw(codes[plc.InputCurrent(i)])
+	}
 }

@@ -155,6 +155,13 @@ type System struct {
 	// remote, when set, routes control-plane traffic over Modbus TCP.
 	remote       remoteClient
 	remoteServer remoteCloser
+	// The fieldbus process image (remote.go): imageFresh reports that the
+	// probes hold the panel's unit codes as of PLC scan imageScan, fetched
+	// (or found unreachable) within the current control pass.
+	imageFresh bool
+	imageScan  int64
+	// modeCoils is SetUnitModes' relay command image: 2n coils.
+	modeCoils []bool
 
 	// onTick, when set, runs at the top of every Tick with the plant clock —
 	// the fault-injection layer's entry point (internal/faults). It must not
@@ -213,6 +220,9 @@ func New(cfg Config, sink Sink) (*System, error) {
 	if cfg.HoldUp <= 0 {
 		cfg.HoldUp = 35 * time.Second
 	}
+	if cfg.BatteryCount > plc.MaxUnits {
+		return nil, fmt.Errorf("sim: %d battery units exceed the PLC register map's %d", cfg.BatteryCount, plc.MaxUnits)
+	}
 	bank := cfg.Bank
 	if bank == nil {
 		var err error
@@ -248,6 +258,7 @@ func New(cfg Config, sink Sink) (*System, error) {
 		scanInputs:         make([]uint16, 2*cfg.BatteryCount),
 		scanSystem:         make([]uint16, 2),
 		scanCoils:          make([]bool, 2*cfg.BatteryCount),
+		modeCoils:          make([]bool, 2*cfg.BatteryCount),
 	}
 	s.buildSolarLUT(end)
 	s.Secondary = cfg.Secondary
@@ -364,37 +375,50 @@ type remoteClient interface {
 // remoteCloser tears down the served panel.
 type remoteCloser interface{ Close() error }
 
-// SetUnitMode writes the PLC coils that realise the requested relay mode
-// for unit i — the path a manager uses (locally or over Modbus).
+// SetUnitModes writes the relay coils of units 0 … len(modes)-1 as one
+// block — a single Modbus transaction on a remote control plane, a single
+// register lock in-process — so the scan sees the whole command or none of
+// it. This is the path a manager's control pass uses.
+func (s *System) SetUnitModes(modes []relay.Mode) {
+	if len(modes) == 0 {
+		return
+	}
+	coils := s.modeCoils[:2*len(modes)]
+	for i, m := range modes {
+		coils[plc.CoilCharge(i)] = m == relay.Charging
+		coils[plc.CoilDischarge(i)] = m == relay.Discharging
+	}
+	if s.remote != nil {
+		if err := s.remote.WriteCoils(plc.CoilChargeBase, coils); err == nil {
+			return
+		}
+		// Fieldbus failure: fall through to the local path so the plant
+		// stays controllable, and leave a trace in the logbook.
+		s.Log.Addf(0, logbook.Emergency, "fieldbus", "relay write for %d units failed; local fallback", len(modes))
+	}
+	// Cannot fail: plc.New sizes the coil bank for every unit.
+	_ = s.PLC.Regs.SetCoils(plc.CoilChargeBase, coils)
+}
+
+// SetUnitMode writes the coil pair that realises relay mode m for unit i
+// alone, for callers that re-drive a single pair.
 func (s *System) SetUnitMode(i int, m relay.Mode) {
 	if s.remote != nil {
 		if err := s.remoteSetUnitMode(i, m); err == nil {
 			return
 		}
-		// Fieldbus failure: fall through to the local path so the plant
-		// stays controllable, and leave a trace in the logbook.
 		s.Log.Addf(0, logbook.Emergency, "fieldbus", "write failed for unit %d; local fallback", i)
 	}
-	switch m {
-	case relay.Charging:
-		_ = s.PLC.Regs.WriteCoil(plc.CoilDischarge(i), false)
-		_ = s.PLC.Regs.WriteCoil(plc.CoilCharge(i), true)
-	case relay.Discharging:
-		_ = s.PLC.Regs.WriteCoil(plc.CoilCharge(i), false)
-		_ = s.PLC.Regs.WriteCoil(plc.CoilDischarge(i), true)
-	default:
-		_ = s.PLC.Regs.WriteCoil(plc.CoilCharge(i), false)
-		_ = s.PLC.Regs.WriteCoil(plc.CoilDischarge(i), false)
-	}
+	pair := [2]bool{m == relay.Charging, m == relay.Discharging}
+	_ = s.PLC.Regs.SetCoils(plc.CoilCharge(i), pair[:])
 }
 
 // UnitReading returns unit i's transduced voltage and current as sampled by
-// the PLC (what the prototype's coordinator actually sees).
+// the PLC (what the prototype's coordinator actually sees). Over a remote
+// control plane the codes come from the pass's fieldbus image.
 func (s *System) UnitReading(i int) (units.Volt, units.Amp) {
 	if s.remote != nil {
-		if v, cur, err := s.remoteUnitReading(i); err == nil {
-			return v, cur
-		}
+		s.pollImage()
 	}
 	return s.Probes[i].Readings()
 }
@@ -424,8 +448,10 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 		s.auxEnergy += units.Energy(s.auxNow, dt)
 	}
 
-	// 2. Manager control at its period boundary.
+	// 2. Manager control at its period boundary. Each pass starts from a
+	// fresh fieldbus image.
 	if mgr != nil && int64(tod/dt)%int64(mgr.Period()/dt) == 0 {
+		s.imageFresh = false
 		mgr.Control(s, tod)
 	}
 

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
+	"insure/internal/plc"
 	"insure/internal/relay"
 	"insure/internal/trace"
 	"insure/internal/units"
@@ -47,6 +49,31 @@ func TestNewRejectsBadBattery(t *testing.T) {
 	cfg.BatteryCount = 0
 	if _, err := New(cfg, NewSeismicSink()); err == nil {
 		t.Error("zero batteries accepted")
+	}
+}
+
+// TestNewUnitCap checks the bank bound: 48 units is the largest bank the
+// PLC register map addresses, each unit's codes landing in its own
+// registers, and a 49th unit, whose codes would overwrite the solar-power
+// register, is refused.
+func TestNewUnitCap(t *testing.T) {
+	cfg := DefaultConfig(trace.FullSystemHigh())
+	cfg.BatteryCount = plc.MaxUnits
+	sys, err := New(cfg, NewSeismicSink())
+	if err != nil {
+		t.Fatalf("%d-unit bank refused: %v", plc.MaxUnits, err)
+	}
+	last := plc.MaxUnits - 1
+	img, err := sys.PLC.Regs.ReadInput(plc.InputVolt(last), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := sys.Probes[last]; img[0] != p.Volt.Raw() || img[1] != p.Current.Raw() {
+		t.Errorf("unit %d registers %v, probe codes %d/%d", last, img, p.Volt.Raw(), p.Current.Raw())
+	}
+	cfg.BatteryCount = plc.MaxUnits + 1
+	if _, err := New(cfg, NewSeismicSink()); err == nil {
+		t.Errorf("%d-unit bank accepted", plc.MaxUnits+1)
 	}
 }
 
@@ -369,12 +396,12 @@ func TestRemoteControlPlaneFullDay(t *testing.T) {
 	remoteRes := remote.Run(&replayManager{})
 
 	// The fieldbus is transparent: identical policy, identical plant,
-	// near-identical outcome (quantisation via the shared transducers).
-	if d := remoteRes.ProcessedGB - localRes.ProcessedGB; d > 1 || d < -1 {
-		t.Errorf("remote plane diverged: %.2f vs %.2f GB", remoteRes.ProcessedGB, localRes.ProcessedGB)
+	// identical outcome, frame for frame.
+	if !reflect.DeepEqual(remoteRes, localRes) {
+		t.Errorf("remote plane diverged:\nremote %+v\nlocal  %+v", remoteRes, localRes)
 	}
-	if remoteRes.Brownouts != localRes.Brownouts {
-		t.Errorf("brownouts diverged: %d vs %d", remoteRes.Brownouts, localRes.Brownouts)
+	if !reflect.DeepEqual(remote.Recorder().Frames(), local.Recorder().Frames()) {
+		t.Error("remote plane's recorder frames differ from the in-process run")
 	}
 }
 

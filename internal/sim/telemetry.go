@@ -106,9 +106,9 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 	s.Fabric.P2.OnSettle = onSettle
 	s.Fabric.P3.OnSettle = onSettle
 
-	// A fieldbus control plane brings the Modbus client's fault counters
-	// along. Attach the remote panel before the telemetry for these to
-	// appear.
+	// A fieldbus control plane brings the Modbus client's transaction and
+	// fault counters along. Attach the remote panel before the telemetry
+	// for these to appear.
 	if c, ok := s.remote.(*modbus.Client); ok {
 		c.RegisterTelemetry(reg)
 	}
