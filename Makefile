@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
+.PHONY: all build test fmt race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
 
 all: build
 
@@ -12,6 +12,10 @@ test:
 
 vet:
 	$(GO) vet ./...
+
+# fmt fails when any Go file in the tree is not gofmt-formatted.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 race:
 	$(GO) test -race ./...
@@ -143,21 +147,21 @@ vet-storage:
 	$(GO) run ./internal/tools/synccheck ./internal/journal ./internal/fleet
 
 # bench-scaling measures the plant-years/sec workers-scaling curve on a
-# short campaign and enforces the speedup gate: on N >= 2 cores, speedup at
-# N workers must reach 0.7*N or the target fails. On a single-core machine
-# the gate is reported as skipped (it cannot pass vacuously).
+# short campaign and enforces the speedup gate: with GOMAXPROCS N >= 2,
+# speedup at N workers must reach 0.7*N or the target fails. With
+# GOMAXPROCS 1 the gate is reported as skipped (it cannot pass vacuously).
 bench-scaling:
 	$(GO) run ./cmd/insure-bench -scaling -gate -scaling-cells 8
 
-# check is the CI gate: static analysis, a clean build, the full test suite
-# under the race detector (the parallel experiment engine and campaign
-# runner are exercised concurrently there), the PLC register file's
+# check is the CI gate: formatting, static analysis, a clean build, the full
+# test suite under the race detector (the parallel experiment engine and
+# campaign runner are exercised concurrently there), the PLC register file's
 # concurrent fieldbus view under the race detector, the injected-fault smoke
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
 # storage gates, and the multicore scaling gate.
-check: vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
+check: fmt vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:

@@ -183,6 +183,10 @@ func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 	c, err := fleet.New(fleet.Config{
 		Migration: cfg.Migration,
 		LogDir:    cfg.LogDir,
+		// The ideal link never partitions, so the only missed heartbeats
+		// are a dead site's: a 1 h lease declares a site killed at 15h
+		// well before the day ends.
+		LeasePasses: 12,
 		Prepare: func(day int, fl *sim.Fleet) {
 			curFl = fl
 			for i := 0; i < cfg.Sites; i++ {
@@ -283,6 +287,9 @@ func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 		}
 	}
 
+	if g := frep.Totals; g.JobsDoubleRun != 0 || g.SplitBrain != 0 {
+		rep.violate("exactly-once guards tripped: %d double-run, %d split-brain", g.JobsDoubleRun, g.SplitBrain)
+	}
 	if cfg.Migration {
 		if lost := rep.VMsLost - failedSiteLost; lost > 0 {
 			rep.violate("federated storm lost %d VMs with migration armed", lost)

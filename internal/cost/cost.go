@@ -115,11 +115,6 @@ func DefaultMigrationTariff() MigrationTariff {
 	}
 }
 
-// ShipHours is the transfer time for gb gigabytes over the tariff's link.
-func (t MigrationTariff) ShipHours(gb float64) float64 {
-	return t.Link.HoursPerTB() * gb / 1000
-}
-
 // EnergyWh is the transmission energy spent shipping gb gigabytes.
 func (t MigrationTariff) EnergyWh(gb float64) float64 { return t.WhPerGB * gb }
 

@@ -278,19 +278,6 @@ func TestCrossoverLowBound(t *testing.T) {
 	}
 }
 
-func TestMigrationTariffShipHours(t *testing.T) {
-	tar := DefaultMigrationTariff()
-	// 1000 GB over the tariff link is exactly one HoursPerTB.
-	if got, want := tar.ShipHours(1000), tar.Link.HoursPerTB(); math.Abs(got-want) > 1e-9 {
-		t.Errorf("ShipHours(1000) = %v, want %v", got, want)
-	}
-	// A 4 GB VM image over 100 Mbps backhaul ships in minutes, not hours:
-	// checkpoint shipping must be practical within one coordinator day.
-	if h := tar.ShipHours(tar.VMImageGB); h <= 0 || h > 0.25 {
-		t.Errorf("VM image ship time %v h out of the practical range", h)
-	}
-}
-
 func TestMigrationTariffAccountingLinear(t *testing.T) {
 	tar := DefaultMigrationTariff()
 	if e := tar.EnergyWh(10); e != 10*tar.WhPerGB {
@@ -298,9 +285,6 @@ func TestMigrationTariffAccountingLinear(t *testing.T) {
 	}
 	if c := tar.Cost(10); c != Dollars(10*float64(tar.PerGB)) {
 		t.Errorf("Cost(10) = %v", c)
-	}
-	if z := tar.ShipHours(0); z != 0 {
-		t.Errorf("ShipHours(0) = %v, want 0", z)
 	}
 }
 

@@ -108,15 +108,16 @@ func Run(id string) (*Table, error) {
 	return r(context.Background()), nil
 }
 
-// RunAll executes every experiment serially in sorted ID order. The tables
-// are caller-owned, like Run's. RunAllParallel produces identical output on
-// a worker pool.
+// RunAll executes every experiment serially in sorted ID order: the
+// one-worker pool, which runs every cell inline on the calling goroutine.
+// The tables are caller-owned, like Run's. A panicking runner panics here
+// too, with the experiment ID in the message.
 func RunAll() []*Table {
-	var out []*Table
-	for _, id := range IDs() {
-		out = append(out, registry[id](context.Background()))
+	tables, err := RunAllParallel(context.Background(), 1)
+	if err != nil {
+		panic(err)
 	}
-	return out
+	return tables
 }
 
 func f1(v float64) string  { return fmt.Sprintf("%.1f", v) }

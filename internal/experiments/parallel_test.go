@@ -25,8 +25,9 @@ func renderAll(t *testing.T, tables []*Table) []byte {
 }
 
 // TestRunAllParallelMatchesRunAll is the determinism oracle for the parallel
-// engine: the rendered output of the worker pool must be byte-identical to
-// the serial engine's, for every registered experiment.
+// engine: the rendered output of the GOMAXPROCS-worker pool must be
+// byte-identical to the one-worker (serial) pool's, for every registered
+// experiment.
 func TestRunAllParallelMatchesRunAll(t *testing.T) {
 	if raceEnabled {
 		// Both engines run the full 30-experiment evaluation; doing that

@@ -197,6 +197,16 @@ func TestCoordinatorLogRecoveryReplays(t *testing.T) {
 	if len(records) == 0 {
 		t.Fatal("migration log is empty after a migrated day")
 	}
+	// No WAN configured means an ideal link, not a second shipping path:
+	// every shipment rides the chunked transfer records.
+	for _, r := range records {
+		switch r.Kind {
+		case fleet.RecSiteLoss, fleet.RecXferStart, fleet.RecXferProgress,
+			fleet.RecXferDone, fleet.RecXferReroute, fleet.RecXferAbort:
+		default:
+			t.Errorf("nil-WAN coordinator journaled a %v record", r.Kind)
+		}
+	}
 }
 
 // TestCoordinatorSiteLossIsDisposable fails the preferred donor mid-day:

@@ -6,8 +6,20 @@ import (
 	"time"
 
 	"insure/internal/core"
+	"insure/internal/wan"
 	"insure/internal/workload"
 )
+
+// idealNet is the donor fixtures' backhaul: the ideal link New defaults to
+// when Config.WAN is nil.
+func idealNet(t *testing.T, sites int) *wan.Network {
+	t.Helper()
+	net, err := wan.New(wan.Config{Sites: sites})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
 
 // stubSink is a minimal migratable sink for donor-selection tests.
 type stubSink struct {
@@ -15,14 +27,14 @@ type stubSink struct {
 	inFlight int
 }
 
-func (s *stubSink) Spec() workload.Spec                                  { return workload.Spec{} }
-func (s *stubSink) Tick(_, _ time.Duration, _ float64, _ int) float64    { return 0 }
-func (s *stubSink) HasWork(time.Duration) bool                           { return false }
-func (s *stubSink) ProcessedGB() float64                                 { return 0 }
-func (s *stubSink) DelayMinutes() float64                                { return 0 }
-func (s *stubSink) PendingGB() float64                                   { return s.pending }
-func (s *stubSink) TakeJobs() []*workload.Job                            { return nil }
-func (s *stubSink) Schedule(time.Duration, *workload.Job)                {}
+func (s *stubSink) Spec() workload.Spec                               { return workload.Spec{} }
+func (s *stubSink) Tick(_, _ time.Duration, _ float64, _ int) float64 { return 0 }
+func (s *stubSink) HasWork(time.Duration) bool                        { return false }
+func (s *stubSink) ProcessedGB() float64                              { return 0 }
+func (s *stubSink) DelayMinutes() float64                             { return 0 }
+func (s *stubSink) PendingGB() float64                                { return s.pending }
+func (s *stubSink) TakeJobs() []*workload.Job                         { return nil }
+func (s *stubSink) Schedule(time.Duration, *workload.Job)             {}
 
 // streamStub is a sink that is NOT migratable — the camera-site case.
 type streamStub struct{}
@@ -40,7 +52,7 @@ func (c *Coordinator) oldDonorScan(from int, requireIdle bool) int {
 	best, bestSoC := -1, 0.0
 	for j := range c.sites {
 		st := &c.sites[j]
-		if j == from || st.dead || st.deadline || st.needsEvac(c.cfg.DeficitSoC) || st.mode != core.ModeNormal {
+		if j == from || st.dead || st.deadline || st.needsEvac() || st.mode != core.ModeNormal {
 			continue
 		}
 		if _, ok := st.sink.(migratableSink); !ok {
@@ -54,7 +66,7 @@ func (c *Coordinator) oldDonorScan(from int, requireIdle bool) int {
 				continue
 			}
 		}
-		if st.soc >= c.cfg.SurplusSoC && st.soc > bestSoC {
+		if st.soc >= surplusSoC && st.soc > bestSoC {
 			best, bestSoC = j, st.soc
 		}
 	}
@@ -78,7 +90,7 @@ func TestDonorRankMatchesLinearScan(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		n := 2 + rng.Intn(12)
 		c := &Coordinator{
-			cfg:   Config{SurplusSoC: 0.55, DeficitSoC: 0.40},
+			cfg:   Config{WAN: idealNet(t, n)},
 			sites: make([]siteState, n),
 		}
 		for i := range c.sites {
@@ -122,7 +134,7 @@ func TestDonorRankMatchesLinearScan(t *testing.T) {
 // scan's strict-greater comparison.
 func TestDonorRankTieBreaksToLowestIndex(t *testing.T) {
 	c := &Coordinator{
-		cfg: Config{SurplusSoC: 0.55, DeficitSoC: 0.40},
+		cfg: Config{WAN: idealNet(t, 3)},
 		sites: []siteState{
 			{sink: &stubSink{}, mode: core.ModeNormal, soc: 0.70},
 			{sink: &stubSink{}, mode: core.ModeNormal, soc: 0.80},

@@ -58,18 +58,6 @@ type Config struct {
 	// shipping. Off, the coordinator only observes, and the federated run
 	// is byte-identical to N solo runs.
 	Migration bool
-	// Period is the coordinator's control interval (default 5 min). It
-	// should be a multiple of the simulation step.
-	Period time.Duration
-	// SurplusSoC is the mean transduced SoC at which a site qualifies as a
-	// migration destination (default 0.55).
-	SurplusSoC float64
-	// DeficitSoC is the mean transduced SoC below which a site starts
-	// evacuating deferred work even before its ladder reacts (default 0.40).
-	DeficitSoC float64
-	// Tariff prices cross-site shipping; the zero value means
-	// cost.DefaultMigrationTariff.
-	Tariff cost.MigrationTariff
 	// LogDir, when set, makes the migration log durable: every shipment is
 	// journaled there, and a new Coordinator on the same directory replays
 	// it (see Recovered).
@@ -88,40 +76,52 @@ type Config struct {
 	// attach fault injectors and invariant probes.
 	Prepare func(day int, fl *sim.Fleet)
 
-	// WAN, when set, routes every cross-site shipment through the degraded
-	// backhaul model instead of the ideal single-shot path: transfers move
+	// WAN is the backhaul every cross-site shipment rides: transfers move
 	// chunk by chunk against the link's effective bandwidth, drops and CRC
 	// failures cost retransmissions (billed through the tariff), partitions
 	// stall transfers mid-image and resume them from the last delivered
-	// byte, and a heartbeat/lease failure detector replaces fiat knowledge
-	// of site death. Nil keeps the PR 7 behaviour exactly.
+	// byte, and a heartbeat/lease failure detector stands in for knowledge
+	// of site death. Nil means an ideal link: the tariff's 100 Mbps with no
+	// loss and no outages.
 	WAN *wan.Network
-	// ChunkBytes is the transfer chunk size (default 250 MB — 15 chunks
-	// per 5-minute pass on the default 100 Mbps backhaul).
-	ChunkBytes int64
-	// SuspectAfter is the number of consecutive missed heartbeats (control
-	// passes) before a site is suspected and leaves the donor pool
-	// (default 2). A suspected site keeps running solo — it is a complete
-	// plant — and rejoins on the first heartbeat that gets through.
-	SuspectAfter int
 	// LeasePasses is the number of consecutive missed heartbeats before a
 	// suspected site's lease expires and the coordinator declares it dead,
 	// journaling the loss (default 96 — 8 h at the 5-minute period, longer
 	// than any partition the chaos campaigns schedule, so a partitioned
 	// site is never declared dead).
 	LeasePasses int
-	// RerouteAfter is the number of consecutive zero-progress passes after
-	// which a transfer whose destination is suspected or unreachable
-	// re-routes to a fresh donor, restarting from byte zero (default 6).
-	RerouteAfter int
-	// MaxBackoff caps a stalled transfer's exponential retry backoff
-	// (default 30 min).
-	MaxBackoff time.Duration
 	// Abort, when set, is polled at every tick; returning true stops
 	// RunDay immediately with ErrAborted. The fleet daemon wires SIGTERM
 	// and its kill-injection test hook through this.
 	Abort func(day int, tod time.Duration) bool
 }
+
+// The coordinator's fixed tuning.
+const (
+	// controlPeriod is the coordinator's control interval, a multiple of
+	// the simulation step.
+	controlPeriod = 5 * time.Minute
+	// surplusSoC is the mean transduced SoC at which a site qualifies as a
+	// migration destination.
+	surplusSoC = 0.55
+	// deficitSoC is the mean transduced SoC below which a site starts
+	// evacuating deferred work even before its ladder reacts.
+	deficitSoC = 0.40
+	// chunkBytes is the transfer chunk size: 15 chunks per 5-minute pass on
+	// the 100 Mbps backhaul.
+	chunkBytes int64 = 250e6
+	// suspectAfter is the number of consecutive missed heartbeats (control
+	// passes) before a site is suspected and leaves the donor pool. A
+	// suspected site keeps running solo — it is a complete plant — and
+	// rejoins on the first heartbeat that gets through.
+	suspectAfter = 2
+	// rerouteAfter is the number of consecutive zero-progress passes after
+	// which a transfer whose destination is suspected or unreachable
+	// re-routes to a fresh donor, restarting from byte zero.
+	rerouteAfter = 6
+	// maxBackoff caps a stalled transfer's exponential retry backoff.
+	maxBackoff = 30 * time.Minute
+)
 
 // Site is one federated plant: a persistent identity whose Sink and
 // Manager live across days (banks and day traces arrive per-day through
@@ -152,9 +152,9 @@ type siteState struct {
 	// site's ladder downgrades, and cleared when it recovers to Normal.
 	evacuate bool
 
-	// Failure-detector view (WAN mode). dead above is physical truth the
-	// coordinator cannot observe across a degraded backhaul; these three
-	// are what it *believes*: missedBeats counts consecutive control
+	// Failure-detector view. dead above is physical truth the
+	// coordinator cannot observe across the backhaul; these three are
+	// what it *believes*: missedBeats counts consecutive control
 	// passes without a heartbeat, suspected marks a site pulled from the
 	// donor pool, declared marks an expired lease — the point where the
 	// loss is journaled.
@@ -179,9 +179,9 @@ type siteState struct {
 	lastProcessed float64
 	stalled       int
 	deadline      bool
-	// lastInbound is when migrated work last landed (or will land) here;
-	// a freshly loaded site gets a grace period to spin up before the
-	// deadline logic may judge it stalled.
+	// lastInbound is when migrated work last landed here; a freshly loaded
+	// site gets a grace period to spin up before the deadline logic may
+	// judge it stalled.
 	lastInbound time.Duration
 
 	// lostPendingGB is the deferred backlog destroyed with the site when it
@@ -195,17 +195,8 @@ type siteState struct {
 }
 
 // needsEvac reports whether the site should be moving work off-site.
-func (st *siteState) needsEvac(deficit float64) bool {
-	return st.evacuate || st.mode >= core.ModeConservative || st.soc < deficit
-}
-
-// shipment is a bundle of checkpoint images in transit between sites.
-type shipment struct {
-	id       uint64 // image-store key (legacy lane, high bit set)
-	arriveAt time.Duration
-	from, to int
-	images   int
-	gb       float64
+func (st *siteState) needsEvac() bool {
+	return st.evacuate || st.mode >= core.ModeConservative || st.soc < deficitSoC
 }
 
 // siteFailure is a scheduled site loss (the chaos campaign's storm damage).
@@ -229,7 +220,7 @@ type Totals struct {
 	EnergyWh      float64
 	Cost          cost.Dollars
 
-	// Degraded-WAN accounting (zero when Config.WAN is nil).
+	// Link accounting (zero on a lossless link that never re-routes).
 	RetransmitGB  float64 // bytes spent on the link beyond goodput
 	Reroutes      int     // transfers restarted toward a fresh donor
 	ChunkDrops    int     // chunk attempts lost in transit
@@ -245,7 +236,7 @@ type Totals struct {
 	SplitBrain    int
 }
 
-// transfer is one chunked WAN shipment in flight: jobs (with manifest) or
+// transfer is one chunked shipment in flight: jobs (with manifest) or
 // checkpoint images. The durable part — identity, endpoints, byte offset —
 // is rebuilt from the migration log on recovery; the retry state is
 // re-derived by deterministically re-running the day.
@@ -269,22 +260,20 @@ type Coordinator struct {
 	tariff cost.MigrationTariff
 
 	sites    []siteState
-	inflight []shipment
 	failures []*siteFailure
 
-	// Chunked WAN transfer engine (Config.WAN set). xfers is the in-flight
-	// table, rebuilt from the migration log on recovery; nextXfer assigns
-	// transfer IDs; appliedSeq gates replay so a record is never applied
-	// twice. landed and inXfer are the exactly-once guards: a job ID that
-	// lands twice or enters a second transfer while in flight increments
-	// the Totals guard counters instead of silently double-running.
-	xfers     []*transfer
-	nextXfer  uint64
-	nextShip  uint64 // legacy shipment IDs for the image store
+	// Chunked transfer engine. xfers is the in-flight table, rebuilt from
+	// the migration log on recovery; nextXfer assigns transfer IDs;
+	// appliedSeq gates replay so a record is never applied twice. landed
+	// and inXfer are the exactly-once guards: a job ID that lands twice or
+	// enters a second transfer while in flight increments the Totals guard
+	// counters instead of silently double-running.
+	xfers      []*transfer
+	nextXfer   uint64
 	appliedSeq uint64
-	landed    map[uint64]bool
-	inXfer    map[uint64]uint64 // job ID -> transfer ID
-	heals     int               // suspected/declared sites that beat again
+	landed     map[uint64]bool
+	inXfer     map[uint64]uint64 // job ID -> transfer ID
+	heals      int               // suspected/declared sites that beat again
 
 	// donorRank is the pass-scoped donor ordering: site indices that pass
 	// every frozen donor filter, sorted by sampled SoC descending (ties to
@@ -322,41 +311,23 @@ func New(cfg Config, sites []Site) (*Coordinator, error) {
 			return nil, fmt.Errorf("fleet: site %d has a nil Manager", i)
 		}
 	}
-	if cfg.Period <= 0 {
-		cfg.Period = 5 * time.Minute
-	}
-	if cfg.SurplusSoC <= 0 {
-		cfg.SurplusSoC = 0.55
-	}
-	if cfg.DeficitSoC <= 0 {
-		cfg.DeficitSoC = 0.40
-	}
-	tariff := cfg.Tariff
-	if tariff.Link.Mbps <= 0 {
-		tariff = cost.DefaultMigrationTariff()
-	}
-	if cfg.ChunkBytes <= 0 {
-		cfg.ChunkBytes = 250e6
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 2
-	}
 	if cfg.LeasePasses <= 0 {
 		cfg.LeasePasses = 96
 	}
-	if cfg.RerouteAfter <= 0 {
-		cfg.RerouteAfter = 6
+	if cfg.WAN == nil {
+		net, err := wan.New(wan.Config{Sites: len(sites)})
+		if err != nil {
+			return nil, err
+		}
+		cfg.WAN = net
 	}
-	if cfg.MaxBackoff <= 0 {
-		cfg.MaxBackoff = 30 * time.Minute
-	}
-	if cfg.WAN != nil && cfg.WAN.Sites() != len(sites) {
+	if cfg.WAN.Sites() != len(sites) {
 		return nil, fmt.Errorf("fleet: WAN models %d sites, coordinator has %d",
 			cfg.WAN.Sites(), len(sites))
 	}
 
 	c := &Coordinator{
-		cfg: cfg, tariff: tariff, sites: make([]siteState, len(sites)),
+		cfg: cfg, tariff: cost.DefaultMigrationTariff(), sites: make([]siteState, len(sites)),
 		landed: make(map[uint64]bool), inXfer: make(map[uint64]uint64),
 	}
 	for i := range sites {
@@ -365,12 +336,10 @@ func New(cfg Config, sites []Site) (*Coordinator, error) {
 			name = fmt.Sprintf("site%d", i)
 		}
 		c.sites[i] = siteState{name: name, sink: sites[i].Sink, mgr: sites[i].Manager}
-		if cfg.WAN != nil {
-			// Exactly-once tracking needs fleet-unique job IDs; give each
-			// site its own ID lane.
-			if s, ok := sites[i].Sink.(interface{ SetIDBase(uint64) }); ok {
-				s.SetIDBase(uint64(i+1) << 32)
-			}
+		// Exactly-once tracking needs fleet-unique job IDs; give each site
+		// its own ID lane.
+		if s, ok := sites[i].Sink.(interface{ SetIDBase(uint64) }); ok {
+			s.SetIDBase(uint64(i+1) << 32)
 		}
 	}
 
@@ -464,33 +433,6 @@ func (c *Coordinator) replay(r Record, seq uint64) {
 		c.appliedSeq = seq
 	}
 	switch r.Kind {
-	case RecJob:
-		c.totals.Migrations++
-		c.totals.JobsMoved += r.Jobs
-		c.totals.MigratedGB += r.GB
-		c.totals.EnergyWh += c.tariff.EnergyWh(r.GB)
-		c.totals.Cost += c.tariff.Cost(r.GB)
-		if r.From >= 0 && r.From < len(c.sites) {
-			c.sites[r.From].jobsOut += r.Jobs
-			c.sites[r.From].gbOut += r.GB
-		}
-		if r.To >= 0 && r.To < len(c.sites) {
-			c.sites[r.To].jobsIn += r.Jobs
-			c.sites[r.To].gbIn += r.GB
-		}
-	case RecCheckpoint:
-		c.totals.ImagesShipped += r.Images
-		c.totals.CheckpointGB += r.GB
-		c.totals.EnergyWh += c.tariff.EnergyWh(r.GB)
-		c.totals.Cost += c.tariff.Cost(r.GB)
-		if r.From >= 0 && r.From < len(c.sites) {
-			c.sites[r.From].imagesOut += r.Images
-		}
-	case RecRestore:
-		c.totals.RestoredVMs += r.Images
-		if r.To >= 0 && r.To < len(c.sites) {
-			c.sites[r.To].imagesIn += r.Images
-		}
 	case RecSiteLoss:
 		c.totals.SitesLost++
 
@@ -600,13 +542,6 @@ func (c *Coordinator) replay(r Record, seq uint64) {
 	}
 }
 
-// shipID assigns an image-store key to a legacy (non-WAN) shipment. The
-// high bit keeps the legacy lane disjoint from WAN transfer IDs.
-func (c *Coordinator) shipID() uint64 {
-	c.nextShip++
-	return 1<<63 | c.nextShip
-}
-
 // findXfer returns the in-flight transfer with the given ID, or nil.
 func (c *Coordinator) findXfer(id uint64) *transfer {
 	for _, t := range c.xfers {
@@ -698,9 +633,7 @@ func (c *Coordinator) RunDay(cfgs []sim.Config) ([]sim.Result, error) {
 		for _, sf := range c.failures {
 			if !sf.done && sf.day == c.day && tod >= sf.at {
 				sf.done = true
-				if err := c.failSite(fl, sf.site, tod); err != nil {
-					return nil, err
-				}
+				c.failSite(fl, sf.site)
 			}
 		}
 		for i := range c.sites {
@@ -708,7 +641,7 @@ func (c *Coordinator) RunDay(cfgs []sim.Config) ([]sim.Result, error) {
 				fl.TickSite(i, tod)
 			}
 		}
-		if tod%c.cfg.Period == 0 {
+		if tod%controlPeriod == 0 {
 			if err := c.pass(fl, tod); err != nil {
 				return nil, err
 			}
@@ -719,11 +652,13 @@ func (c *Coordinator) RunDay(cfgs []sim.Config) ([]sim.Result, error) {
 	return res, nil
 }
 
-// failSite executes a scheduled site loss.
-func (c *Coordinator) failSite(fl *sim.Fleet, i int, tod time.Duration) error {
+// failSite executes a scheduled site loss. The coordinator cannot observe
+// the death across the backhaul; the failure detector journals the loss
+// when the site's lease expires.
+func (c *Coordinator) failSite(fl *sim.Fleet, i int) {
 	st := &c.sites[i]
 	if st.dead {
-		return nil
+		return
 	}
 	st.dead = true
 	// Only this site's in-flight resources die with it: running VMs crash,
@@ -734,12 +669,6 @@ func (c *Coordinator) failSite(fl *sim.Fleet, i int, tod time.Duration) error {
 		st.lostPendingGB = ms.PendingGB()
 		ms.TakeJobs() // drop them: the site's storage died too
 	}
-	if c.cfg.WAN != nil {
-		// The coordinator cannot observe a death across a degraded backhaul;
-		// the failure detector journals the loss when the lease expires.
-		return nil
-	}
-	return c.record(Record{Day: c.day, At: tod, Kind: RecSiteLoss, From: i, To: -1})
 }
 
 // sample refreshes the coordinator's view of site i from the live plant.
@@ -783,19 +712,19 @@ func (c *Coordinator) rebuildDonorRank(tod time.Duration) {
 	c.donorRank = c.donorRank[:0]
 	for j := range c.sites {
 		st := &c.sites[j]
-		if st.dead || st.deadline || st.needsEvac(c.cfg.DeficitSoC) || st.mode != core.ModeNormal {
+		if st.dead || st.deadline || st.needsEvac() || st.mode != core.ModeNormal {
 			continue
 		}
-		// WAN mode: the coordinator only trusts sites it can currently
-		// reach and has not marked suspect — a stale sample is no basis
-		// for sending work somewhere.
-		if st.suspected || st.declared || c.wanPartitioned(j, tod) {
+		// The coordinator only trusts sites it can currently reach and has
+		// not marked suspect — a stale sample is no basis for sending work
+		// somewhere.
+		if st.suspected || st.declared || c.partitioned(j, tod) {
 			continue
 		}
 		if _, ok := st.sink.(migratableSink); !ok {
 			continue
 		}
-		if st.soc < c.cfg.SurplusSoC {
+		if st.soc < surplusSoC {
 			continue
 		}
 		c.donorRank = append(c.donorRank, j)
@@ -839,16 +768,16 @@ func (c *Coordinator) donor(from int, requireIdle bool) int {
 // start chewing before the coordinator may move the work again.
 const inboundGrace = 30 * time.Minute
 
-// wanPartitioned reports whether site i is cut off from the coordinator by
-// the WAN model right now (always false without a WAN).
-func (c *Coordinator) wanPartitioned(i int, tod time.Duration) bool {
-	return c.cfg.WAN != nil && c.cfg.WAN.Partitioned(i, c.day, tod)
+// partitioned reports whether site i is cut off from the coordinator by the
+// WAN model right now.
+func (c *Coordinator) partitioned(i int, tod time.Duration) bool {
+	return c.cfg.WAN.Partitioned(i, c.day, tod)
 }
 
 // heartbeats advances the failure detector one control pass. A heartbeat
 // gets through iff the site is physically alive and not WAN-partitioned;
 // the coordinator cannot tell those two conditions apart, which is the
-// entire point: after SuspectAfter misses the site is suspected (pulled
+// entire point: after suspectAfter misses the site is suspected (pulled
 // from the donor pool, still running solo), and only after LeasePasses
 // misses — longer than any scheduled partition — does the lease expire
 // and the loss get journaled. A heartbeat from a suspected or declared
@@ -857,7 +786,7 @@ func (c *Coordinator) wanPartitioned(i int, tod time.Duration) bool {
 func (c *Coordinator) heartbeats(tod time.Duration) error {
 	for i := range c.sites {
 		st := &c.sites[i]
-		if !st.dead && !c.wanPartitioned(i, tod) {
+		if !st.dead && !c.partitioned(i, tod) {
 			if st.suspected || st.declared {
 				c.heals++
 			}
@@ -867,7 +796,7 @@ func (c *Coordinator) heartbeats(tod time.Duration) error {
 			continue
 		}
 		st.missedBeats++
-		if st.missedBeats >= c.cfg.SuspectAfter {
+		if st.missedBeats >= suspectAfter {
 			st.suspected = true
 		}
 		if st.missedBeats >= c.cfg.LeasePasses && !st.declared {
@@ -883,21 +812,17 @@ func (c *Coordinator) heartbeats(tod time.Duration) error {
 	return nil
 }
 
-// pass is one coordinator control period: sample every site, then (with
-// migration on) deliver due checkpoint shipments, ship fresh checkpoints
-// off evacuating sites, and migrate deferred jobs toward surplus. With a
-// WAN model attached, heartbeats run first and samples/shipments only
-// cross reachable links.
+// pass is one coordinator control period: heartbeats, then a sample of
+// every reachable site, then (with migration on) deadline tracking and the
+// migration half of the pass.
 func (c *Coordinator) pass(fl *sim.Fleet, tod time.Duration) error {
-	if c.cfg.WAN != nil {
-		if err := c.heartbeats(tod); err != nil {
-			return err
-		}
+	if err := c.heartbeats(tod); err != nil {
+		return err
 	}
 	for i := range c.sites {
 		// A partitioned site cannot report: the coordinator keeps steering
 		// by its last sample until the link heals.
-		if c.wanPartitioned(i, tod) {
+		if c.partitioned(i, tod) {
 			continue
 		}
 		c.sample(fl, i)
@@ -917,7 +842,7 @@ func (c *Coordinator) pass(fl *sim.Fleet, tod time.Duration) error {
 		if st.dead {
 			continue
 		}
-		if c.wanPartitioned(i, tod) {
+		if c.partitioned(i, tod) {
 			// Frozen cursors: no fresh sample, so no rate judgment either.
 			continue
 		}
@@ -925,7 +850,7 @@ func (c *Coordinator) pass(fl *sim.Fleet, tod time.Duration) error {
 		if p, ok := st.sink.(interface{ ProcessedGB() float64 }); ok {
 			processed = p.ProcessedGB()
 		}
-		rateGBh := (processed - st.lastProcessed) / c.cfg.Period.Hours()
+		rateGBh := (processed - st.lastProcessed) / controlPeriod.Hours()
 		st.lastProcessed = processed
 		st.deadline = false
 		if st.pendingGB <= 0 || tod < c.winStart[i] || tod >= c.winEnd[i] ||
@@ -945,128 +870,10 @@ func (c *Coordinator) pass(fl *sim.Fleet, tod time.Duration) error {
 	}
 
 	// Every donor filter is now settled for this pass; rank the candidates
-	// once so the shipment and evacuation loops below pick donors by
-	// ordered walk instead of rescanning all N sites per call.
+	// once so the transfer and evacuation loops pick donors by ordered walk
+	// instead of rescanning all N sites per call.
 	c.rebuildDonorRank(tod)
-
-	if c.cfg.WAN != nil {
-		return c.passWAN(fl, tod)
-	}
-
-	// Deliver checkpoint shipments whose transfer has completed. A shipment
-	// addressed to a site that died in transit re-routes to a fresh donor —
-	// the checkpoint is durable, only sites are disposable. With no donor
-	// available it stays in flight and retries next pass.
-	kept := c.inflight[:0]
-	for _, sh := range c.inflight {
-		if tod < sh.arriveAt {
-			kept = append(kept, sh)
-			continue
-		}
-		if c.sites[sh.to].dead {
-			if to := c.donor(sh.from, false); to >= 0 {
-				reroute := shipment{
-					id:       c.shipID(),
-					arriveAt: tod + shipDur(c.tariff.ShipHours(sh.gb)),
-					from:     sh.to, to: to, images: sh.images, gb: sh.gb,
-				}
-				kept = append(kept, reroute)
-				if err := c.record(Record{Day: c.day, At: tod, Kind: RecCheckpoint,
-					From: sh.to, To: to, Images: sh.images, GB: sh.gb}); err != nil {
-					return err
-				}
-			} else {
-				kept = append(kept, sh) // hold until a donor appears
-			}
-			continue
-		}
-		if !c.landImages(sh.id, sh.to) {
-			// The landing could not be verified: the checkpoint is still
-			// durable at the source, so it ships again — journaled as a
-			// fresh checkpoint shipment, never counted as a restore.
-			c.cfg.Images.stats.Reshipped++
-			kept = append(kept, shipment{
-				id:       c.shipID(),
-				arriveAt: tod + shipDur(c.tariff.ShipHours(sh.gb)),
-				from:     sh.from, to: sh.to, images: sh.images, gb: sh.gb,
-			})
-			if err := c.record(Record{Day: c.day, At: tod, Kind: RecCheckpoint,
-				From: sh.from, To: sh.to, Images: sh.images, GB: sh.gb}); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.record(Record{Day: c.day, At: tod, Kind: RecRestore,
-			From: sh.from, To: sh.to, Images: sh.images, GB: sh.gb}); err != nil {
-			return err
-		}
-	}
-	c.inflight = kept
-
-	for i := range c.sites {
-		st := &c.sites[i]
-		energyEvac := st.needsEvac(c.cfg.DeficitSoC)
-		if st.dead || !(energyEvac || st.deadline) {
-			continue
-		}
-
-		// Ship newly completed checkpoint images off the evacuating site.
-		// The ladder (or orderly shutdown) produced them; the coordinator
-		// only moves them somewhere sunny. Deadline pressure alone does not
-		// ship images — the VMs there are fine, only the batch queue is late.
-		if saved := fl.System(i).Cluster.VMsSaved(); energyEvac && saved > st.savedSeen {
-			if to := c.donor(i, false); to >= 0 {
-				n := saved - st.savedSeen
-				st.savedSeen = saved
-				gb := float64(n) * c.tariff.VMImageGB
-				c.inflight = append(c.inflight, shipment{
-					id:       c.shipID(),
-					arriveAt: tod + shipDur(c.tariff.ShipHours(gb)),
-					from:     i, to: to, images: n, gb: gb,
-				})
-				if err := c.record(Record{Day: c.day, At: tod, Kind: RecCheckpoint,
-					From: i, To: to, Images: n, GB: gb}); err != nil {
-					return err
-				}
-			}
-		}
-
-		// Migrate the deferred batch backlog toward surplus.
-		ms, ok := st.sink.(migratableSink)
-		if !ok || st.pendingGB <= 0 {
-			continue
-		}
-		to := c.donor(i, !energyEvac)
-		if to < 0 {
-			continue
-		}
-		jobs := ms.TakeJobs()
-		if len(jobs) == 0 {
-			continue
-		}
-		dest := c.sites[to].sink.(migratableSink)
-		var gb float64
-		for _, j := range jobs {
-			gb += j.Remaining
-			if !j.Migrated {
-				j.Migrated = true
-				j.Origin = i
-			}
-		}
-		arrive := tod + shipDur(c.tariff.ShipHours(gb))
-		for _, j := range jobs {
-			dest.Schedule(arrive, j)
-		}
-		if arrive > c.sites[to].lastInbound {
-			c.sites[to].lastInbound = arrive
-		}
-		if err := c.record(Record{Day: c.day, At: tod, Kind: RecJob,
-			From: i, To: to, Jobs: len(jobs), GB: gb}); err != nil {
-			return err
-		}
-		st.pendingGB = 0
-	}
-	return nil
+	return c.migrate(fl, tod)
 }
 
 // maxChunkTriesPerPass bounds chunk attempts per transfer per control pass
@@ -1105,28 +912,31 @@ func (c *Coordinator) startTransfer(tod time.Duration, from, to int, manifest []
 	})
 }
 
-// passWAN is the migration half of a control pass under the degraded-WAN
-// model: pump in-flight chunked transfers, then open new ones off
-// evacuating sites. Shipments only cross links the WAN says are up, and
-// destinations come from the reachability-filtered donor rank.
-func (c *Coordinator) passWAN(fl *sim.Fleet, tod time.Duration) error {
+// migrate is the migration half of a control pass: pump in-flight chunked
+// transfers, then open new ones off evacuating sites. Shipments only cross
+// links the WAN says are up, and destinations come from the
+// reachability-filtered donor rank.
+func (c *Coordinator) migrate(fl *sim.Fleet, tod time.Duration) error {
 	if err := c.pumpTransfers(fl, tod); err != nil {
 		return err
 	}
 
 	for i := range c.sites {
 		st := &c.sites[i]
-		energyEvac := st.needsEvac(c.cfg.DeficitSoC)
+		energyEvac := st.needsEvac()
 		if st.dead || st.declared || !(energyEvac || st.deadline) {
 			continue
 		}
 		// A partitioned site cannot ship anything: its backlog waits for
 		// the link, exactly like a real cut fiber.
-		if c.wanPartitioned(i, tod) {
+		if c.partitioned(i, tod) {
 			continue
 		}
 
 		// Ship newly completed checkpoint images off the evacuating site.
+		// The ladder (or orderly shutdown) produced them; the coordinator
+		// only moves them somewhere sunny. Deadline pressure alone does not
+		// ship images — the VMs there are fine, only the batch queue is late.
 		if saved := fl.System(i).Cluster.VMsSaved(); energyEvac && saved > st.savedSeen {
 			if to := c.donor(i, false); to >= 0 {
 				n := saved - st.savedSeen
@@ -1180,7 +990,7 @@ func (c *Coordinator) passWAN(fl *sim.Fleet, tod time.Duration) error {
 // journaled, completed transfers land their jobs or images, transfers to a
 // declared-dead destination re-route to a fresh donor, and transfers whose
 // source died abort. Stalled transfers back off exponentially (capped at
-// MaxBackoff) so a partition doesn't burn the pass loop.
+// maxBackoff) so a partition doesn't burn the pass loop.
 func (c *Coordinator) pumpTransfers(fl *sim.Fleet, tod time.Duration) error {
 	// replay mutates c.xfers (done/abort remove entries), so walk a copy.
 	for _, t := range append([]*transfer(nil), c.xfers...) {
@@ -1200,8 +1010,8 @@ func (c *Coordinator) pumpTransfers(fl *sim.Fleet, tod time.Duration) error {
 		// bytes to a donor that is actually there. Delivered bytes at the
 		// old destination are wasted; the transfer restarts from zero.
 		if c.sites[t.to].declared ||
-			(t.stalled >= c.cfg.RerouteAfter &&
-				(c.sites[t.to].suspected || c.wanPartitioned(t.to, tod))) {
+			(t.stalled >= rerouteAfter &&
+				(c.sites[t.to].suspected || c.partitioned(t.to, tod))) {
 			if to := c.donorExcluding(t.from, t.to); to >= 0 {
 				if err := c.record(Record{Day: c.day, At: tod, Kind: RecXferReroute,
 					From: t.from, To: to, Jobs: len(t.manifest),
@@ -1226,11 +1036,11 @@ func (c *Coordinator) pumpTransfers(fl *sim.Fleet, tod time.Duration) error {
 		var attempted int64
 		var drops, corrupts int
 		if eff > 0 && destUp {
-			budget := int64(eff * 1e6 / 8 * c.cfg.Period.Seconds())
+			budget := int64(eff * 1e6 / 8 * controlPeriod.Seconds())
 			tries := 0
 			for sent < t.total && tries < maxChunkTriesPerPass {
-				chunk := int(sent / c.cfg.ChunkBytes)
-				size := c.cfg.ChunkBytes
+				chunk := int(sent / chunkBytes)
+				size := chunkBytes
 				if rest := t.total - sent; rest < size {
 					size = rest
 				}
@@ -1313,9 +1123,9 @@ func (c *Coordinator) pumpTransfers(fl *sim.Fleet, tod time.Duration) error {
 			if shift > 8 {
 				shift = 8
 			}
-			b := c.cfg.Period << shift
-			if b > c.cfg.MaxBackoff {
-				b = c.cfg.MaxBackoff
+			b := controlPeriod << shift
+			if b > maxBackoff {
+				b = maxBackoff
 			}
 			t.backoffUntil = tod + b
 		} else {
@@ -1324,19 +1134,6 @@ func (c *Coordinator) pumpTransfers(fl *sim.Fleet, tod time.Duration) error {
 		}
 	}
 	return nil
-}
-
-// shipDur converts transfer hours to a duration rounded up to a whole
-// second so arrival times stay on the simulation grid.
-func shipDur(hours float64) time.Duration {
-	d := time.Duration(hours * float64(time.Hour))
-	if r := d % time.Second; r != 0 {
-		d += time.Second - r
-	}
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
 }
 
 // SiteReport is one site's line in the fleet report.

@@ -4,15 +4,16 @@ package fleet
 // an accounting entry: every landed bundle is persisted as a mirrored pair
 // of CRC-framed blobs (img-<xfer>.ckpt + img-<xfer>.ckmr) in the landing
 // site's subdirectory, read back, and checked byte-for-byte before the
-// coordinator records RecRestore / RecXferDone. The blobs use the journal's
+// coordinator records RecXferDone. The blobs use the journal's
 // snapshot framing, so the one scrubber that patrols snapshot slots and
 // sealed segments also patrols parked images — journal.ScrubDir treats
 // *.ckpt/*.ckmr as a repairable mirror pair.
 //
 // A landing that cannot be verified (both copies unreadable, or the write
 // itself failed) is not a restore: the checkpoint is still durable at the
-// source, so the coordinator ships it again — RecXferReroute on the WAN
-// path, a fresh shipment plus RecCheckpoint on the legacy path.
+// source, so the coordinator ships it again — a RecXferReroute to the same
+// destination restarts the transfer from byte zero, over whatever link
+// Config.WAN models (an ideal one when it is nil).
 
 import (
 	"bytes"

@@ -12,15 +12,15 @@ import (
 // CRC-framed record per migration event. The plants and sinks own the
 // physical consequences; the log owns the accounting, so a replacement
 // coordinator replays it and knows exactly what has been shipped where.
-// Restore records for shipments still in flight at a crash are simply
-// absent — the log then shows a checkpoint as shipped but not yet restored,
-// which is the truth.
+// Done records for transfers still in flight at a crash are simply absent —
+// the log then shows a transfer as started but not yet landed, which is the
+// truth.
 //
-// The v2 records (RecXfer*) are the chunked WAN engine's journal: a
-// transfer's start carries its full job manifest (IDs, sizes, remaining
-// work), every control pass that moved bytes appends the new contiguous
-// offset plus the bytes *attempted* (retransmissions are billed too), and
-// completion/reroute/abort close it out. Replaying Start→Progress→… records
+// The transfer records (RecXfer*) are the chunked shipping engine's
+// journal: a transfer's start carries its full job manifest (IDs, sizes,
+// remaining work), every control pass that moved bytes appends the new
+// contiguous offset plus the bytes *attempted* (retransmissions are billed
+// too), and completion/reroute/abort close it out. Replaying Start→Progress→… records
 // rebuilds the in-flight transfer table byte-for-byte, which is how a
 // resumed coordinator picks a 4 GB image back up mid-stream instead of
 // restarting it. Replay is idempotent: records are seq-gated (a record
@@ -28,50 +28,37 @@ import (
 // replaying the same log twice — or a healed log over a live coordinator —
 // changes nothing.
 
-// RecordKind tags a migration-log record.
+// RecordKind tags a migration-log record. The values are part of the
+// encoded log and never change; 1-3 are retired and never reused.
 type RecordKind uint8
 
 const (
-	// RecJob is a bundle of deferred batch jobs migrating between sites
-	// (legacy single-shot path, WAN model absent).
-	RecJob RecordKind = iota + 1
-	// RecCheckpoint is a bundle of VM checkpoint images leaving a site
-	// (including a re-route away from a dead destination).
-	RecCheckpoint
-	// RecRestore is a checkpoint bundle landing at its destination.
-	RecRestore
-	// RecSiteLoss marks a site dying with its in-flight resources. Under
-	// the WAN failure detector it is written at lease expiry — when the
-	// coordinator *declares* the site dead — not at the physical failure
-	// the coordinator cannot observe.
-	RecSiteLoss
-	// RecXferStart opens a chunked WAN transfer: jobs (with manifest) or
+	// RecSiteLoss marks a site dying with its in-flight resources. The
+	// failure detector writes it at lease expiry — when the coordinator
+	// *declares* the site dead — not at the physical failure the
+	// coordinator cannot observe.
+	RecSiteLoss RecordKind = 4
+	// RecXferStart opens a chunked transfer: jobs (with manifest) or
 	// checkpoint images, GB total, assigned a transfer ID.
-	RecXferStart
+	RecXferStart RecordKind = 5
 	// RecXferProgress advances a transfer: Offset is the new contiguous
 	// delivered byte count, Attempted the bytes spent on the link this
 	// pass (delivered + dropped + corrupted), Drops/Corrupts the per-pass
 	// chunk failures.
-	RecXferProgress
+	RecXferProgress RecordKind = 6
 	// RecXferDone lands a transfer at its destination.
-	RecXferDone
+	RecXferDone RecordKind = 7
 	// RecXferReroute retargets a transfer to a new donor after repeated
 	// failure; delivered bytes at the old destination (Offset) are wasted
 	// and the transfer restarts from byte zero.
-	RecXferReroute
+	RecXferReroute RecordKind = 8
 	// RecXferAbort cancels a transfer whose source site died mid-stream —
 	// the unsent bytes died with the site.
-	RecXferAbort
+	RecXferAbort RecordKind = 9
 )
 
 func (k RecordKind) String() string {
 	switch k {
-	case RecJob:
-		return "job"
-	case RecCheckpoint:
-		return "checkpoint"
-	case RecRestore:
-		return "restore"
 	case RecSiteLoss:
 		return "site-loss"
 	case RecXferStart:
@@ -102,7 +89,7 @@ type JobRef struct {
 }
 
 // Record is one migration-log entry. The Xfer/Offset/Attempted/Manifest
-// fields are zero for the legacy kinds.
+// fields are zero for RecSiteLoss.
 type Record struct {
 	Day    int
 	At     time.Duration
@@ -113,7 +100,7 @@ type Record struct {
 	GB     float64
 	Images int
 
-	// Chunked-transfer fields (v2).
+	// Chunked-transfer fields.
 	Xfer      uint64 // transfer ID
 	Offset    int64  // contiguous delivered bytes (wasted bytes for reroute)
 	Attempted int64  // bytes attempted this pass, for retry billing
@@ -122,8 +109,7 @@ type Record struct {
 	Manifest  []JobRef
 }
 
-// recordVersion is the codec version of encoded records. Version 2 added
-// the chunked-transfer fields; v1 records (PR 7 logs) still decode.
+// recordVersion is the codec version of encoded records.
 const recordVersion = 2
 
 func encodeRecord(enc *journal.Encoder, r Record) {
@@ -154,39 +140,36 @@ func encodeRecord(enc *journal.Encoder, r Record) {
 
 func decodeRecord(b []byte) (Record, error) {
 	d := journal.NewDecoder(b)
-	version := d.U8()
-	if version != 1 && version != recordVersion {
-		return Record{}, fmt.Errorf("fleet: migration record version %d, want 1 or %d", version, recordVersion)
+	if version := d.U8(); version != recordVersion {
+		return Record{}, fmt.Errorf("fleet: migration record version %d, want %d", version, recordVersion)
 	}
 	r := Record{
-		Kind: RecordKind(d.U8()),
-		Day:  d.Int(),
-		At:   d.Dur(),
-		From: d.Int(),
-		To:   d.Int(),
-		Jobs: d.Int(),
-		GB:   d.F64(),
+		Kind:      RecordKind(d.U8()),
+		Day:       d.Int(),
+		At:        d.Dur(),
+		From:      d.Int(),
+		To:        d.Int(),
+		Jobs:      d.Int(),
+		GB:        d.F64(),
+		Images:    d.Int(),
+		Xfer:      d.U64(),
+		Offset:    d.I64(),
+		Attempted: d.I64(),
+		Drops:     d.Int(),
+		Corrupts:  d.Int(),
 	}
-	r.Images = d.Int()
-	if version >= 2 {
-		r.Xfer = d.U64()
-		r.Offset = d.I64()
-		r.Attempted = d.I64()
-		r.Drops = d.Int()
-		r.Corrupts = d.Int()
-		n := d.Int()
-		if err := d.Err(); err != nil {
-			return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)
-		}
-		for i := 0; i < n; i++ {
-			r.Manifest = append(r.Manifest, JobRef{
-				ID:        d.U64(),
-				Size:      d.F64(),
-				Remaining: d.F64(),
-				Arrived:   d.Dur(),
-				Origin:    d.Int(),
-			})
-		}
+	n := d.Int()
+	if err := d.Err(); err != nil {
+		return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)
+	}
+	for i := 0; i < n; i++ {
+		r.Manifest = append(r.Manifest, JobRef{
+			ID:        d.U64(),
+			Size:      d.F64(),
+			Remaining: d.F64(),
+			Arrived:   d.Dur(),
+			Origin:    d.Int(),
+		})
 	}
 	if err := d.Err(); err != nil {
 		return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)

@@ -14,16 +14,15 @@ import (
 // stubManager is a do-nothing manager for tests that never tick a plant.
 type stubManager struct{}
 
-func (stubManager) Name() string                          { return "stub" }
-func (stubManager) Period() time.Duration                 { return time.Minute }
+func (stubManager) Name() string                           { return "stub" }
+func (stubManager) Period() time.Duration                  { return time.Minute }
 func (stubManager) Control(_ *sim.System, _ time.Duration) {}
 
-// wanLogFixture appends a migration-log sequence exercising every v2 record
-// kind plus the legacy kinds, returning the records with their journal
-// sequence numbers. The shape: transfer 1 moves two jobs with drops and a
-// retransmission, transfer 2 ships two checkpoint images and re-routes
-// mid-stream, transfer 3 aborts with its source site, and a v1-era
-// job/checkpoint/restore triple rides along.
+// wanLogFixture appends a migration-log sequence exercising every record
+// kind, returning the records with their journal sequence numbers. The
+// shape: transfer 1 moves two jobs with drops and a retransmission,
+// transfer 2 ships two checkpoint images and re-routes mid-stream, and
+// transfer 3 aborts with its source site.
 func wanLogFixture(t *testing.T, dir string) ([]Record, []uint64) {
 	t.Helper()
 	log, existing, _, err := openLog(journal.Disk, dir)
@@ -60,9 +59,6 @@ func wanLogFixture(t *testing.T, dir string) ([]Record, []uint64) {
 		{Day: 0, At: 12 * time.Hour, Kind: RecSiteLoss, From: 1, To: -1},
 		{Day: 0, At: 12*time.Hour + 5*time.Minute, Kind: RecXferAbort, From: 1, To: 2,
 			Jobs: 1, GB: 1, Xfer: 3},
-		{Day: 0, At: 13 * time.Hour, Kind: RecJob, From: 2, To: 0, Jobs: 3, GB: 5},
-		{Day: 0, At: 13 * time.Hour, Kind: RecCheckpoint, From: 2, To: 0, Images: 1, GB: 4},
-		{Day: 0, At: 14 * time.Hour, Kind: RecRestore, From: 2, To: 0, Images: 1, GB: 4},
 	}
 	seqs := make([]uint64, len(records))
 	for i, r := range records {
@@ -105,10 +101,10 @@ func TestMigrationLogReplayIdempotent(t *testing.T) {
 	tot := c.Totals()
 
 	// Sanity-pin the fixture accounting before testing idempotence.
-	if tot.JobsMoved != 2+1+3 || tot.Migrations != 3 {
+	if tot.JobsMoved != 2+1 || tot.Migrations != 2 {
 		t.Fatalf("fixture jobs accounting off: %+v", tot)
 	}
-	if tot.ImagesShipped != 2+1 || tot.RestoredVMs != 2+1 {
+	if tot.ImagesShipped != 2 || tot.RestoredVMs != 2 {
 		t.Fatalf("fixture checkpoint accounting off: %+v", tot)
 	}
 	if tot.Reroutes != 1 || tot.ChunkDrops != 1 || tot.ChunkCorrupts != 1 || tot.SitesLost != 1 {

@@ -44,7 +44,7 @@ func TestWANObserverMatchesSoloRuns(t *testing.T) {
 	}
 
 	// Site 1 is cut off for 30 minutes inside the 9-11h window: long
-	// enough to be suspected (SuspectAfter=2 passes), far short of the
+	// enough to be suspected (after 2 missed passes), far short of the
 	// lease (96 passes), so it must heal, not die.
 	outages := []wan.Outage{{Site: 1, Day: 0, From: 9*time.Hour + 30*time.Minute, To: 10 * time.Hour}}
 	sites, cfgs = soloSites(n)
@@ -131,7 +131,7 @@ func TestWANLeaseExpiryDeclaresDeath(t *testing.T) {
 	sites, cfgs := migrationScenario(3, true)
 	c, err := fleet.New(fleet.Config{
 		Migration: true, WAN: lossyWAN(t, 3, nil),
-		SuspectAfter: 2, LeasePasses: 6, // 30 min at the 5-minute period
+		LeasePasses: 6, // 30 min at the 5-minute period
 	}, sites)
 	if err != nil {
 		t.Fatal(err)

@@ -367,7 +367,7 @@ type fifo struct {
 	head int
 }
 
-func (f *fifo) len() int       { return len(f.q) - f.head }
+func (f *fifo) len() int { return len(f.q) - f.head }
 func (f *fifo) front() *pending {
 	return f.q[f.head]
 }

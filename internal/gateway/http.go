@@ -112,15 +112,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Shed       int `json:"shed"`
 	}
 	rep := struct {
-		Requests        int                  `json:"requests"`
-		QueueDepth      int                  `json:"queue_depth"`
-		Degraded        int                  `json:"degraded"`
-		AdmittedDropped int                  `json:"admitted_dropped"`
-		EnergyWh        float64              `json:"energy_wh"`
-		CostUSD         float64              `json:"cost_usd"`
-		Classes         map[string]classRow  `json:"classes"`
-		ShedReasons     map[string]int       `json:"shed_reasons"`
-		SimClockSeconds float64              `json:"sim_clock_seconds"`
+		Requests        int                 `json:"requests"`
+		QueueDepth      int                 `json:"queue_depth"`
+		Degraded        int                 `json:"degraded"`
+		AdmittedDropped int                 `json:"admitted_dropped"`
+		EnergyWh        float64             `json:"energy_wh"`
+		CostUSD         float64             `json:"cost_usd"`
+		Classes         map[string]classRow `json:"classes"`
+		ShedReasons     map[string]int      `json:"shed_reasons"`
+		SimClockSeconds float64             `json:"sim_clock_seconds"`
 	}{
 		Requests:        st.Requests,
 		QueueDepth:      st.QueueDepth,

@@ -21,11 +21,11 @@ import (
 // made them durable.
 type crashFS struct {
 	FS
-	remaining int64
-	unlimited bool
+	remaining    int64
+	unlimited    bool
 	failAtRename int // 1-based; 0 disables
-	dead      bool
-	renames   [][2]string
+	dead         bool
+	renames      [][2]string
 }
 
 var errCrashed = errors.New("crashfs: process died")

@@ -13,7 +13,6 @@
 //	journal.log              repeated records: len | seq | crc32 | payload
 //	journal.mir              byte-for-byte mirror of the active journal
 //	seg-<seq>.log/.mir       sealed journal segments, immutable once renamed
-//	snapshot.bin             legacy single-slot snapshot, read for upgrade only
 //
 // All files use little-endian fixed-width framing (see codec.go). Every
 // snapshot is written to a temporary file, fsynced, renamed over the
@@ -54,11 +53,10 @@ import (
 )
 
 const (
-	legacySnapshotName = "snapshot.bin"
-	snapshotTemp       = "snapshot.tmp"
-	journalName        = "journal.log"
-	journalMirror      = "journal.mir"
-	segPrefix          = "seg-"
+	snapshotTemp  = "snapshot.tmp"
+	journalName   = "journal.log"
+	journalMirror = "journal.mir"
+	segPrefix     = "seg-"
 
 	snapshotMagic = 0x494e534a // "INSJ"
 	storeVersion  = 1
@@ -103,10 +101,10 @@ func segSeq(name string) (uint64, bool) {
 }
 
 // ErrCorruptSnapshot reports that snapshot files exist but no generation —
-// neither slot, neither copy, nor the legacy single-slot file — passes its
-// magic, version, length, and checksum. Unlike a torn journal tail this is
-// not an expected crash artifact (renames are atomic and generations are
-// mirrored), so Load surfaces it instead of silently starting from zero.
+// neither slot, neither copy — passes its magic, version, length, and
+// checksum. Unlike a torn journal tail this is not an expected crash
+// artifact (renames are atomic and generations are mirrored), so Load
+// surfaces it instead of silently starting from zero.
 var ErrCorruptSnapshot = errors.New("journal: corrupt snapshot")
 
 // ErrPoisoned reports an operation on a store that has already failed an
@@ -189,12 +187,12 @@ type fileScan struct {
 // dirState is loadFull's working view of a store directory: the public
 // LoadResult plus what Open needs to normalize the active journal pair.
 type dirState struct {
-	res        *LoadResult
-	slotSeq    [2]uint64 // intact generation seq per slot (0 = none)
-	maxSeal    uint64    // highest sealed-segment seq
-	rawActive  []byte    // journal.log bytes as found (nil if missing)
-	rawMirror  []byte    // journal.mir bytes as found (nil if missing)
-	activeCanon []rec    // canonical active-journal records (seq > maxSeal), ascending
+	res         *LoadResult
+	slotSeq     [2]uint64 // intact generation seq per slot (0 = none)
+	maxSeal     uint64    // highest sealed-segment seq
+	rawActive   []byte    // journal.log bytes as found (nil if missing)
+	rawMirror   []byte    // journal.mir bytes as found (nil if missing)
+	activeCanon []rec     // canonical active-journal records (seq > maxSeal), ascending
 }
 
 // Load reads the store without opening it for writing, through the real
@@ -228,9 +226,8 @@ func loadFull(fsys FS, dir string) (*dirState, error) {
 	st := &dirState{res: &LoadResult{}}
 	res := st.res
 
-	// Snapshot generations: each slot is a mirrored pair, plus the legacy
-	// single-copy file from the pre-mirror layout.
-	cands := make([]snapCand, 0, 3)
+	// Snapshot generations: each slot is a mirrored pair.
+	cands := make([]snapCand, 0, 2)
 	for slot := 0; slot < 2; slot++ {
 		c := loadBlobPair(fsys,
 			filepath.Join(dir, slotName(slot)),
@@ -241,7 +238,6 @@ func loadFull(fsys FS, dir string) (*dirState, error) {
 		}
 		cands = append(cands, c)
 	}
-	cands = append(cands, loadBlobSolo(fsys, filepath.Join(dir, legacySnapshotName), &res.CorruptCopies))
 
 	anyPresent := false
 	best := -1
@@ -852,8 +848,7 @@ func (s *Store) seal() error {
 	return nil
 }
 
-// prune removes sealed segments wholly at or below seq, plus the legacy
-// single-slot snapshot once two mirrored generations exist.
+// prune removes sealed segments wholly at or below seq.
 func (s *Store) prune(seq uint64) error {
 	names, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
@@ -871,9 +866,6 @@ func (s *Store) prune(seq uint64) error {
 		if err := s.fsys.Remove(filepath.Join(s.dir, m)); err != nil && !errors.Is(err, os.ErrNotExist) {
 			return err
 		}
-	}
-	if err := s.fsys.Remove(filepath.Join(s.dir, legacySnapshotName)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return err
 	}
 	return nil
 }

@@ -352,7 +352,7 @@ func TestStoreCorruptSnapshotIsAnError(t *testing.T) {
 	}
 	// Corrupt every copy of the only generation: nothing intact remains
 	// and the load must fail loudly rather than boot from zero.
-	corruptByte(t, dir, -1, slotName(0), slotMirror(0), slotName(1), slotMirror(1), legacySnapshotName)
+	corruptByte(t, dir, -1, slotName(0), slotMirror(0), slotName(1), slotMirror(1))
 	if _, err := Load(dir); err == nil {
 		t.Fatal("want error loading corrupt snapshot")
 	}

@@ -64,12 +64,8 @@ func ScrubDir(fsys FS, dir string) (ScrubReport, error) {
 	}
 
 	// Snapshot generations: mirrored A/B slots.
-	bestGen := uint64(0)
 	for slot := 0; slot < 2; slot++ {
-		seq := scrubBlobPair(fsys, dir, slotName(slot), slotMirror(slot), &rep)
-		if seq > bestGen {
-			bestGen = seq
-		}
+		scrubBlobPair(fsys, dir, slotName(slot), slotMirror(slot), &rep)
 	}
 
 	// Checkpoint images (fleet): same framing, same mirrored-pair repair.
@@ -90,25 +86,6 @@ func ScrubDir(fsys FS, dir string) (ScrubReport, error) {
 				return rep, serr
 			}
 			rep.add(sub)
-		}
-	}
-
-	// Legacy single-copy snapshot: no mirror to heal from. Once a
-	// mirrored generation supersedes it, a damaged legacy file is pruned;
-	// before that, its loss is real.
-	if raw, err := fsys.ReadFile(filepath.Join(dir, legacySnapshotName)); err == nil {
-		rep.Checked++
-		if _, _, derr := DecodeBlob(raw); derr != nil {
-			rep.Detected++
-			if bestGen > 0 {
-				if rerr := fsys.Remove(filepath.Join(dir, legacySnapshotName)); rerr == nil {
-					rep.Repaired++
-				} else {
-					rep.Unrepairable++
-				}
-			} else {
-				rep.Unrepairable++
-			}
 		}
 	}
 
@@ -144,15 +121,14 @@ func ScrubDir(fsys FS, dir string) (ScrubReport, error) {
 }
 
 // scrubBlobPair verifies one mirrored snapshot-framed pair and repairs
-// the damaged or stale side from the intact one. It returns the pair's
-// generation seq (0 if no intact copy).
-func scrubBlobPair(fsys FS, dir, primary, mirror string, rep *ScrubReport) uint64 {
+// the damaged or stale side from the intact one.
+func scrubBlobPair(fsys FS, dir, primary, mirror string, rep *ScrubReport) {
 	pPath := filepath.Join(dir, primary)
 	mPath := filepath.Join(dir, mirror)
 	pRaw, pErr := fsys.ReadFile(pPath)
 	mRaw, mErr := fsys.ReadFile(mPath)
 	if pErr != nil && mErr != nil {
-		return 0 // slot empty
+		return // slot empty
 	}
 	if pErr == nil {
 		rep.Checked++
@@ -164,35 +140,30 @@ func scrubBlobPair(fsys FS, dir, primary, mirror string, rep *ScrubReport) uint6
 	_, mSeq, mOK := decodeOK(mRaw, mErr)
 	switch {
 	case pOK && mOK && bytes.Equal(pRaw, mRaw):
-		return pSeq
 	case pOK && mOK:
 		// Both intact but different generations: a crash landed between
 		// the two copy writes. Sync the stale side to the newer one.
 		rep.Detected++
-		src, dst, seq := pRaw, mirror, pSeq
+		src, dst := pRaw, mirror
 		if mSeq > pSeq {
-			src, dst, seq = mRaw, primary, mSeq
+			src, dst = mRaw, primary
 		}
 		if writeFileAtomic(fsys, dir, dst, src) == nil && fsys.SyncDir(dir) == nil {
 			rep.Repaired++
 		}
-		return seq
 	case pOK:
 		rep.Detected++
 		if writeFileAtomic(fsys, dir, mirror, pRaw) == nil && fsys.SyncDir(dir) == nil {
 			rep.Repaired++
 		}
-		return pSeq
 	case mOK:
 		rep.Detected++
 		if writeFileAtomic(fsys, dir, primary, mRaw) == nil && fsys.SyncDir(dir) == nil {
 			rep.Repaired++
 		}
-		return mSeq
 	default:
 		rep.Detected += 2
 		rep.Unrepairable++
-		return 0
 	}
 }
 

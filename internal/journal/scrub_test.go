@@ -81,8 +81,8 @@ func TestScrubRepairsSegmentFromUnion(t *testing.T) {
 		t.Fatal("no sealed segment on disk")
 	}
 	p, m := segName(seq)
-	corruptByte(t, dir, recordHeader, p)              // first record's payload
-	corruptByte(t, dir, 2*(recordHeader+2)-1, m)      // second record's payload
+	corruptByte(t, dir, recordHeader, p)         // first record's payload
+	corruptByte(t, dir, 2*(recordHeader+2)-1, m) // second record's payload
 
 	rep, err := ScrubDir(Disk, dir)
 	if err != nil {

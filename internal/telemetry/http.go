@@ -17,7 +17,7 @@ func (r *Registry) MetricsHandler() http.Handler {
 
 // healthReport is the /healthz response body.
 type healthReport struct {
-	Status          string            `json:"status"` // "ok", "degraded", or "draining"
+	Status          string            `json:"status"`         // "ok", "degraded", or "draining"
 	Mode            string            `json:"mode,omitempty"` // operating mode (survivability rung), when published
 	SimClockSeconds float64           `json:"sim_clock_seconds"`
 	Checks          map[string]string `json:"checks,omitempty"` // name -> "ok" or error text
