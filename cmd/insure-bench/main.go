@@ -8,7 +8,7 @@
 //	insure-bench -list             # list experiment IDs
 //	insure-bench -bench-json BENCH.json   # machine-readable perf suite
 //	insure-bench -scaling          # plant-years/sec workers-scaling curve
-//	insure-bench -scaling -gate    # same, exit 1 if speedup < 0.7·N (N = GOMAXPROCS ≥ 2)
+//	insure-bench -scaling -gate    # same, exit 1 if median speedup < 0.7·N (N = GOMAXPROCS ≥ 2)
 //	insure-bench -perf-diff BENCH.new.json   # compare against committed BENCH.json
 package main
 
@@ -32,7 +32,7 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size for 'all' and -bench-json; 1 = the serial engine (output is byte-identical), 0 = GOMAXPROCS")
 	benchJSON := flag.String("bench-json", "", "run the performance suite and write machine-readable results to this path")
 	scaling := flag.Bool("scaling", false, "measure the plant-years/sec workers-scaling curve and print it")
-	gate := flag.Bool("gate", false, "with -scaling: exit non-zero when speedup at N workers is < 0.7*N (N = GOMAXPROCS >= 2)")
+	gate := flag.Bool("gate", false, "with -scaling: exit non-zero when the median speedup at N workers is < 0.7*N (N = GOMAXPROCS >= 2)")
 	scalingCells := flag.Int("scaling-cells", 16, "full-day campaign cells per scaling measurement")
 	perfDiff := flag.String("perf-diff", "", "compare this BENCH.json against -perf-base and report regressions > 5%")
 	perfBase := flag.String("perf-base", "BENCH.json", "baseline report for -perf-diff")

@@ -30,12 +30,22 @@ const (
 	gateSkipped1CPU = "skipped-single-cpu"
 )
 
-// scalingPoint is one row of the worker-count scaling matrix.
+// scalingRuns is how many times the campaign runs at each worker count.
+// Gating on the median of three, with the counts taking turns, keeps one
+// stalled run from deciding the verdict.
+const scalingRuns = 3
+
+// scalingPoint is one row of the worker-count scaling matrix. Seconds is
+// the median of the row's runs and MinSeconds..MaxSeconds their spread;
+// PlantYearsPerSec follows from the median.
 type scalingPoint struct {
 	Workers          int     `json:"workers"`
+	Runs             int     `json:"runs"`
 	Seconds          float64 `json:"seconds"`
+	MinSeconds       float64 `json:"min_seconds"`
+	MaxSeconds       float64 `json:"max_seconds"`
 	PlantYearsPerSec float64 `json:"plant_years_per_sec"`
-	// Speedup is relative to the workers=1 row of the same matrix.
+	// Speedup is the workers=1 row's median over this row's median.
 	Speedup float64 `json:"speedup"`
 }
 
@@ -116,9 +126,39 @@ func scalingWorkerCounts(procs int) []int {
 	return out
 }
 
-// measureScaling runs the campaign once per worker count and assembles the
-// matrix plus the gate verdict. Each timing includes one warm-up-free cold
-// run; cells dominate wall-clock so JIT-style warm-up effects are noise.
+// scalingOrder is the sequence of worker counts to run: runs rounds over
+// counts, ascending in even rounds and descending in odd ones, so drift in
+// the host's speed over the measurement falls on every count alike.
+func scalingOrder(counts []int, runs int) []int {
+	var out []int
+	for r := 0; r < runs; r++ {
+		for i := range counts {
+			j := i
+			if r%2 == 1 {
+				j = len(counts) - 1 - i
+			}
+			out = append(out, counts[j])
+		}
+	}
+	return out
+}
+
+// spread returns the median, minimum and maximum of xs, which must not be
+// empty; an even count's median is the mean of the middle two.
+func spread(xs []float64) (med, lo, hi float64) {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	med = s[n/2]
+	if n%2 == 0 {
+		med = (s[n/2-1] + s[n/2]) / 2
+	}
+	return med, s[0], s[n-1]
+}
+
+// measureScaling runs the campaign scalingRuns times per worker count, in
+// scalingOrder, and assembles the matrix of medians plus the gate verdict
+// on the median speedup.
 func measureScaling(cells int) (campaignScaling, error) {
 	plantYears, err := campaignPlantYears(cells)
 	if err != nil {
@@ -130,33 +170,38 @@ func measureScaling(cells int) (campaignScaling, error) {
 		PlantYearsPerRun: plantYears,
 	}
 	procs := runtime.GOMAXPROCS(0)
-	for _, w := range scalingWorkerCounts(procs) {
+	counts := scalingWorkerCounts(procs)
+	secs := map[int][]float64{}
+	for _, w := range scalingOrder(counts, scalingRuns) {
 		t0 := time.Now()
 		if _, err := sim.RunCampaign(context.Background(), w, scalingCampaign(cells)); err != nil {
 			return campaignScaling{}, fmt.Errorf("scaling campaign at %d workers: %w", w, err)
 		}
-		secs := time.Since(t0).Seconds()
-		pt := scalingPoint{Workers: w, Seconds: secs}
-		if secs > 0 {
-			pt.PlantYearsPerSec = plantYears / secs
-		}
-		if base := cs.Points; len(base) > 0 && base[0].Workers == 1 && secs > 0 {
-			pt.Speedup = base[0].Seconds / secs
-		} else if w == 1 {
-			pt.Speedup = 1
+		d := time.Since(t0).Seconds()
+		secs[w] = append(secs[w], d)
+		fmt.Fprintf(os.Stderr, "  workers=%d run %d: %.2fs\n", w, len(secs[w]), d)
+	}
+	// counts starts at 1, so Points[0] is the workers=1 row.
+	for _, w := range counts {
+		med, lo, hi := spread(secs[w])
+		pt := scalingPoint{Workers: w, Runs: len(secs[w]), Seconds: med, MinSeconds: lo, MaxSeconds: hi, Speedup: 1}
+		if med > 0 {
+			pt.PlantYearsPerSec = plantYears / med
+			if w > 1 {
+				pt.Speedup = cs.Points[0].Seconds / med
+			}
 		}
 		cs.Points = append(cs.Points, pt)
-		fmt.Fprintf(os.Stderr, "  workers=%d: %.2fs, %.4f plant-years/sec (speedup %.2fx)\n",
-			w, secs, pt.PlantYearsPerSec, pt.Speedup)
 	}
 	cs.Gate = evaluateGate(cs, procs)
 	return cs, nil
 }
 
-// evaluateGate applies the acceptance rule: with n ≥ 2 procs, the speedup
-// at n workers must reach 0.7·n; with one proc the gate is recorded as
-// skipped, never as a pass. n is GOMAXPROCS, not NumCPU: a process held to
-// fewer Ps than the host has cores cannot run that many workers at once.
+// evaluateGate applies the acceptance rule: with n ≥ 2 procs, the median
+// speedup at n workers must reach 0.7·n; with one proc the gate is
+// recorded as skipped, never as a pass. n is GOMAXPROCS, not NumCPU: a
+// process held to fewer Ps than the host has cores cannot run that many
+// workers at once.
 func evaluateGate(cs campaignScaling, n int) scalingGate {
 	if n < 2 {
 		return scalingGate{Status: gateSkipped1CPU, Workers: 1}
@@ -185,21 +230,22 @@ func runScaling(cells int, enforceGate bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %-10s %-20s %s\n", "workers", "seconds", "plant-years/sec", "speedup")
+	fmt.Printf("%-8s %-16s %-16s %-20s %s\n", "workers", "median seconds", "min..max", "plant-years/sec", "speedup")
 	for _, pt := range cs.Points {
-		fmt.Printf("%-8d %-10.2f %-20.4f %.2fx\n", pt.Workers, pt.Seconds, pt.PlantYearsPerSec, pt.Speedup)
+		fmt.Printf("%-8d %-16.2f %-16s %-20.4f %.2fx\n", pt.Workers, pt.Seconds,
+			fmt.Sprintf("%.2f..%.2f", pt.MinSeconds, pt.MaxSeconds), pt.PlantYearsPerSec, pt.Speedup)
 	}
 	switch cs.Gate.Status {
 	case gateSkipped1CPU:
 		fmt.Printf("gate: SKIPPED (GOMAXPROCS 1 — scaling cannot be measured in this process)\n")
 	case gatePassed:
-		fmt.Printf("gate: PASSED (speedup %.2fx >= required %.2fx at %d workers)\n",
+		fmt.Printf("gate: PASSED (median speedup %.2fx >= required %.2fx at %d workers)\n",
 			cs.Gate.MeasuredSpeedup, cs.Gate.RequiredSpeedup, cs.Gate.Workers)
 	case gateFailed:
-		fmt.Printf("gate: FAILED (speedup %.2fx < required %.2fx at %d workers)\n",
+		fmt.Printf("gate: FAILED (median speedup %.2fx < required %.2fx at %d workers)\n",
 			cs.Gate.MeasuredSpeedup, cs.Gate.RequiredSpeedup, cs.Gate.Workers)
 		if enforceGate {
-			return fmt.Errorf("scaling gate failed: %.2fx < %.2fx at %d workers",
+			return fmt.Errorf("scaling gate failed: median %.2fx < %.2fx at %d workers",
 				cs.Gate.MeasuredSpeedup, cs.Gate.RequiredSpeedup, cs.Gate.Workers)
 		}
 	}

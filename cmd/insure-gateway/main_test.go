@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"testing"
 	"time"
 
@@ -104,4 +105,53 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 	if _, err := http.Get(base + "/query"); err == nil {
 		t.Error("listener still accepting after shutdown completed")
 	}
+}
+
+// TestLockedPlantSerializesReads reads the plant through lockedPlant from
+// several goroutines, as concurrent admissions do, while the tick loop
+// advances it under the same lock. Reads write the sensor channels' decode
+// caches, so under -race this fails if any read path skips the lock.
+func TestLockedPlantSerializesReads(t *testing.T) {
+	scfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 1, time.Second))
+	sys, err := sim.New(scfg, sim.NewSeismicSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := core.DefaultConfig()
+	mcfg.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mcfg, scfg.BatteryCount)
+	plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
+
+	lo, _ := sys.Span()
+	start := lo + 4*time.Hour
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for tod := start; tod < start+10*time.Minute; tod += scfg.Step {
+			plant.mu.Lock()
+			sys.Tick(tod, mgr)
+			plant.mu.Unlock()
+		}
+	}()
+
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if st := plant.State(start); st.SoC < 0 || st.SoC > 1 {
+					t.Errorf("mean SoC %v outside [0,1]", st.SoC)
+					return
+				}
+				plant.ForecastW(start + time.Hour)
+			}
+		}()
+	}
+	wg.Wait()
 }

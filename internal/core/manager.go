@@ -249,7 +249,7 @@ func EstimatedSoC(sys *sim.System, i int) float64 { return estSoC(sys, i) }
 // voltage, compensating the resistive sag with the transduced current.
 func estSoC(sys *sim.System, i int) float64 {
 	v, cur := sys.UnitReading(i)
-	p := sys.Config().BatteryParams
+	p := &sys.Config().BatteryParams
 	ocv := float64(v) + float64(cur)*p.InternalOhm
 	return units.Clamp((ocv-float64(p.OCVEmpty))/float64(p.OCVFull-p.OCVEmpty), 0, 1)
 }

@@ -169,7 +169,11 @@ var classMix = [10]Class{
 	Standard, BestEffort, Standard, Standard, BestEffort,
 }
 
-func runLoadPoint(cfg LoadConfig, reg Regime, qps float64) (LoadPoint, time.Duration, error) {
+// loadFleet builds one regime's plants: cfg.Sites sites over the regime's
+// synthesized day, each under an InSURE manager with the survival ladder,
+// alternating seismic and video sinks. It returns the fleet and the
+// managers the sites' gateways read.
+func loadFleet(cfg LoadConfig, reg Regime) (*sim.Fleet, []*core.Manager, error) {
 	specs := make([]sim.FleetSpec, cfg.Sites)
 	mgrs := make([]*core.Manager, cfg.Sites)
 	for i := range specs {
@@ -195,6 +199,14 @@ func runLoadPoint(cfg LoadConfig, reg Regime, qps float64) (LoadPoint, time.Dura
 		specs[i] = sim.FleetSpec{Config: sc, Sink: sink, Manager: mgrs[i]}
 	}
 	fl, err := sim.NewFleet(specs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return fl, mgrs, nil
+}
+
+func runLoadPoint(cfg LoadConfig, reg Regime, qps float64) (LoadPoint, time.Duration, error) {
+	fl, mgrs, err := loadFleet(cfg, reg)
 	if err != nil {
 		return LoadPoint{}, 0, err
 	}

@@ -81,10 +81,18 @@ func (a *ADC) Voltage(code uint16) float64 {
 }
 
 // Channel is a complete measurement chain: transducer → ADC → register.
+// T and A are fixed once the channel is in use: Value caches its decode.
 type Channel struct {
 	T   *Transducer
 	A   *ADC
 	raw uint16
+
+	// dec is the physical reading decoded from register code decRaw, valid
+	// once decOK is set. Controllers read a channel many times per sample,
+	// so Value decodes again only when the register code has changed.
+	dec    float64
+	decRaw uint16
+	decOK  bool
 
 	// Fault state: a stuck channel freezes its last register code; drift
 	// offsets the analog signal (in volts) before quantisation. Real
@@ -130,8 +138,15 @@ func (c *Channel) Faulted() bool { return c.stuck || c.driftV != 0 }
 // Raw returns the last register code, as the PLC stores it.
 func (c *Channel) Raw() uint16 { return c.raw }
 
-// Value reconstructs the physical measurement from the stored code.
-func (c *Channel) Value() float64 { return c.T.Physical(c.A.Voltage(c.raw)) }
+// Value reconstructs the physical measurement from the stored code. It
+// writes the channel's decode cache, so concurrent readers need the same
+// serialization as Sample and SetRaw.
+func (c *Channel) Value() float64 {
+	if !c.decOK || c.decRaw != c.raw {
+		c.dec, c.decRaw, c.decOK = c.T.Physical(c.A.Voltage(c.raw)), c.raw, true
+	}
+	return c.dec
+}
 
 // SetRaw installs a register code directly (used when readings arrive over
 // the fieldbus rather than from a local sample).

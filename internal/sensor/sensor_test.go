@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -141,5 +142,40 @@ func TestProbeCurrentSaturates(t *testing.T) {
 	_, i := p.Readings()
 	if float64(i) > 10.001 {
 		t.Errorf("current reading %v should saturate at 10 A", i)
+	}
+}
+
+// TestValueMatchesDecode checks the decode cache: across random sequences
+// of samples, register writes and fault injections, Value always equals a
+// fresh decode of the stored register code, bit for bit. Reads are skipped
+// at random, so the cache also meets codes that changed more than once
+// since it was filled.
+func TestValueMatchesDecode(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []*Channel{NewVoltageChannel("v"), NewCurrentChannel("i")} {
+		span := c.T.InHi - c.T.InLo
+		for op := 0; op < 20000; op++ {
+			switch rng.Intn(8) {
+			case 0, 1, 2:
+				c.Sample(c.T.InLo - 0.1*span + 1.2*span*rng.Float64())
+			case 3:
+				c.SetRaw(uint16(rng.Intn(c.A.Levels())))
+			case 4:
+				c.SetRaw(c.Raw())
+			case 5:
+				c.InjectStick()
+			case 6:
+				c.InjectDrift(rng.NormFloat64() * 0.2)
+			case 7:
+				c.ClearFaults()
+			}
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			got, want := c.Value(), c.T.Physical(c.A.Voltage(c.Raw()))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s op %d: Value() = %v, decode of code %d = %v", c.T.Name(), op, got, c.Raw(), want)
+			}
+		}
 	}
 }

@@ -307,8 +307,10 @@ func (s *System) solarAt(tod time.Duration) units.Watt {
 	return s.cfg.Trace.At(tod)
 }
 
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
+// Config returns the system's configuration. It points at the system's
+// own copy, so a read costs no copy of the whole struct; callers read
+// fields through it and must not modify it.
+func (s *System) Config() *Config { return &s.cfg }
 
 // Recorder returns the time-series recorder.
 func (s *System) Recorder() *Recorder { return s.recorder }

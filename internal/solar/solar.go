@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"insure/internal/units"
@@ -49,12 +50,39 @@ const (
 
 // Elevation returns the clear-sky irradiance fraction in [0,1] at
 // time-of-day tod: zero outside the solar window, a smooth bell inside it.
+// Whole-second times of day are read from a table that bell filled once,
+// so they cost a load and are bit-identical to computing it; every other
+// time of day computes it.
 func Elevation(tod time.Duration) float64 {
 	if tod <= Sunrise || tod >= Sunset {
 		return 0
 	}
+	if d := tod - Sunrise; d%time.Second == 0 {
+		clearSkyOnce.Do(fillClearSky)
+		return clearSky[d/time.Second]
+	}
+	return bell(tod)
+}
+
+// bell is the clear-sky curve inside the solar window.
+func bell(tod time.Duration) float64 {
 	frac := float64(tod-Sunrise) / float64(Sunset-Sunrise)
 	return math.Pow(math.Sin(math.Pi*frac), 0.55)
+}
+
+// clearSky[i] is bell(Sunrise + i seconds). Every forecast step, estimator
+// update and synthesized sample reads the curve at a whole second, and
+// math.Pow dominates the curve's cost. A fixed array holds no pointers and
+// lives outside the GC heap; it is filled on first use.
+var (
+	clearSkyOnce sync.Once
+	clearSky     [(Sunset - Sunrise) / time.Second]float64
+)
+
+func fillClearSky() {
+	for i := range clearSky {
+		clearSky[i] = bell(Sunrise + time.Duration(i)*time.Second)
+	}
 }
 
 // Sky synthesises an irradiance-fraction process for one day. It is a
@@ -66,6 +94,12 @@ type Sky struct {
 	cloud     float64 // current cloud attenuation multiplier in (0,1]
 	cloudLeft time.Duration
 	target    float64
+
+	// alpha is the cloud relaxation factor for step alphaDt, computed once
+	// per step size rather than once per sample. The zero value is already
+	// right for a zero step: 1 - exp(0) = 0.
+	alpha   float64
+	alphaDt time.Duration
 }
 
 // NewSky returns a sky for the given condition. The seed makes traces
@@ -117,9 +151,11 @@ func (s *Sky) Step(tod, dt time.Duration) float64 {
 	}
 	// First-order relaxation toward the target attenuation: clouds arrive
 	// and leave over tens of seconds, not instantaneously.
-	const tau = 20.0 // seconds
-	alpha := 1 - math.Exp(-dt.Seconds()/tau)
-	s.cloud += (s.target - s.cloud) * alpha
+	if dt != s.alphaDt {
+		const tau = 20.0 // seconds
+		s.alpha, s.alphaDt = 1-math.Exp(-dt.Seconds()/tau), dt
+	}
+	s.cloud += (s.target - s.cloud) * s.alpha
 
 	return units.Clamp(clear*base*s.cloud, 0, 1)
 }

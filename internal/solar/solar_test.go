@@ -35,6 +35,41 @@ func TestElevationSymmetry(t *testing.T) {
 	}
 }
 
+// TestElevationTableExact checks the clear-sky table against the curve's
+// expression bit for bit: at every whole second inside the solar window,
+// at the window's edges, outside it, and at times of day that fall between
+// whole seconds, which compute the curve directly.
+func TestElevationTableExact(t *testing.T) {
+	expr := func(tod time.Duration) float64 {
+		if tod <= Sunrise || tod >= Sunset {
+			return 0
+		}
+		frac := float64(tod-Sunrise) / float64(Sunset-Sunrise)
+		return math.Pow(math.Sin(math.Pi*frac), 0.55)
+	}
+	check := func(tod time.Duration) {
+		t.Helper()
+		if got, want := Elevation(tod), expr(tod); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("Elevation(%v) = %v (%#x), expression gives %v (%#x)",
+				tod, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for tod := Sunrise + time.Second; tod < Sunset; tod += time.Second {
+		check(tod)
+	}
+	for _, tod := range []time.Duration{
+		Sunrise, Sunset, 0, -time.Second, Sunrise - time.Second, Sunrise - time.Nanosecond,
+		Sunset + time.Nanosecond, Sunset + time.Second, 24*time.Hour - time.Second, 24 * time.Hour, 48 * time.Hour,
+		Sunrise + time.Nanosecond, Sunrise + 500*time.Millisecond, Sunset - time.Nanosecond,
+		Sunset - 500*time.Millisecond, 13*time.Hour + 30*time.Minute + time.Millisecond,
+	} {
+		check(tod)
+	}
+	for tod := Sunrise + 250*time.Millisecond; tod < Sunset; tod += 7*time.Second + 250*time.Millisecond {
+		check(tod)
+	}
+}
+
 func dayAverage(cond Condition, seed int64) units.Watt {
 	s := NewSupply(cond, seed)
 	var total units.WattHour
