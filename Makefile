@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test fmt race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage check bench bench-json bench-scaling perf-diff experiments clean
+.PHONY: all build test fmt race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot vet vet-storage test-benchmark check bench bench-json bench-scaling perf-diff experiments clean
 
 all: build
 
@@ -148,6 +148,13 @@ race-bitrot:
 vet-storage:
 	$(GO) run ./internal/tools/synccheck ./internal/journal ./internal/fleet
 
+# test-benchmark runs the benchmark module's own tests: BENCHMARK.json's
+# workload and metric names must match the code, and repeated reps of each
+# workload must agree on their checked output. The module has its own
+# go.mod, so the root test run never reaches it.
+test-benchmark:
+	$(GO) -C benchmark test ./...
+
 # bench-scaling measures the plant-years/sec workers-scaling curve on a
 # short campaign, three alternating runs per worker count, and enforces the
 # speedup gate: with GOMAXPROCS N >= 2, the median speedup at N workers
@@ -163,8 +170,9 @@ bench-scaling:
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
-# storage gates, and the multicore scaling gate.
-check: fmt vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot bench-scaling
+# storage gates, the benchmark module's own tests, and the multicore scaling
+# gate.
+check: fmt vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot test-benchmark bench-scaling
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:

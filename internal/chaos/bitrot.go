@@ -5,15 +5,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
-	"time"
 
 	"insure/internal/diskfault"
-	"insure/internal/faults"
 	"insure/internal/fleet"
 	"insure/internal/journal"
-	"insure/internal/sim"
 	"insure/internal/wan"
 )
 
@@ -45,10 +41,26 @@ const (
 	bitrotFleetLane = 41
 )
 
+// The control-plane lane is a daemon-style state journal ticking
+// bitrotTicksPerDay times a day, snapshotting every bitrotSnapshotEvery
+// ticks, killed bitrotKillsPerDay times a day (half of them torn), with one
+// planned sick-disk window a day during which every fsync fails.
+const (
+	bitrotTicksPerDay   = 1440
+	bitrotSnapshotEvery = 60
+	bitrotKillsPerDay   = 4
+)
+
 // bitrotTornSlack is the extra rollback ticks a torn kill may cost beyond
 // the snapshot window: tornTailBytes can chop one whole record and tear
 // the one before it.
 const bitrotTornSlack = 2
+
+// The fleet lane's WAN loses chunks at a milder rate than the WAN storm's.
+const (
+	bitrotDropRate    = 0.15
+	bitrotCorruptRate = 0.03
+)
 
 // bitrotStateVersion guards the layout of the harness's journaled state.
 const bitrotStateVersion = 1
@@ -61,33 +73,15 @@ type BitrotStormConfig struct {
 	// Days is the storm length (the acceptance bar is >= 3).
 	Days int
 
-	// Control-plane lane: a daemon-style state journal ticking
-	// TicksPerDay times a day, snapshotting every SnapshotEvery ticks,
-	// killed KillsPerDay times a day (half of them torn), with one
-	// planned sick-disk window a day during which every fsync fails.
-	TicksPerDay   int
-	SnapshotEvery int
-	KillsPerDay   int
-
 	// StateFaults is the control-plane disk's fault mix (Seed and Root
 	// are set by the harness).
 	StateFaults diskfault.Config
 
-	// Fleet lane: a Sites-site federation under the usual storm weather,
-	// evacuating checkpoints over a lossy WAN onto a decaying disk.
-	Sites     int
-	StormSite int
-	Batteries int
-	Servers   int
-	JobGB     float64
-	// DropRate/CorruptRate shape the WAN; FleetFaults the fleet disk.
-	DropRate    float64
-	CorruptRate float64
+	// FleetFaults is the fleet lane's disk fault mix. The lane is the
+	// default site-loss fleet, migration armed, under the usual storm
+	// weather, evacuating checkpoints over a lossy WAN onto a decaying
+	// disk.
 	FleetFaults diskfault.Config
-
-	// StateDir/FleetDir override the private temp directories.
-	StateDir string
-	FleetDir string
 }
 
 // DefaultBitrotStormConfig is the acceptance storm: three days, four
@@ -96,11 +90,8 @@ type BitrotStormConfig struct {
 // shipping checkpoints across a 15%-drop WAN onto the decaying disk.
 func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
 	return BitrotStormConfig{
-		Seed:          seed,
-		Days:          3,
-		TicksPerDay:   1440,
-		SnapshotEvery: 60,
-		KillsPerDay:   4,
+		Seed: seed,
+		Days: 3,
 		StateFaults: diskfault.Config{
 			TornWrite:  0.002,
 			WriteFail:  0.002,
@@ -108,12 +99,6 @@ func DefaultBitrotStormConfig(seed int64) BitrotStormConfig {
 			BitRot:     0.03,
 			LoseRename: 0.03,
 		},
-		Sites:     3,
-		StormSite: 0,
-		Batteries: 6,
-		Servers:   4,
-		JobGB:     40,
-		DropRate:  0.15, CorruptRate: 0.03,
 		// The fleet lane's file population is small (one migration-log
 		// pair plus a handful of image pairs), so the at-rest decay rate
 		// runs hot to make every storm meet it; the mirror of each pair
@@ -164,15 +149,7 @@ type BitrotStormReport struct {
 	// trajectory; two same-seed storms must agree on it exactly.
 	StormHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *BitrotStormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	Verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -184,17 +161,21 @@ func (r *BitrotStormReport) String() string {
 		r.ImagesReshipped, r.JobsDoubleRun, r.SplitBrain, r.ViolationCount)
 }
 
-// fold mixes a string into the storm hash, FNV-1a style.
-func fold(h uint64, s string) uint64 {
-	const prime = 1099511628211
-	if h == 0 {
-		h = 14695981039346656037
+// scrub sweeps dir on fsys, adds the sweep to the scrub totals, and folds
+// its counts (never its Dir, a per-run temp path) into the storm hash
+// under label.
+func (r *BitrotStormReport) scrub(fsys journal.FS, dir, label string) error {
+	srep, err := journal.ScrubDir(fsys, dir)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime
-	}
-	return h
+	r.ScrubChecked += srep.Checked
+	r.ScrubDetected += srep.Detected
+	r.ScrubRepaired += srep.Repaired
+	r.ScrubUnrepairable += srep.Unrepairable
+	r.StormHash = fold(r.StormHash, fmt.Sprintf("%s %d %d %d %d %d",
+		label, srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
+	return nil
 }
 
 // bitrotEvent is one planned adversity on the control-plane lane.
@@ -218,8 +199,8 @@ func planBitrotDays(cfg BitrotStormConfig) []bitrotDayPlan {
 	days := make([]bitrotDayPlan, cfg.Days)
 	for d := range days {
 		p := &days[d]
-		for k := 0; k < cfg.KillsPerDay; k++ {
-			tick := rng.Intn(cfg.TicksPerDay)
+		for k := 0; k < bitrotKillsPerDay; k++ {
+			tick := rng.Intn(bitrotTicksPerDay)
 			kind := KillClean
 			if rng.Float64() < 0.5 {
 				kind = KillTorn
@@ -230,8 +211,8 @@ func planBitrotDays(cfg BitrotStormConfig) []bitrotDayPlan {
 		// One sick window a day, at most one snapshot window long so the
 		// healthcheck-driven restart at its end stays inside the rollback
 		// bound.
-		p.sickStart = rng.Intn(cfg.TicksPerDay - cfg.SnapshotEvery)
-		p.sickEnd = p.sickStart + cfg.SnapshotEvery/4 + rng.Intn(3*cfg.SnapshotEvery/4)
+		p.sickStart = rng.Intn(bitrotTicksPerDay - bitrotSnapshotEvery)
+		p.sickEnd = p.sickStart + bitrotSnapshotEvery/4 + rng.Intn(3*bitrotSnapshotEvery/4)
 	}
 	return days
 }
@@ -281,9 +262,6 @@ func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
 	if cfg.Days < 1 {
 		return nil, fmt.Errorf("chaos: bitrot storm needs at least one day")
 	}
-	if cfg.TicksPerDay < 2*cfg.SnapshotEvery || cfg.SnapshotEvery < 8 {
-		return nil, fmt.Errorf("chaos: bitrot storm needs TicksPerDay >= 2*SnapshotEvery and SnapshotEvery >= 8")
-	}
 	rep := &BitrotStormReport{Seed: cfg.Seed, Days: cfg.Days}
 
 	if err := runBitrotStatePlane(cfg, rep); err != nil {
@@ -296,12 +274,6 @@ func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
 	if rep.ScrubUnrepairable != 0 {
 		rep.violate("%d corruptions of mirrored state were unrepairable", rep.ScrubUnrepairable)
 	}
-	if rep.JobsDoubleRun != 0 {
-		rep.violate("%d job IDs landed twice", rep.JobsDoubleRun)
-	}
-	if rep.SplitBrain != 0 {
-		rep.violate("%d jobs entered a transfer while in flight or landed", rep.SplitBrain)
-	}
 	return rep, nil
 }
 
@@ -309,21 +281,17 @@ func RunBitrotStorm(cfg BitrotStormConfig) (*BitrotStormReport, error) {
 // journal ticking through the storm on a failing disk, killed and
 // recovered on the planned schedule.
 func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
-	dir := cfg.StateDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "insure-bitrot-state-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(d)
-		dir = d
+	dir, err := os.MkdirTemp("", "insure-bitrot-state-*")
+	if err != nil {
+		return err
 	}
+	defer os.RemoveAll(dir)
 	fcfg := cfg.StateFaults
 	fcfg.Seed = cfg.Seed + bitrotStateLane
 	fcfg.Root = dir
 	fsys := diskfault.New(fcfg, nil)
 
-	totalTicks := cfg.Days * cfg.TicksPerDay
+	totalTicks := cfg.Days * bitrotTicksPerDay
 	state := newBitrotState(cfg.Seed, totalTicks)
 	plan := planBitrotDays(cfg)
 
@@ -364,8 +332,8 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		if rollback > rep.MaxRollback {
 			rep.MaxRollback = rollback
 		}
-		if rollback > cfg.SnapshotEvery+bitrotTornSlack {
-			rep.violate("rollback of %d ticks at tick %d (%s) exceeds the %d-tick snapshot window", rollback, now, kind, cfg.SnapshotEvery)
+		if rollback > bitrotSnapshotEvery+bitrotTornSlack {
+			rep.violate("rollback of %d ticks at tick %d (%s) exceeds the %d-tick snapshot window", rollback, now, kind, bitrotSnapshotEvery)
 		}
 		rep.Restarts++
 		rep.StormHash = fold(rep.StormHash, fmt.Sprintf("restart %d %s -> %d mid=%d fb=%v", now, kind, recovered, res.Midstream, res.SnapshotFallback))
@@ -379,28 +347,13 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 		}
 	}
 
-	scrub := func(label string) error {
-		srep, err := journal.ScrubDir(fsys, dir)
-		if err != nil {
-			return err
-		}
-		rep.ScrubChecked += srep.Checked
-		rep.ScrubDetected += srep.Detected
-		rep.ScrubRepaired += srep.Repaired
-		rep.ScrubUnrepairable += srep.Unrepairable
-		// Fold counts only: the report's Dir is a per-run temp path.
-		rep.StormHash = fold(rep.StormHash, fmt.Sprintf("scrub %s %d %d %d %d %d",
-			label, srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
-		return nil
-	}
-
 	sick := false // inside a planned sick-disk window
 	down := false // store closed by a kill inside the window; reopens at its end
 	for day := 0; day < cfg.Days; day++ {
 		p := plan[day]
 		nextKill := 0
-		for tod := 0; tod < cfg.TicksPerDay; tod++ {
-			now := day*cfg.TicksPerDay + tod
+		for tod := 0; tod < bitrotTicksPerDay; tod++ {
+			now := day*bitrotTicksPerDay + tod
 			rep.Ticks++
 
 			// Sick-disk window: every fsync fails while it is open; at
@@ -453,7 +406,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 				continue
 			}
 			var cerr error
-			if cfg.SnapshotEvery > 0 && now%cfg.SnapshotEvery == 0 {
+			if now%bitrotSnapshotEvery == 0 {
 				cerr = st.Snapshot(state.payload(now))
 			} else {
 				_, cerr = st.Append(state.payload(now))
@@ -476,8 +429,8 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			// decay while the decayed generation is still current, before
 			// the next snapshot rotation replaces it. A sick disk denies
 			// the fsyncs a repair needs, so sweeps pause with the daemon.
-			if !sick && !down && now%cfg.SnapshotEvery == cfg.SnapshotEvery/2 {
-				if err := scrub(fmt.Sprintf("t%d", now)); err != nil {
+			if !sick && !down && now%bitrotSnapshotEvery == bitrotSnapshotEvery/2 {
+				if err := rep.scrub(fsys, dir, fmt.Sprintf("scrub t%d", now)); err != nil {
 					return err
 				}
 			}
@@ -487,11 +440,11 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			sick = false
 			fsys.SetDegraded(false)
 			down = false
-			if err := restart((day+1)*cfg.TicksPerDay, "sick-day-end"); err != nil {
+			if err := restart((day+1)*bitrotTicksPerDay, "sick-day-end"); err != nil {
 				return err
 			}
 		}
-		if err := scrub(fmt.Sprintf("day %d", day)); err != nil {
+		if err := rep.scrub(fsys, dir, fmt.Sprintf("scrub day %d", day)); err != nil {
 			return err
 		}
 	}
@@ -504,7 +457,7 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	if err := st.Close(); err != nil && st.Failed() == nil {
 		return err
 	}
-	if err := scrub("final"); err != nil {
+	if err := rep.scrub(fsys, dir, "scrub final"); err != nil {
 		return err
 	}
 
@@ -520,18 +473,16 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 }
 
 // runBitrotFleetPlane drives the fleet lane: the storm-site evacuation
-// fixture from the WAN campaign, with the migration log and the
-// checkpoint-image store both mounted on a decaying filesystem.
+// fixture, with the migration log and the checkpoint-image store both
+// mounted on a decaying filesystem. The storm site's trough-day battery
+// surges are what drive its ladder down far enough to checkpoint VMs and
+// ship their images across the decaying store.
 func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
-	dir := cfg.FleetDir
-	if dir == "" {
-		d, err := os.MkdirTemp("", "insure-bitrot-fleet-*")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(d)
-		dir = d
+	dir, err := os.MkdirTemp("", "insure-bitrot-fleet-*")
+	if err != nil {
+		return err
 	}
+	defer os.RemoveAll(dir)
 	logDir := filepath.Join(dir, "miglog")
 	imgDir := filepath.Join(dir, "images")
 	fcfg := cfg.FleetFaults
@@ -539,20 +490,16 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	fcfg.Root = dir
 	fsys := diskfault.New(fcfg, nil)
 
-	wcfg := WANStormConfig{
-		Seed: cfg.Seed, Days: cfg.Days,
-		Sites: cfg.Sites, StormSite: cfg.StormSite,
-		Batteries: cfg.Batteries, Servers: cfg.Servers,
-		JobGB: cfg.JobGB, Migration: true,
-	}
-	net, err := wan.New(wan.Config{
-		Seed: cfg.Seed, Sites: cfg.Sites,
-		DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
-	})
+	scfg := DefaultSiteLossConfig(cfg.Seed)
+	scfg.Days, scfg.Migration = cfg.Days, true
+	f, err := newStormFleet(scfg, &rep.Verdict)
 	if err != nil {
 		return err
 	}
-	banks, sites, _, err := wanStormSites(wcfg)
+	net, err := wan.New(wan.Config{
+		Seed: cfg.Seed, Sites: scfg.Sites,
+		DropRate: bitrotDropRate, CorruptRate: bitrotCorruptRate,
+	})
 	if err != nil {
 		return err
 	}
@@ -560,49 +507,24 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	if err != nil {
 		return err
 	}
-
-	curFl := fleetFrames{cfg: wcfg}
-	c, err := fleet.New(fleet.Config{
-		Migration: true,
-		WAN:       net,
-		LogDir:    logDir,
-		LogFS:     fsys,
-		Images:    images,
-		Prepare:   curFl.prepare,
-	}, sites)
+	c, err := f.coordinator(fleet.Config{WAN: net, LogDir: logDir, LogFS: fsys, Images: images})
 	if err != nil {
 		return err
 	}
 	defer c.Close()
-
-	const fnvPrime = 1099511628211
-	var traj uint64
-	for day := 0; day < cfg.Days; day++ {
-		cfgs := make([]sim.Config, cfg.Sites)
-		for i := range cfgs {
-			cfgs[i] = wanStormDayConfig(wcfg, banks[i], i, day)
-		}
-		if _, err := c.RunDay(cfgs); err != nil {
-			return err
-		}
-		for i := 0; i < cfg.Sites; i++ {
-			traj = traj*fnvPrime ^ hashFrames(curFl.fl.System(i).Recorder().Frames())
-		}
-		// Day-boundary scrub: one recursive sweep repairs decayed mirror
-		// copies across the log pair, the sealed segments, and every
-		// landed checkpoint-image pair.
+	// Day-boundary scrub: one recursive sweep repairs decayed mirror
+	// copies across the log pair, the sealed segments, and every landed
+	// checkpoint-image pair.
+	err = f.run(func(day int) error {
 		for _, d := range []string{logDir, imgDir} {
-			srep, err := journal.ScrubDir(fsys, d)
-			if err != nil {
+			if err := rep.scrub(fsys, d, fmt.Sprintf("fleet-scrub %d %s", day, filepath.Base(d))); err != nil {
 				return err
 			}
-			rep.ScrubChecked += srep.Checked
-			rep.ScrubDetected += srep.Detected
-			rep.ScrubRepaired += srep.Repaired
-			rep.ScrubUnrepairable += srep.Unrepairable
-			rep.StormHash = fold(rep.StormHash, fmt.Sprintf("fleet-scrub %d %s %d %d %d %d %d",
-				day, filepath.Base(d), srep.Checked, srep.Detected, srep.Repaired, srep.Unrepairable, srep.Midstream))
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 
 	tot := c.Report().Totals
@@ -618,6 +540,7 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	rep.ImagesReshipped = ist.Reshipped
 	rep.FleetFaults = fsys.Stats()
 
+	f.guard(tot)
 	if rep.ImagesLanded == 0 {
 		rep.violate("storm evacuation landed no checkpoint images")
 	}
@@ -627,47 +550,13 @@ func runBitrotFleetPlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 	if rep.FleetFaults.RotFlips == 0 {
 		rep.violate("storm decayed nothing at rest on the fleet lane")
 	}
-
-	// Reconcile through the rot: a fresh coordinator replaying the log
-	// over the SAME decaying filesystem must agree with the live one
-	// exactly — the mirrored pairs mask every flipped bit.
-	if err := c.Close(); err != nil {
+	// Reconcile through the rot: the audit replays the log over the SAME
+	// decaying filesystem, so the mirrored pairs must mask every flipped
+	// bit.
+	if err := f.audit(tot); err != nil {
 		return err
-	}
-	_, auditSites, _, err := wanStormSites(wcfg)
-	if err != nil {
-		return err
-	}
-	audit, err := fleet.New(fleet.Config{
-		Migration: true, WAN: net, LogDir: logDir, LogFS: fsys,
-	}, auditSites)
-	if err != nil {
-		return err
-	}
-	defer audit.Close()
-	if got := audit.Totals(); !reflect.DeepEqual(got, tot) {
-		rep.violate("log replay over the decayed disk does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, tot)
 	}
 
-	rep.StormHash = fold(rep.StormHash, fmt.Sprintf("fleet traj %#x tot %+v img %+v faults %+v", traj, tot, ist, rep.FleetFaults))
+	rep.StormHash = fold(rep.StormHash, fmt.Sprintf("fleet traj %#x tot %+v img %+v faults %+v", f.hash, tot, ist, rep.FleetFaults))
 	return nil
-}
-
-// fleetFrames is the per-day fixture hook: it captures the live fleet so
-// the harness can fold trajectory hashes after RunDay returns, and arms
-// the storm site's surge faults — the trough-day battery damage is what
-// drives the ladder down far enough to checkpoint VMs and ship their
-// images across the decaying store.
-type fleetFrames struct {
-	cfg WANStormConfig
-	fl  *sim.Fleet
-}
-
-func (f *fleetFrames) prepare(day int, fl *sim.Fleet) {
-	f.fl = fl
-	sys := fl.System(f.cfg.StormSite)
-	inj := faults.NewInjector(stormDayFaults(day, f.cfg.Batteries), faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
-	sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
 }

@@ -30,6 +30,7 @@ func TestBitrotStormSelfHealing(t *testing.T) {
 	if rep.MaxRollback > rep.Ticks {
 		t.Fatalf("nonsensical rollback: %s", rep)
 	}
+	pinHash(t, "storm", rep.StormHash, 0x8ea28d7cd3366f11)
 }
 
 // TestBitrotStormRerunIsBitIdentical reruns the acceptance storm with the
@@ -89,7 +90,8 @@ func TestBitrotStormCleanDiskIsQuiet(t *testing.T) {
 	// Sick windows still open on a clean disk (the degraded switch is not
 	// a rate), so rollback may reach the window length — one snapshot
 	// window — but never past the violation bound.
-	if rep.MaxRollback > cfg.SnapshotEvery+bitrotTornSlack {
+	if rep.MaxRollback > bitrotSnapshotEvery+bitrotTornSlack {
 		t.Errorf("clean disk rollback %d exceeds one snapshot window", rep.MaxRollback)
 	}
+	pinHash(t, "storm", rep.StormHash, 0x6a1ca4a9ac6454de)
 }

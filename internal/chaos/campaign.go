@@ -13,15 +13,6 @@ import (
 	"insure/internal/trace"
 )
 
-// tornTailBytes is how much of the journal tail a KillTorn event chops
-// off — enough to corrupt the final record the way a mid-write power cut
-// does, small enough to never reach past one record into committed state.
-const tornTailBytes = 40
-
-// maxViolationDetail caps how many violations keep their full text; the
-// count is always exact.
-const maxViolationDetail = 16
-
 // Report is the outcome of one campaign.
 type Report struct {
 	Seed   int64
@@ -36,9 +27,8 @@ type Report struct {
 	Recoveries      int
 	Reconciliations int
 
-	// Invariant violations observed on the chaos day.
-	ViolationCount int
-	Violations     []string
+	// Invariant violations observed on either day.
+	Verdict
 
 	// Chaos-day vs reference-day outcomes.
 	Brownouts, RefBrownouts       int
@@ -51,13 +41,6 @@ type Report struct {
 	Converged bool
 }
 
-func (r *Report) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
-}
-
 // String is the one-line summary a failing test prints with the seed.
 func (r *Report) String() string {
 	return fmt.Sprintf("seed %d: %d events (%d kills, %d torn, %d partitions, %d sensor, %d hardware), %d recoveries, %d reconciled, %d violations, brownouts %d/%d ref, SoC %.4f/%.4f ref, converged %v",
@@ -66,41 +49,18 @@ func (r *Report) String() string {
 		r.EndSoC, r.RefEndSoC, r.Converged)
 }
 
-// newWorld assembles one prototype plant and its manager.
-func newWorld(cfg Config) (*sim.System, *core.Manager, error) {
+// newWorld assembles one prototype plant and its manager under a watch
+// that lands plan and reports into v.
+func newWorld(v *Verdict, plan faults.Plan) (*watch, error) {
 	scfg := sim.DefaultConfig(trace.FullSystemHigh())
-	scfg.BatteryCount = cfg.Batteries
-	scfg.ServerCount = cfg.Servers
+	scfg.BatteryCount = plantBatteries
+	scfg.ServerCount = plantServers
 	scfg.RecordEvery = time.Minute
 	sys, err := sim.New(scfg, sim.NewSeismicSink())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return sys, core.New(core.DefaultConfig(), cfg.Batteries), nil
-}
-
-// driveReference runs the uninterrupted twin: same plant, same hardware
-// fault plan, no kills, no partitions. Returns the run result and the
-// times brownouts began.
-func driveReference(sys *sim.System, mgr *core.Manager, plan faults.Plan) (sim.Result, []time.Duration) {
-	inj := faults.NewInjector(plan, faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
-	var brownTicks []time.Duration
-	seen := 0
-	sys.SetTickHook(func(tod time.Duration) {
-		inj.Tick(tod)
-		if b := sys.Brownouts(); b > seen {
-			seen = b
-			brownTicks = append(brownTicks, tod)
-		}
-	})
-	start, end := sys.Span()
-	step := time.Second
-	for tod := start; tod < end; tod += step {
-		sys.Tick(tod, mgr)
-	}
-	return sys.Finish(mgr), brownTicks
+	return newWatch(v, "", sys, core.New(core.DefaultConfig(), plantBatteries), plan, false), nil
 }
 
 // Run executes the campaign described by cfg and reports the outcome.
@@ -132,18 +92,25 @@ func Run(cfg Config) (*Report, error) {
 	}
 	faultPlan := faultPlanOf(plan)
 
-	// Reference day: hardware faults only.
-	refSys, refMgr, err := newWorld(cfg)
+	// Reference day, the uninterrupted twin: same plant, same hardware
+	// fault plan, no kills, no partitions.
+	ref, err := newWorld(&rep.Verdict, faultPlan)
 	if err != nil {
 		return nil, err
 	}
-	refRes, refBrown := driveReference(refSys, refMgr, faultPlan)
+	start, end := ref.sys.Span()
+	for tod := start; tod < end; tod += time.Second {
+		ref.sys.Tick(tod, ref.mgr)
+	}
+	ref.settle()
+	refRes := ref.sys.Finish(ref.mgr)
 
 	// Chaos day.
-	sys, mgr, err := newWorld(cfg)
+	w, err := newWorld(&rep.Verdict, faultPlan)
 	if err != nil {
 		return nil, err
 	}
+	sys, mgr := w.sys, w.mgr
 	reg := telemetry.NewRegistry()
 	mgr.AttachTelemetry(reg)
 	store, err := journal.Open(cfg.StateDir)
@@ -183,27 +150,11 @@ func Run(cfg Config) (*Report, error) {
 		cli.RetryBackoff = time.Millisecond
 	}
 
-	inj := faults.NewInjector(faultPlan, faults.Target{
-		Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-	})
-	var brownTicks []time.Duration
-	seenBrown := 0
-	sys.SetTickHook(func(tod time.Duration) {
-		inj.Tick(tod)
-		if b := sys.Brownouts(); b > seenBrown {
-			seenBrown = b
-			brownTicks = append(brownTicks, tod)
-		}
-		checkInvariants(rep, sys, tod)
-	})
-
 	period := mgr.Period()
 	var killTimes []time.Duration
 	healAt := time.Duration(-1)
 	next := 0
-	start, end := sys.Span()
-	step := time.Second
-	for tod := start; tod < end; tod += step {
+	for tod := start; tod < end; tod += time.Second {
 		if healAt >= 0 && tod >= healAt {
 			proxy.SetPartition(false)
 			healAt = -1
@@ -220,22 +171,10 @@ func Run(cfg Config) (*Report, error) {
 					}
 				}
 			case KillClean, KillTorn:
-				// The controller process dies: only the journal survives.
-				// The plant (sys) is physical and keeps running.
-				if err := store.Close(); err != nil {
-					return nil, err
-				}
-				if e.Kind == KillTorn {
-					if err := journal.TruncateTail(cfg.StateDir, tornTailBytes); err != nil {
-						return nil, err
-					}
-				}
-				mgr, store, err = core.Recover(core.DefaultConfig(), cfg.Batteries, cfg.StateDir)
+				mgr, store, err = restart(w, store, cfg.StateDir, e.Kind == KillTorn, core.DefaultConfig(), reg, tod)
 				if err != nil {
-					return nil, fmt.Errorf("chaos: recovery after %v at %v: %w", e.Kind, tod, err)
+					return nil, fmt.Errorf("chaos: %v: %w", e.Kind, err)
 				}
-				mgr.AttachTelemetry(reg)
-				mgr.Reconcile(sys, tod)
 				jm = core.NewJournaled(mgr, store)
 				jm.SnapshotEvery = 0
 				killTimes = append(killTimes, tod)
@@ -246,6 +185,7 @@ func Run(cfg Config) (*Report, error) {
 	if err := jm.Err(); err != nil {
 		return nil, fmt.Errorf("chaos: journal commit: %w", err)
 	}
+	w.settle()
 	res := sys.Finish(jm)
 
 	rep.Recoveries = mgr.Recoveries()
@@ -253,20 +193,20 @@ func Run(cfg Config) (*Report, error) {
 	rep.Brownouts = res.Brownouts
 	rep.RefBrownouts = refRes.Brownouts
 	rep.EndSoC = sys.Bank.MeanSoC()
-	rep.RefEndSoC = refSys.Bank.MeanSoC()
+	rep.RefEndSoC = ref.sys.Bank.MeanSoC()
 	rep.UptimeFrac = res.UptimeFrac
 	rep.RefUptimeFrac = refRes.UptimeFrac
 	rep.TrajectoryHash = hashFrames(sys.Recorder().Frames())
-	rep.RefTrajectory = hashFrames(refSys.Recorder().Frames())
+	rep.RefTrajectory = hashFrames(ref.sys.Recorder().Frames())
 
 	// No recovery-induced brownouts: a brownout inside a recovery window
 	// must have a counterpart in the reference day — the plant was going
 	// down anyway; recovery did not push it over.
-	for _, t := range brownTicks {
+	for _, t := range w.brownTicks {
 		if !inRecoveryWindow(t, killTimes, period) {
 			continue
 		}
-		if !nearAny(t, refBrown, 2*period) {
+		if !nearAny(t, ref.brownTicks, 2*period) {
 			rep.violate("brownout at %v inside a recovery window with no reference counterpart", t)
 		}
 	}
@@ -274,26 +214,6 @@ func Run(cfg Config) (*Report, error) {
 		math.Abs(rep.EndSoC-rep.RefEndSoC) <= 0.03 &&
 		math.Abs(rep.UptimeFrac-rep.RefUptimeFrac) <= 0.02
 	return rep, nil
-}
-
-// checkInvariants asserts the per-tick safety properties of the chaos day.
-func checkInvariants(rep *Report, sys *sim.System, tod time.Duration) {
-	f := sys.Fabric
-	for i := 0; i < f.Size(); i++ {
-		p := f.Pair(i)
-		if p.Charge.Closed() && p.Discharge.Closed() {
-			rep.violate("unit %d: charge and discharge contacts both closed at %v", i, tod)
-		}
-	}
-	if f.P2.Closed() && (f.P1.Closed() || f.P3.Closed()) {
-		rep.violate("series switch P2 closed alongside a parallel switch at %v", tod)
-	}
-	const eps = 1e-9
-	for i := 0; i < sys.Bank.Size(); i++ {
-		if soc := sys.Bank.Unit(i).SoC(); soc < -eps || soc > 1+eps {
-			rep.violate("unit %d: SoC %v out of bounds at %v", i, soc, tod)
-		}
-	}
 }
 
 // inRecoveryWindow reports whether t falls within two control periods
@@ -319,31 +239,4 @@ func nearAny(t time.Duration, set []time.Duration, tol time.Duration) bool {
 		}
 	}
 	return false
-}
-
-// hashFrames folds a recorded trajectory into an FNV-1a digest: tick time,
-// stored energy, running VMs, and every unit's SoC and relay mode. Two
-// campaigns agree on this hash only if the plant moved identically.
-func hashFrames(frames []sim.Frame) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	for _, f := range frames {
-		mix(uint64(f.At))
-		mix(math.Float64bits(float64(f.StoredWh)))
-		mix(uint64(f.RunningVM))
-		for i := range f.SoCs {
-			mix(math.Float64bits(f.SoCs[i]))
-			mix(uint64(f.Modes[i]))
-		}
-	}
-	return h
 }

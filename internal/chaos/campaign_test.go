@@ -75,6 +75,8 @@ func TestCampaignSmoke(t *testing.T) {
 	}
 	t.Log(rep)
 	assertClean(t, rep)
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x7831eb44fe8e660b)
+	pinHash(t, "reference", rep.RefTrajectory, 0x7831eb44fe8e660b)
 }
 
 // TestCampaignFieldbusAndReplay is the full acceptance campaign: 200+
@@ -98,6 +100,8 @@ func TestCampaignFieldbusAndReplay(t *testing.T) {
 	if rep.Events < 200 {
 		t.Errorf("seed %d: only %d events", cfg.Seed, rep.Events)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x6b7befcd149f927a)
+	pinHash(t, "reference", rep.RefTrajectory, 0xd29dc0793478d679)
 
 	cfg.StateDir = t.TempDir()
 	rep2, err := Run(cfg)
@@ -113,6 +117,16 @@ func TestCampaignFieldbusAndReplay(t *testing.T) {
 	if rep2.Recoveries != rep.Recoveries || rep2.Reconciliations != rep.Reconciliations {
 		t.Errorf("seed %d: rerun recovery path diverged: %d/%d recoveries, %d/%d reconciliations",
 			cfg.Seed, rep2.Recoveries, rep.Recoveries, rep2.Reconciliations, rep.Reconciliations)
+	}
+}
+
+// pinHash fails the test when a campaign's same-seed hash has moved. The
+// pinned values are the campaigns' recorded behaviour; a refactor of the
+// harness must leave every one of them unchanged.
+func pinHash(t *testing.T, what string, got, want uint64) {
+	t.Helper()
+	if got != want {
+		t.Errorf("%s hash %016x, pinned %016x", what, got, want)
 	}
 }
 

@@ -139,14 +139,6 @@ type Config struct {
 	Seed int64
 	// Events is how many chaos events the plan holds.
 	Events int
-	// From/To bound event times within the operating day. Events are
-	// spread over evenly-sized slots with jittered offsets, keeping
-	// consecutive events at least two control periods apart so every
-	// recovery has committed fresh state before the next hit.
-	From, To time.Duration
-	// Batteries and Servers size the plant.
-	Batteries int
-	Servers   int
 	// Remote routes the chaos run's control plane over Modbus TCP through
 	// a faults.FlakyProxy, which is what makes Partition events real.
 	// Without Remote the partition weight is folded into the kill kinds.
@@ -157,15 +149,17 @@ type Config struct {
 
 // DefaultConfig is a mid-sized campaign on the paper's prototype plant.
 func DefaultConfig(seed int64) Config {
-	return Config{
-		Seed:      seed,
-		Events:    60,
-		From:      8*time.Hour + 15*time.Minute,
-		To:        19*time.Hour + 15*time.Minute,
-		Batteries: 6,
-		Servers:   4,
-	}
+	return Config{Seed: seed, Events: 60}
 }
+
+// planFrom and planTo bound event times within the operating day. Events
+// are spread over evenly-sized slots with jittered offsets, keeping
+// consecutive events at least two control periods apart so every recovery
+// has committed fresh state before the next hit.
+const (
+	planFrom = 8*time.Hour + 15*time.Minute
+	planTo   = 19*time.Hour + 15*time.Minute
+)
 
 // minEventGap is the clearance kept on both sides of an event's slot, so
 // two consecutive events are always at least 2×minEventGap (= two 30 s
@@ -184,7 +178,7 @@ func Plan(cfg Config) ([]Event, error) {
 	if cfg.Events <= 0 {
 		return nil, fmt.Errorf("chaos: Events must be positive")
 	}
-	span := cfg.To - cfg.From
+	span := planTo - planFrom
 	stride := span / time.Duration(cfg.Events)
 	if stride < 3*minEventGap {
 		return nil, fmt.Errorf("chaos: %d events over %v leaves %v between events; need at least %v",
@@ -198,12 +192,12 @@ func Plan(cfg Config) ([]Event, error) {
 		// random stream layout never depends on earlier outcomes.
 		jit := time.Duration(rnd.Int63n(int64(stride - 2*minEventGap)))
 		roll := rnd.Float64()
-		unit := rnd.Intn(cfg.Batteries)
+		unit := rnd.Intn(plantBatteries)
 		mag := rnd.Float64()
 		durRoll := rnd.Int63n(int64(90 * time.Second))
 		sub := rnd.Intn(3)
 
-		e := Event{At: cfg.From + time.Duration(i)*stride + minEventGap + jit}
+		e := Event{At: planFrom + time.Duration(i)*stride + minEventGap + jit}
 		switch {
 		case roll < 0.30:
 			e.Kind = KillClean

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"fmt"
+	"reflect"
 	"time"
 
 	"insure/internal/battery"
@@ -40,8 +41,6 @@ type SiteLossConfig struct {
 	// every site plus surplus-driven migration and checkpoint shipping.
 	// Off, the fleet is N pre-federation plants riding the same weather.
 	Migration bool
-	// JobGB is the per-arrival batch dataset size at every site.
-	JobGB float64
 	// FailDay, when >= 0, additionally hard-kills the storm site on that
 	// day at 15h — storm damage turning into total site loss.
 	FailDay int
@@ -57,9 +56,8 @@ func DefaultSiteLossConfig(seed int64) SiteLossConfig {
 		Days:      3,
 		Sites:     3,
 		StormSite: 0,
-		Batteries: 6,
-		Servers:   4,
-		JobGB:     40,
+		Batteries: plantBatteries,
+		Servers:   plantServers,
 		FailDay:   -1,
 	}
 }
@@ -90,19 +88,11 @@ type SiteLossReport struct {
 	StormBacklogGB  float64
 	CompletedAwayGB float64
 
-	// TrajectoryHash folds every site's recorded frames across all days;
+	// TrajectoryHash chains every site's recorded frames across all days;
 	// two campaigns agree only if every plant moved identically.
 	TrajectoryHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *SiteLossReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	Verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -120,113 +110,204 @@ func sunnyDayTrace(seed int64, site, day int) *trace.Trace {
 	return trace.Synthesize(solar.Sunny, seed+1000*int64(site+1)+int64(day), time.Second)
 }
 
-// RunSiteLoss executes the federated storm campaign described by cfg.
-// Error returns are harness failures only; invariant breaks are reported
-// in the SiteLossReport so a test can print it with its seed.
-func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
-	if cfg.Days < 1 {
-		return nil, fmt.Errorf("chaos: site-loss campaign needs at least one day")
-	}
-	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("chaos: site-loss campaign needs at least two sites")
+// jobGB is the per-arrival batch dataset size at every fleet site.
+const jobGB = 40.0
+
+// stormFleet is the storm-over-one-site fixture the federated campaigns
+// share. Its banks, sinks, and managers live across days, exactly like the
+// storm campaign's single plant. The storm site starts mid-drought at the
+// dispatch floor; the others hold a working charge. The fixture builds each
+// day's configs, watches every site, chains the trajectory hash, and
+// audits the coordinator's books.
+type stormFleet struct {
+	cfg   SiteLossConfig
+	v     *Verdict
+	banks []*battery.Bank
+	sites []fleet.Site
+	mgrs  []*core.Manager
+
+	c       *fleet.Coordinator
+	fcfg    fleet.Config
+	watches []*watch // the current day's, one per site
+
+	// Plant outcomes summed over every site and day; deadLost is the part
+	// of vmsLost that died with a hard-failed site.
+	brownouts, vmsLost, vmsSaved, deadLost int
+	hash                                   uint64
+}
+
+// newStormFleet builds a fresh fixture for cfg; every build is identical.
+func newStormFleet(cfg SiteLossConfig, v *Verdict) (*stormFleet, error) {
+	if cfg.Days < 1 || cfg.Sites < 2 {
+		return nil, fmt.Errorf("chaos: a fleet storm needs at least one day and two sites, not %d and %d", cfg.Days, cfg.Sites)
 	}
 	if cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites {
 		return nil, fmt.Errorf("chaos: storm site %d outside the %d-site fleet", cfg.StormSite, cfg.Sites)
 	}
-
-	// Persistent per-site state: bank, sink, and manager live across days,
-	// exactly like the storm campaign's single plant. The storm site starts
-	// mid-drought at the dispatch floor; the others hold a working charge.
-	banks := make([]*battery.Bank, cfg.Sites)
-	sites := make([]fleet.Site, cfg.Sites)
-	mgrs := make([]*core.Manager, cfg.Sites)
-	for i := range sites {
-		soc := 0.50
+	f := &stormFleet{cfg: cfg, v: v}
+	for i := 0; i < cfg.Sites; i++ {
+		soc, arrivals := 0.50, []time.Duration{7 * time.Hour}
 		if i == cfg.StormSite {
-			soc = 0.30
+			soc, arrivals = 0.30, []time.Duration{7 * time.Hour, 13 * time.Hour}
 		}
 		bank, err := battery.NewBank(battery.DefaultParams(), cfg.Batteries, soc)
 		if err != nil {
 			return nil, err
 		}
-		banks[i] = bank
 		mcfg := core.DefaultConfig()
 		if cfg.Migration {
 			mcfg.Survival = core.DefaultSurvivalConfig()
 		}
-		mgrs[i] = core.New(mcfg, cfg.Batteries)
-		arrivals := []time.Duration{7 * time.Hour}
-		if i == cfg.StormSite {
-			arrivals = []time.Duration{7 * time.Hour, 13 * time.Hour}
-		}
-		sites[i] = fleet.Site{
+		mgr := core.New(mcfg, cfg.Batteries)
+		f.banks = append(f.banks, bank)
+		f.mgrs = append(f.mgrs, mgr)
+		f.sites = append(f.sites, fleet.Site{
 			Sink: &sim.BatchSink{
 				Queue:    workload.NewBatchQueue(workload.Seismic()),
 				Arrivals: arrivals,
-				JobGB:    cfg.JobGB,
+				JobGB:    jobGB,
 			},
-			Manager: mgrs[i],
+			Manager: mgr,
+		})
+	}
+	return f, nil
+}
+
+// coordinator federates the fixture's sites under fcfg, with the fixture's
+// migration switch and its per-day watches as the Prepare hook.
+func (f *stormFleet) coordinator(fcfg fleet.Config) (*fleet.Coordinator, error) {
+	fcfg.Migration = f.cfg.Migration
+	fcfg.Prepare = f.prepare
+	c, err := fleet.New(fcfg, f.sites)
+	f.c, f.fcfg = c, fcfg
+	return c, err
+}
+
+// dayConfigs is each site's sim config for day: storm weather over the
+// storm site, per-site sunny lanes elsewhere, banks carried across days.
+func (f *stormFleet) dayConfigs(day int) []sim.Config {
+	cfgs := make([]sim.Config, f.cfg.Sites)
+	for i := range cfgs {
+		tr := stormDayTrace(f.cfg.Seed, day)
+		if i != f.cfg.StormSite {
+			tr = sunnyDayTrace(f.cfg.Seed, i, day)
+		}
+		cfgs[i] = sim.DefaultConfig(tr)
+		cfgs[i].BatteryCount = f.cfg.Batteries
+		cfgs[i].ServerCount = f.cfg.Servers
+		cfgs[i].RecordEvery = time.Minute
+		cfgs[i].Bank = f.banks[i]
+	}
+	return cfgs
+}
+
+// watch installs site i's watch for day. The storm site takes the surge
+// faults; with migration armed, so is every site's survivability ladder —
+// the federated emergency contract is that no VM state is lost to a power
+// cut anywhere in the fleet.
+func (f *stormFleet) watch(day, i int, sys *sim.System) *watch {
+	var plan faults.Plan
+	if i == f.cfg.StormSite {
+		plan = stormDayFaults(day, f.cfg.Batteries)
+	}
+	return newWatch(f.v, fmt.Sprintf("day %d site %d: ", day, i), sys, f.mgrs[i], plan, f.cfg.Migration)
+}
+
+// prepare is the coordinator's per-day hook: it watches every site of the
+// day's fresh plants.
+func (f *stormFleet) prepare(day int, fl *sim.Fleet) {
+	f.watches = f.watches[:0]
+	for i := 0; i < fl.Size(); i++ {
+		f.watches = append(f.watches, f.watch(day, i, fl.System(i)))
+	}
+}
+
+// run drives the coordinator through every day, chaining each site's
+// trajectory day-major and calling after (when set) at each day boundary.
+func (f *stormFleet) run(after func(day int) error) error {
+	for day := 0; day < f.cfg.Days; day++ {
+		res, err := f.c.RunDay(f.dayConfigs(day))
+		if err != nil {
+			return err
+		}
+		dead := f.c.Report().Sites
+		for i, w := range f.watches {
+			f.brownouts += res[i].Brownouts
+			f.vmsLost += res[i].VMsLost
+			f.vmsSaved += res[i].VMsSaved
+			if dead[i].Dead {
+				// A hard-failed site crashes with its in-flight VMs by
+				// definition — that is the disposability bargain, not a
+				// survivability breach.
+				f.deadLost += res[i].VMsLost
+			} else {
+				w.settle()
+			}
+			f.hash = chain(f.hash, hashFrames(w.sys.Recorder().Frames()))
+		}
+		if after != nil {
+			if err := after(day); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
 
+// guard checks the exactly-once guard counters, zero by construction.
+func (f *stormFleet) guard(tot fleet.Totals) {
+	if tot.JobsDoubleRun != 0 {
+		f.v.violate("%d job IDs landed twice", tot.JobsDoubleRun)
+	}
+	if tot.SplitBrain != 0 {
+		f.v.violate("%d jobs entered a transfer while in flight or landed", tot.SplitBrain)
+	}
+}
+
+// audit reconciles after the storm: it closes the live coordinator, and a
+// fresh one recovered from the migration log alone, over a fresh fixture,
+// must agree with the live totals exactly — the log is the single source
+// of truth, and replaying it is idempotent.
+func (f *stormFleet) audit(tot fleet.Totals) error {
+	if err := f.c.Close(); err != nil {
+		return err
+	}
+	fresh, err := newStormFleet(f.cfg, f.v)
+	if err != nil {
+		return err
+	}
+	audit, err := fleet.New(fleet.Config{
+		Migration: f.cfg.Migration, WAN: f.fcfg.WAN, LogDir: f.fcfg.LogDir, LogFS: f.fcfg.LogFS,
+	}, fresh.sites)
+	if err != nil {
+		return err
+	}
+	defer audit.Close()
+	if got := audit.Totals(); !reflect.DeepEqual(got, tot) {
+		f.v.violate("log replay does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, tot)
+	}
+	return nil
+}
+
+// RunSiteLoss executes the federated storm campaign described by cfg.
+// Error returns are harness failures only; invariant breaks are reported
+// in the SiteLossReport so a test can print it with its seed.
+func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 	rep := &SiteLossReport{
 		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites,
 		StormSite: cfg.StormSite, Migration: cfg.Migration,
 	}
-	const fnvPrime = 1099511628211
-
-	// Per-site invariant cursors, reset per day where the plant resets.
-	prevMode := make([]core.OpMode, cfg.Sites)
-	lostSeen := make([]int, cfg.Sites)
-
-	var curFl *sim.Fleet
-	c, err := fleet.New(fleet.Config{
-		Migration: cfg.Migration,
-		LogDir:    cfg.LogDir,
+	f, err := newStormFleet(cfg, &rep.Verdict)
+	if err != nil {
+		return nil, err
+	}
+	c, err := f.coordinator(fleet.Config{
+		LogDir: cfg.LogDir,
 		// The ideal link never partitions, so the only missed heartbeats
 		// are a dead site's: a 1 h lease declares a site killed at 15h
 		// well before the day ends.
 		LeasePasses: 12,
-		Prepare: func(day int, fl *sim.Fleet) {
-			curFl = fl
-			for i := 0; i < cfg.Sites; i++ {
-				i := i
-				sys := fl.System(i)
-				var inj *faults.Injector
-				if i == cfg.StormSite {
-					inj = faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-						Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-					})
-				}
-				prevMode[i] = mgrs[i].Mode()
-				lostSeen[i] = 0 // fresh cluster each day
-				sys.SetTickHook(func(tod time.Duration) {
-					if inj != nil {
-						inj.Tick(tod)
-					}
-					// Ladder adjacency: every transition happens inside a
-					// control pass, so per-tick sampling observes each one.
-					if cur := mgrs[i].Mode(); cur != prevMode[i] {
-						if !core.LadderAdjacent(prevMode[i], cur) {
-							rep.violate("day %d site %d: illegal ladder move %s -> %s at %v",
-								day, i, prevMode[i], cur, tod)
-						}
-						prevMode[i] = cur
-					}
-					// The federated emergency contract: no VM state lost to a
-					// power cut anywhere in the fleet while migration (and with
-					// it the survivability ladder) is armed.
-					if cfg.Migration {
-						if l := sys.Cluster.VMsLost(); l > lostSeen[i] {
-							rep.violate("day %d site %d: %d VMs lost uncheckpointed at %v",
-								day, i, l-lostSeen[i], tod)
-							lostSeen[i] = l
-						}
-					}
-				})
-			}
-		},
-	}, sites)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -240,39 +321,11 @@ func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 			return nil, err
 		}
 	}
-
-	failedSiteLost := 0
-	for day := 0; day < cfg.Days; day++ {
-		cfgs := make([]sim.Config, cfg.Sites)
-		for i := range cfgs {
-			tr := stormDayTrace(cfg.Seed, day)
-			if i != cfg.StormSite {
-				tr = sunnyDayTrace(cfg.Seed, i, day)
-			}
-			scfg := sim.DefaultConfig(tr)
-			scfg.BatteryCount = cfg.Batteries
-			scfg.ServerCount = cfg.Servers
-			scfg.RecordEvery = time.Minute
-			scfg.Bank = banks[i]
-			cfgs[i] = scfg
-		}
-		res, err := c.RunDay(cfgs)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range res {
-			rep.Brownouts += r.Brownouts
-			rep.VMsLost += r.VMsLost
-			rep.VMsSaved += r.VMsSaved
-			if i == cfg.StormSite && day == cfg.FailDay {
-				// A hard-failed site crashes with its in-flight VMs by
-				// definition — that is the disposability bargain, not a
-				// survivability breach.
-				failedSiteLost += r.VMsLost
-			}
-			rep.TrajectoryHash = rep.TrajectoryHash*fnvPrime ^ hashFrames(curFl.System(i).Recorder().Frames())
-		}
+	if err := f.run(nil); err != nil {
+		return nil, err
 	}
+	rep.Brownouts, rep.VMsLost, rep.VMsSaved = f.brownouts, f.vmsLost, f.vmsSaved
+	rep.TrajectoryHash = f.hash
 
 	frep := c.Report()
 	rep.Migrations = frep.Totals.Migrations
@@ -287,11 +340,9 @@ func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 		}
 	}
 
-	if g := frep.Totals; g.JobsDoubleRun != 0 || g.SplitBrain != 0 {
-		rep.violate("exactly-once guards tripped: %d double-run, %d split-brain", g.JobsDoubleRun, g.SplitBrain)
-	}
+	f.guard(frep.Totals)
 	if cfg.Migration {
-		if lost := rep.VMsLost - failedSiteLost; lost > 0 {
+		if lost := rep.VMsLost - f.deadLost; lost > 0 {
 			rep.violate("federated storm lost %d VMs with migration armed", lost)
 		}
 		if rep.MigratedGB <= 0 {
@@ -306,12 +357,12 @@ func RunSiteLoss(cfg SiteLossConfig) (*SiteLossReport, error) {
 			// not the yardstick here (a bundle re-shipped under deadline
 			// pressure counts twice); the site's arrival total is. One
 			// in-progress tail job is allowed at cut-off.
-			arrivedGB := float64(cfg.Days) * 2 * cfg.JobGB
+			arrivedGB := float64(cfg.Days) * 2 * jobGB
 			stormLocalGB := 0.0
-			if p, ok := sites[cfg.StormSite].Sink.(interface{ ProcessedGB() float64 }); ok {
+			if p, ok := f.sites[cfg.StormSite].Sink.(interface{ ProcessedGB() float64 }); ok {
 				stormLocalGB = p.ProcessedGB()
 			}
-			if rep.CompletedAwayGB+stormLocalGB < arrivedGB-cfg.JobGB {
+			if rep.CompletedAwayGB+stormLocalGB < arrivedGB-jobGB {
 				rep.violate("only %.1f of %.1f arrived GB completed (%.1f away, %.1f locally)",
 					rep.CompletedAwayGB+stormLocalGB, arrivedGB, rep.CompletedAwayGB, stormLocalGB)
 			}

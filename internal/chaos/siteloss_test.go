@@ -33,6 +33,7 @@ func TestSiteLossMigrationHandsOffStorm(t *testing.T) {
 	if rep.CompletedAwayGB <= 0 {
 		t.Errorf("seed %d: surplus sites completed none of the migrated work", cfg.Seed)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x9cfbf5a2f0c20ab7)
 }
 
 // TestSiteLossBaselineRecordsDamage drives the identical fleet and weather
@@ -52,6 +53,7 @@ func TestSiteLossBaselineRecordsDamage(t *testing.T) {
 	if rep.Migrations != 0 || rep.MigratedGB != 0 {
 		t.Errorf("seed %d: migration-off fleet reported shipments: %v", cfg.Seed, rep)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x3bf378c27f591ff1)
 }
 
 // TestSiteLossDeterministic reruns the migration campaign with the same
@@ -74,6 +76,7 @@ func TestSiteLossDeterministic(t *testing.T) {
 	if a.String() != b.String() {
 		t.Errorf("seed %d: reports diverged:\n 1st: %v\n 2nd: %v", cfg.Seed, a, b)
 	}
+	pinHash(t, "trajectory", a.TrajectoryHash, 0x91dc09965bda686c)
 }
 
 // TestSiteLossHardFailure turns the storm into a total site loss on the
@@ -98,4 +101,5 @@ func TestSiteLossHardFailure(t *testing.T) {
 	if rep.MigratedGB <= 0 {
 		t.Errorf("seed %d: nothing migrated before the site died", cfg.Seed)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x92ef8071b5c1c9a2)
 }

@@ -58,8 +58,8 @@ func DefaultStormConfig(seed int64) StormConfig {
 	return StormConfig{
 		Seed:      seed,
 		Days:      3,
-		Batteries: 6,
-		Servers:   4,
+		Batteries: plantBatteries,
+		Servers:   plantServers,
 		KillDay:   -1,
 	}
 }
@@ -89,19 +89,11 @@ type StormReport struct {
 	GenFuelCost  float64
 	GenWastedKWh float64
 
-	// TrajectoryHash folds every day's recorded frames; two storms agree
+	// TrajectoryHash chains every day's recorded frames; two storms agree
 	// only if the plant moved identically through all days.
 	TrajectoryHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *StormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	Verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -230,7 +222,6 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 	}
 
 	rep := &StormReport{Seed: cfg.Seed, Days: cfg.Days, Survival: cfg.Survival}
-	const fnvPrime = 1099511628211
 	period := mgr.Period()
 	killed := false
 
@@ -246,58 +237,30 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 			return nil, err
 		}
 		sys.AttachTelemetry(reg)
-		inj := faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-			Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-		})
-		sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
+		// The emergency contract: with survivability on duty, no VM state
+		// is ever lost to a power cut.
+		w := newWatch(&rep.Verdict, fmt.Sprintf("day %d: ", day), sys, mgr,
+			stormDayFaults(day, cfg.Batteries), cfg.Survival)
 
 		start, end := sys.Span()
-		prevMode := mgr.Mode()
-		lostSeen := 0
 		killNext := false
 		for tod := start; tod < end; tod += time.Second {
 			if killNext && !killed {
 				// The controller process dies one second after committing a
-				// pass mid-emergency. Only the journal survives; the plant
-				// keeps running on physics.
+				// pass mid-emergency.
 				killNext = false
 				killed = true
-				modeBefore := mgr.Mode()
-				if err := store.Close(); err != nil {
-					return nil, err
+				died := mgr.Mode()
+				if mgr, store, err = restart(w, store, cfg.StateDir, false, mcfg, reg, tod); err != nil {
+					return nil, fmt.Errorf("chaos: storm day %d: %w", day, err)
 				}
-				m2, s2, err := core.Recover(mcfg, cfg.Batteries, cfg.StateDir)
-				if err != nil {
-					return nil, fmt.Errorf("chaos: storm recovery on day %d at %v: %w", day, tod, err)
+				if mgr.Mode() != died {
+					rep.violate("recovery landed in rung %s, controller died in %s", mgr.Mode(), died)
 				}
-				if m2.Mode() != modeBefore {
-					rep.violate("recovery landed in rung %s, controller died in %s", m2.Mode(), modeBefore)
-				}
-				m2.AttachTelemetry(reg)
-				m2.Reconcile(sys, tod)
-				mgr, store = m2, s2
 				drive = core.NewJournaled(mgr, store)
-				prevMode = mgr.Mode()
 			}
 
 			sys.Tick(tod, drive)
-
-			// Ladder adjacency: transitions only happen inside a control
-			// pass, so sampling every tick observes each one.
-			if cur := mgr.Mode(); cur != prevMode {
-				if !core.LadderAdjacent(prevMode, cur) {
-					rep.violate("day %d: illegal ladder move %s -> %s at %v", day, prevMode, cur, tod)
-				}
-				prevMode = cur
-			}
-			// The emergency contract: no VM state is ever lost to a power
-			// cut while the survivability layer is on duty.
-			if cfg.Survival {
-				if l := sys.Cluster.VMsLost(); l > lostSeen {
-					rep.violate("day %d: %d VMs lost uncheckpointed at %v", day, l-lostSeen, tod)
-					lostSeen = l
-				}
-			}
 
 			if kill && !killed && day == cfg.KillDay &&
 				mgr.Mode() >= core.ModeConservative && tod%period == 0 {
@@ -305,6 +268,7 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 			}
 		}
 
+		w.settle()
 		res := sys.Finish(drive)
 		if jm, ok := drive.(*core.JournaledManager); ok {
 			if err := jm.Err(); err != nil {
@@ -316,7 +280,7 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 		rep.VMsSaved += res.VMsSaved
 		rep.ProcessedGB += res.ProcessedGB
 		rep.MeanUptime += res.UptimeFrac / float64(cfg.Days)
-		rep.TrajectoryHash = rep.TrajectoryHash*fnvPrime ^ hashFrames(sys.Recorder().Frames())
+		rep.TrajectoryHash = chain(rep.TrajectoryHash, hashFrames(sys.Recorder().Frames()))
 	}
 
 	rep.ModeTransitions = mgr.ModeTransitions()

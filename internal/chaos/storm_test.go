@@ -36,6 +36,7 @@ func TestStormSurvivalClean(t *testing.T) {
 	if rep.GenStarts == 0 {
 		t.Errorf("seed %d: storm never dispatched the genset; deepen the trough", cfg.Seed)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x0f8a7d12cd3a1ccc)
 }
 
 // TestStormBaselineRecordsDamage drives the identical weather through the
@@ -58,6 +59,7 @@ func TestStormBaselineRecordsDamage(t *testing.T) {
 	if rep.ModeTransitions != 0 || rep.FinalMode != core.ModeNormal {
 		t.Errorf("seed %d: baseline storm reported ladder activity: %v", cfg.Seed, rep)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x6f8068753b91e4c5)
 }
 
 // TestStormKillMidEmergency hard-kills the journaled controller on the
@@ -82,4 +84,5 @@ func TestStormKillMidEmergency(t *testing.T) {
 	if rep.Recoveries != 1 {
 		t.Errorf("seed %d: %d recoveries, want exactly 1", cfg.Seed, rep.Recoveries)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x0f8a7d12cd3a1ccc)
 }

@@ -3,16 +3,11 @@ package chaos
 import (
 	"fmt"
 	"os"
-	"reflect"
 	"time"
 
-	"insure/internal/battery"
-	"insure/internal/core"
-	"insure/internal/faults"
 	"insure/internal/fleet"
 	"insure/internal/sim"
 	"insure/internal/wan"
-	"insure/internal/workload"
 )
 
 // The flaky-WAN storm campaign is the degraded-network federation's proving
@@ -43,36 +38,31 @@ type WANStormConfig struct {
 	// re-runs every site solo and demands byte-identity — the WAN and the
 	// failure detector may change only what the coordinator believes.
 	Migration bool
-	// JobGB is the per-arrival batch dataset size at every site.
-	JobGB float64
-	// DropRate/CorruptRate are the per-chunk-attempt loss probabilities
-	// (the acceptance bar is a combined rate >= 0.30).
-	DropRate    float64
-	CorruptRate float64
 	// Partitions are the scheduled uplink outages. Nil gets the default
 	// pair of six-hour cuts: a donor on day 0, the storm site itself on
 	// day 1 — mid-evacuation, with transfers in flight.
 	Partitions []wan.Outage
-	// LogDir, when set, holds the migration log; empty uses a private
-	// temporary directory (the log is required — reconciliation replays it).
-	LogDir string
 }
 
 // DefaultWANStormConfig is the acceptance campaign: three sites, a
-// three-day storm over site 0, 30% drops + 5% corruption, two 6-hour
-// partitions.
+// three-day storm over site 0, two 6-hour partitions.
 func DefaultWANStormConfig(seed int64) WANStormConfig {
 	return WANStormConfig{
 		Seed:      seed,
 		Days:      3,
 		Sites:     3,
 		StormSite: 0,
-		Batteries: 6,
-		Servers:   4,
-		JobGB:     40,
-		DropRate:  0.30, CorruptRate: 0.05,
+		Batteries: plantBatteries,
+		Servers:   plantServers,
 	}
 }
+
+// The storm-rate per-chunk-attempt loss probabilities every WAN storm
+// runs at (the acceptance bar is a combined rate >= 0.30).
+const (
+	wanStormDropRate    = 0.30
+	wanStormCorruptRate = 0.05
+)
 
 // defaultPartitions is the scheduled outage pair for an n-site fleet with
 // the storm over stormSite: six hours without a donor, then six hours with
@@ -112,18 +102,10 @@ type WANStormReport struct {
 	JobsDoubleRun int
 	SplitBrain    int
 
-	// TrajectoryHash folds every site's recorded frames across all days.
+	// TrajectoryHash chains every site's recorded frames across all days.
 	TrajectoryHash uint64
 
-	ViolationCount int
-	Violations     []string
-}
-
-func (r *WANStormReport) violate(format string, args ...any) {
-	r.ViolationCount++
-	if len(r.Violations) < maxViolationDetail {
-		r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
-	}
+	Verdict
 }
 
 // String is the one-line summary a failing test prints with the seed.
@@ -135,168 +117,48 @@ func (r *WANStormReport) String() string {
 		r.JobsDoubleRun, r.SplitBrain, r.ViolationCount)
 }
 
-// wanStormSites builds the persistent per-site fixture: banks, sinks, and
-// managers that live across days. Both the federated run and the solo
-// byte-identity rerun call this, so the two fleets start identical.
-func wanStormSites(cfg WANStormConfig) ([]*battery.Bank, []fleet.Site, []*core.Manager, error) {
-	banks := make([]*battery.Bank, cfg.Sites)
-	sites := make([]fleet.Site, cfg.Sites)
-	mgrs := make([]*core.Manager, cfg.Sites)
-	for i := range sites {
-		soc := 0.50
-		if i == cfg.StormSite {
-			soc = 0.30
-		}
-		bank, err := battery.NewBank(battery.DefaultParams(), cfg.Batteries, soc)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		banks[i] = bank
-		mcfg := core.DefaultConfig()
-		if cfg.Migration {
-			mcfg.Survival = core.DefaultSurvivalConfig()
-		}
-		mgrs[i] = core.New(mcfg, cfg.Batteries)
-		arrivals := []time.Duration{7 * time.Hour}
-		if i == cfg.StormSite {
-			arrivals = []time.Duration{7 * time.Hour, 13 * time.Hour}
-		}
-		sites[i] = fleet.Site{
-			Sink: &sim.BatchSink{
-				Queue:    workload.NewBatchQueue(workload.Seismic()),
-				Arrivals: arrivals,
-				JobGB:    cfg.JobGB,
-			},
-			Manager: mgrs[i],
-		}
-	}
-	return banks, sites, mgrs, nil
-}
-
-// wanStormDayConfig is the per-day sim config for site i: storm weather
-// over the storm site, per-site sunny lanes elsewhere, banks carried across
-// days.
-func wanStormDayConfig(cfg WANStormConfig, bank *battery.Bank, i, day int) sim.Config {
-	tr := stormDayTrace(cfg.Seed, day)
-	if i != cfg.StormSite {
-		tr = sunnyDayTrace(cfg.Seed, i, day)
-	}
-	scfg := sim.DefaultConfig(tr)
-	scfg.BatteryCount = cfg.Batteries
-	scfg.ServerCount = cfg.Servers
-	scfg.RecordEvery = time.Minute
-	scfg.Bank = bank
-	return scfg
-}
-
 // RunWANStorm executes the flaky-WAN federated storm campaign described by
 // cfg. Error returns are harness failures only; invariant breaks are
 // reported in the WANStormReport so a test can print it with its seed.
 func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
-	if cfg.Days < 1 {
-		return nil, fmt.Errorf("chaos: wan-storm campaign needs at least one day")
+	rep := &WANStormReport{
+		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, Migration: cfg.Migration,
 	}
-	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("chaos: wan-storm campaign needs at least two sites")
-	}
-	if cfg.StormSite < 0 || cfg.StormSite >= cfg.Sites {
-		return nil, fmt.Errorf("chaos: storm site %d outside the %d-site fleet", cfg.StormSite, cfg.Sites)
+	f, err := newStormFleet(SiteLossConfig{
+		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, StormSite: cfg.StormSite,
+		Batteries: cfg.Batteries, Servers: cfg.Servers, Migration: cfg.Migration,
+	}, &rep.Verdict)
+	if err != nil {
+		return nil, err
 	}
 	partitions := cfg.Partitions
 	if partitions == nil {
 		partitions = defaultPartitions(cfg.StormSite, cfg.Sites)
 	}
-	logDir := cfg.LogDir
-	if logDir == "" {
-		dir, err := os.MkdirTemp("", "insure-wanstorm-*")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		logDir = dir
+	// The migration log is required: reconciliation replays it.
+	logDir, err := os.MkdirTemp("", "insure-wanstorm-*")
+	if err != nil {
+		return nil, err
 	}
+	defer os.RemoveAll(logDir)
 
 	net, err := wan.New(wan.Config{
 		Seed: cfg.Seed, Sites: cfg.Sites,
-		DropRate: cfg.DropRate, CorruptRate: cfg.CorruptRate,
+		DropRate: wanStormDropRate, CorruptRate: wanStormCorruptRate,
 		Outages: partitions,
 	})
 	if err != nil {
 		return nil, err
 	}
-
-	banks, sites, mgrs, err := wanStormSites(cfg)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &WANStormReport{
-		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, Migration: cfg.Migration,
-	}
-	const fnvPrime = 1099511628211
-
-	prevMode := make([]core.OpMode, cfg.Sites)
-	lostSeen := make([]int, cfg.Sites)
-	var curFl *sim.Fleet
-	c, err := fleet.New(fleet.Config{
-		Migration: cfg.Migration,
-		WAN:       net,
-		LogDir:    logDir,
-		Prepare: func(day int, fl *sim.Fleet) {
-			curFl = fl
-			for i := 0; i < cfg.Sites; i++ {
-				i := i
-				sys := fl.System(i)
-				var inj *faults.Injector
-				if i == cfg.StormSite {
-					inj = faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-						Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-					})
-				}
-				prevMode[i] = mgrs[i].Mode()
-				lostSeen[i] = 0 // fresh cluster each day
-				sys.SetTickHook(func(tod time.Duration) {
-					if inj != nil {
-						inj.Tick(tod)
-					}
-					if cur := mgrs[i].Mode(); cur != prevMode[i] {
-						if !core.LadderAdjacent(prevMode[i], cur) {
-							rep.violate("day %d site %d: illegal ladder move %s -> %s at %v",
-								day, i, prevMode[i], cur, tod)
-						}
-						prevMode[i] = cur
-					}
-					if cfg.Migration {
-						if l := sys.Cluster.VMsLost(); l > lostSeen[i] {
-							rep.violate("day %d site %d: %d VMs lost uncheckpointed at %v",
-								day, i, l-lostSeen[i], tod)
-							lostSeen[i] = l
-						}
-					}
-				})
-			}
-		},
-	}, sites)
+	c, err := f.coordinator(fleet.Config{WAN: net, LogDir: logDir})
 	if err != nil {
 		return nil, err
 	}
 	defer c.Close()
-
-	for day := 0; day < cfg.Days; day++ {
-		cfgs := make([]sim.Config, cfg.Sites)
-		for i := range cfgs {
-			cfgs[i] = wanStormDayConfig(cfg, banks[i], i, day)
-		}
-		res, err := c.RunDay(cfgs)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range res {
-			rep.Brownouts += r.Brownouts
-			rep.VMsLost += r.VMsLost
-			rep.TrajectoryHash = rep.TrajectoryHash*fnvPrime ^ hashFrames(curFl.System(i).Recorder().Frames())
-		}
+	if err := f.run(nil); err != nil {
+		return nil, err
 	}
+	rep.Brownouts, rep.VMsLost, rep.TrajectoryHash = f.brownouts, f.vmsLost, f.hash
 
 	frep := c.Report()
 	tot := frep.Totals
@@ -313,13 +175,7 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 
 	// --- Invariants ------------------------------------------------------
 
-	// Guard counters are zero by construction; any value is a breach.
-	if tot.JobsDoubleRun != 0 {
-		rep.violate("%d job IDs landed twice", tot.JobsDoubleRun)
-	}
-	if tot.SplitBrain != 0 {
-		rep.violate("%d jobs entered a transfer while in flight or landed", tot.SplitBrain)
-	}
+	f.guard(tot)
 	// No partition here outlasts the 8-hour lease: a declared death would
 	// mean the detector confused a partition with a loss — split-brain's
 	// front door.
@@ -391,87 +247,58 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 		if rep.JobsLanded == 0 {
 			rep.violate("no migrated job ever landed across the lossy WAN")
 		}
-		if cfg.DropRate > 0 && rep.ChunkDrops == 0 {
-			rep.violate("%.0f%% drop rate produced zero chunk drops", 100*cfg.DropRate)
+		if rep.ChunkDrops == 0 {
+			rep.violate("%.0f%% drop rate produced zero chunk drops", 100*wanStormDropRate)
 		}
 		if rep.ChunkDrops+rep.ChunkCorrupt > 0 && rep.RetransmitGB <= 0 {
 			rep.violate("chunk losses produced zero retransmitted bytes")
 		}
 	}
 
-	// Reconcile after heal: a fresh coordinator recovered from the log
-	// alone must agree with the live one exactly — the log is the single
-	// source of truth, and replaying it is idempotent.
-	if err := c.Close(); err != nil {
+	if err := f.audit(tot); err != nil {
 		return nil, err
-	}
-	_, auditSites, _, err := wanStormSites(cfg)
-	if err != nil {
-		return nil, err
-	}
-	audit, err := fleet.New(fleet.Config{Migration: cfg.Migration, WAN: net, LogDir: logDir}, auditSites)
-	if err != nil {
-		return nil, err
-	}
-	defer audit.Close()
-	if got := audit.Totals(); !reflect.DeepEqual(got, tot) {
-		rep.violate("log replay does not reconcile with live totals:\n replay: %+v\n   live: %+v", got, tot)
 	}
 
 	// With migration off the coordinator is a pure observer: re-run every
 	// site solo on the same fixture and demand bit-identical trajectories.
 	if !cfg.Migration {
-		soloHash, err := wanStormSoloHash(cfg)
+		solo, err := f.soloHash()
 		if err != nil {
 			return nil, err
 		}
-		if soloHash != rep.TrajectoryHash {
+		if solo != rep.TrajectoryHash {
 			rep.violate("WAN observer fleet diverged from solo runs: %#x != %#x",
-				rep.TrajectoryHash, soloHash)
+				rep.TrajectoryHash, solo)
 		}
 	}
 	return rep, nil
 }
 
-// wanStormSoloHash runs every site of the campaign fixture alone — no
-// coordinator, no WAN — and folds the same trajectory hash RunWANStorm
-// computes, in the same site-major order.
-func wanStormSoloHash(cfg WANStormConfig) (uint64, error) {
-	banks, sites, mgrs, err := wanStormSites(cfg)
+// soloHash runs every site of a fresh copy of the fixture alone — no
+// coordinator, no WAN — and chains the same trajectory hash the federated
+// run does. Sites share nothing, so running them day-major is running them
+// alone. The watches land the storm site's surges; their verdict repeats
+// the federated run's, whose plants must be these, so it is dropped.
+func (f *stormFleet) soloHash() (uint64, error) {
+	solo, err := newStormFleet(f.cfg, new(Verdict))
 	if err != nil {
 		return 0, err
 	}
-	const fnvPrime = 1099511628211
 	var hash uint64
-	perDay := make([][]uint64, cfg.Days)
-	for d := range perDay {
-		perDay[d] = make([]uint64, cfg.Sites)
-	}
-	for i := 0; i < cfg.Sites; i++ {
-		for day := 0; day < cfg.Days; day++ {
+	for day := 0; day < f.cfg.Days; day++ {
+		for i, scfg := range solo.dayConfigs(day) {
 			if day > 0 {
-				if r, ok := sites[i].Sink.(interface{ Rollover() }); ok {
+				if r, ok := solo.sites[i].Sink.(interface{ Rollover() }); ok {
 					r.Rollover()
 				}
 			}
-			scfg := wanStormDayConfig(cfg, banks[i], i, day)
-			sys, err := sim.New(scfg, sites[i].Sink)
+			sys, err := sim.New(scfg, solo.sites[i].Sink)
 			if err != nil {
 				return 0, err
 			}
-			if i == cfg.StormSite {
-				inj := faults.NewInjector(stormDayFaults(day, cfg.Batteries), faults.Target{
-					Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes,
-				})
-				sys.SetTickHook(func(tod time.Duration) { inj.Tick(tod) })
-			}
-			sys.Run(mgrs[i])
-			perDay[day][i] = hashFrames(sys.Recorder().Frames())
-		}
-	}
-	for day := 0; day < cfg.Days; day++ {
-		for i := 0; i < cfg.Sites; i++ {
-			hash = hash*fnvPrime ^ perDay[day][i]
+			solo.watch(day, i, sys)
+			sys.Run(solo.mgrs[i])
+			hash = chain(hash, hashFrames(sys.Recorder().Frames()))
 		}
 	}
 	return hash, nil

@@ -31,6 +31,7 @@ func TestWANStormExactlyOnce(t *testing.T) {
 	if rep.Heals < 2 {
 		t.Fatalf("two partitions must produce two heals: %s", rep)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x1be9c8a23bfbfa19)
 }
 
 // TestWANStormRerunIsBitIdentical reruns the acceptance campaign with the
@@ -78,6 +79,7 @@ func TestWANStormObserverIsByteIdentical(t *testing.T) {
 	if rep.JobsMoved != 0 || rep.MigratedGB != 0 {
 		t.Fatalf("observer campaign migrated work: %s", rep)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x4733356da42cd6e9)
 }
 
 // TestWANStormPartitionOutlastingLeaseIsDeath pins the other side of the
@@ -107,6 +109,7 @@ func TestWANStormPartitionOutlastingLeaseIsDeath(t *testing.T) {
 	if rep.JobsDoubleRun != 0 || rep.SplitBrain != 0 {
 		t.Fatalf("guards tripped across a lease expiry: %s", rep)
 	}
+	pinHash(t, "trajectory", rep.TrajectoryHash, 0x460ae6aec31855b2)
 }
 
 func joinViolations(vs []string) string {
