@@ -94,18 +94,23 @@ race-fleet:
 	$(GO) test -race -count=1 -run 'TestSiteLoss' -v ./internal/chaos
 
 # smoke-gateway runs the serving-plane gates: admission/ladder/deadline
-# unit tests plus a single-site load replay through the insure-gateway
-# entry point (seeded; exits nonzero on any admitted-then-dropped
-# request).
+# unit tests, the allocation-free steady-state Offer/Advance churn, the
+# exactness of the memoized admission reads (MeanSoC over a faulted day and
+# a fieldbus image, the forecast's cached discount, and every State answer
+# of the two-day admission golden), plus a single-site load replay through
+# the insure-gateway entry point (seeded; exits nonzero on any
+# admitted-then-dropped request).
 smoke-gateway:
-	$(GO) test -count=1 -run 'TestLadderSheddingByClass|TestRetriageOnMidFlightDowngrade|TestModeChurnNeverDropsAdmitted|TestLoadTestSmoke' ./internal/gateway
+	$(GO) test -count=1 -run 'TestLadderSheddingByClass|TestRetriageOnMidFlightDowngrade|TestModeChurnNeverDropsAdmitted|TestLoadTestSmoke|TestOfferAdvanceAllocFree|TestOfferOutcomesGolden|TestMeanSoCMemoExact|TestConservativePredictCacheExact' ./internal/gateway ./internal/core ./internal/forecast
 	$(GO) run ./cmd/insure-gateway -loadtest -loadtest-sites 1 -loadtest-qps 5
 
 # race-gateway runs the full gateway suite — concurrent admits against a
 # ticking simulated plant, HTTP handlers, and the load harness — under
 # the race detector, plus the insure-gateway daemon, whose lockedPlant
 # serializes admission reads against the tick loop, and the sensor
-# channels, whose Value writes its decode cache on those reads.
+# channels, whose Value writes its decode cache on those reads. Those
+# reads write two more caches: the manager's MeanSoC memo and the
+# forecast estimator's cached discount.
 race-gateway:
 	$(GO) test -race -count=1 ./internal/gateway ./cmd/insure-gateway ./internal/sensor
 

@@ -14,6 +14,7 @@ import (
 	"insure/internal/experiments"
 	"insure/internal/gateway"
 	"insure/internal/sim"
+	"insure/internal/solar"
 	"insure/internal/trace"
 )
 
@@ -99,6 +100,7 @@ func writeBenchJSON(path string, workers, scalingCells int) error {
 	fmt.Fprintln(os.Stderr, "benchmarking simulation hot path...")
 	rep.Benchmarks = append(rep.Benchmarks,
 		record("system_tick", testing.Benchmark(benchSystemTick)),
+		record("gateway_offer", testing.Benchmark(benchGatewayOffer)),
 		record("plc_scan", testing.Benchmark(benchPLCScan)),
 		record("full_day_insure", testing.Benchmark(benchFullDay)),
 	)
@@ -227,6 +229,50 @@ func benchSystemTick(b *testing.B) {
 			sys.Recorder().Reset()
 		}
 		sys.Tick(tod, mgr)
+	}
+}
+
+// benchGatewayOffer times one admission in the steady state: Offer on a
+// survival-armed SimPlant frozen at 9 h of a drained sunny day, where the
+// ladder holds Conservative and best-effort requests shed by mode with a
+// retry-after walk. Every 40 offers, one simulated second at the serving
+// workload's rate, a PLC scan moves the plant's readings and Advance
+// refills the bucket and dispatches the queue; both are amortized into
+// the per-Offer time.
+func benchGatewayOffer(b *testing.B) {
+	cfg := sim.DefaultConfig(trace.Synthesize(solar.Sunny, 2015, time.Second))
+	cfg.InitialSoC = 0.3
+	sys, err := sim.New(cfg, sim.NewSeismicSink())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := core.DefaultConfig()
+	mc.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mc, cfg.BatteryCount)
+	lo, _ := sys.Span()
+	tod := lo
+	for ; tod < 9*time.Hour; tod += cfg.Step {
+		sys.Tick(tod, mgr)
+	}
+	gc := gateway.DefaultConfig()
+	gc.BaseQPS = 15
+	gw := gateway.New(gc, gateway.SimPlant{Sys: sys, Mgr: mgr})
+	const perSecond = 40
+	// The load harness's mix: per 10 arrivals, 1 critical, 6 standard and
+	// 3 best-effort.
+	classes := [10]gateway.Class{
+		gateway.Critical, gateway.Standard, gateway.Standard, gateway.BestEffort, gateway.Standard,
+		gateway.Standard, gateway.BestEffort, gateway.Standard, gateway.Standard, gateway.BestEffort,
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%perSecond == 0 {
+			tod += cfg.Step
+			sys.PLC.ScanNow()
+			gw.Advance(tod)
+		}
+		gw.Offer(tod, classes[i%len(classes)])
 	}
 }
 

@@ -121,37 +121,21 @@ func main() {
 	gw.AttachTelemetry(reg)
 
 	// The sim clock, readable from every HTTP goroutine.
-	var clock atomic.Int64
 	lo, hi := sys.Span()
-	clock.Store(int64(lo))
-	now := func() time.Duration { return time.Duration(clock.Load()) }
+	sc := &simClock{sys: sys, mgr: mgr, plant: plant, gw: gw, reg: reg, tod: lo, hi: hi, step: scfg.Step}
+	sc.served.Store(int64(lo))
+	now := func() time.Duration { return time.Duration(sc.served.Load()) }
 
-	// Tick loop: advance the plant at accel× wall speed. Lock order is
-	// gateway.mu → plant.mu (Advance and Admit take the gateway lock, then
-	// read the plant), so the plant lock is released before Advance.
+	// Tick loop: advance the simulation at accel× wall speed.
 	go func() {
-		step := scfg.Step
-		tod := lo
 		wall := time.NewTicker(100 * time.Millisecond)
 		defer wall.Stop()
 		var due float64
 		for range wall.C {
 			due += *accel * 0.1
-			for due >= step.Seconds() {
-				due -= step.Seconds()
-				if tod >= hi {
-					continue
-				}
-				plant.mu.Lock()
-				sys.Tick(tod, mgr)
-				plant.mu.Unlock()
-				tod += step
-				gw.Advance(tod)
-				clock.Store(int64(tod))
-				reg.SetClock(tod)
-				if tod >= hi {
-					log.Printf("simulated day complete at %v; plant state frozen, still serving", tod)
-				}
+			for due >= sc.step.Seconds() {
+				due -= sc.step.Seconds()
+				sc.advance()
 			}
 		}
 	}()
@@ -220,6 +204,42 @@ func serveGateway(ctx context.Context, ln net.Listener, handler http.Handler, gw
 		return err
 	}
 	return nil
+}
+
+// simClock is the daemon's simulated clock. It ticks the plant through its
+// day, then keeps the gateway and the served clock moving on the frozen
+// plant, so the token bucket still refills and queued tickets are still
+// dispatched, expired or shed after the day ends.
+type simClock struct {
+	sys   *sim.System
+	mgr   *core.Manager
+	plant *lockedPlant
+	gw    *gateway.Gateway
+	reg   *telemetry.Registry
+
+	tod, hi, step time.Duration
+	// served is the clock admissions stamp requests with, read from every
+	// HTTP goroutine.
+	served atomic.Int64
+}
+
+// advance moves the simulation one step. Lock order is gateway.mu →
+// plant.mu (Advance and Admit take the gateway lock, then read the plant),
+// so the plant lock is released before Advance.
+func (c *simClock) advance() {
+	ticked := c.tod < c.hi
+	if ticked {
+		c.plant.mu.Lock()
+		c.sys.Tick(c.tod, c.mgr)
+		c.plant.mu.Unlock()
+	}
+	c.tod += c.step
+	c.gw.Advance(c.tod)
+	c.served.Store(int64(c.tod))
+	c.reg.SetClock(c.tod)
+	if ticked && c.tod >= c.hi {
+		log.Printf("simulated day complete at %v; plant state frozen, still serving", c.tod)
+	}
 }
 
 // lockedPlant serialises plant reads against the tick loop: the simulated

@@ -13,6 +13,7 @@ import (
 	"insure/internal/gateway"
 	"insure/internal/sim"
 	"insure/internal/solar"
+	"insure/internal/telemetry"
 	"insure/internal/trace"
 )
 
@@ -109,8 +110,10 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 
 // TestLockedPlantSerializesReads reads the plant through lockedPlant from
 // several goroutines, as concurrent admissions do, while the tick loop
-// advances it under the same lock. Reads write the sensor channels' decode
-// caches, so under -race this fails if any read path skips the lock.
+// advances it under the same lock. Reads write three caches: the sensor
+// channels' decodes, the manager's MeanSoC memo and the forecast
+// estimator's cached discount. Under -race this fails if any read path
+// skips the lock.
 func TestLockedPlantSerializesReads(t *testing.T) {
 	scfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 1, time.Second))
 	sys, err := sim.New(scfg, sim.NewSeismicSink())
@@ -154,4 +157,57 @@ func TestLockedPlantSerializesReads(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestServingContinuesPastDayEnd steps the daemon's clock across the end of
+// the simulated day. The plant freezes there, but the gateway keeps time: a
+// ticket queued after the day ends must still resolve, and the queue must
+// empty.
+func TestServingContinuesPastDayEnd(t *testing.T) {
+	scfg := sim.DefaultConfig(trace.Synthesize(solar.Sunny, 1, time.Second))
+	sys, err := sim.New(scfg, sim.NewSeismicSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := core.DefaultConfig()
+	mcfg.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mcfg, scfg.BatteryCount)
+	plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
+	gcfg := gateway.DefaultConfig()
+	gcfg.BaseQPS = 5
+	gw := gateway.New(gcfg, plant)
+
+	_, hi := sys.Span()
+	sc := &simClock{sys: sys, mgr: mgr, plant: plant, gw: gw, reg: telemetry.NewRegistry(),
+		tod: hi - 3*scfg.Step, hi: hi, step: scfg.Step}
+	for i := 0; i < 5; i++ {
+		sc.advance()
+	}
+	now := time.Duration(sc.served.Load())
+
+	// Spend the token bucket, then queue one request.
+	var ticket *gateway.Ticket
+	for i := 0; ticket == nil && i < 100; i++ {
+		out, tk := gw.Admit(now, gateway.Critical)
+		if out.Decision == gateway.Shed {
+			t.Fatalf("request %d shed (%v) before the queue filled", i, out.Reason)
+		}
+		ticket = tk
+	}
+	if ticket == nil {
+		t.Fatal("no request queued")
+	}
+	for i := 0; i < 10; i++ {
+		sc.advance()
+		select {
+		case out := <-ticket.C:
+			if d := gw.Stats().QueueDepth; d != 0 {
+				t.Fatalf("ticket resolved %v but queue depth is %d", out.Decision, d)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatalf("ticket queued at %v (day end %v) still unresolved at %v; queue depth %d",
+		now, hi, time.Duration(sc.served.Load()), gw.Stats().QueueDepth)
 }

@@ -122,6 +122,7 @@ func (m *Manager) quarantine(sys *sim.System, now time.Duration, i int, reason s
 		return
 	}
 	m.watch.quarantined[i] = true
+	m.soc = socMemo{}
 	m.groups[i] = GroupOffline
 	m.commissioned[i] = false
 	if m.tel != nil {

@@ -177,6 +177,8 @@ type Manager struct {
 	// watch is the fault-detection state (faultwatch.go): quarantine flags,
 	// per-unit screen counters, and the quarantine event log.
 	watch faultWatch
+	// soc memoizes MeanSoC (outlook.go).
+	soc socMemo
 
 	// tel, when set by AttachTelemetry, mirrors the counters above into the
 	// live registry (telemetry.go).

@@ -7,32 +7,38 @@ import (
 )
 
 // This file is the manager's external energy-outlook surface: the small,
-// read-only view of the plant's live energy state that consumers outside
-// the control loop steer by. The fleet coordinator samples pieces of it to
-// pick migration donors; the serving gateway (internal/gateway) admits
-// interactive requests against it. Everything here reads the same
-// transduced estimates the controller itself plans with, so an admission
-// decision and a ladder decision can never disagree about what the plant
-// knows.
+// read-only view of the plant's live energy state that the serving gateway
+// (internal/gateway) admits interactive requests against. Everything here
+// reads the same transduced estimates the controller itself plans with, so
+// an admission decision and a ladder decision can never disagree about what
+// the plant knows. (The fleet coordinator ranks sites by the per-unit
+// EstimatedSoC and Mode directly, once per pass.)
 
-// Outlook is a point-in-time summary of the plant's energy state.
-type Outlook struct {
-	// Mode is the survivability rung (ModeNormal when the ladder is off).
-	Mode OpMode
-	// SoC is the mean transduced state of charge over the non-quarantined
-	// units — the same aggregate the ladder's thresholds test.
-	SoC float64
-	// SupplyW is the conservative renewable supply forecast for right now.
-	SupplyW float64
-	// DemandW is the cluster's present draw.
-	DemandW float64
+// socMemo is MeanSoC's last answer: mean, computed on plant sys at its
+// readings generation gen. A nil sys means there is none. The mean reads
+// only the probes' register codes, which move only with the generation,
+// and the quarantine flags, whose two writers (quarantine and RestoreState)
+// drop the memo; the battery parameters it also reads are configuration.
+type socMemo struct {
+	sys  *sim.System
+	gen  uint64
+	mean float64
 }
 
 // MeanSoC returns the mean transduced SoC over the bank's non-quarantined
 // units. This is the ladder's own aggregate (surviveEvaluate computes the
 // identical mean), exported so admission control outside the control loop
 // shares the controller's view of the buffer.
+//
+// Admission reads it once per request, many times per tick, so the answer
+// is memoized on (sys, sys.ReadingsGen()) and is bit-identical to
+// recomputing it. The memo is written on read: readers need the same
+// serialization as the tick.
 func (m *Manager) MeanSoC(sys *sim.System) float64 {
+	gen := sys.ReadingsGen()
+	if m.soc.sys == sys && m.soc.gen == gen {
+		return m.soc.mean
+	}
 	var sum float64
 	n := 0
 	for i := range m.groups {
@@ -42,10 +48,12 @@ func (m *Manager) MeanSoC(sys *sim.System) float64 {
 		sum += estSoC(sys, i)
 		n++
 	}
-	if n == 0 {
-		return 0
+	mean := 0.0
+	if n > 0 {
+		mean = sum / float64(n)
 	}
-	return sum / float64(n)
+	m.soc = socMemo{sys: sys, gen: gen, mean: mean}
+	return mean
 }
 
 // ForecastSupplyW is the conservative renewable supply forecast at sim time
@@ -58,14 +66,4 @@ func (m *Manager) ForecastSupplyW(sys *sim.System, at time.Duration) float64 {
 		return float64(m.fc.ConservativePredict(at, 1))
 	}
 	return 0.75 * float64(sys.SolarNow())
-}
-
-// Outlook assembles the full energy picture at now.
-func (m *Manager) Outlook(sys *sim.System, now time.Duration) Outlook {
-	return Outlook{
-		Mode:    m.Mode(),
-		SoC:     m.MeanSoC(sys),
-		SupplyW: m.ForecastSupplyW(sys, now),
-		DemandW: float64(sys.Cluster.Power()),
-	}
 }

@@ -197,6 +197,7 @@ func (m *Manager) RestoreState(d *journal.Decoder) error {
 	for i := range m.watch.quarantined {
 		m.watch.quarantined[i] = d.Bool()
 	}
+	m.soc = socMemo{}
 	for i := range m.watch.prevSoC {
 		m.watch.prevSoC[i] = d.F64()
 	}

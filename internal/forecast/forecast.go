@@ -29,6 +29,13 @@ type Estimator struct {
 	ratio    float64 // smoothed observed/clear-sky ratio
 	haveObs  bool
 	variance float64 // smoothed squared deviation of the ratio
+
+	// disc is ConservativePredict's discount max(0.1, ratio − discK·σ),
+	// valid while discOK. It depends only on ratio, variance and k, so
+	// Observe and Restore, their only writers, drop it.
+	disc   float64
+	discK  float64
+	discOK bool
 }
 
 // NewEstimator returns an estimator for the given installed capacity.
@@ -43,6 +50,7 @@ func (e *Estimator) clearSky(tod time.Duration) units.Watt {
 
 // Observe feeds one measurement taken at time-of-day tod over interval dt.
 func (e *Estimator) Observe(tod time.Duration, observed units.Watt, dt time.Duration) {
+	e.discOK = false
 	cs := e.clearSky(tod)
 	if cs < 20 {
 		return // dawn/dusk readings carry no sky information
@@ -85,7 +93,14 @@ func (e *Estimator) PredictWindow(from, horizon time.Duration) units.WattHour {
 // ConservativePredict discounts the forecast by k standard deviations of
 // the observed ratio, floored at a 10% ratio. Lookahead planners use this
 // to avoid committing load against an unstable sky.
+//
+// Planners and the serving gateway's retry hints walk it over many times
+// of day between two observations, so the discount is cached for the last
+// k. The cache is written on read: readers need the same serialization as
+// Observe.
 func (e *Estimator) ConservativePredict(tod time.Duration, k float64) units.Watt {
-	r := math.Max(0.1, e.ratio-k*e.Uncertainty())
-	return units.Watt(float64(e.clearSky(tod)) * r)
+	if !e.discOK || e.discK != k {
+		e.disc, e.discK, e.discOK = math.Max(0.1, e.ratio-k*e.Uncertainty()), k, true
+	}
+	return units.Watt(float64(e.clearSky(tod)) * e.disc)
 }

@@ -120,3 +120,43 @@ func TestForecastSkillOnSyntheticDay(t *testing.T) {
 			errModel/count, errNaive/count)
 	}
 }
+
+// TestConservativePredictCacheExact proves the cached discount exact: after
+// every Observe and every Restore over a cloudy day, ConservativePredict at
+// k 1 and 2 must equal, bit for bit, what a fresh estimator restored to the
+// same State predicts. Each check ends on k 1, so the first read after the
+// next write asks for the k the cache holds.
+func TestConservativePredictCacheExact(t *testing.T) {
+	tr := trace.Synthesize(solar.Cloudy, 2015, time.Second)
+	e := NewEstimator(1520)
+	check := func(what string, tod time.Duration) {
+		t.Helper()
+		fresh := NewEstimator(e.Capacity)
+		fresh.Restore(e.State())
+		for _, k := range []float64{1, 2, 1} {
+			for _, at := range []time.Duration{tod, tod + 5*time.Minute, tod + 2*time.Hour} {
+				got, want := e.ConservativePredict(at, k), fresh.ConservativePredict(at, k)
+				if math.Float64bits(float64(got)) != math.Float64bits(float64(want)) {
+					t.Fatalf("after %s at %v: ConservativePredict(%v, %v) = %v, fresh estimator says %v",
+						what, tod, at, k, got, want)
+				}
+			}
+		}
+	}
+	const period = 30 * time.Second
+	var saved []EstimatorState
+	restores := 0
+	for tod := solar.Sunrise - time.Hour; tod < solar.Sunset+time.Hour; tod += period {
+		e.Observe(tod, tr.At(tod), period)
+		check("Observe", tod)
+		saved = append(saved, e.State())
+		if n := len(saved); n%40 == 0 {
+			e.Restore(saved[n-25])
+			check("Restore", tod)
+			restores++
+		}
+	}
+	if restores == 0 || e.Uncertainty() == 0 {
+		t.Fatalf("%d restores, uncertainty %v: the day exercised nothing", restores, e.Uncertainty())
+	}
+}

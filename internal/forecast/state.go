@@ -16,6 +16,7 @@ func (e *Estimator) State() EstimatorState {
 
 // Restore overwrites the estimator's learned state.
 func (e *Estimator) Restore(st EstimatorState) {
+	e.discOK = false
 	e.ratio = st.Ratio
 	e.haveObs = st.HaveObs
 	e.variance = st.Variance

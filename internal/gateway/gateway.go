@@ -361,20 +361,22 @@ type pending struct {
 	resolved bool
 }
 
-// fifo is a head-indexed queue of pending requests.
+// fifo is a head-indexed queue of pending requests, held by value so that
+// queueing a request allocates nothing once the backing array has grown to
+// the queue's working depth.
 type fifo struct {
-	q    []*pending
+	q    []pending
 	head int
 }
 
 func (f *fifo) len() int { return len(f.q) - f.head }
 func (f *fifo) front() *pending {
-	return f.q[f.head]
+	return &f.q[f.head]
 }
-func (f *fifo) push(p *pending) { f.q = append(f.q, p) }
-func (f *fifo) pop() *pending {
+func (f *fifo) push(p pending) { f.q = append(f.q, p) }
+func (f *fifo) pop() pending {
 	p := f.q[f.head]
-	f.q[f.head] = nil
+	f.q[f.head] = pending{}
 	f.head++
 	if f.head > 64 && f.head*2 >= len(f.q) {
 		n := copy(f.q, f.q[f.head:])
@@ -549,7 +551,7 @@ func (g *Gateway) retriage(now time.Duration, st State) {
 			if retry == 0 {
 				retry = g.retryAfter(now)
 			}
-			g.shedPending(p, now, st, ShedRetriage, retry)
+			g.shedPending(&p, now, st, ShedRetriage, retry)
 		}
 	}
 }
@@ -562,7 +564,7 @@ func (g *Gateway) expire(now time.Duration, st State) {
 		q := &g.queues[c]
 		for q.len() > 0 && q.front().deadline < now {
 			p := q.pop()
-			g.shedPending(p, now, st, ShedDeadline, g.drainEstimate(g.aheadOf(p.class), g.capacityQPS(st)))
+			g.shedPending(&p, now, st, ShedDeadline, g.drainEstimate(g.aheadOf(p.class), g.capacityQPS(st)))
 		}
 	}
 }
@@ -578,7 +580,7 @@ func (g *Gateway) dispatch(now time.Duration, st State) {
 		for q.len() > 0 && g.tokens >= 1 {
 			p := q.pop()
 			g.tokens--
-			g.serve(p, now, st, now-p.arrived)
+			g.serve(&p, now, st, now-p.arrived)
 		}
 	}
 }
@@ -600,11 +602,11 @@ func (g *Gateway) aheadOf(c Class) int {
 func (g *Gateway) Admit(now time.Duration, class Class) (Outcome, *Ticket) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	out, p := g.admit(now, class, true)
-	if p == nil {
+	out, ch := g.admit(now, class, true)
+	if ch == nil {
 		return out, nil
 	}
-	return out, &Ticket{C: p.ch}
+	return out, &Ticket{C: ch}
 }
 
 // Offer is Admit without a ticket: queued requests resolve internally
@@ -617,7 +619,9 @@ func (g *Gateway) Offer(now time.Duration, class Class) Outcome {
 	return out
 }
 
-func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome, *pending) {
+// admit decides one request. A ticketed request that queues gets its
+// outcome channel, which admit returns; every other request gets nil.
+func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome, chan Outcome) {
 	if now < g.now {
 		// Clock discipline: arrivals never move time backwards; a racing
 		// admit between ticks stamps at the gateway clock.
@@ -639,9 +643,8 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	// priority is already waiting (FIFO fairness within the class).
 	if g.tokens >= 1 && g.aheadOf(class) == 0 {
 		g.tokens--
-		p := &pending{class: class, arrived: now}
-		out := g.serve(p, now, st, 0)
-		return out, nil
+		p := pending{class: class, arrived: now}
+		return g.serve(&p, now, st, 0), nil
 	}
 
 	// Deadline-aware queueing: refuse up front what cannot possibly start
@@ -653,7 +656,7 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 		return g.shedNow(class, now, st, ShedCapacity, g.drainEstimate(ahead, rate)), nil
 	}
 
-	p := &pending{class: class, arrived: now, deadline: now + pol.Deadline}
+	p := pending{class: class, arrived: now, deadline: now + pol.Deadline}
 	if ticketed {
 		p.ch = make(chan Outcome, 1)
 	}
@@ -664,7 +667,7 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 		g.tel.queued[class].Inc()
 		g.tel.queueDepth.Set(float64(g.stats.QueueDepth))
 	}
-	return Outcome{Decision: Queued, Class: class, Mode: st.Mode, SoC: st.SoC}, p
+	return Outcome{Decision: Queued, Class: class, Mode: st.Mode, SoC: st.SoC}, p.ch
 }
 
 // serve admits p and completes its service: accounting, energy metering,
@@ -787,7 +790,8 @@ func (g *Gateway) Drain(now time.Duration) {
 	for c := Class(0); c < NumClasses; c++ {
 		q := &g.queues[c]
 		for q.len() > 0 {
-			g.shedPending(q.pop(), now, st, ShedDrain, g.retryAfter(now))
+			p := q.pop()
+			g.shedPending(&p, now, st, ShedDrain, g.retryAfter(now))
 		}
 	}
 }

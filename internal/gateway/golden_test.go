@@ -3,8 +3,41 @@ package gateway
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"testing"
+	"time"
+
+	"insure/internal/core"
 )
+
+// exactPlant is SimPlant with every State answer checked against a live
+// recomputation that bypasses the memo: the manager's mode, and the
+// index-order mean of EstimatedSoC over the units Quarantined leaves in,
+// equal bit for bit.
+type exactPlant struct {
+	SimPlant
+	t *testing.T
+}
+
+func (p exactPlant) State(now time.Duration) State {
+	st := p.SimPlant.State(now)
+	var sum float64
+	n := 0
+	for i, q := range p.Mgr.Quarantined() {
+		if !q {
+			sum += core.EstimatedSoC(p.Sys, i)
+			n++
+		}
+	}
+	soc := 0.0
+	if n > 0 {
+		soc = sum / float64(n)
+	}
+	if st.Mode != p.Mgr.Mode() || math.Float64bits(st.SoC) != math.Float64bits(soc) {
+		p.t.Fatalf("State(%v) = %+v, recomputed mode %v SoC %v", now, st, p.Mgr.Mode(), soc)
+	}
+	return st
+}
 
 // TestOfferOutcomesGolden pins admission bit for bit over live plants: the
 // load harness's sunny and storm days (DefaultLoadConfig(2015), two sites
@@ -19,6 +52,9 @@ import (
 // lane. Outcomes are folded per lane as runs of equal values — requests of
 // one class at one site within a tick mostly share an outcome — which
 // keeps every outcome in the hash at a fraction of the formatting cost.
+//
+// The same replay proves the plant reads' memo exact: every State answer
+// goes through exactPlant.
 func TestOfferOutcomesGolden(t *testing.T) {
 	if raceEnabled {
 		// One goroutine replays two full days of 40 req/s; under the race
@@ -41,7 +77,7 @@ func TestOfferOutcomesGolden(t *testing.T) {
 		}
 		gws := make([]*Gateway, cfg.Sites)
 		for i := range gws {
-			gws[i] = New(cfg.Gateway, SimPlant{Sys: fl.System(i), Mgr: mgrs[i]})
+			gws[i] = New(cfg.Gateway, exactPlant{SimPlant: SimPlant{Sys: fl.System(i), Mgr: mgrs[i]}, t: t})
 		}
 		var last [lanes]Outcome
 		var runs [lanes]int

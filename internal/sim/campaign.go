@@ -35,9 +35,10 @@ type CampaignRun struct {
 // Each run is deterministic in isolation, so the positional result slice is
 // byte-for-byte identical to running the campaign serially — the paper's
 // paired-trace methodology (§5) depends on that. A run that panics is
-// converted into an error carrying the run name and stack; the first error
-// (in input order) cancels the campaign and is returned after every cell
-// has either finished or been marked cancelled. On error the partial
+// converted into an error carrying the run name and stack; a failed run
+// stops the runs after it, and the first error in input order is returned
+// after every cell has either finished or been marked cancelled. On error
+// the partial
 // results are discarded — the caller gets (nil, err), never a mix of real
 // and zero Results.
 func RunCampaign(ctx context.Context, workers int, runs []CampaignRun) ([]Result, error) {

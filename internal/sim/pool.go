@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // This file is the campaign execution engine: a work-stealing scheduler
@@ -32,9 +33,11 @@ import (
 //     waiting — its own first, then stolen ones — so nesting can never
 //     deadlock the pool and never idles the submitting worker.
 //   - Determinism: every cell writes only its own positional slot, the
-//     first error in INPUT order wins, and a cancelled batch records the
-//     context error for every cell that had not started. Scheduling order
-//     affects wall-clock only, never results.
+//     first error in INPUT order wins, and a failure stops only the cells
+//     after it in input order, so every cell before the first failure runs
+//     whatever the schedule. A cancelled batch records the context error
+//     for every cell that had not started. Scheduling order affects
+//     wall-clock only, never results.
 
 // poolCtxKey carries the (pool, worker) identity of the goroutine executing
 // a cell, so nested RunCells calls join the enclosing pool instead of
@@ -64,11 +67,13 @@ type pool struct {
 // and a positional error slate.
 type batch struct {
 	ctx       context.Context
-	cancel    context.CancelFunc
 	fn        CellFunc
 	errs      []error
 	remaining int // guarded by pool.mu
-	failed    bool
+	// failAt is the lowest index of a failed cell, n while none has failed.
+	// Cells after it that have not started record the cancellation instead
+	// of running.
+	failAt atomic.Int64
 }
 
 type cell struct {
@@ -86,11 +91,12 @@ type cell struct {
 // while waiting, and idle siblings steal them — and the workers argument is
 // ignored.
 //
-// The first cell error (or panic, converted to an error with its stack)
-// cancels the batch context; cells that have not started by then record the
-// cancellation instead of running, while in-flight cells finish normally.
-// RunCells returns only after every cell has either run or been marked
-// cancelled, so no work is left dangling.
+// A cell error (or panic, converted to an error with its stack) stops the
+// cells after it in input order: those that have not started record
+// context.Canceled instead of running, while in-flight cells finish
+// normally. Cells before it still run, so the error returned is the same
+// whatever the schedule. RunCells returns only after every cell has either
+// run or been marked cancelled, so no work is left dangling.
 func RunCells(ctx context.Context, workers, n int, fn CellFunc) error {
 	if n <= 0 {
 		return nil
@@ -183,17 +189,26 @@ func (p *pool) grab(w int) (cell, bool) {
 // exec runs one cell on worker w and retires it against its batch.
 func (p *pool) exec(w int, c cell) {
 	err := p.runCell(w, c.b, c.idx)
+	if err != nil {
+		c.b.fail(c.idx)
+	}
 	p.mu.Lock()
 	c.b.errs[c.idx] = err
-	if err != nil && !c.b.failed {
-		c.b.failed = true
-		c.b.cancel()
-	}
 	c.b.remaining--
 	if c.b.remaining == 0 {
 		p.cond.Broadcast()
 	}
 	p.mu.Unlock()
+}
+
+// fail lowers b.failAt to i if no earlier cell has failed.
+func (b *batch) fail(i int) {
+	for {
+		at := b.failAt.Load()
+		if int64(i) >= at || b.failAt.CompareAndSwap(at, int64(i)) {
+			return
+		}
+	}
 }
 
 // runCell executes cell i of b on worker w, converting a panic into an
@@ -203,6 +218,11 @@ func (p *pool) runCell(w int, b *batch, i int) (err error) {
 		// Cancelled before starting: record the discard deterministically
 		// without running the cell.
 		return cerr
+	}
+	if int64(i) > b.failAt.Load() {
+		// An earlier cell failed: its error is the batch's, whatever this
+		// one would have returned.
+		return context.Canceled
 	}
 	defer func() {
 		if r := recover(); r != nil {
@@ -216,9 +236,8 @@ func (p *pool) runCell(w int, b *batch, i int) (err error) {
 // runBatch submits n cells from worker w and helps execute until the batch
 // drains, then reports the first error in input order.
 func (p *pool) runBatch(ctx context.Context, w, n int, fn CellFunc) error {
-	bctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	b := &batch{ctx: bctx, cancel: cancel, fn: fn, errs: make([]error, n), remaining: n}
+	b := &batch{ctx: ctx, fn: fn, errs: make([]error, n), remaining: n}
+	b.failAt.Store(int64(n))
 
 	p.mu.Lock()
 	d := p.deques[w]
@@ -242,11 +261,11 @@ func (p *pool) runBatch(ctx context.Context, w, n int, fn CellFunc) error {
 	}
 	p.mu.Unlock()
 
-	// Report the root cause, not its fallout: a failing cell cancels the
-	// batch, and under work-stealing the cells it prevented from starting
-	// can sit at LOWER indices than the failure (thieves drain the deque
-	// from the opposite end to its owner). Cancellation markers therefore
-	// lose to real errors; among real errors, first input index wins.
+	// Report the root cause, not its fallout: cells a failure or a
+	// cancelled context prevented from starting record cancellation
+	// markers, which lose to real errors; among real errors, first input
+	// index wins. Every cell before the first failure ran, so that is the
+	// same cell under any schedule.
 	var firstCancel error
 	for _, err := range b.errs {
 		if err == nil {

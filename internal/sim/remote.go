@@ -114,4 +114,5 @@ func (s *System) pollImage() {
 		p.Volt.SetRaw(codes[plc.InputVolt(i)])
 		p.Current.SetRaw(codes[plc.InputCurrent(i)])
 	}
+	s.installs++
 }

@@ -157,9 +157,11 @@ type System struct {
 	remoteServer remoteCloser
 	// The fieldbus process image (remote.go): imageFresh reports that the
 	// probes hold the panel's unit codes as of PLC scan imageScan, fetched
-	// (or found unreachable) within the current control pass.
+	// (or found unreachable) within the current control pass. installs
+	// counts the images installed in the probes, for ReadingsGen.
 	imageFresh bool
 	imageScan  int64
+	installs   uint64
 	// modeCoils is SetUnitModes' relay command image: 2n coils.
 	modeCoils []bool
 
@@ -423,6 +425,19 @@ func (s *System) UnitReading(i int) (units.Volt, units.Amp) {
 		s.pollImage()
 	}
 	return s.Probes[i].Readings()
+}
+
+// ReadingsGen is the readings generation: a counter that moves whenever
+// UnitReading's answers can change, which is on every PLC scan (the probes
+// sample) and every fieldbus image install (the probes take the panel's
+// codes). Over a remote control plane it first refreshes a stale image
+// exactly as the first UnitReading of a pass does, so a caller that keys a
+// memo on it sees the codes UnitReading would, at the same Modbus cost.
+func (s *System) ReadingsGen() uint64 {
+	if s.remote != nil {
+		s.pollImage()
+	}
+	return uint64(s.PLC.Scans()) + s.installs
 }
 
 // InWindow reports whether tod is inside the operating day.
