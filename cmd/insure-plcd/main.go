@@ -28,7 +28,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -38,123 +37,38 @@ import (
 	"insure/internal/modbus"
 	"insure/internal/plc"
 	"insure/internal/relay"
-	"insure/internal/sensor"
 	"insure/internal/telemetry"
 	"insure/internal/units"
 )
 
-// panel is the assembled plant plus its observability plane. It is built by
-// newPanel and advanced by tick; main only adds the Modbus listener, the
-// fault injector, and the real-time loop, so tests can drive the identical
-// wiring at simulated speed.
+// panel is the control panel (plc.Panel) plus the daemon's observability
+// plane. It is built by newPanel and advanced by tick; main only adds the
+// Modbus listener, the fault injector, and the real-time loop, so tests can
+// drive the identical wiring at simulated speed.
 type panel struct {
-	n             int
-	solarW, loadW units.Watt
-	bank          *battery.Bank
-	fabric        *relay.Fabric
-	probes        []*sensor.BatteryProbe
-	controller    *plc.PLC
-	reg           *telemetry.Registry
-	socGauges     []*telemetry.Gauge
-	tputGauges    []*telemetry.Gauge
-	relayCycles   *telemetry.Gauge
-	failedRelays  *telemetry.Gauge
-
-	// The PLC scan's process images, moved under one register lock each.
-	scanInputs []uint16 // 2n unit voltage/current codes
-	scanSystem []uint16 // solar and load power codes
-	scanCoils  []bool   // 2n charge/discharge relay coils
+	*plc.Panel
+	reg          *telemetry.Registry
+	failedRelays *telemetry.Gauge
 }
 
 // newPanel wires the plant and registers its telemetry. The plant loop
 // publishes into the registry with atomic stores, so the HTTP goroutines
 // never race with the physics.
 func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
-	if n > plc.MaxUnits {
-		return nil, fmt.Errorf("-units %d exceeds the PLC register map's %d", n, plc.MaxUnits)
-	}
 	bank, err := battery.NewBank(battery.DefaultParams(), n, soc)
 	if err != nil {
 		return nil, err
 	}
-	p := &panel{
-		n:      n,
-		solarW: units.Watt(solarW),
-		loadW:  units.Watt(loadW),
-		bank:   bank,
-		fabric: relay.NewFabric(n),
-		probes: make([]*sensor.BatteryProbe, n),
-
-		scanInputs: make([]uint16, 2*n),
-		scanSystem: make([]uint16, 2),
-		scanCoils:  make([]bool, 2*n),
+	pp, err := plc.NewPanel(bank)
+	if err != nil {
+		return nil, err
 	}
-	for i := range p.probes {
-		p.probes[i] = sensor.NewBatteryProbe(i)
-	}
-
-	p.controller = plc.New(n)
-	p.controller.Sample = func(r *plc.RegisterFile) {
-		for i, u := range p.bank.Units() {
-			pr := p.probes[i]
-			pr.Sample(u.TerminalVoltage(), u.LastCurrent())
-			p.scanInputs[plc.InputVolt(i)] = pr.Volt.Raw()
-			p.scanInputs[plc.InputCurrent(i)] = pr.Current.Raw()
-		}
-		_ = r.SetInputs(plc.InputVoltBase, p.scanInputs)
-		p.scanSystem[0] = plc.PowerCode(p.solarW)
-		p.scanSystem[1] = plc.PowerCode(p.loadW)
-		_ = r.SetInputs(plc.InputSolarPower, p.scanSystem)
-	}
-	p.controller.Actuate = func(r *plc.RegisterFile) {
-		if r.CoilsInto(p.scanCoils, plc.CoilChargeBase) != nil {
-			return
-		}
-		for i := 0; i < n; i++ {
-			cr, dr := p.scanCoils[plc.CoilCharge(i)], p.scanCoils[plc.CoilDischarge(i)]
-			pair := p.fabric.Pair(i)
-			switch {
-			case cr && dr:
-				pair.SetMode(relay.Open) // interlock
-			case cr:
-				pair.SetMode(relay.Charging)
-			case dr:
-				pair.SetMode(relay.Discharging)
-			default:
-				pair.SetMode(relay.Open)
-			}
-		}
-	}
-
-	reg := telemetry.NewRegistry()
-	p.reg = reg
-	p.socGauges = make([]*telemetry.Gauge, n)
-	p.tputGauges = make([]*telemetry.Gauge, n)
-	for i := range p.socGauges {
-		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(i)}
-		p.socGauges[i] = reg.Gauge("insure_battery_soc",
-			"State of charge of one battery unit (0-1).", lbl)
-		p.tputGauges[i] = reg.Gauge("insure_battery_throughput_ah",
-			"Cumulative wear-weighted discharge throughput of one battery unit, amp-hours.", lbl)
-	}
-	p.relayCycles = reg.Gauge("insure_relay_cycles",
-		"Total mechanical switching cycles consumed across the relay fabric.")
-	p.failedRelays = reg.Gauge("insure_relay_failed",
+	p := &panel{Panel: pp, reg: telemetry.NewRegistry()}
+	p.SolarPower, p.LoadPower = units.Watt(solarW), units.Watt(loadW)
+	p.AttachTelemetry(p.reg)
+	p.failedRelays = p.reg.Gauge("insure_relay_failed",
 		"Relay pairs with an injected or detected hardware fault.")
-	scanHist := reg.Histogram("insure_plc_scan_duration_seconds",
-		"Wall-clock duration of one PLC scan cycle.", telemetry.DefTimeBuckets)
-	settleHist := reg.Histogram("insure_relay_settle_seconds",
-		"Time between a relay coil command and the contact settling.", telemetry.DefTimeBuckets)
-	p.controller.OnScan = func(d time.Duration) { scanHist.Observe(d.Seconds()) }
-	onSettle := func(w time.Duration) { settleHist.Observe(w.Seconds()) }
-	for i := 0; i < n; i++ {
-		p.fabric.Pair(i).Charge.OnSettle = onSettle
-		p.fabric.Pair(i).Discharge.OnSettle = onSettle
-	}
-	p.fabric.P1.OnSettle = onSettle
-	p.fabric.P2.OnSettle = onSettle
-	p.fabric.P3.OnSettle = onSettle
-	reg.AddHealthCheck("relay-fabric", func() error {
+	p.reg.AddHealthCheck("relay-fabric", func() error {
 		if f := p.failedRelays.Value(); f > 0 {
 			return fmt.Errorf("%.0f relay pairs faulted", f)
 		}
@@ -166,29 +80,25 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 // tick advances the plant by dt at time-since-start elapsed and publishes
 // the cycle's telemetry.
 func (p *panel) tick(dt, elapsed time.Duration) {
-	charging := p.fabric.UnitsIn(relay.Charging)
-	discharging := p.fabric.UnitsIn(relay.Discharging)
-	p.bank.ChargeSet(charging, p.solarW, dt)
-	p.bank.DischargeSet(discharging, p.loadW, dt)
-	for _, i := range p.fabric.UnitsIn(relay.Open) {
-		p.bank.Unit(i).Rest(dt)
+	charging := p.Fabric.UnitsIn(relay.Charging)
+	discharging := p.Fabric.UnitsIn(relay.Discharging)
+	p.Bank.ChargeSet(charging, p.SolarPower, dt)
+	p.Bank.DischargeSet(discharging, p.LoadPower, dt)
+	for _, i := range p.Fabric.UnitsIn(relay.Open) {
+		p.Bank.Unit(i).Rest(dt)
 	}
-	p.fabric.Tick(dt)
-	p.controller.Tick(dt)
+	p.Fabric.Tick(dt)
+	p.PLC.Tick(dt)
 
 	p.reg.SetClock(elapsed)
-	p.relayCycles.Set(float64(p.fabric.TotalCycles()))
+	p.Publish()
 	failed := 0
-	for i := 0; i < p.n; i++ {
-		if p.fabric.Pair(i).Failed() {
+	for i := 0; i < p.Fabric.Size(); i++ {
+		if p.Fabric.Pair(i).Failed() {
 			failed++
 		}
 	}
 	p.failedRelays.Set(float64(failed))
-	for i, u := range p.bank.Units() {
-		p.socGauges[i].Set(u.SoC())
-		p.tputGauges[i].Set(float64(u.Throughput()))
-	}
 }
 
 func main() {
@@ -208,6 +118,9 @@ func main() {
 	flag.Parse()
 
 	faultPlan, err := faults.Parse(*faultSpec)
+	if err == nil {
+		err = faultPlan.CheckUnits(*n)
+	}
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -234,12 +147,12 @@ func main() {
 		}
 		if restored {
 			resumeAt = elapsed
-			p.controller.ScanNow() // re-drive the fabric from restored coils
+			p.PLC.ScanNow() // re-drive the fabric from restored coils
 			fmt.Printf("resumed panel state from %s (elapsed %v)\n", *stateDir, elapsed)
 		}
 	}
 
-	srv := modbus.NewServer(p.controller.Regs)
+	srv := modbus.NewServer(p.PLC.Regs)
 	srv.Logf = log.Printf
 	srv.SessionTimeout = *sessionTimeout
 	srv.RegisterTelemetry(p.reg)
@@ -268,12 +181,7 @@ func main() {
 		fmt.Printf("pprof on http://%s/debug/pprof/\n", daddr)
 	}
 
-	injector := faults.NewInjector(faultPlan, faults.Target{
-		Bank:   p.bank,
-		Fabric: p.fabric,
-		Probes: p.probes,
-		Panel:  srv,
-	})
+	injector := faults.NewInjector(faultPlan, faults.Target{Panel: p.Panel, Server: srv})
 	injector.Logf = log.Printf
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -2,13 +2,18 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
 	"insure/internal/plc"
 	"insure/internal/relay"
+	"insure/internal/sim"
+	"insure/internal/telemetry"
 	"insure/internal/telemetry/promtest"
+	"insure/internal/trace"
 )
 
 // TestPanelMetricsEndpoint drives the daemon's exact wiring at simulated
@@ -23,7 +28,7 @@ func TestPanelMetricsEndpoint(t *testing.T) {
 
 	// Command unit 0 to charge so the relay fabric switches and the settle
 	// histogram sees at least one observation.
-	if err := p.controller.Regs.WriteCoil(plc.CoilCharge(0), true); err != nil {
+	if err := p.PLC.Regs.WriteCoil(plc.CoilCharge(0), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
@@ -107,7 +112,7 @@ func TestPanelHealthz(t *testing.T) {
 		t.Fatalf("healthy panel: code=%d body=%v", code, body)
 	}
 
-	p.fabric.Pair(1).Charge.Fail(relay.FailWeldClosed)
+	p.Fabric.Pair(1).Charge.Fail(relay.FailWeldClosed)
 	p.tick(time.Second, 2*time.Second)
 
 	code, body = get()
@@ -116,87 +121,59 @@ func TestPanelHealthz(t *testing.T) {
 	}
 }
 
-// TestPanelPowerCodesClamped drives out-of-range -solar/-load flag values
-// through the panel's scan: the power registers must read the clamped
-// whole-watt code, never a wrapped or implementation-defined conversion.
-func TestPanelPowerCodesClamped(t *testing.T) {
-	for _, tc := range []struct {
-		w    float64
-		want uint16
-	}{
-		{-5, 0},
-		{0, 0},
-		{70000, 65535},
+// TestPanelHelpMatchesSimulator checks that the daemon and the simulator
+// describe the one control panel alike: the HELP and TYPE lines of the five
+// panel instruments, scraped from insure-plcd's panel and from a simulated
+// plant, are byte-identical.
+func TestPanelHelpMatchesSimulator(t *testing.T) {
+	p, err := newPanel(2, 0.5, 400, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sim.New(sim.DefaultConfig(trace.FullSystemHigh()), sim.NewSeismicSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	simReg := telemetry.NewRegistry()
+	sys.AttachTelemetry(simReg)
+
+	daemon, simulated := scrapeMeta(t, p.reg), scrapeMeta(t, simReg)
+	for _, name := range []string{
+		"insure_battery_soc",
+		"insure_battery_throughput_ah",
+		"insure_relay_cycles",
+		"insure_plc_scan_duration_seconds",
+		"insure_relay_settle_seconds",
 	} {
-		p, err := newPanel(2, 0.5, tc.w, tc.w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p.controller.ScanNow()
-		got, err := p.controller.Regs.ReadInput(plc.InputSolarPower, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[0] != tc.want || got[1] != tc.want {
-			t.Errorf("%v W: solar/load registers = %v, want %d", tc.w, got, tc.want)
+		if daemon[name] == "" || daemon[name] != simulated[name] {
+			t.Errorf("%s:\ninsure-plcd:\n%ssimulator:\n%s", name, daemon[name], simulated[name])
 		}
 	}
 }
 
-// TestPanelScanBlockImages checks the panel's scan moves whole images: the
-// relay fabric follows every unit's coil pair (with the double-closed
-// interlock), the unit codes match the probes, and the scan allocates
-// nothing.
-func TestPanelScanBlockImages(t *testing.T) {
-	const n = 3
-	p, err := newPanel(n, 0.5, 400, 300)
+// scrapeMeta serves reg, scrapes /metrics, and returns each metric's HELP
+// and TYPE lines, keyed by metric name.
+func scrapeMeta(t *testing.T, reg *telemetry.Registry) map[string]string {
+	t.Helper()
+	addr, stop, err := reg.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	regs := p.controller.Regs
-	for _, c := range []uint16{plc.CoilCharge(0), plc.CoilDischarge(1), plc.CoilCharge(2), plc.CoilDischarge(2)} {
-		if err := regs.WriteCoil(c, true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	p.controller.ScanNow()
-	for i, want := range []relay.Mode{relay.Charging, relay.Discharging, relay.Open} {
-		if got := p.fabric.Pair(i).Mode(); got != want {
-			t.Errorf("unit %d in mode %v, want %v", i, got, want)
-		}
-	}
-	img, err := regs.ReadInput(plc.InputVoltBase, 2*n)
+	defer stop()
+	resp, err := http.Get("http://" + addr.String() + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pr := range p.probes {
-		if img[plc.InputVolt(i)] != pr.Volt.Raw() || img[plc.InputCurrent(i)] != pr.Current.Raw() {
-			t.Errorf("unit %d: registers %v, probe codes %d/%d", i, img[2*i:2*i+2], pr.Volt.Raw(), pr.Current.Raw())
-		}
-	}
-	if a := testing.AllocsPerRun(500, p.controller.ScanNow); a != 0 {
-		t.Errorf("panel scan allocates %.2f times per call, want 0", a)
-	}
-}
-
-// TestPanelUnitCap checks the -units bound: a 48-unit panel is the largest
-// the register map addresses, and a 49th unit's codes would land on the
-// solar-power register, so the panel refuses it.
-func TestPanelUnitCap(t *testing.T) {
-	p, err := newPanel(plc.MaxUnits, 0.5, 400, 300)
-	if err != nil {
-		t.Fatalf("%d-unit panel refused: %v", plc.MaxUnits, err)
-	}
-	p.controller.ScanNow()
-	last := plc.MaxUnits - 1
-	img, err := p.controller.Regs.ReadInput(plc.InputVolt(last), 2)
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pr := p.probes[last]; img[0] != pr.Volt.Raw() || img[1] != pr.Current.Raw() {
-		t.Errorf("unit %d registers %v, probe codes %d/%d", last, img, pr.Volt.Raw(), pr.Current.Raw())
+	meta := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) >= 3 && f[0] == "#" && (f[1] == "HELP" || f[1] == "TYPE") {
+			meta[f[2]] += line + "\n"
+		}
 	}
-	if _, err := newPanel(plc.MaxUnits+1, 0.5, 400, 300); err == nil {
-		t.Errorf("%d-unit panel accepted", plc.MaxUnits+1)
-	}
+	return meta
 }

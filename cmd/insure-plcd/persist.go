@@ -23,9 +23,9 @@ const defaultPanelSnapshotEvery = 60
 func (p *panel) appendState(e *journal.Encoder, elapsed time.Duration) {
 	e.U8(panelStateVersion)
 	e.Dur(elapsed)
-	p.bank.AppendState(e)
-	p.fabric.AppendState(e)
-	p.controller.Regs.AppendState(e)
+	p.Bank.AppendState(e)
+	p.Fabric.AppendState(e)
+	p.PLC.Regs.AppendState(e)
 }
 
 // restoreState decodes a state image into the EXISTING bank, fabric, and
@@ -39,13 +39,13 @@ func (p *panel) restoreState(b []byte) (time.Duration, error) {
 	if err := d.Err(); err != nil {
 		return 0, fmt.Errorf("panel state header: %w", err)
 	}
-	if err := p.bank.RestoreState(d); err != nil {
+	if err := p.Bank.RestoreState(d); err != nil {
 		return 0, fmt.Errorf("panel bank: %w", err)
 	}
-	if err := p.fabric.RestoreState(d); err != nil {
+	if err := p.Fabric.RestoreState(d); err != nil {
 		return 0, fmt.Errorf("panel fabric: %w", err)
 	}
-	if err := p.controller.Regs.RestoreState(d); err != nil {
+	if err := p.PLC.Regs.RestoreState(d); err != nil {
 		return 0, fmt.Errorf("panel registers: %w", err)
 	}
 	return elapsed, d.Err()

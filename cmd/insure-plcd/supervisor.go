@@ -131,14 +131,14 @@ func (s *supervisor) resync() int {
 		}
 		return 0
 	}
-	before := make([]relay.Mode, s.p.n)
+	before := make([]relay.Mode, s.p.Fabric.Size())
 	for i := range before {
-		before[i] = s.p.fabric.Pair(i).Mode()
+		before[i] = s.p.Fabric.Pair(i).Mode()
 	}
-	s.p.controller.ScanNow()
+	s.p.PLC.ScanNow()
 	fixed := 0
 	for i := range before {
-		if s.p.fabric.Pair(i).Mode() != before[i] {
+		if s.p.Fabric.Pair(i).Mode() != before[i] {
 			fixed++
 		}
 	}

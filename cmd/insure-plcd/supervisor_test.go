@@ -25,10 +25,10 @@ func testPanel(t *testing.T, n int) *panel {
 // freshly-wired panel.
 func TestPanelStateRoundTrip(t *testing.T) {
 	p := testPanel(t, 4)
-	if err := p.controller.Regs.WriteCoil(plc.CoilCharge(1), true); err != nil {
+	if err := p.PLC.Regs.WriteCoil(plc.CoilCharge(1), true); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.controller.Regs.WriteCoil(plc.CoilDischarge(2), true); err != nil {
+	if err := p.PLC.Regs.WriteCoil(plc.CoilDischarge(2), true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
@@ -51,8 +51,8 @@ func TestPanelStateRoundTrip(t *testing.T) {
 	if string(e.Bytes()) != string(e2.Bytes()) {
 		t.Fatal("restored panel state is not byte-identical")
 	}
-	if q.fabric.Pair(1).Mode() != relay.Charging || q.fabric.Pair(2).Mode() != relay.Discharging {
-		t.Fatalf("fabric modes lost: %v %v", q.fabric.Pair(1).Mode(), q.fabric.Pair(2).Mode())
+	if q.Fabric.Pair(1).Mode() != relay.Charging || q.Fabric.Pair(2).Mode() != relay.Discharging {
+		t.Fatalf("fabric modes lost: %v %v", q.Fabric.Pair(1).Mode(), q.Fabric.Pair(2).Mode())
 	}
 	// And the restored panel keeps ticking in lockstep with the original.
 	p.tick(time.Second, 31*time.Second)
@@ -144,7 +144,7 @@ func TestSupervisorResyncReappliesRelays(t *testing.T) {
 	// Modbus, but the loop died before the PLC scan actuated it — the
 	// committed image holds the intent (coil set) with the fabric still
 	// open. Restore alone cannot fix that; the post-restore scan must.
-	if err := p.controller.Regs.WriteCoil(plc.CoilCharge(0), true); err != nil {
+	if err := p.PLC.Regs.WriteCoil(plc.CoilCharge(0), true); err != nil {
 		t.Fatal(err)
 	}
 	ps.commit(p, 10*time.Second)
@@ -157,8 +157,8 @@ func TestSupervisorResyncReappliesRelays(t *testing.T) {
 	if sup.Reapplied() != 1 {
 		t.Fatalf("Reapplied = %d, want 1", sup.Reapplied())
 	}
-	if p.fabric.Pair(0).Mode() != relay.Charging {
-		t.Fatalf("fabric mode after resync = %v, want charging", p.fabric.Pair(0).Mode())
+	if p.Fabric.Pair(0).Mode() != relay.Charging {
+		t.Fatalf("fabric mode after resync = %v, want charging", p.Fabric.Pair(0).Mode())
 	}
 }
 

@@ -46,7 +46,6 @@ func main() {
 	wl := flag.String("workload", "seismic", "workload: seismic, video")
 	policy := flag.String("policy", "insure", "power manager: insure, baseline")
 	compare := flag.Bool("compare", false, "run both managers on the identical trace")
-	parallel := flag.Bool("parallel", true, "run -compare's two managers concurrently (results are identical to serial)")
 	seed := flag.Int64("seed", 2015, "trace seed")
 	peak := flag.Float64("peak", 0, "scale trace to this peak power (W); 0 = natural")
 	energy := flag.Float64("energy", 0, "scale trace to this total energy (kWh); 0 = natural")
@@ -88,6 +87,9 @@ func main() {
 	}
 
 	faultPlan, ferr := faults.Parse(*faultSpec)
+	if ferr == nil {
+		ferr = faultPlan.CheckUnits(*batteries)
+	}
 	if ferr != nil {
 		log.Fatal(ferr)
 	}
@@ -221,11 +223,7 @@ func main() {
 			}
 			*out = sys
 			if len(faultPlan) > 0 {
-				in := faults.NewInjector(faultPlan, faults.Target{
-					Bank:   sys.Bank,
-					Fabric: sys.Fabric,
-					Probes: sys.Probes,
-				})
+				in := faults.NewInjector(faultPlan, faults.Target{Panel: sys.Panel})
 				sys.SetTickHook(func(tod time.Duration) { in.Tick(tod) })
 			}
 			var mgr sim.Manager = core.New(mgrConfig(*survival), cfg.BatteryCount)
@@ -347,26 +345,21 @@ func main() {
 	}
 
 	if *compare {
-		if *parallel {
-			names := []string{"insure", "baseline"}
-			systems := make([]*sim.System, len(names))
-			managers := make([]sim.Manager, len(names))
-			registries := make([]*telemetry.Registry, len(names))
-			runs := make([]sim.CampaignRun, len(names))
-			for i, name := range names {
-				runs[i] = sim.CampaignRun{Name: name, Setup: setup(name, &systems[i], &managers[i], &registries[i])}
-			}
-			results, err := sim.RunCampaign(context.Background(), 0, runs)
-			if err != nil {
-				log.Fatal(err)
-			}
-			for i, name := range names {
-				dump(name, systems[i], registries[i])
-				report(results[i], managers[i])
-			}
-		} else {
-			report(run("insure"))
-			report(run("baseline"))
+		names := []string{"insure", "baseline"}
+		systems := make([]*sim.System, len(names))
+		managers := make([]sim.Manager, len(names))
+		registries := make([]*telemetry.Registry, len(names))
+		runs := make([]sim.CampaignRun, len(names))
+		for i, name := range names {
+			runs[i] = sim.CampaignRun{Name: name, Setup: setup(name, &systems[i], &managers[i], &registries[i])}
+		}
+		results, err := sim.RunCampaign(context.Background(), 0, runs)
+		if err != nil {
+			log.Fatal(err)
+		}
+		for i, name := range names {
+			dump(name, systems[i], registries[i])
+			report(results[i], managers[i])
 		}
 		return
 	}
@@ -378,17 +371,16 @@ func main() {
 // drives the chaos site-loss harness, so the single-day plumbing does not
 // apply. (-survival is implied per site, not optional.)
 var fleetIgnores = []string{
-	"kill-at", "torn-kill", "state-dir", "compare", "parallel", "faults",
-	"survival", "genset", "telemetry-addr", "dump-frames", "dump-log",
-	"dump-telemetry", "dump-trace", "trace", "policy", "weather",
-	"workload", "peak", "energy",
+	"kill-at", "torn-kill", "state-dir", "compare", "faults", "survival",
+	"genset", "telemetry-addr", "dump-frames", "dump-log", "dump-telemetry",
+	"dump-trace", "trace", "policy", "weather", "workload", "peak", "energy",
 }
 
 // stormIgnores are the flags the single-site -storm-days campaign ignores.
 // Unlike the fleet path it does honor -survival and -genset (the ladder
 // and backup generator are the campaign's subject).
 var stormIgnores = []string{
-	"kill-at", "torn-kill", "state-dir", "compare", "parallel", "faults",
+	"kill-at", "torn-kill", "state-dir", "compare", "faults",
 	"telemetry-addr", "dump-frames", "dump-log", "dump-telemetry",
 	"dump-trace", "trace", "policy", "weather", "workload", "peak", "energy",
 }

@@ -9,24 +9,11 @@ import (
 
 // Bank is the distributed battery array: an indexed set of units that the
 // relay fabric connects to the charge or discharge bus individually. A bank
-// is a contiguous view over a BankSoA store — its own store normally, or a
-// shared slice of a fleet-wide store (NewBankFleet) when many plants run in
-// one process.
+// owns its BankSoA store, one slot per unit.
 type Bank struct {
 	soa   *BankSoA
-	base  int    // first store slot owned by this bank
 	units []Unit // handle per slot, contiguous
 	ptrs  []*Unit
-}
-
-// newBankView wires a bank over store slots [base, base+n).
-func newBankView(s *BankSoA, base, n int) *Bank {
-	b := &Bank{soa: s, base: base, units: make([]Unit, n), ptrs: make([]*Unit, n)}
-	for i := range b.units {
-		b.units[i] = Unit{s: s, i: base + i}
-		b.ptrs[i] = &b.units[i]
-	}
-	return b
 }
 
 // NewBank builds a bank of n identical units at the given initial SoC.
@@ -38,7 +25,12 @@ func NewBank(p Params, n int, soc float64) (*Bank, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newBankView(s, 0, n), nil
+	b := &Bank{soa: s, units: make([]Unit, n), ptrs: make([]*Unit, n)}
+	for i := range b.units {
+		b.units[i] = Unit{s: s, i: i}
+		b.ptrs[i] = &b.units[i]
+	}
+	return b, nil
 }
 
 // MustNewBank is NewBank for known-good parameters; it panics on error.
@@ -49,31 +41,6 @@ func MustNewBank(p Params, n int, soc float64) *Bank {
 	}
 	return b
 }
-
-// NewBankFleet builds one bank per plant, all backed by a single shared
-// store so a fleet's battery state is one contiguous block of memory. Plant
-// i owns store slots [i·unitsPer, (i+1)·unitsPer). The banks are fully
-// independent operationally — the shared store is a memory layout, not a
-// coupling — and stepping them interleaved is bit-identical to stepping
-// per-plant stores.
-func NewBankFleet(p Params, plants, unitsPer int, soc float64) ([]*Bank, *BankSoA, error) {
-	if plants <= 0 || unitsPer <= 0 {
-		return nil, nil, fmt.Errorf("battery: fleet of %d plants × %d units must be positive", plants, unitsPer)
-	}
-	s, err := NewBankSoA(p, plants*unitsPer, soc)
-	if err != nil {
-		return nil, nil, err
-	}
-	banks := make([]*Bank, plants)
-	for i := range banks {
-		banks[i] = newBankView(s, i*unitsPer, unitsPer)
-	}
-	return banks, s, nil
-}
-
-// SoA returns the store backing this bank. For a fleet bank the store spans
-// every plant in the fleet, not just this bank's slots.
-func (b *Bank) SoA() *BankSoA { return b.soa }
 
 // Size returns the number of units in the bank.
 func (b *Bank) Size() int { return len(b.units) }
@@ -133,18 +100,9 @@ func (b *Bank) ThroughputSpread() units.AmpHour {
 	return max - min
 }
 
-// RestAll advances every unit with no current flowing. When the bank owns
-// its whole store this is the flat batch loop; a fleet-slice bank steps just
-// its own span (same kernel, same results).
-func (b *Bank) RestAll(dt time.Duration) {
-	if b.base == 0 && len(b.units) == b.soa.Len() {
-		b.soa.RestAll(dt)
-		return
-	}
-	for i := range b.units {
-		b.units[i].Rest(dt)
-	}
-}
+// RestAll advances every unit with no current flowing, through the store's
+// flat batch loop.
+func (b *Bank) RestAll(dt time.Duration) { b.soa.RestAll(dt) }
 
 // DischargeSet draws total power p split evenly across the given unit
 // indices for dt, and returns the energy actually delivered. Units whose

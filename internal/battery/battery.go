@@ -22,11 +22,10 @@
 // Storage layout: unit state lives in a structure-of-arrays BankSoA store —
 // parallel slices of wells, currents, and wear counters — and Unit is a
 // (store, index) handle into it. A bank's units are therefore contiguous in
-// memory and a fleet of banks can share one store (NewBankFleet), which is
-// what lets a batch tick over many plants walk flat arrays instead of
-// chasing per-unit heap objects. The Unit/Bank API is unchanged; the scalar
-// math is expression-for-expression the same as the former per-object
-// layout, so stepping through handles is bit-identical to the old path.
+// memory, so a batch step walks flat arrays instead of chasing per-unit heap
+// objects. The scalar math is expression-for-expression the same as the
+// former per-object layout, so stepping through handles is bit-identical to
+// the old path.
 package battery
 
 import (
@@ -142,19 +141,17 @@ func (p Params) Validate() error {
 }
 
 // BankSoA is the structure-of-arrays store behind Unit and Bank: one parallel
-// slice per state variable, so the units of a bank — or of a whole fleet of
-// banks sharing the store — sit contiguously in memory and a batch step walks
-// flat arrays. All units in a store share one Params (the prototype's banks
-// are homogeneous); per-unit state that faults can skew (capacity loss) stays
-// per-index.
+// slice per state variable, so the units of a bank sit contiguously in
+// memory and a batch step walks flat arrays. All units in a store share one
+// Params (the prototype's banks are homogeneous); per-unit state that faults
+// can skew (capacity loss) stays per-index.
 type BankSoA struct {
 	p Params
 
 	// kk is the KiBaM head-difference decay rate k(1/c + 1/(1−c)), and
 	// relax1 = 1 − exp(−kk·1 s) is the fraction of that difference relaxed
-	// over the simulation's 1 s step. Both depend only on p, are set once
-	// in NewBankSoA and never written again, so fleet-shared stores may read
-	// them from any worker.
+	// over the simulation's 1 s step. Both depend only on p and are set once
+	// in NewBankSoA.
 	kk, relax1 float64
 
 	// KiBaM wells, in amp-hours.
@@ -372,9 +369,8 @@ func (u *Unit) Rest(dt time.Duration) {
 	u.s.diffuse(u.i, dt.Seconds(), u.capAh())
 }
 
-// RestAll batch-steps every unit in the store with no current flowing — the
-// fleet tick's resting-lane loop. Equivalent (bit-for-bit) to calling Rest
-// on each unit in index order.
+// RestAll batch-steps every unit in the store with no current flowing.
+// Equivalent (bit-for-bit) to calling Rest on each unit in index order.
 func (s *BankSoA) RestAll(dt time.Duration) {
 	dtSec := dt.Seconds()
 	for i := range s.avail {

@@ -8,9 +8,9 @@ import (
 )
 
 // These tests pin the structure-of-arrays contract: a bank stepped through
-// the batch kernels, or a bank living inside a shared fleet store, must be
-// BIT-identical — not merely close — to independent per-unit banks stepped
-// in the same order. The campaign determinism oracle rests on this.
+// the batch kernels must be BIT-identical — not merely close — to a bank
+// stepped unit by unit in the same order. The campaign determinism oracle
+// rests on this.
 
 // churn drives a bank through a deterministic mixed workload: staggered
 // discharges, charges, and rests with per-unit current variation.
@@ -62,67 +62,6 @@ func TestBankRestAllBatchMatchesPerUnit(t *testing.T) {
 		}
 	}
 	statesEqual(t, batch.State(), loop.State(), "RestAll batch vs per-unit")
-}
-
-func TestBankFleetMatchesIndependentBanks(t *testing.T) {
-	const plants, unitsPer = 3, 4
-	p := DefaultParams()
-
-	fleet, soa, err := NewBankFleet(p, plants, unitsPer, 0.9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if soa.Len() != plants*unitsPer {
-		t.Fatalf("fleet store has %d slots, want %d", soa.Len(), plants*unitsPer)
-	}
-	solo := make([]*Bank, plants)
-	for i := range solo {
-		solo[i] = MustNewBank(p, unitsPer, 0.9)
-	}
-
-	// Interleave plant stepping (plant-by-plant within each step), with a
-	// different workload phase per plant, exactly as a fleet tick would.
-	for s := 0; s < 50; s++ {
-		for pl := 0; pl < plants; pl++ {
-			churnStep(fleet[pl], s+pl)
-			churnStep(solo[pl], s+pl)
-		}
-	}
-	for pl := 0; pl < plants; pl++ {
-		statesEqual(t, fleet[pl].State(), solo[pl].State(), "fleet plant vs solo bank")
-	}
-}
-
-// churnStep is one step of churn's schedule, so fleet and solo banks can be
-// advanced in lockstep.
-func churnStep(b *Bank, s int) {
-	for i := 0; i < b.Size(); i++ {
-		u := b.Unit(i)
-		switch (s + i) % 4 {
-		case 0:
-			u.Discharge(units.Amp(2+float64(i)*0.75), 30*time.Second)
-		case 1:
-			u.Charge(units.Amp(4+float64(s%3)), 30*time.Second)
-		case 2:
-			u.Rest(30 * time.Second)
-		case 3:
-			u.Discharge(units.Amp(6), 15*time.Second)
-			u.Rest(15 * time.Second)
-		}
-	}
-}
-
-func TestFleetBankRestAllUsesOwnSpanOnly(t *testing.T) {
-	p := DefaultParams()
-	fleet, _, err := NewBankFleet(p, 2, 3, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	churn(fleet[0], 5)
-	churn(fleet[1], 5)
-	before := fleet[1].State()
-	fleet[0].RestAll(time.Minute)
-	statesEqual(t, fleet[1].State(), before, "neighbour plant untouched by RestAll")
 }
 
 func TestSoARestAllAllocFree(t *testing.T) {

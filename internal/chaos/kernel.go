@@ -115,7 +115,7 @@ type watch struct {
 
 func newWatch(v *Verdict, where string, sys *sim.System, mgr *core.Manager, plan faults.Plan, armed bool) *watch {
 	w := &watch{v: v, where: where, sys: sys, mgr: mgr, armed: armed, mode: mgr.Mode(),
-		inj: faults.NewInjector(plan, faults.Target{Bank: sys.Bank, Fabric: sys.Fabric, Probes: sys.Probes})}
+		inj: faults.NewInjector(plan, faults.Target{Panel: sys.Panel})}
 	sys.SetTickHook(func(tod time.Duration) {
 		w.inj.Tick(tod)
 		w.check(tod)

@@ -18,11 +18,7 @@ func wireInjector(t *testing.T, sys *sim.System, spec string) *faults.Injector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := faults.NewInjector(plan, faults.Target{
-		Bank:   sys.Bank,
-		Fabric: sys.Fabric,
-		Probes: sys.Probes,
-	})
+	in := faults.NewInjector(plan, faults.Target{Panel: sys.Panel})
 	sys.SetTickHook(func(tod time.Duration) { in.Tick(tod) })
 	return in
 }

@@ -206,11 +206,7 @@ func ExtFaults(ctx context.Context) *Table {
 		if err != nil {
 			panic(err)
 		}
-		in := faults.NewInjector(plan, faults.Target{
-			Bank:   sys.Bank,
-			Fabric: sys.Fabric,
-			Probes: sys.Probes,
-		})
+		in := faults.NewInjector(plan, faults.Target{Panel: sys.Panel})
 		sys.SetTickHook(func(tod time.Duration) { in.Tick(tod) })
 		mgr := m.mk(cfg.BatteryCount)
 		res := sys.Run(mgr)
@@ -266,11 +262,7 @@ func ExtSurvival(ctx context.Context) *Table {
 		if err != nil {
 			panic(err)
 		}
-		in := faults.NewInjector(plan, faults.Target{
-			Bank:   sys.Bank,
-			Fabric: sys.Fabric,
-			Probes: sys.Probes,
-		})
+		in := faults.NewInjector(plan, faults.Target{Panel: sys.Panel})
 		sys.SetTickHook(func(tod time.Duration) { in.Tick(tod) })
 		mcfg := core.DefaultConfig()
 		if c.survival {

@@ -18,9 +18,8 @@ import (
 	"strings"
 	"time"
 
-	"insure/internal/battery"
+	"insure/internal/plc"
 	"insure/internal/relay"
-	"insure/internal/sensor"
 )
 
 // Kind classifies an injectable fault.
@@ -190,18 +189,31 @@ func Parse(spec string) (Plan, error) {
 	return plan.Sorted(), nil
 }
 
+// CheckUnits returns an error naming the first event whose unit lies
+// outside an n-unit bank. The injector skips such an event, which generated
+// plans rely on; a plan typed on a command line is checked with this at
+// startup instead, so a typo is refused rather than logged as injected.
+func (p Plan) CheckUnits(n int) error {
+	for _, e := range p {
+		if e.Kind != PanelDrop && e.Unit >= n {
+			return fmt.Errorf("faults: %v: unit %d is outside the %d-unit bank", e, e.Unit, n)
+		}
+	}
+	return nil
+}
+
 // ConnDropper is the slice of the Modbus server the injector needs to flap
 // the control panel.
 type ConnDropper interface{ DropConnections() }
 
-// Target is the plant surface faults are injected into. Any nil field makes
-// the corresponding fault kinds no-ops, so a bare PLC deployment (no panel)
-// and a full simulation share one injector.
+// Target is the plant surface faults are injected into: the control panel
+// whose probes, relays and battery units the unit faults hit, and the
+// Modbus server that serves it, which drop events flap. A nil Server makes
+// drop a no-op, so a simulation with no served panel and the panel daemon
+// share one injector.
 type Target struct {
-	Bank   *battery.Bank
-	Fabric *relay.Fabric
-	Probes []*sensor.BatteryProbe
-	Panel  ConnDropper
+	Panel  *plc.Panel
+	Server ConnDropper
 }
 
 // Injector walks a plan against a target as the plant clock advances.
@@ -249,30 +261,26 @@ func (in *Injector) Applied() []Event { return in.applied }
 func (in *Injector) Done() bool { return in.next >= len(in.plan) }
 
 func (in *Injector) apply(e Event) {
+	if e.Kind == PanelDrop {
+		if in.tgt.Server != nil {
+			in.tgt.Server.DropConnections()
+		}
+		return
+	}
+	p := in.tgt.Panel
+	if e.Unit >= len(p.Probes) {
+		return // outside the bank: a no-op, as CheckUnits documents
+	}
 	switch e.Kind {
 	case SensorStick:
-		if e.Unit < len(in.tgt.Probes) {
-			in.tgt.Probes[e.Unit].Current.InjectStick()
-		}
+		p.Probes[e.Unit].Current.InjectStick()
 	case SensorDrift:
-		if e.Unit < len(in.tgt.Probes) {
-			in.tgt.Probes[e.Unit].Volt.InjectDrift(e.Magnitude)
-		}
+		p.Probes[e.Unit].Volt.InjectDrift(e.Magnitude)
 	case RelayStuckOpen:
-		if in.tgt.Fabric != nil && e.Unit < in.tgt.Fabric.Size() {
-			in.tgt.Fabric.Pair(e.Unit).Discharge.Fail(relay.FailStuckOpen)
-		}
+		p.Fabric.Pair(e.Unit).Discharge.Fail(relay.FailStuckOpen)
 	case RelayWeldClosed:
-		if in.tgt.Fabric != nil && e.Unit < in.tgt.Fabric.Size() {
-			in.tgt.Fabric.Pair(e.Unit).Discharge.Fail(relay.FailWeldClosed)
-		}
+		p.Fabric.Pair(e.Unit).Discharge.Fail(relay.FailWeldClosed)
 	case BatteryFail:
-		if in.tgt.Bank != nil && e.Unit < in.tgt.Bank.Size() {
-			in.tgt.Bank.Unit(e.Unit).InjectCapacityLoss(e.Magnitude)
-		}
-	case PanelDrop:
-		if in.tgt.Panel != nil {
-			in.tgt.Panel.DropConnections()
-		}
+		p.Bank.Unit(e.Unit).InjectCapacityLoss(e.Magnitude)
 	}
 }

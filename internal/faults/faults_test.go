@@ -1,24 +1,21 @@
 package faults
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"insure/internal/battery"
+	"insure/internal/plc"
 	"insure/internal/relay"
-	"insure/internal/sensor"
 )
 
 func testTarget(n int) Target {
-	probes := make([]*sensor.BatteryProbe, n)
-	for i := range probes {
-		probes[i] = sensor.NewBatteryProbe(i)
+	p, err := plc.NewPanel(battery.MustNewBank(battery.DefaultParams(), n, 0.8))
+	if err != nil {
+		panic(err)
 	}
-	return Target{
-		Bank:   battery.MustNewBank(battery.DefaultParams(), n, 0.8),
-		Fabric: relay.NewFabric(n),
-		Probes: probes,
-	}
+	return Target{Panel: p}
 }
 
 func TestParse(t *testing.T) {
@@ -80,6 +77,33 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestPlanCheckUnits checks the CLIs' startup check: an event naming a unit
+// outside the bank is refused by name, while drop, which takes no unit,
+// passes against any bank.
+func TestPlanCheckUnits(t *testing.T) {
+	plan, err := Parse("bat:9@1s,relay-open:7@1s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = plan.CheckUnits(6)
+	if err == nil || !strings.Contains(err.Error(), "bat:9@1s") {
+		t.Errorf("CheckUnits(6) = %v, want an error naming bat:9@1s", err)
+	}
+	plan, err = Parse("stick:0@1s,drift:5@2s,relay-weld:5@3s,drop@4s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plan.CheckUnits(6); err != nil {
+		t.Errorf("in-range plan refused: %v", err)
+	}
+	if err := plan.CheckUnits(5); err == nil || !strings.Contains(err.Error(), "drift:5@2s") {
+		t.Errorf("CheckUnits(5) = %v, want an error naming drift:5@2s", err)
+	}
+	if err := (Plan{{At: time.Second, Kind: PanelDrop}}).CheckUnits(0); err != nil {
+		t.Errorf("drop refused: %v", err)
+	}
+}
+
 func TestInjectorAppliesOnSchedule(t *testing.T) {
 	tgt := testTarget(6)
 	plan, err := Parse("bat:2@12h:0.5,relay-open:4@13h,stick:0@10h,drift:1@11h")
@@ -91,26 +115,26 @@ func TestInjectorAppliesOnSchedule(t *testing.T) {
 	if n := in.Tick(9 * time.Hour); n != 0 {
 		t.Fatalf("%d events landed before schedule", n)
 	}
-	if tgt.Probes[0].Current.Faulted() {
+	if tgt.Panel.Probes[0].Current.Faulted() {
 		t.Fatal("stick applied early")
 	}
 	if n := in.Tick(10 * time.Hour); n != 1 {
 		t.Fatalf("tick at 10h injected %d events, want 1", n)
 	}
-	if !tgt.Probes[0].Current.Faulted() {
+	if !tgt.Panel.Probes[0].Current.Faulted() {
 		t.Error("stick not applied at its time")
 	}
 	// A big jump injects everything due, in order.
 	if n := in.Tick(13 * time.Hour); n != 3 {
 		t.Fatalf("tick at 13h injected %d events, want 3", n)
 	}
-	if !tgt.Probes[1].Volt.Faulted() {
+	if !tgt.Panel.Probes[1].Volt.Faulted() {
 		t.Error("drift not applied")
 	}
-	if !tgt.Bank.Unit(2).Failed() {
+	if !tgt.Panel.Bank.Unit(2).Failed() {
 		t.Error("battery fault not applied")
 	}
-	if got := tgt.Fabric.Pair(4).Discharge.FailState(); got != relay.FailStuckOpen {
+	if got := tgt.Panel.Fabric.Pair(4).Discharge.FailState(); got != relay.FailStuckOpen {
 		t.Errorf("discharge relay fail state = %v", got)
 	}
 	if !in.Done() {
@@ -131,13 +155,13 @@ func TestInjectorOutOfRangeUnitsAreNoOps(t *testing.T) {
 		{At: time.Hour, Kind: BatteryFail, Unit: 9},
 		{At: time.Hour, Kind: RelayWeldClosed, Unit: 9},
 		{At: time.Hour, Kind: SensorStick, Unit: 9},
-		{At: time.Hour, Kind: PanelDrop}, // nil panel
+		{At: time.Hour, Kind: PanelDrop}, // nil server
 	}, tgt)
 	if n := in.Tick(2 * time.Hour); n != 4 {
 		t.Fatalf("injected %d, want 4 (as no-ops)", n)
 	}
 	for i := 0; i < 2; i++ {
-		if tgt.Bank.Unit(i).Failed() || tgt.Fabric.Pair(i).Failed() {
+		if tgt.Panel.Bank.Unit(i).Failed() || tgt.Panel.Fabric.Pair(i).Failed() {
 			t.Error("out-of-range fault hit a real unit")
 		}
 	}
@@ -149,12 +173,12 @@ func (d *dropCounter) DropConnections() { d.n++ }
 
 func TestInjectorPanelDrop(t *testing.T) {
 	tgt := testTarget(1)
-	panel := &dropCounter{}
-	tgt.Panel = panel
+	srv := &dropCounter{}
+	tgt.Server = srv
 	in := NewInjector(Plan{{At: time.Hour, Kind: PanelDrop}}, tgt)
 	in.Tick(time.Hour)
-	if panel.n != 1 {
-		t.Errorf("panel dropped %d times, want 1", panel.n)
+	if srv.n != 1 {
+		t.Errorf("panel dropped %d times, want 1", srv.n)
 	}
 }
 

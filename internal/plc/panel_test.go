@@ -1,0 +1,95 @@
+package plc
+
+import (
+	"testing"
+
+	"insure/internal/battery"
+	"insure/internal/relay"
+	"insure/internal/units"
+)
+
+func newTestPanel(t *testing.T, n int) *Panel {
+	t.Helper()
+	p, err := NewPanel(battery.MustNewBank(battery.DefaultParams(), n, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// TestPanelPowerCodesClamped drives out-of-range bus powers through the
+// panel's scan: the power registers must read the clamped whole-watt code,
+// never a wrapped or implementation-defined conversion.
+func TestPanelPowerCodesClamped(t *testing.T) {
+	for _, tc := range []struct {
+		w    units.Watt
+		want uint16
+	}{
+		{-5, 0},
+		{0, 0},
+		{70000, 65535},
+	} {
+		p := newTestPanel(t, 2)
+		p.SolarPower, p.LoadPower = tc.w, tc.w
+		p.PLC.ScanNow()
+		got, err := p.PLC.Regs.ReadInput(InputSolarPower, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != tc.want || got[1] != tc.want {
+			t.Errorf("%v W: solar/load registers = %v, want %d", tc.w, got, tc.want)
+		}
+	}
+}
+
+// TestPanelScanBlockImages checks the panel's scan moves whole images: the
+// relay fabric follows every unit's coil pair (with the double-closed
+// interlock), the unit codes match the probes, and the scan allocates
+// nothing.
+func TestPanelScanBlockImages(t *testing.T) {
+	const n = 3
+	p := newTestPanel(t, n)
+	regs := p.PLC.Regs
+	for _, c := range []uint16{CoilCharge(0), CoilDischarge(1), CoilCharge(2), CoilDischarge(2)} {
+		if err := regs.WriteCoil(c, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.PLC.ScanNow()
+	for i, want := range []relay.Mode{relay.Charging, relay.Discharging, relay.Open} {
+		if got := p.Fabric.Pair(i).Mode(); got != want {
+			t.Errorf("unit %d in mode %v, want %v", i, got, want)
+		}
+	}
+	img, err := regs.ReadInput(InputVoltBase, 2*n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pr := range p.Probes {
+		if img[InputVolt(i)] != pr.Volt.Raw() || img[InputCurrent(i)] != pr.Current.Raw() {
+			t.Errorf("unit %d: registers %v, probe codes %d/%d", i, img[2*i:2*i+2], pr.Volt.Raw(), pr.Current.Raw())
+		}
+	}
+	if a := testing.AllocsPerRun(500, p.PLC.ScanNow); a != 0 {
+		t.Errorf("panel scan allocates %.2f times per call, want 0", a)
+	}
+}
+
+// TestPanelUnitCap checks the bank bound: a 48-unit panel is the largest
+// the register map addresses, and a 49th unit's codes would land on the
+// solar-power register, so the panel refuses it.
+func TestPanelUnitCap(t *testing.T) {
+	p := newTestPanel(t, MaxUnits)
+	p.PLC.ScanNow()
+	last := MaxUnits - 1
+	img, err := p.PLC.Regs.ReadInput(InputVolt(last), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pr := p.Probes[last]; img[0] != pr.Volt.Raw() || img[1] != pr.Current.Raw() {
+		t.Errorf("unit %d registers %v, probe codes %d/%d", last, img, pr.Volt.Raw(), pr.Current.Raw())
+	}
+	if _, err := NewPanel(battery.MustNewBank(battery.DefaultParams(), MaxUnits+1, 0.5)); err == nil {
+		t.Errorf("%d-unit panel accepted", MaxUnits+1)
+	}
+}

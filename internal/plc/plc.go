@@ -7,6 +7,8 @@
 // sample inputs, execute the control program, drive outputs. The energy
 // manager talks to this register file (locally or over Modbus TCP, see
 // insure/internal/modbus) exactly as the prototype's coordination node does.
+// Panel (panel.go) wires the controller to the bank, relays and transducers
+// it serves.
 package plc
 
 import (

@@ -9,11 +9,10 @@
 //
 // Storage layout: contact state (position, wear counters, settle timers,
 // injected faults) lives in a structure-of-arrays store shared by every
-// relay of a fabric — or by every fabric of a fleet (NewFabricFleet) — and
-// Relay is a stable (store, index) handle carrying only wiring (name, the
-// OnSettle hook). A fabric tick therefore walks flat arrays instead of
-// scattered heap objects; the Relay/Pair/Fabric API and the per-relay
-// semantics are unchanged.
+// relay of a fabric, and Relay is a stable (store, index) handle carrying
+// only wiring (name, the OnSettle hook). A fabric tick therefore walks flat
+// arrays instead of scattered heap objects; the Relay/Pair/Fabric API and
+// the per-relay semantics are unchanged.
 package relay
 
 import (
@@ -288,53 +287,26 @@ type Fabric struct {
 	// Topology switches: P1/P3 closed + P2 open = parallel;
 	// P1/P3 open + P2 closed = series.
 	P1, P2, P3 *Relay
-
-	soa *store
-}
-
-// slotsFor is the store footprint of one n-unit fabric.
-func slotsFor(n int) int { return 2*n + 3 }
-
-// newFabricView wires a fabric for n units over store slots
-// [base, base+2n+3).
-func newFabricView(s *store, base, n int) *Fabric {
-	f := &Fabric{
-		pairs: make([]*Pair, n),
-		P1:    &Relay{s: s, i: base + 2*n, name: "P1"},
-		P2:    &Relay{s: s, i: base + 2*n + 1, name: "P2"},
-		P3:    &Relay{s: s, i: base + 2*n + 2, name: "P3"},
-		soa:   s,
-	}
-	for i := range f.pairs {
-		f.pairs[i] = &Pair{
-			Charge:    &Relay{s: s, i: base + 2*i, name: fmt.Sprintf("bat%d-CR", i)},
-			Discharge: &Relay{s: s, i: base + 2*i + 1, name: fmt.Sprintf("bat%d-DR", i)},
-		}
-	}
-	f.SetParallel()
-	return f
 }
 
 // NewFabric builds a fabric for n battery units, initially all open and in
 // parallel topology.
 func NewFabric(n int) *Fabric {
-	return newFabricView(newStore(slotsFor(n)), 0, n)
-}
-
-// NewFabricFleet builds one fabric per plant, all backed by a single shared
-// contact-state store — the relay-side counterpart of battery.NewBankFleet.
-// The fabrics are operationally independent; the shared store is a memory
-// layout that keeps a fleet's switch state contiguous for the batch tick.
-func NewFabricFleet(plants, unitsPer int) []*Fabric {
-	if plants <= 0 {
-		return nil
+	s := newStore(2*n + 3)
+	f := &Fabric{
+		pairs: make([]*Pair, n),
+		P1:    &Relay{s: s, i: 2 * n, name: "P1"},
+		P2:    &Relay{s: s, i: 2*n + 1, name: "P2"},
+		P3:    &Relay{s: s, i: 2*n + 2, name: "P3"},
 	}
-	s := newStore(plants * slotsFor(unitsPer))
-	out := make([]*Fabric, plants)
-	for i := range out {
-		out[i] = newFabricView(s, i*slotsFor(unitsPer), unitsPer)
+	for i := range f.pairs {
+		f.pairs[i] = &Pair{
+			Charge:    &Relay{s: s, i: 2 * i, name: fmt.Sprintf("bat%d-CR", i)},
+			Discharge: &Relay{s: s, i: 2*i + 1, name: fmt.Sprintf("bat%d-DR", i)},
+		}
 	}
-	return out
+	f.SetParallel()
+	return f
 }
 
 // Size returns the number of battery positions.

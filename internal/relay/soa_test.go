@@ -5,78 +5,8 @@ import (
 	"time"
 )
 
-// Pins for the structure-of-arrays contact store: fabrics sharing a fleet
-// store must behave bit-identically to independent fabrics, and the batch
-// tick must preserve the documented relay ordering.
-
-// exerciseFleet drives a fabric through a deterministic schedule of mode
-// changes, faults, and ticks keyed by phase.
-func exerciseFleet(f *Fabric, phase int) {
-	for s := 0; s < 40; s++ {
-		for i := 0; i < f.Size(); i++ {
-			switch (s + i + phase) % 5 {
-			case 0:
-				f.Pair(i).SetMode(Charging)
-			case 1:
-				f.Pair(i).SetMode(Discharging)
-			case 2:
-				f.Pair(i).SetMode(Open)
-			case 3:
-				// Mid-flight reversal: exercises abort accounting.
-				f.Pair(i).SetMode(Charging)
-				f.Pair(i).SetMode(Open)
-			}
-		}
-		if (s+phase)%7 == 0 {
-			f.SetSeries()
-		} else if (s+phase)%7 == 3 {
-			f.SetParallel()
-		}
-		if s == 11 {
-			f.Pair(phase % f.Size()).Charge.Fail(FailWeldClosed)
-		}
-		if s == 23 {
-			f.Pair(phase % f.Size()).Charge.Fail(FailNone)
-		}
-		f.Tick(10 * time.Millisecond)
-	}
-}
-
-func fabricStatesEqual(t *testing.T, got, want FabricState, label string) {
-	t.Helper()
-	if len(got.Pairs) != len(want.Pairs) {
-		t.Fatalf("%s: %d pairs, want %d", label, len(got.Pairs), len(want.Pairs))
-	}
-	for i := range got.Pairs {
-		if got.Pairs[i] != want.Pairs[i] {
-			t.Fatalf("%s: pair %d diverged:\n got  %+v\n want %+v", label, i, got.Pairs[i], want.Pairs[i])
-		}
-	}
-	if got.P1 != want.P1 || got.P2 != want.P2 || got.P3 != want.P3 {
-		t.Fatalf("%s: topology relays diverged", label)
-	}
-}
-
-func TestFabricFleetMatchesIndependentFabrics(t *testing.T) {
-	const plants, unitsPer = 3, 4
-	fleet := NewFabricFleet(plants, unitsPer)
-	if len(fleet) != plants {
-		t.Fatalf("fleet has %d fabrics, want %d", len(fleet), plants)
-	}
-	for pl := 0; pl < plants; pl++ {
-		solo := NewFabric(unitsPer)
-		exerciseFleet(fleet[pl], pl)
-		exerciseFleet(solo, pl)
-		fabricStatesEqual(t, fleet[pl].State(), solo.State(), "fleet fabric vs solo")
-	}
-}
-
-func TestFleetFabricsAreIndependent(t *testing.T) {
-	fleet := NewFabricFleet(2, 3)
-	before := fleet[1].State()
-	exerciseFleet(fleet[0], 0)
-	fabricStatesEqual(t, fleet[1].State(), before, "neighbour fabric untouched")
-}
+// Pins for the structure-of-arrays contact store: the batch tick must
+// preserve the documented relay ordering and stay allocation-free.
 
 func TestFabricTickSettleOrderUnchanged(t *testing.T) {
 	f := NewFabric(2)

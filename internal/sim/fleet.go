@@ -3,9 +3,6 @@ package sim
 import (
 	"fmt"
 	"time"
-
-	"insure/internal/battery"
-	"insure/internal/relay"
 )
 
 // FleetSpec is one plant of a Fleet: its configuration, workload sink, and
@@ -20,14 +17,10 @@ type FleetSpec struct {
 // them as a batch — the embeddability layer fleet federation builds on.
 //
 // The plants are operationally independent: no power, control, or workload
-// coupling exists between them, and each produces exactly the Result its
-// System would produce under System.Run. What the Fleet changes is memory
-// layout and stepping order: when every plant has the same battery shape,
-// their banks and relay fabrics are allocated on shared structure-of-arrays
-// stores (battery.NewBankFleet, relay.NewFabricFleet), so one simulated
-// second of the whole fleet walks contiguous arrays instead of N scattered
-// heaps. Run interleaves plants tick-by-tick to exploit that locality;
-// interleaving is result-invariant because the plants share no state.
+// coupling exists between them, each owns its bank and relay fabric, and
+// each produces exactly the Result its System would produce under
+// System.Run. Run interleaves plants tick-by-tick; interleaving is
+// result-invariant because the plants share no state.
 type Fleet struct {
 	step    time.Duration
 	systems []*System
@@ -37,10 +30,7 @@ type Fleet struct {
 }
 
 // NewFleet assembles one System per spec. Every spec must use the same
-// simulation step. When all plants share an identical battery shape (same
-// Params, count, and initial SoC, with no caller-supplied Bank or Fabric),
-// the banks and fabrics are placed on shared SoA stores; otherwise each
-// plant allocates independently, with identical results either way.
+// simulation step.
 func NewFleet(specs []FleetSpec) (*Fleet, error) {
 	if len(specs) == 0 {
 		return nil, fmt.Errorf("sim: fleet needs at least one plant")
@@ -70,32 +60,6 @@ func NewFleet(specs []FleetSpec) (*Fleet, error) {
 		}
 	}
 
-	// Shared-store eligibility: homogeneous battery shape, nothing
-	// caller-supplied.
-	shared := true
-	first := specs[0].Config
-	for i := range specs {
-		c := &specs[i].Config
-		if c.Bank != nil || c.Fabric != nil ||
-			c.BatteryParams != first.BatteryParams ||
-			c.BatteryCount != first.BatteryCount ||
-			c.InitialSoC != first.InitialSoC {
-			shared = false
-			break
-		}
-	}
-
-	var banks []*battery.Bank
-	var fabrics []*relay.Fabric
-	if shared && first.BatteryCount > 0 {
-		var err error
-		banks, _, err = battery.NewBankFleet(first.BatteryParams, len(specs), first.BatteryCount, first.InitialSoC)
-		if err != nil {
-			return nil, err
-		}
-		fabrics = relay.NewFabricFleet(len(specs), first.BatteryCount)
-	}
-
 	f := &Fleet{
 		step:    step,
 		systems: make([]*System, len(specs)),
@@ -104,12 +68,7 @@ func NewFleet(specs []FleetSpec) (*Fleet, error) {
 		ends:    make([]time.Duration, len(specs)),
 	}
 	for i := range specs {
-		cfg := specs[i].Config
-		if banks != nil {
-			cfg.Bank = banks[i]
-			cfg.Fabric = fabrics[i]
-		}
-		sys, err := New(cfg, specs[i].Sink)
+		sys, err := New(specs[i].Config, specs[i].Sink)
 		if err != nil {
 			return nil, fmt.Errorf("sim: fleet plant %d: %w", i, err)
 		}

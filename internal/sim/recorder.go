@@ -70,8 +70,8 @@ func (r *Recorder) capture(tod time.Duration, s *System) {
 	n := s.Bank.Size()
 	f := Frame{
 		At:        tod,
-		Solar:     s.solarNow,
-		Load:      s.loadNow,
+		Solar:     s.SolarPower,
+		Load:      s.LoadPower,
 		StoredWh:  s.Bank.StoredEnergy(),
 		RunningVM: s.Cluster.RunningVMs(),
 	}

@@ -22,7 +22,6 @@ import (
 	"insure/internal/metrics"
 	"insure/internal/plc"
 	"insure/internal/relay"
-	"insure/internal/sensor"
 	"insure/internal/server"
 	"insure/internal/trace"
 	"insure/internal/units"
@@ -95,10 +94,6 @@ type Config struct {
 	// of creating a fresh one — multi-day campaigns carry charge state and
 	// wear across days this way.
 	Bank *battery.Bank
-	// Fabric, when non-nil, is an existing relay fabric to operate instead
-	// of creating a fresh one — Fleet wires plants onto shared
-	// structure-of-arrays stores this way.
-	Fabric *relay.Fabric
 	// Arena, when non-nil, supplies worker-local scratch memory (solar LUT
 	// cache, recycled recorders) for campaign construction. Purely a memory
 	// optimisation: results are bit-identical with or without it.
@@ -134,16 +129,15 @@ func DefaultConfig(tr *trace.Trace) Config {
 type System struct {
 	cfg Config
 
-	Bank    *battery.Bank
-	Fabric  *relay.Fabric
-	Probes  []*sensor.BatteryProbe
-	PLC     *plc.PLC
+	// Panel is the battery control panel: the bank, relay fabric, probes
+	// and PLC (sys.Bank, sys.Fabric, sys.Probes, sys.PLC), and the scan
+	// program between them. Its SolarPower and LoadPower are this tick's
+	// solar supply and cluster draw.
+	*plc.Panel
 	Cluster *server.Cluster
 	Sink    Sink
 
-	solarNow units.Watt
-	auxNow   units.Watt
-	loadNow  units.Watt
+	auxNow units.Watt
 
 	// Secondary is the optional backup generator (nil when absent).
 	Secondary *genset.Generator
@@ -187,11 +181,6 @@ type System struct {
 	scratchCharging    []int
 	scratchDischarging []int
 	scratchOpen        []int
-	// The PLC scan's process images: 2n unit input codes, the solar and
-	// load codes, and 2n relay coils, each moved under one register lock.
-	scanInputs []uint16
-	scanSystem []uint16
-	scanCoils  []bool
 
 	// Accounting.
 	harvested     units.WattHour // solar energy actually used (load+charge)
@@ -222,12 +211,9 @@ func New(cfg Config, sink Sink) (*System, error) {
 	if cfg.HoldUp <= 0 {
 		cfg.HoldUp = 35 * time.Second
 	}
-	if cfg.BatteryCount > plc.MaxUnits {
-		return nil, fmt.Errorf("sim: %d battery units exceed the PLC register map's %d", cfg.BatteryCount, plc.MaxUnits)
-	}
 	bank := cfg.Bank
+	var err error
 	if bank == nil {
-		var err error
 		bank, err = battery.NewBank(cfg.BatteryParams, cfg.BatteryCount, cfg.InitialSoC)
 		if err != nil {
 			return nil, err
@@ -235,19 +221,15 @@ func New(cfg Config, sink Sink) (*System, error) {
 	} else if bank.Size() != cfg.BatteryCount {
 		return nil, fmt.Errorf("sim: supplied bank has %d units, config wants %d", bank.Size(), cfg.BatteryCount)
 	}
-	fabric := cfg.Fabric
-	if fabric == nil {
-		fabric = relay.NewFabric(cfg.BatteryCount)
-	} else if fabric.Size() != cfg.BatteryCount {
-		return nil, fmt.Errorf("sim: supplied fabric has %d positions, config wants %d", fabric.Size(), cfg.BatteryCount)
+	panel, err := plc.NewPanel(bank)
+	if err != nil {
+		return nil, err
 	}
 	start, end := runSpan(cfg)
 	estFrames := int((end-start)/cfg.RecordEvery) + 4
 	s := &System{
 		cfg:                cfg,
-		Bank:               bank,
-		Fabric:             fabric,
-		PLC:                plc.New(cfg.BatteryCount),
+		Panel:              panel,
 		Cluster:            server.NewCluster(cfg.ServerProfile, cfg.ServerCount),
 		Sink:               sink,
 		storedSeries:       metrics.NewStreamingSeries(),
@@ -257,19 +239,12 @@ func New(cfg Config, sink Sink) (*System, error) {
 		scratchCharging:    make([]int, 0, cfg.BatteryCount),
 		scratchDischarging: make([]int, 0, cfg.BatteryCount),
 		scratchOpen:        make([]int, 0, cfg.BatteryCount),
-		scanInputs:         make([]uint16, 2*cfg.BatteryCount),
-		scanSystem:         make([]uint16, 2),
-		scanCoils:          make([]bool, 2*cfg.BatteryCount),
 		modeCoils:          make([]bool, 2*cfg.BatteryCount),
 	}
 	s.buildSolarLUT(end)
 	s.Secondary = cfg.Secondary
 	s.Log = logbook.New(200_000)
-	for i := 0; i < cfg.BatteryCount; i++ {
-		s.Probes = append(s.Probes, sensor.NewBatteryProbe(i))
-	}
 	s.Cluster.SetUtil(sink.Spec().Util)
-	s.wirePLC()
 	// Prime the register file so the first control pass sees real sensor
 	// samples rather than zeroed registers.
 	s.PLC.ScanNow()
@@ -320,55 +295,16 @@ func (s *System) Recorder() *Recorder { return s.recorder }
 // SolarNow is the total harvested renewable power this tick (solar plus
 // any auxiliary source on the same bus) — the green power budget managers
 // plan against.
-func (s *System) SolarNow() units.Watt { return s.solarNow + s.auxNow }
+func (s *System) SolarNow() units.Watt { return s.SolarPower + s.auxNow }
 
 // AuxNow is the auxiliary renewable contribution alone.
 func (s *System) AuxNow() units.Watt { return s.auxNow }
 
 // LoadNow is the cluster draw this tick.
-func (s *System) LoadNow() units.Watt { return s.loadNow }
+func (s *System) LoadNow() units.Watt { return s.LoadPower }
 
 // Brownouts counts forced shutdowns from supply collapse.
 func (s *System) Brownouts() int { return s.brownouts }
-
-// wirePLC binds the analog sampling and coil actuation hooks. Each pass
-// fills a scan image in the System's scratch and moves it with one block
-// call, so a scan takes the register lock three times however many units
-// the bank has.
-func (s *System) wirePLC() {
-	s.PLC.Sample = func(r *plc.RegisterFile) {
-		for i, u := range s.Bank.Units() {
-			p := s.Probes[i]
-			p.Sample(u.TerminalVoltage(), u.LastCurrent())
-			s.scanInputs[plc.InputVolt(i)] = p.Volt.Raw()
-			s.scanInputs[plc.InputCurrent(i)] = p.Current.Raw()
-		}
-		_ = r.SetInputs(plc.InputVoltBase, s.scanInputs)
-		s.scanSystem[0] = plc.PowerCode(s.solarNow)
-		s.scanSystem[1] = plc.PowerCode(s.loadNow)
-		_ = r.SetInputs(plc.InputSolarPower, s.scanSystem)
-	}
-	s.PLC.Actuate = func(r *plc.RegisterFile) {
-		if r.CoilsInto(s.scanCoils, plc.CoilChargeBase) != nil {
-			return
-		}
-		for i := 0; i < s.Bank.Size(); i++ {
-			cr, dr := s.scanCoils[plc.CoilCharge(i)], s.scanCoils[plc.CoilDischarge(i)]
-			pair := s.Fabric.Pair(i)
-			switch {
-			case cr && dr:
-				// Interlock: refuse the double-closed command.
-				pair.SetMode(relay.Open)
-			case cr:
-				pair.SetMode(relay.Charging)
-			case dr:
-				pair.SetMode(relay.Discharging)
-			default:
-				pair.SetMode(relay.Open)
-			}
-		}
-	}
-}
 
 // remoteClient is the Modbus surface the control plane needs.
 type remoteClient interface {
@@ -459,7 +395,7 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 
 	// 1. Renewable budget for this tick.
-	s.solarNow = s.solarAt(tod)
+	s.SolarPower = s.solarAt(tod)
 	if s.cfg.Aux != nil {
 		s.auxNow = s.cfg.Aux.Step(tod, dt)
 		s.auxEnergy += units.Energy(s.auxNow, dt)
@@ -473,14 +409,14 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 
 	// 3. Resolve power flow.
-	s.loadNow = s.Cluster.Power()
-	supply := s.solarNow + s.auxNow
+	s.LoadPower = s.Cluster.Power()
+	supply := s.SolarPower + s.auxNow
 	solarToLoad := supply
-	if solarToLoad > s.loadNow {
-		solarToLoad = s.loadNow
+	if solarToLoad > s.LoadPower {
+		solarToLoad = s.LoadPower
 	}
 	surplus := supply - solarToLoad
-	deficit := s.loadNow - solarToLoad
+	deficit := s.LoadPower - solarToLoad
 
 	s.scratchCharging = s.Fabric.AppendUnitsIn(s.scratchCharging[:0], relay.Charging)
 	s.scratchDischarging = s.Fabric.AppendUnitsIn(s.scratchDischarging[:0], relay.Discharging)
@@ -574,7 +510,7 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 
 	// 6. Accounting.
-	loadE := units.Energy(s.loadNow, dt)
+	loadE := units.Energy(s.LoadPower, dt)
 	s.loadEnergy += loadE
 	if work > 0 && gb >= 0 {
 		s.effEnergy += loadE

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"strconv"
 	"time"
 
 	"insure/internal/modbus"
@@ -16,13 +15,9 @@ import (
 type telemetryHooks struct {
 	reg *telemetry.Registry
 
-	soc  []*telemetry.Gauge // per-unit state of charge
-	tput []*telemetry.Gauge // per-unit wear-weighted discharge throughput
-
-	solar       *telemetry.Gauge
-	load        *telemetry.Gauge
-	stored      *telemetry.Gauge
-	relayCycles *telemetry.Gauge
+	solar  *telemetry.Gauge
+	load   *telemetry.Gauge
+	stored *telemetry.Gauge
 
 	vmsSaved *telemetry.Gauge
 	vmsLost  *telemetry.Gauge
@@ -40,33 +35,22 @@ type telemetryHooks struct {
 
 	brownouts    *telemetry.Counter
 	deficitTicks *telemetry.Counter
-
-	settle *telemetry.Histogram
-	scan   *telemetry.Histogram
 }
 
-// AttachTelemetry registers the plant's instruments on reg and installs the
-// PLC scan-duration and relay settle-latency hooks. Gauges are published by
-// the tick goroutine with atomic stores, so a concurrent /metrics scrape
-// never races with the simulation; counters advance at the event sites in
-// Tick. Call it once, before the first Tick.
+// AttachTelemetry registers the plant's instruments on reg, the panel's
+// among them (plc.Panel.AttachTelemetry). Gauges are published by the tick
+// goroutine with atomic stores, so a concurrent /metrics scrape never races
+// with the simulation; counters advance at the event sites in Tick. Call it
+// once, before the first Tick.
 func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 	t := &telemetryHooks{reg: reg}
-	for i := 0; i < s.Bank.Size(); i++ {
-		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(i)}
-		t.soc = append(t.soc, reg.Gauge("insure_battery_soc",
-			"State of charge of one battery unit (0-1).", lbl))
-		t.tput = append(t.tput, reg.Gauge("insure_battery_throughput_ah",
-			"Cumulative wear-weighted discharge throughput of one battery unit, amp-hours.", lbl))
-	}
+	s.Panel.AttachTelemetry(reg)
 	t.solar = reg.Gauge("insure_supply_watts",
 		"Renewable supply this tick (solar plus auxiliary), watts.")
 	t.load = reg.Gauge("insure_load_watts",
 		"Cluster draw this tick, watts.")
 	t.stored = reg.Gauge("insure_stored_watt_hours",
 		"Energy held in the battery bank, watt-hours.")
-	t.relayCycles = reg.Gauge("insure_relay_cycles",
-		"Total mechanical switching cycles consumed across the relay fabric.")
 	t.vmsSaved = reg.Gauge("insure_vm_checkpoints_completed",
 		"VM images whose checkpoint completed before power-off, lifetime total.")
 	t.vmsLost = reg.Gauge("insure_vms_lost",
@@ -89,22 +73,6 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 		"Forced cluster shutdowns from sustained supply collapse.")
 	t.deficitTicks = reg.Counter("insure_power_deficit_ticks_total",
 		"Ticks in which the deficit went at least 5% unserved (hold-up riding).")
-	t.scan = reg.Histogram("insure_plc_scan_duration_seconds",
-		"Wall-clock duration of one PLC scan cycle.", telemetry.DefTimeBuckets)
-	t.settle = reg.Histogram("insure_relay_settle_seconds",
-		"Sim-time between a relay coil command and the contact settling, as the control plane observes it.",
-		telemetry.DefTimeBuckets)
-
-	s.PLC.OnScan = func(d time.Duration) { t.scan.Observe(d.Seconds()) }
-	onSettle := func(w time.Duration) { t.settle.Observe(w.Seconds()) }
-	for i := 0; i < s.Fabric.Size(); i++ {
-		p := s.Fabric.Pair(i)
-		p.Charge.OnSettle = onSettle
-		p.Discharge.OnSettle = onSettle
-	}
-	s.Fabric.P1.OnSettle = onSettle
-	s.Fabric.P2.OnSettle = onSettle
-	s.Fabric.P3.OnSettle = onSettle
 
 	// A fieldbus control plane brings the Modbus client's transaction and
 	// fault counters along. Attach the remote panel before the telemetry
@@ -126,10 +94,10 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 // can be correlated with logbook timestamps.
 func (t *telemetryHooks) publish(s *System, tod time.Duration) {
 	t.reg.SetClock(tod)
-	t.solar.Set(float64(s.solarNow + s.auxNow))
-	t.load.Set(float64(s.loadNow))
+	s.Panel.Publish()
+	t.solar.Set(float64(s.SolarNow()))
+	t.load.Set(float64(s.LoadPower))
 	t.stored.Set(float64(s.Bank.StoredEnergy()))
-	t.relayCycles.Set(float64(s.Fabric.TotalCycles()))
 	t.vmsSaved.Set(float64(s.Cluster.VMsSaved()))
 	t.vmsLost.Set(float64(s.Cluster.VMsLost()))
 	if t.streamQ != nil {
@@ -139,10 +107,5 @@ func (t *telemetryHooks) publish(s *System, tod time.Duration) {
 	if t.batchQ != nil {
 		t.batchBacklog.Set(t.batchQ.PendingGB())
 		t.batchLatency.Set(t.batchQ.MeanLatency().Minutes())
-	}
-	for i, g := range t.soc {
-		u := s.Bank.Unit(i)
-		g.Set(u.SoC())
-		t.tput[i].Set(float64(u.Throughput()))
 	}
 }
