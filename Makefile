@@ -10,8 +10,11 @@ build:
 test:
 	$(GO) test ./...
 
+# vet also vets the benchmark module, which has its own go.mod, so the
+# root vet never reaches it.
 vet:
 	$(GO) vet ./...
+	$(GO) -C benchmark vet ./...
 
 # fmt fails when any Go file in the tree is not gofmt-formatted.
 fmt:

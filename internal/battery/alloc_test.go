@@ -56,3 +56,13 @@ func TestBankSetStepsAllocFree(t *testing.T) {
 		t.Fatalf("Bank charge/discharge step allocates %.1f times per call, want 0", n)
 	}
 }
+
+func TestBankRestAllAllocFree(t *testing.T) {
+	b := MustNewBank(DefaultParams(), 8, 0.7)
+	workBank(b, 3)
+	if n := testing.AllocsPerRun(1000, func() {
+		b.RestAll(time.Second)
+	}); n != 0 {
+		t.Fatalf("Bank.RestAll allocates %.1f times per call, want 0", n)
+	}
+}

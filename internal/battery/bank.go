@@ -8,12 +8,9 @@ import (
 )
 
 // Bank is the distributed battery array: an indexed set of units that the
-// relay fabric connects to the charge or discharge bus individually. A bank
-// owns its BankSoA store, one slot per unit.
+// relay fabric connects to the charge or discharge bus individually.
 type Bank struct {
-	soa   *BankSoA
-	units []Unit // handle per slot, contiguous
-	ptrs  []*Unit
+	units []*Unit // into one backing array, so the units sit contiguously
 }
 
 // NewBank builds a bank of n identical units at the given initial SoC.
@@ -21,14 +18,15 @@ func NewBank(p Params, n int, soc float64) (*Bank, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("battery: bank size %d must be positive", n)
 	}
-	s, err := NewBankSoA(p, n, soc)
+	u, err := New(p, soc)
 	if err != nil {
 		return nil, err
 	}
-	b := &Bank{soa: s, units: make([]Unit, n), ptrs: make([]*Unit, n)}
-	for i := range b.units {
-		b.units[i] = Unit{s: s, i: i}
-		b.ptrs[i] = &b.units[i]
+	backing := make([]Unit, n)
+	b := &Bank{units: make([]*Unit, n)}
+	for i := range backing {
+		backing[i] = *u
+		b.units[i] = &backing[i]
 	}
 	return b, nil
 }
@@ -46,16 +44,16 @@ func MustNewBank(p Params, n int, soc float64) *Bank {
 func (b *Bank) Size() int { return len(b.units) }
 
 // Unit returns unit i.
-func (b *Bank) Unit(i int) *Unit { return &b.units[i] }
+func (b *Bank) Unit(i int) *Unit { return b.units[i] }
 
-// Units returns the bank's unit handles (shared, not copied).
-func (b *Bank) Units() []*Unit { return b.ptrs }
+// Units returns the bank's units (shared, not copied).
+func (b *Bank) Units() []*Unit { return b.units }
 
 // StoredEnergy totals the energy held across all units.
 func (b *Bank) StoredEnergy() units.WattHour {
 	var e units.WattHour
-	for i := range b.units {
-		e += b.units[i].StoredEnergy()
+	for _, u := range b.units {
+		e += u.StoredEnergy()
 	}
 	return e
 }
@@ -63,10 +61,9 @@ func (b *Bank) StoredEnergy() units.WattHour {
 // MeanSoC is the capacity-weighted average state of charge.
 func (b *Bank) MeanSoC() float64 {
 	var s, c float64
-	for i := range b.units {
-		u := &b.units[i]
-		s += u.SoC() * float64(u.s.p.CapacityAh)
-		c += float64(u.s.p.CapacityAh)
+	for _, u := range b.units {
+		s += u.SoC() * float64(u.p.CapacityAh)
+		c += float64(u.p.CapacityAh)
 	}
 	if c == 0 {
 		return 0
@@ -77,8 +74,8 @@ func (b *Bank) MeanSoC() float64 {
 // TotalThroughput sums wear-weighted throughput across units.
 func (b *Bank) TotalThroughput() units.AmpHour {
 	var t units.AmpHour
-	for i := range b.units {
-		t += b.units[i].Throughput()
+	for _, u := range b.units {
+		t += u.Throughput()
 	}
 	return t
 }
@@ -100,9 +97,12 @@ func (b *Bank) ThroughputSpread() units.AmpHour {
 	return max - min
 }
 
-// RestAll advances every unit with no current flowing, through the store's
-// flat batch loop.
-func (b *Bank) RestAll(dt time.Duration) { b.soa.RestAll(dt) }
+// RestAll advances every unit with no current flowing.
+func (b *Bank) RestAll(dt time.Duration) {
+	for _, u := range b.units {
+		u.Rest(dt)
+	}
+}
 
 // DischargeSet draws total power p split evenly across the given unit
 // indices for dt, and returns the energy actually delivered. Units whose
@@ -114,7 +114,7 @@ func (b *Bank) DischargeSet(idx []int, p units.Watt, dt time.Duration) units.Wat
 	var delivered units.WattHour
 	share := p / units.Watt(len(idx))
 	for _, i := range idx {
-		u := &b.units[i]
+		u := b.units[i]
 		v := u.TerminalVoltage()
 		if v <= 0 {
 			continue

@@ -18,14 +18,6 @@
 // bound well connected by a diffusion-rate valve. Property 3 is reproduced
 // with an SoC-dependent acceptance limit plus a per-connected-unit gassing
 // overhead.
-//
-// Storage layout: unit state lives in a structure-of-arrays BankSoA store —
-// parallel slices of wells, currents, and wear counters — and Unit is a
-// (store, index) handle into it. A bank's units are therefore contiguous in
-// memory, so a batch step walks flat arrays instead of chasing per-unit heap
-// objects. The scalar math is expression-for-expression the same as the
-// former per-object layout, so stepping through handles is bit-identical to
-// the old path.
 package battery
 
 import (
@@ -140,93 +132,40 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// BankSoA is the structure-of-arrays store behind Unit and Bank: one parallel
-// slice per state variable, so the units of a bank sit contiguously in
-// memory and a batch step walks flat arrays. All units in a store share one
-// Params (the prototype's banks are homogeneous); per-unit state that faults
-// can skew (capacity loss) stays per-index.
-type BankSoA struct {
+// Unit is one battery cabinet: its configuration, the two KiBaM factors
+// derived from it, and its mutable state.
+type Unit struct {
 	p Params
 
 	// kk is the KiBaM head-difference decay rate k(1/c + 1/(1−c)), and
 	// relax1 = 1 − exp(−kk·1 s) is the fraction of that difference relaxed
 	// over the simulation's 1 s step. Both depend only on p and are set once
-	// in NewBankSoA.
+	// in New.
 	kk, relax1 float64
 
-	// KiBaM wells, in amp-hours.
-	avail []float64 // y1: immediately extractable charge
-	bound []float64 // y2: chemically bound charge
-
-	lastI []units.Amp // signed: + discharge, − charge (for terminal voltage)
-
-	throughput []units.AmpHour // lifetime discharge Ah (wear-weighted)
-	rawOut     []units.AmpHour // unweighted Ah delivered over life
-	rawIn      []units.AmpHour // unweighted Ah absorbed over life
-	cycles     []float64       // full-capacity-equivalent cycles
-
-	// faultLoss is the capacity fraction destroyed by an injected hardware
-	// fault (shorted cells); zero on a healthy unit.
-	faultLoss []float64
+	st UnitState
 }
 
-// NewBankSoA allocates a store of n units at the given initial state of
-// charge.
-func NewBankSoA(p Params, n int, soc float64) (*BankSoA, error) {
+// New returns a Unit at the given initial state of charge.
+func New(p Params, soc float64) (*Unit, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if n <= 0 {
-		return nil, fmt.Errorf("battery: store size %d must be positive", n)
-	}
-	if soc < 0 || soc > 1 {
+	if !(soc >= 0 && soc <= 1) { // negated so that NaN is rejected too
 		return nil, fmt.Errorf("battery: initial SoC %v out of [0,1]", soc)
 	}
-	cap := float64(p.CapacityAh)
+	nameplate := float64(p.CapacityAh)
 	c := p.CapacityRatio
 	kk := p.RateConst * (1/c + 1/(1-c))
-	s := &BankSoA{
-		p:          p,
-		kk:         kk,
-		relax1:     1 - math.Exp(-kk),
-		avail:      make([]float64, n),
-		bound:      make([]float64, n),
-		lastI:      make([]units.Amp, n),
-		throughput: make([]units.AmpHour, n),
-		rawOut:     make([]units.AmpHour, n),
-		rawIn:      make([]units.AmpHour, n),
-		cycles:     make([]float64, n),
-		faultLoss:  make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		s.avail[i] = soc * cap * p.CapacityRatio
-		s.bound[i] = soc * cap * (1 - p.CapacityRatio)
-	}
-	return s, nil
-}
-
-// Len returns the number of unit slots in the store.
-func (s *BankSoA) Len() int { return len(s.avail) }
-
-// Params returns the store's shared unit configuration.
-func (s *BankSoA) Params() Params { return s.p }
-
-// Unit is one battery cabinet: a handle onto one index of a BankSoA store.
-// Copies of a Unit alias the same state, so handles can be passed by value
-// or pointer interchangeably.
-type Unit struct {
-	s *BankSoA
-	i int
-}
-
-// New returns a standalone Unit at the given initial state of charge,
-// backed by its own single-slot store.
-func New(p Params, soc float64) (*Unit, error) {
-	s, err := NewBankSoA(p, 1, soc)
-	if err != nil {
-		return nil, err
-	}
-	return &Unit{s: s, i: 0}, nil
+	return &Unit{
+		p:      p,
+		kk:     kk,
+		relax1: 1 - math.Exp(-kk),
+		st: UnitState{
+			AvailAh: soc * nameplate * c,
+			BoundAh: soc * nameplate * (1 - c),
+		},
+	}, nil
 }
 
 // MustNew is New for known-good parameters; it panics on error.
@@ -239,7 +178,7 @@ func MustNew(p Params, soc float64) *Unit {
 }
 
 // Params returns the unit's configuration.
-func (u *Unit) Params() Params { return u.s.p }
+func (u *Unit) Params() Params { return u.p }
 
 // capAh is the present usable capacity: nameplate reduced by linear aging
 // fade as wear accumulates toward the lifetime throughput, and by any
@@ -249,8 +188,8 @@ func (u *Unit) capAh() float64 {
 	if w > 1.5 {
 		w = 1.5
 	}
-	fade := u.s.p.FadeAtEOL * w
-	return float64(u.s.p.CapacityAh) * (1 - fade) * (1 - u.s.faultLoss[u.i])
+	fade := u.p.FadeAtEOL * w
+	return float64(u.p.CapacityAh) * (1 - fade) * (1 - u.st.FaultLoss)
 }
 
 // InjectCapacityLoss destroys frac of the unit's capacity mid-operation —
@@ -263,15 +202,15 @@ func (u *Unit) InjectCapacityLoss(frac float64) {
 	if frac == 0 {
 		return
 	}
-	s, i := u.s, u.i
-	s.faultLoss[i] = 1 - (1-s.faultLoss[i])*(1-frac)
+	st := &u.st
+	st.FaultLoss = 1 - (1-st.FaultLoss)*(1-frac)
 	keep := (1 - frac) * (1 - frac)
-	s.avail[i] *= keep
-	s.bound[i] *= keep
+	st.AvailAh *= keep
+	st.BoundAh *= keep
 }
 
 // Failed reports whether a capacity-loss fault has been injected.
-func (u *Unit) Failed() bool { return u.s.faultLoss[u.i] > 0 }
+func (u *Unit) Failed() bool { return u.st.FaultLoss > 0 }
 
 // EffectiveCapacity is the present usable capacity after aging fade.
 func (u *Unit) EffectiveCapacity() units.AmpHour { return units.AmpHour(u.capAh()) }
@@ -279,104 +218,76 @@ func (u *Unit) EffectiveCapacity() units.AmpHour { return units.AmpHour(u.capAh(
 // SoC is the total state of charge in [0,1] counting both wells, against
 // the present (faded) capacity.
 func (u *Unit) SoC() float64 {
-	return units.Clamp((u.s.avail[u.i]+u.s.bound[u.i])/u.capAh(), 0, 1)
+	return units.Clamp((u.st.AvailAh+u.st.BoundAh)/u.capAh(), 0, 1)
 }
 
 // AvailableSoC is the normalised level of the available well only. Under
 // sustained high current it drops well below SoC — that gap is the
 // rate-capacity effect, and its closing at rest is the recovery effect.
 func (u *Unit) AvailableSoC() float64 {
-	denom := u.capAh() * u.s.p.CapacityRatio
-	return units.Clamp(u.s.avail[u.i]/denom, 0, 1)
+	denom := u.capAh() * u.p.CapacityRatio
+	return units.Clamp(u.st.AvailAh/denom, 0, 1)
 }
 
 // StoredEnergy approximates the energy content at nominal voltage.
 func (u *Unit) StoredEnergy() units.WattHour {
-	return units.WattHour((u.s.avail[u.i] + u.s.bound[u.i]) * float64(u.s.p.NominalVolt))
+	return units.WattHour((u.st.AvailAh + u.st.BoundAh) * float64(u.p.NominalVolt))
 }
 
 // OCV is the rest (open-circuit) voltage implied by the available well.
 func (u *Unit) OCV() units.Volt {
-	return units.Volt(units.Lerp(float64(u.s.p.OCVEmpty), float64(u.s.p.OCVFull), u.AvailableSoC()))
+	return units.Volt(units.Lerp(float64(u.p.OCVEmpty), float64(u.p.OCVFull), u.AvailableSoC()))
 }
 
 // TerminalVoltage is what a transducer reads: OCV sagged or lifted by the
 // most recent current through the internal resistance.
 func (u *Unit) TerminalVoltage() units.Volt {
-	return units.Volt(float64(u.OCV()) - float64(u.s.lastI[u.i])*u.s.p.InternalOhm)
+	return units.Volt(float64(u.OCV()) - float64(u.st.LastI)*u.p.InternalOhm)
 }
 
 // LastCurrent is the most recent current through the unit: positive on
 // discharge, negative on charge, zero at rest. With TerminalVoltage it is
-// everything a transducer reads, without Snapshot's SoC and energy work.
-func (u *Unit) LastCurrent() units.Amp { return u.s.lastI[u.i] }
+// everything a transducer reads.
+func (u *Unit) LastCurrent() units.Amp { return u.st.LastI }
 
-// BelowCutoff reports whether the protection threshold has been crossed.
-func (u *Unit) BelowCutoff() bool { return u.TerminalVoltage() < u.s.p.CutoffVolt }
-
-// Empty reports whether the available well is exhausted (the battery cannot
-// source current even though bound charge may remain).
-func (u *Unit) Empty() bool { return u.s.avail[u.i] <= 1e-9 }
-
-// diffuse moves charge between the wells at index i for dt seconds (KiBaM
-// valve). This is the shared kernel of the per-unit and batch paths, so the
-// two are bit-identical by construction.
-func (s *BankSoA) diffuse(i int, dtSec float64, capAh float64) {
-	c := s.p.CapacityRatio
-	h1 := s.avail[i] / c
-	h2 := s.bound[i] / (1 - c)
+// diffuse moves charge between the wells for dt seconds (KiBaM valve).
+func (u *Unit) diffuse(dtSec float64, capAh float64) {
+	st := &u.st
+	c := u.p.CapacityRatio
+	h1 := st.AvailAh / c
+	h2 := st.BoundAh / (1 - c)
 	// Closed-form relaxation of the head difference avoids Euler
 	// instability at large dt: Δh decays with rate kk. The 1 s step's
 	// factor is precomputed; it is the same expression evaluated once.
-	relax := s.relax1
+	relax := u.relax1
 	if dtSec != 1 {
-		relax = 1 - math.Exp(-s.kk*dtSec)
+		relax = 1 - math.Exp(-u.kk*dtSec)
 	}
 	delta := (h2 - h1) * relax
 	// Convert head change back to charge moved (both wells see the same
 	// transferred charge q; h1 rises by q/c, h2 falls by q/(1−c)).
 	q := delta / (1/c + 1/(1-c))
-	s.avail[i] += q
-	s.bound[i] -= q
-	if s.avail[i] < 0 {
-		s.avail[i] = 0
+	st.AvailAh += q
+	st.BoundAh -= q
+	if st.AvailAh < 0 {
+		st.AvailAh = 0
 	}
-	if s.bound[i] < 0 {
-		s.bound[i] = 0
+	if st.BoundAh < 0 {
+		st.BoundAh = 0
 	}
-	if s.avail[i] > capAh*c {
-		s.avail[i] = capAh * c
+	if st.AvailAh > capAh*c {
+		st.AvailAh = capAh * c
 	}
-	if s.bound[i] > capAh*(1-c) {
-		s.bound[i] = capAh * (1 - c)
+	if st.BoundAh > capAh*(1-c) {
+		st.BoundAh = capAh * (1 - c)
 	}
-}
-
-// capAhAt is capAh for slot i (the Unit method with the handle unwrapped).
-func (s *BankSoA) capAhAt(i int) float64 {
-	w := float64(s.throughput[i]) / float64(s.p.LifetimeAh)
-	if w > 1.5 {
-		w = 1.5
-	}
-	fade := s.p.FadeAtEOL * w
-	return float64(s.p.CapacityAh) * (1 - fade) * (1 - s.faultLoss[i])
 }
 
 // Rest advances the unit with no current flowing; only recovery diffusion
 // happens. The relay for this unit is open.
 func (u *Unit) Rest(dt time.Duration) {
-	u.s.lastI[u.i] = 0
-	u.s.diffuse(u.i, dt.Seconds(), u.capAh())
-}
-
-// RestAll batch-steps every unit in the store with no current flowing.
-// Equivalent (bit-for-bit) to calling Rest on each unit in index order.
-func (s *BankSoA) RestAll(dt time.Duration) {
-	dtSec := dt.Seconds()
-	for i := range s.avail {
-		s.lastI[i] = 0
-		s.diffuse(i, dtSec, s.capAhAt(i))
-	}
+	u.st.LastI = 0
+	u.diffuse(dt.Seconds(), u.capAh())
 }
 
 // Discharge draws current i for dt and returns the charge actually
@@ -386,29 +297,29 @@ func (u *Unit) Discharge(i units.Amp, dt time.Duration) units.AmpHour {
 	if i < 0 {
 		panic("battery: negative discharge current")
 	}
-	s, k := u.s, u.i
+	st := &u.st
 	dtSec := dt.Seconds()
 	want := float64(i) * dtSec / 3600 // Ah requested
 	got := want
-	if got > s.avail[k] {
-		got = s.avail[k]
+	if got > st.AvailAh {
+		got = st.AvailAh
 	}
-	s.avail[k] -= got
-	s.diffuse(k, dtSec, u.capAh())
-	s.lastI[k] = i
+	st.AvailAh -= got
+	u.diffuse(dtSec, u.capAh())
+	st.LastI = i
 	if got < want {
 		// Partially delivered: the terminal voltage should reflect a
 		// collapsed available well under load.
-		s.lastI[k] = units.Amp(got * 3600 / math.Max(dtSec, 1e-9))
+		st.LastI = units.Amp(got * 3600 / math.Max(dtSec, 1e-9))
 	}
 
 	wear := got
-	if u.SoC() < s.p.DeepSoC {
-		wear *= s.p.DeepWearFactor
+	if u.SoC() < u.p.DeepSoC {
+		wear *= u.p.DeepWearFactor
 	}
-	s.throughput[k] += units.AmpHour(wear)
-	s.rawOut[k] += units.AmpHour(got)
-	s.cycles[k] += got / float64(s.p.CapacityAh)
+	st.Throughput += units.AmpHour(wear)
+	st.RawOut += units.AmpHour(got)
+	st.Cycles += got / float64(u.p.CapacityAh)
 	return units.AmpHour(got)
 }
 
@@ -436,36 +347,36 @@ func (u *Unit) Charge(i units.Amp, dt time.Duration) units.Amp {
 	if i < 0 {
 		panic("battery: negative charge current")
 	}
-	s, k := u.s, u.i
+	st := &u.st
 	dtSec := dt.Seconds()
 	// Gassing overhead is drawn first whenever the unit sits on the charge
 	// bus; only the remainder does useful work.
-	gas := math.Min(float64(i), float64(s.p.GassingA))
-	useful := math.Min(float64(i)-gas, float64(s.p.Acceptance(u.SoC())))
+	gas := math.Min(float64(i), float64(u.p.GassingA))
+	useful := math.Min(float64(i)-gas, float64(u.p.Acceptance(u.SoC())))
 	if useful < 0 {
 		useful = 0
 	}
-	stored := useful * s.p.CoulombicEff * dtSec / 3600 // Ah
+	stored := useful * u.p.CoulombicEff * dtSec / 3600 // Ah
 
-	c := s.p.CapacityRatio
+	c := u.p.CapacityRatio
 	capAh := u.capAh()
 	// Charge enters the available well, then diffuses toward the bound well.
-	room := capAh*c - s.avail[k]
+	room := capAh*c - st.AvailAh
 	if stored > room {
 		// Spill directly into the bound well when the available well tops
 		// out (absorption phase).
-		s.bound[k] += stored - room
+		st.BoundAh += stored - room
 		stored = room
 	}
-	s.avail[k] += stored
-	if s.bound[k] > capAh*(1-c) {
-		s.bound[k] = capAh * (1 - c)
+	st.AvailAh += stored
+	if st.BoundAh > capAh*(1-c) {
+		st.BoundAh = capAh * (1 - c)
 	}
-	s.diffuse(k, dtSec, capAh)
+	u.diffuse(dtSec, capAh)
 
 	drawn := units.Amp(gas + useful)
-	s.lastI[k] = -drawn
-	s.rawIn[k] += units.AmpHour(useful * dtSec / 3600)
+	st.LastI = -drawn
+	st.RawIn += units.AmpHour(useful * dtSec / 3600)
 	return drawn
 }
 
@@ -484,25 +395,25 @@ func (u *Unit) ChargeAtPower(p units.Watt, dt time.Duration) units.Watt {
 
 // chargeBusVoltage approximates the regulated charging voltage for the unit.
 func (u *Unit) chargeBusVoltage() units.Volt {
-	return units.Volt(float64(u.OCV()) + float64(u.s.p.MaxChargeA)*u.s.p.InternalOhm)
+	return units.Volt(float64(u.OCV()) + float64(u.p.MaxChargeA)*u.p.InternalOhm)
 }
 
 // Throughput returns the wear-weighted lifetime discharge throughput (the
 // AhT[i] statistic driving the paper's SPM screening, Fig 9).
-func (u *Unit) Throughput() units.AmpHour { return u.s.throughput[u.i] }
+func (u *Unit) Throughput() units.AmpHour { return u.st.Throughput }
 
 // RawOut returns total unweighted charge delivered over the unit's life.
-func (u *Unit) RawOut() units.AmpHour { return u.s.rawOut[u.i] }
+func (u *Unit) RawOut() units.AmpHour { return u.st.RawOut }
 
 // RawIn returns total unweighted charge absorbed over the unit's life.
-func (u *Unit) RawIn() units.AmpHour { return u.s.rawIn[u.i] }
+func (u *Unit) RawIn() units.AmpHour { return u.st.RawIn }
 
 // EquivalentCycles returns full-capacity-equivalent discharge cycles.
-func (u *Unit) EquivalentCycles() float64 { return u.s.cycles[u.i] }
+func (u *Unit) EquivalentCycles() float64 { return u.st.Cycles }
 
 // WearFraction is the consumed fraction of the unit's lifetime throughput.
 func (u *Unit) WearFraction() float64 {
-	return float64(u.s.throughput[u.i]) / float64(u.s.p.LifetimeAh)
+	return float64(u.st.Throughput) / float64(u.p.LifetimeAh)
 }
 
 // RemainingLife estimates remaining service time given an average daily
@@ -511,7 +422,7 @@ func (u *Unit) RemainingLife(dailyAh units.AmpHour) time.Duration {
 	if dailyAh <= 0 {
 		return time.Duration(math.MaxInt64)
 	}
-	days := (float64(u.s.p.LifetimeAh) - float64(u.s.throughput[u.i])) / float64(dailyAh)
+	days := (float64(u.p.LifetimeAh) - float64(u.st.Throughput)) / float64(dailyAh)
 	if days < 0 {
 		days = 0
 	}
@@ -523,29 +434,7 @@ func (u *Unit) RemainingLife(dailyAh units.AmpHour) time.Duration {
 func (u *Unit) SetSoC(soc float64) {
 	soc = units.Clamp(soc, 0, 1)
 	capAh := u.capAh()
-	u.s.avail[u.i] = soc * capAh * u.s.p.CapacityRatio
-	u.s.bound[u.i] = soc * capAh * (1 - u.s.p.CapacityRatio)
-	u.s.lastI[u.i] = 0
-}
-
-// Snapshot is an immutable view of the unit for recorders and sensors.
-type Snapshot struct {
-	SoC          float64
-	AvailableSoC float64
-	Terminal     units.Volt
-	LastCurrent  units.Amp
-	Throughput   units.AmpHour
-	StoredEnergy units.WattHour
-}
-
-// Snapshot captures the observable state of the unit.
-func (u *Unit) Snapshot() Snapshot {
-	return Snapshot{
-		SoC:          u.SoC(),
-		AvailableSoC: u.AvailableSoC(),
-		Terminal:     u.TerminalVoltage(),
-		LastCurrent:  u.s.lastI[u.i],
-		Throughput:   u.s.throughput[u.i],
-		StoredEnergy: u.StoredEnergy(),
-	}
+	u.st.AvailAh = soc * capAh * u.p.CapacityRatio
+	u.st.BoundAh = soc * capAh * (1 - u.p.CapacityRatio)
+	u.st.LastI = 0
 }

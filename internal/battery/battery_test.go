@@ -52,6 +52,21 @@ func TestNewRejectsBadSoC(t *testing.T) {
 	}
 }
 
+// TestNewRejectsNonFiniteSoC checks that New and NewBank reject every
+// initial SoC outside [0,1], NaN included: NaN compares false both ways, so
+// a check written as soc < 0 || soc > 1 would build units whose every
+// reading is NaN.
+func TestNewRejectsNonFiniteSoC(t *testing.T) {
+	for _, soc := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1, 1.1} {
+		if _, err := New(DefaultParams(), soc); err == nil {
+			t.Errorf("New accepted initial SoC %v", soc)
+		}
+		if _, err := NewBank(DefaultParams(), 3, soc); err == nil {
+			t.Errorf("NewBank accepted initial SoC %v", soc)
+		}
+	}
+}
+
 func TestInitialState(t *testing.T) {
 	u := newUnit(t, 0.5)
 	if got := u.SoC(); math.Abs(got-0.5) > 1e-9 {
@@ -309,18 +324,6 @@ func TestSoCInvariants(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestSnapshot(t *testing.T) {
-	u := newUnit(t, 0.7)
-	u.Discharge(5, time.Second)
-	s := u.Snapshot()
-	if s.SoC != u.SoC() || s.Terminal != u.TerminalVoltage() {
-		t.Error("snapshot disagrees with live unit")
-	}
-	if s.LastCurrent != 5 {
-		t.Errorf("snapshot current = %v, want 5", s.LastCurrent)
 	}
 }
 

@@ -16,43 +16,23 @@ const unitStateVersion = 1
 // caller, not persisted, so a config change cannot be masked by stale
 // state on disk.
 type UnitState struct {
-	AvailAh    float64 // available well, amp-hours
-	BoundAh    float64 // bound well, amp-hours
-	LastI      units.Amp
-	Throughput units.AmpHour
-	RawOut     units.AmpHour
-	RawIn      units.AmpHour
-	Cycles     float64
-	FaultLoss  float64
+	AvailAh    float64       // available well (KiBaM y1), amp-hours
+	BoundAh    float64       // bound well (KiBaM y2), amp-hours
+	LastI      units.Amp     // signed: + discharge, − charge (for terminal voltage)
+	Throughput units.AmpHour // lifetime discharge Ah, wear-weighted
+	RawOut     units.AmpHour // unweighted Ah delivered over life
+	RawIn      units.AmpHour // unweighted Ah absorbed over life
+	Cycles     float64       // full-capacity-equivalent cycles
+	// FaultLoss is the capacity fraction destroyed by an injected hardware
+	// fault (shorted cells); zero on a healthy unit.
+	FaultLoss float64
 }
 
 // State captures the unit's full mutable state.
-func (u *Unit) State() UnitState {
-	s, i := u.s, u.i
-	return UnitState{
-		AvailAh:    s.avail[i],
-		BoundAh:    s.bound[i],
-		LastI:      s.lastI[i],
-		Throughput: s.throughput[i],
-		RawOut:     s.rawOut[i],
-		RawIn:      s.rawIn[i],
-		Cycles:     s.cycles[i],
-		FaultLoss:  s.faultLoss[i],
-	}
-}
+func (u *Unit) State() UnitState { return u.st }
 
 // Restore overwrites the unit's mutable state. Params are untouched.
-func (u *Unit) Restore(st UnitState) {
-	s, i := u.s, u.i
-	s.avail[i] = st.AvailAh
-	s.bound[i] = st.BoundAh
-	s.lastI[i] = st.LastI
-	s.throughput[i] = st.Throughput
-	s.rawOut[i] = st.RawOut
-	s.rawIn[i] = st.RawIn
-	s.cycles[i] = st.Cycles
-	s.faultLoss[i] = st.FaultLoss
-}
+func (u *Unit) Restore(st UnitState) { u.st = st }
 
 // AppendTo serializes the state bit-exactly into e.
 func (st UnitState) AppendTo(e *journal.Encoder) {

@@ -11,8 +11,7 @@ import (
 	"insure/internal/trace"
 )
 
-// hetBatteries gives each plant a different battery shape, which forces
-// sim.NewFleet off the shared SoA stores and onto the per-plant fallback.
+// hetBatteries gives each plant a different battery shape.
 var hetBatteries = []int{6, 4}
 
 // hetFleet assembles the heterogeneous two-plant fixture with journaled
@@ -91,9 +90,8 @@ func runHet(t *testing.T, dirs []string, killAt time.Duration) ([][]sim.Frame, [
 	return frames, results
 }
 
-// TestHeterogeneousFleetKillResumeBitIdentical is the satellite-3 coverage:
-// a fleet of plants with different battery shapes (independent stores, not
-// the shared SoA path) must replay bit-identically through
+// TestHeterogeneousFleetKillResumeBitIdentical checks that a fleet of
+// plants with different battery shapes replays bit-identically through
 // JournaledManager recovery — kill both controllers mid-day, recover each
 // from its own journal, and every recorded frame and result must match the
 // uninterrupted twin exactly.

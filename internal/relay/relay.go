@@ -6,13 +6,6 @@
 // digital outputs. The relays have a 25 ms switching time and a 10-million
 // cycle mechanical life, both of which we account for because switch-network
 // longevity is part of the design's cost story.
-//
-// Storage layout: contact state (position, wear counters, settle timers,
-// injected faults) lives in a structure-of-arrays store shared by every
-// relay of a fabric, and Relay is a stable (store, index) handle carrying
-// only wiring (name, the OnSettle hook). A fabric tick therefore walks flat
-// arrays instead of scattered heap objects; the Relay/Pair/Fabric API and
-// the per-relay semantics are unchanged.
 package relay
 
 import (
@@ -52,34 +45,10 @@ func (f FailMode) String() string {
 	}
 }
 
-// store is the structure-of-arrays contact state for a set of relays: one
-// parallel slice per variable, one slot per relay.
-type store struct {
-	closed  []bool
-	cycles  []int64
-	aborted []int64
-	pending []time.Duration // time remaining until an in-flight switch settles
-	waited  []time.Duration // sim-time elapsed since the in-flight Set
-	fail    []FailMode
-}
-
-func newStore(n int) *store {
-	return &store{
-		closed:  make([]bool, n),
-		cycles:  make([]int64, n),
-		aborted: make([]int64, n),
-		pending: make([]time.Duration, n),
-		waited:  make([]time.Duration, n),
-		fail:    make([]FailMode, n),
-	}
-}
-
-// Relay is a single electromechanical switch: a handle onto one slot of a
-// fabric's contact-state store.
+// Relay is a single electromechanical switch.
 type Relay struct {
-	s    *store
-	i    int
 	name string
+	st   RelayState
 
 	// OnSettle, when set, is called from Tick each time an in-flight switch
 	// finishes settling, with the sim-time that elapsed between the Set and
@@ -89,55 +58,54 @@ type Relay struct {
 	OnSettle func(waited time.Duration)
 }
 
-// New returns an open standalone relay with the given name, backed by its
-// own single-slot store.
-func New(name string) *Relay { return &Relay{s: newStore(1), name: name} }
+// New returns an open relay with the given name.
+func New(name string) *Relay { return &Relay{name: name} }
 
 // Name returns the relay's identifier.
 func (r *Relay) Name() string { return r.name }
 
 // Closed reports whether the contact is (or will settle) closed.
-func (r *Relay) Closed() bool { return r.s.closed[r.i] }
+func (r *Relay) Closed() bool { return r.st.Closed }
 
 // Settled reports whether any in-flight switching has completed.
-func (r *Relay) Settled() bool { return r.s.pending[r.i] <= 0 }
+func (r *Relay) Settled() bool { return r.st.Pending <= 0 }
 
 // Cycles returns the lifetime operate count.
-func (r *Relay) Cycles() int64 { return r.s.cycles[r.i] }
+func (r *Relay) Cycles() int64 { return r.st.Cycles }
 
 // Aborted returns the number of in-flight switches that were reversed before
 // settling. Each abort still consumed a mechanical cycle (the armature moved
 // twice through the arc gap), so aborts count toward wear.
-func (r *Relay) Aborted() int64 { return r.s.aborted[r.i] }
+func (r *Relay) Aborted() int64 { return r.st.Aborted }
 
 // SettleRemaining is the time left until an in-flight switch settles (zero
 // when settled; never negative).
-func (r *Relay) SettleRemaining() time.Duration { return r.s.pending[r.i] }
+func (r *Relay) SettleRemaining() time.Duration { return r.st.Pending }
 
 // WearFraction is the consumed fraction of mechanical life.
 func (r *Relay) WearFraction() float64 {
-	return float64(r.s.cycles[r.i]) / float64(MechanicalLife)
+	return float64(r.st.Cycles) / float64(MechanicalLife)
 }
 
 // Fail injects a hardware fault. FailNone clears it (a field repair).
 func (r *Relay) Fail(m FailMode) {
-	s, i := r.s, r.i
-	s.fail[i] = m
+	st := &r.st
+	st.Fail = m
 	switch m {
 	case FailWeldClosed:
-		s.closed[i] = true
-		s.pending[i] = 0
+		st.Closed = true
+		st.Pending = 0
 	case FailStuckOpen:
-		s.closed[i] = false
-		s.pending[i] = 0
+		st.Closed = false
+		st.Pending = 0
 	}
 }
 
 // Failed reports whether a hardware fault is present.
-func (r *Relay) Failed() bool { return r.s.fail[r.i] != FailNone }
+func (r *Relay) Failed() bool { return r.st.Fail != FailNone }
 
 // FailState returns the injected fault mode.
-func (r *Relay) FailState() FailMode { return r.s.fail[r.i] }
+func (r *Relay) FailState() FailMode { return r.st.Fail }
 
 // Set drives the coil. A state change consumes one mechanical cycle and
 // takes SwitchTime to settle; setting the current state is a no-op. A Set
@@ -146,42 +114,42 @@ func (r *Relay) FailState() FailMode { return r.s.fail[r.i] }
 // command in the blocked direction (welded contacts cannot open, a stuck
 // armature cannot close).
 func (r *Relay) Set(closed bool) {
-	s, i := r.s, r.i
-	switch s.fail[i] {
+	st := &r.st
+	switch st.Fail {
 	case FailWeldClosed:
-		s.closed[i] = true
+		st.Closed = true
 		return
 	case FailStuckOpen:
-		s.closed[i] = false
+		st.Closed = false
 		return
 	}
-	if s.closed[i] == closed {
+	if st.Closed == closed {
 		return
 	}
-	if s.pending[i] > 0 {
+	if st.Pending > 0 {
 		// The previous transition had not settled: the contact reverses
 		// mid-travel. Record the abort and charge its wear.
-		s.aborted[i]++
-		s.cycles[i]++
+		st.Aborted++
+		st.Cycles++
 	}
-	s.closed[i] = closed
-	s.cycles[i]++
-	s.pending[i] = SwitchTime
-	s.waited[i] = 0
+	st.Closed = closed
+	st.Cycles++
+	st.Pending = SwitchTime
+	st.Waited = 0
 }
 
 // Tick advances time for settle accounting, clamping at zero so repeated
 // ticks cannot drift the pending balance negative.
 func (r *Relay) Tick(dt time.Duration) {
-	s, i := r.s, r.i
-	if s.pending[i] > 0 {
-		s.waited[i] += dt
-		s.pending[i] -= dt
-		if s.pending[i] < 0 {
-			s.pending[i] = 0
+	st := &r.st
+	if st.Pending > 0 {
+		st.Waited += dt
+		st.Pending -= dt
+		if st.Pending < 0 {
+			st.Pending = 0
 		}
-		if s.pending[i] == 0 && r.OnSettle != nil {
-			r.OnSettle(s.waited[i])
+		if st.Pending == 0 && r.OnSettle != nil {
+			r.OnSettle(st.Waited)
 		}
 	}
 }
@@ -277,10 +245,7 @@ func (p *Pair) Tick(dt time.Duration) {
 }
 
 // Fabric is the whole switch network: one pair per battery unit plus the
-// series/parallel topology switches (P1, P2, P3 in Fig 6). All of a
-// fabric's contact state lives in one store, laid out pair-major
-// (charge0, discharge0, charge1, … P1, P2, P3), so Tick and the mode
-// queries scan contiguous memory.
+// series/parallel topology switches (P1, P2, P3 in Fig 6).
 type Fabric struct {
 	pairs []*Pair
 
@@ -292,18 +257,9 @@ type Fabric struct {
 // NewFabric builds a fabric for n battery units, initially all open and in
 // parallel topology.
 func NewFabric(n int) *Fabric {
-	s := newStore(2*n + 3)
-	f := &Fabric{
-		pairs: make([]*Pair, n),
-		P1:    &Relay{s: s, i: 2 * n, name: "P1"},
-		P2:    &Relay{s: s, i: 2*n + 1, name: "P2"},
-		P3:    &Relay{s: s, i: 2*n + 2, name: "P3"},
-	}
+	f := &Fabric{pairs: make([]*Pair, n), P1: New("P1"), P2: New("P2"), P3: New("P3")}
 	for i := range f.pairs {
-		f.pairs[i] = &Pair{
-			Charge:    &Relay{s: s, i: 2 * i, name: fmt.Sprintf("bat%d-CR", i)},
-			Discharge: &Relay{s: s, i: 2*i + 1, name: fmt.Sprintf("bat%d-DR", i)},
-		}
+		f.pairs[i] = NewPair(i)
 	}
 	f.SetParallel()
 	return f
@@ -335,9 +291,8 @@ func (f *Fabric) Parallel() bool {
 	return f.P1.Closed() && f.P3.Closed() && !f.P2.Closed()
 }
 
-// Tick advances every relay in the fabric, in the same order as before the
-// SoA layout: pair contacts first (charge then discharge per unit), then the
-// topology switches.
+// Tick advances every relay in the fabric: pair contacts first (charge then
+// discharge per unit), then the topology switches.
 func (f *Fabric) Tick(dt time.Duration) {
 	for _, p := range f.pairs {
 		p.Tick(dt)

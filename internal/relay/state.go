@@ -17,34 +17,16 @@ type RelayState struct {
 	Closed  bool
 	Cycles  int64
 	Aborted int64
-	Pending time.Duration
-	Waited  time.Duration
+	Pending time.Duration // time remaining until an in-flight switch settles
+	Waited  time.Duration // sim-time elapsed since the in-flight Set
 	Fail    FailMode
 }
 
 // State captures the relay's mutable state.
-func (r *Relay) State() RelayState {
-	s, i := r.s, r.i
-	return RelayState{
-		Closed:  s.closed[i],
-		Cycles:  s.cycles[i],
-		Aborted: s.aborted[i],
-		Pending: s.pending[i],
-		Waited:  s.waited[i],
-		Fail:    s.fail[i],
-	}
-}
+func (r *Relay) State() RelayState { return r.st }
 
 // Restore overwrites the relay's mutable state.
-func (r *Relay) Restore(st RelayState) {
-	s, i := r.s, r.i
-	s.closed[i] = st.Closed
-	s.cycles[i] = st.Cycles
-	s.aborted[i] = st.Aborted
-	s.pending[i] = st.Pending
-	s.waited[i] = st.Waited
-	s.fail[i] = st.Fail
-}
+func (r *Relay) Restore(st RelayState) { r.st = st }
 
 // AppendTo serializes the state into e.
 func (st RelayState) AppendTo(e *journal.Encoder) {
