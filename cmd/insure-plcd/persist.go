@@ -98,10 +98,7 @@ func (s *panelStore) restoreInto(p *panel) (time.Duration, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	payload := res.Snapshot
-	if len(res.Entries) > 0 {
-		payload = res.Entries[len(res.Entries)-1]
-	}
+	payload := res.Newest()
 	if payload == nil {
 		return 0, false, nil
 	}

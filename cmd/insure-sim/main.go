@@ -298,7 +298,7 @@ func main() {
 		}
 		var res sim.Result
 		if *stateDir != "" {
-			res, m = runJournaled(s, m.(*core.Manager), mgrConfig(*survival), reg, kills, *stateDir, *tornKill)
+			res, m = runJournaled(s, m.(*core.Manager), kills, *stateDir, *tornKill)
 		} else {
 			res = s.Run(m)
 		}
@@ -416,8 +416,7 @@ func validateFlags(set map[string]bool) error {
 }
 
 // mgrConfig builds the insure control-plane config, arming the
-// survivability ladder when asked. Both initial setup and journal
-// recovery go through here so a recovered controller keeps the ladder.
+// survivability ladder when asked.
 func mgrConfig(survival bool) core.Config {
 	cfg := core.DefaultConfig()
 	if survival {
@@ -449,41 +448,30 @@ func parseKills(spec string) ([]time.Duration, error) {
 // keeps its physical state, recovery reconciles the restored relay intent
 // against it, and the run continues. It returns the result and the final
 // (possibly recovered) manager so the report can read its fault events.
-func runJournaled(sys *sim.System, mgr *core.Manager, mcfg core.Config, reg *telemetry.Registry, kills []time.Duration, dir string, torn bool) (sim.Result, sim.Manager) {
+func runJournaled(sys *sim.System, mgr *core.Manager, kills []time.Duration, dir string, torn bool) (sim.Result, sim.Manager) {
 	store, err := journal.Open(dir)
 	if err != nil {
 		log.Fatal(err)
 	}
 	jm := core.NewJournaled(mgr, store)
+	var tear int64
+	if torn {
+		tear = 40
+	}
 	start, end := sys.Span()
 	step := sys.Config().Step
 	next := 0
 	for tod := start; tod < end; tod += step {
 		if next < len(kills) && tod >= kills[next] {
-			// Hard stop: only the journal survives the controller.
-			if err := store.Close(); err != nil {
-				log.Fatal(err)
-			}
-			if torn {
-				if err := journal.TruncateTail(dir, 40); err != nil {
-					log.Fatal(err)
-				}
-			}
-			// Recovery must rebuild the controller under the same config the
-			// original ran with — a survival-armed plant that came back
-			// without its ladder would silently lose the emergency posture.
-			m2, store2, err := core.Recover(mcfg, sys.Bank.Size(), dir)
+			// Hard stop: only the journal survives the controller. Restart
+			// rebuilds it under the config it ran with, so a survival-armed
+			// plant keeps its emergency posture.
+			fixed, err := jm.Restart(sys, tod, tear)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if reg != nil {
-				m2.AttachTelemetry(reg)
-			}
-			fixed := m2.Reconcile(sys, tod)
 			fmt.Printf("controller killed at %v: recovered from journal (recovery #%d), %d relay pairs reconciled\n",
-				kills[next], m2.Recoveries(), fixed)
-			store = store2
-			jm = core.NewJournaled(m2, store)
+				kills[next], jm.Recoveries(), fixed)
 			next++
 		}
 		sys.Tick(tod, jm)
@@ -492,7 +480,7 @@ func runJournaled(sys *sim.System, mgr *core.Manager, mcfg core.Config, reg *tel
 	if err := jm.Err(); err != nil {
 		log.Printf("warning: journal commit error during run: %v", err)
 	}
-	if err := store.Close(); err != nil {
+	if err := jm.Store().Close(); err != nil {
 		log.Printf("warning: journal close: %v", err)
 	}
 	if jm.Recoveries() > 0 {

@@ -62,26 +62,6 @@ func ReadUnitState(d *journal.Decoder) UnitState {
 	}
 }
 
-// State captures the full mutable state of every unit in the bank.
-func (b *Bank) State() []UnitState {
-	out := make([]UnitState, len(b.units))
-	for i, u := range b.units {
-		out[i] = u.State()
-	}
-	return out
-}
-
-// Restore overwrites every unit's state. The bank size must match.
-func (b *Bank) Restore(st []UnitState) error {
-	if len(st) != len(b.units) {
-		return fmt.Errorf("battery: restoring %d unit states into bank of %d", len(st), len(b.units))
-	}
-	for i, u := range b.units {
-		u.Restore(st[i])
-	}
-	return nil
-}
-
 // AppendState serializes the whole bank into e.
 func (b *Bank) AppendState(e *journal.Encoder) {
 	e.Int(len(b.units))

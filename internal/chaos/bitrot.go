@@ -315,12 +315,8 @@ func runBitrotStatePlane(cfg BitrotStormConfig, rep *BitrotStormReport) error {
 			// Harness cannot continue without a store; this is terminal.
 			return fmt.Errorf("chaos: bitrot state plane unrecoverable at tick %d: %v", now, err)
 		}
-		payload := res.Snapshot
-		if len(res.Entries) > 0 {
-			payload = res.Entries[len(res.Entries)-1]
-		}
 		recovered := -1
-		if payload != nil {
+		if payload := res.Newest(); payload != nil {
 			t, h, err := state.decode(payload)
 			if err != nil || t < 0 || t >= totalTicks || state.hashes[t] != h {
 				rep.violate("silent divergence at tick %d (%s): recovered image t=%d decode err=%v", now, kind, t, err)

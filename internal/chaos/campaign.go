@@ -111,14 +111,14 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	sys, mgr := w.sys, w.mgr
-	reg := telemetry.NewRegistry()
-	mgr.AttachTelemetry(reg)
+	// The restarts carry every recovered manager onto this registry.
+	mgr.AttachTelemetry(telemetry.NewRegistry())
 	store, err := journal.Open(cfg.StateDir)
 	if err != nil {
 		return nil, err
 	}
-	defer func() { store.Close() }()
 	jm := core.NewJournaled(mgr, store)
+	defer func() { jm.Store().Close() }()
 	// Append-only journaling: every record stays a delta on the tail, so a
 	// KillTorn always has a freshly-written record to tear, never a
 	// just-rotated empty file.
@@ -171,12 +171,9 @@ func Run(cfg Config) (*Report, error) {
 					}
 				}
 			case KillClean, KillTorn:
-				mgr, store, err = restart(w, store, cfg.StateDir, e.Kind == KillTorn, core.DefaultConfig(), reg, tod)
-				if err != nil {
+				if err := restart(w, jm, e.Kind == KillTorn, tod); err != nil {
 					return nil, fmt.Errorf("chaos: %v: %w", e.Kind, err)
 				}
-				jm = core.NewJournaled(mgr, store)
-				jm.SnapshotEvery = 0
 				killTimes = append(killTimes, tod)
 			}
 		}
@@ -188,8 +185,8 @@ func Run(cfg Config) (*Report, error) {
 	w.settle()
 	res := sys.Finish(jm)
 
-	rep.Recoveries = mgr.Recoveries()
-	rep.Reconciliations = mgr.Reconciliations()
+	rep.Recoveries = jm.Recoveries()
+	rep.Reconciliations = jm.Reconciliations()
 	rep.Brownouts = res.Brownouts
 	rep.RefBrownouts = refRes.Brownouts
 	rep.EndSoC = sys.Bank.MeanSoC()

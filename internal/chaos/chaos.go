@@ -25,10 +25,10 @@
 // can steal entropy from another:
 //
 //  1. Up-front plans. Anything scheduled ahead of time — the chaos Plan in
-//     this package, wan.PlanOutages partition/collapse windows — consumes a
-//     fixed number of PRNG draws per event (Plan draws six per event even
-//     when a kind needs fewer; PlanOutages draws three per window) from its
-//     own rand.New(rand.NewSource(seed)). Fixed draw counts mean adding an
+//     this package, wan.PlanOutages partition windows — consumes a fixed
+//     number of PRNG draws per event (Plan draws six per event even when a
+//     kind needs fewer; PlanOutages draws three per window) from its own
+//     rand.New(rand.NewSource(seed)). Fixed draw counts mean adding an
 //     event kind never shifts the schedule of later events under the same
 //     seed.
 //  2. Stateless per-chunk fates. Per-tick randomness that cannot be planned

@@ -7,9 +7,7 @@ import (
 
 	"insure/internal/core"
 	"insure/internal/faults"
-	"insure/internal/journal"
 	"insure/internal/sim"
-	"insure/internal/telemetry"
 )
 
 // The kernel every campaign runs on: one verdict that every report embeds,
@@ -165,28 +163,20 @@ func (w *watch) settle() {
 	w.check(end)
 }
 
-// restart kills the controller of w's plant at tod and brings it back.
-// Only the journal in dir survives: the store closes — torn, with its last
-// tornTailBytes chopped — recovery rebuilds the manager from the journal,
-// and reconciliation re-drives the plant under the journal's intent. The
+// restart kills the controller jm drives on w's plant at tod and brings
+// it back (core.JournaledManager.Restart): only the journal survives, torn
+// with its last tornTailBytes chopped when torn is set, and
+// reconciliation re-drives the plant under the journal's intent. The
 // plant is physical and keeps running throughout; w follows the new
-// manager. On failure the closed old store comes back, so a caller's
-// deferred Close stays safe.
-func restart(w *watch, store *journal.Store, dir string, torn bool, mcfg core.Config, reg *telemetry.Registry, tod time.Duration) (*core.Manager, *journal.Store, error) {
-	if err := store.Close(); err != nil {
-		return nil, store, err
-	}
+// manager.
+func restart(w *watch, jm *core.JournaledManager, torn bool, tod time.Duration) error {
+	var tear int64
 	if torn {
-		if err := journal.TruncateTail(dir, tornTailBytes); err != nil {
-			return nil, store, err
-		}
+		tear = tornTailBytes
 	}
-	mgr, recovered, err := core.Recover(mcfg, w.sys.Bank.Size(), dir)
-	if err != nil {
-		return nil, store, fmt.Errorf("chaos: recovery at %v: %w", tod, err)
+	if _, err := jm.Restart(w.sys, tod, tear); err != nil {
+		return fmt.Errorf("chaos: recovery at %v: %w", tod, err)
 	}
-	mgr.AttachTelemetry(reg)
-	mgr.Reconcile(w.sys, tod)
-	w.mgr, w.mode = mgr, mgr.Mode()
-	return mgr, recovered, nil
+	w.mgr, w.mode = jm.Manager, jm.Mode()
+	return nil
 }

@@ -210,15 +210,16 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 	reg := telemetry.NewRegistry()
 	mgr.AttachTelemetry(reg)
 
-	var store *journal.Store
+	var jm *core.JournaledManager
 	var drive sim.Manager = mgr
 	if kill {
-		store, err = journal.Open(cfg.StateDir)
+		store, err := journal.Open(cfg.StateDir)
 		if err != nil {
 			return nil, err
 		}
-		defer func() { store.Close() }()
-		drive = core.NewJournaled(mgr, store)
+		jm = core.NewJournaled(mgr, store)
+		defer func() { jm.Store().Close() }()
+		drive = jm
 	}
 
 	rep := &StormReport{Seed: cfg.Seed, Days: cfg.Days, Survival: cfg.Survival}
@@ -251,13 +252,13 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 				killNext = false
 				killed = true
 				died := mgr.Mode()
-				if mgr, store, err = restart(w, store, cfg.StateDir, false, mcfg, reg, tod); err != nil {
+				if err := restart(w, jm, false, tod); err != nil {
 					return nil, fmt.Errorf("chaos: storm day %d: %w", day, err)
 				}
+				mgr = jm.Manager
 				if mgr.Mode() != died {
 					rep.violate("recovery landed in rung %s, controller died in %s", mgr.Mode(), died)
 				}
-				drive = core.NewJournaled(mgr, store)
 			}
 
 			sys.Tick(tod, drive)
@@ -270,7 +271,7 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 
 		w.settle()
 		res := sys.Finish(drive)
-		if jm, ok := drive.(*core.JournaledManager); ok {
+		if jm != nil {
 			if err := jm.Err(); err != nil {
 				return nil, fmt.Errorf("chaos: storm journal commit on day %d: %w", day, err)
 			}

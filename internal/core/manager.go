@@ -235,9 +235,6 @@ func (m *Manager) Period() time.Duration { return m.cfg.Period }
 // Groups returns a copy of the per-unit group assignments.
 func (m *Manager) Groups() []Group { return append([]Group(nil), m.groups...) }
 
-// CapEvents counts TPM load-capping actions.
-func (m *Manager) CapEvents() int { return m.capEvents }
-
 // Screenings counts SPM coarse-interval screenings.
 func (m *Manager) Screenings() int { return m.screenings }
 
@@ -1021,10 +1018,3 @@ func max(a, b int) int {
 	}
 	return b
 }
-
-// Commissioned reports which units have completed their initial charge and
-// remain online-eligible (introspection for tests and tools).
-func (m *Manager) Commissioned() []bool { return append([]bool(nil), m.commissioned...) }
-
-// TargetVMs returns the manager's current load target (introspection).
-func (m *Manager) TargetVMs() int { return m.targetVM }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"time"
 
 	"insure/internal/journal"
@@ -72,12 +73,47 @@ func (j *JournaledManager) Err() error { return j.err }
 // Store returns the underlying journal store.
 func (j *JournaledManager) Store() *journal.Store { return j.store }
 
+// Restart is the in-process kill: the controller dies and comes back
+// from its journal alone. The store closes, with tornBytes chopped off
+// its tail when tornBytes > 0 (a torn mid-write record, as a power cut
+// leaves it). Recover rebuilds the manager from the store's directory,
+// on the real filesystem, under the dead one's own config and unit
+// count; the new manager reports to the registry the dead one reported
+// to, and Reconcile re-drives sys under the journal's intent. It returns
+// the number of pairs re-driven. The plant is physical and keeps its
+// state throughout.
+//
+// j keeps driving the new manager: its pass counter and sticky error
+// reset, SnapshotEvery is kept, and a mode hook is not carried over (it
+// is not journaled state). On error j still holds the closed store, so
+// a deferred Close stays safe.
+func (j *JournaledManager) Restart(sys *sim.System, now time.Duration, tornBytes int64) (int, error) {
+	dir := j.store.Dir()
+	if err := j.store.Close(); err != nil {
+		return 0, fmt.Errorf("core: restart: closing the store: %w", err)
+	}
+	if tornBytes > 0 {
+		if err := journal.TruncateTail(dir, tornBytes); err != nil {
+			return 0, fmt.Errorf("core: restart: tearing the tail: %w", err)
+		}
+	}
+	m, store, err := Recover(j.cfg, len(j.groups), dir)
+	if err != nil {
+		return 0, fmt.Errorf("core: restart: %w", err)
+	}
+	if j.tel != nil {
+		m.AttachTelemetry(j.tel.reg)
+	}
+	j.Manager, j.store, j.passes, j.err = m, store, 0, nil
+	return m.Reconcile(sys, now), nil
+}
+
 // Recover rebuilds a manager from the state directory: a fresh Manager
-// with the given configuration, overwritten by the newest snapshot and
-// then by the last fully-committed journal record (each record is a
-// complete state image, so only the newest valid one matters). It returns
-// the reopened store, ready for the next commit — any torn tail from the
-// crash has been truncated away by journal.Open.
+// with the given configuration, overwritten by the newest committed image
+// (journal.LoadResult.Newest — every record is a complete state image, so
+// only the newest valid one matters). It returns the reopened store, ready
+// for the next commit — any torn tail from the crash has been truncated
+// away by journal.Open.
 //
 // A directory with no usable state yields a cold-start manager and no
 // recovery count; otherwise the manager's recovery counter increments.
@@ -87,25 +123,15 @@ func Recover(cfg Config, n int, dir string) (*Manager, *journal.Store, error) {
 		return nil, nil, err
 	}
 	m := New(cfg, n)
-	restored := false
-	if res.Snapshot != nil {
-		if err := m.Restore(res.Snapshot); err != nil {
+	if img := res.Newest(); img != nil {
+		if err := m.Restore(img); err != nil {
 			return nil, nil, err
 		}
-		restored = true
-	}
-	if len(res.Entries) > 0 {
-		if err := m.Restore(res.Entries[len(res.Entries)-1]); err != nil {
-			return nil, nil, err
-		}
-		restored = true
+		m.recoveries++
 	}
 	store, err := journal.Open(dir)
 	if err != nil {
 		return nil, nil, err
-	}
-	if restored {
-		m.recoveries++
 	}
 	return m, store, nil
 }
@@ -119,7 +145,8 @@ func Recover(cfg Config, n int, dir string) (*Manager, *journal.Store, error) {
 // of pairs re-driven.
 //
 // Call it once after Recover, before the first Control pass, so the
-// plant is back under the journal's intent before new decisions are made.
+// plant is back under the journal's intent before new decisions are made
+// (Restart does).
 func (m *Manager) Reconcile(sys *sim.System, now time.Duration) int {
 	// The plain recovery counter was incremented (and persisted) by
 	// Recover; the registry counter increments here because telemetry is

@@ -80,10 +80,31 @@ func TestManagerRestoreRejectsWrongFleet(t *testing.T) {
 	}
 }
 
+// TestRecoverEmptyDirColdStarts: a state directory with nothing committed
+// recovers to a cold-start manager, byte-identical to a fresh one, and
+// counts no recovery.
+func TestRecoverEmptyDirColdStarts(t *testing.T) {
+	m, store, err := Recover(DefaultConfig(), 6, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if m.Recoveries() != 0 {
+		t.Errorf("recoveries = %d, want 0", m.Recoveries())
+	}
+	if string(m.State()) != string(New(DefaultConfig(), 6).State()) {
+		t.Error("empty-directory recovery differs from a fresh manager")
+	}
+}
+
 // killResumeRun runs a full day with journaling, hard-stopping the control
-// plane at killAt and recovering it from dir. tornBytes > 0 additionally
-// truncates that many bytes off the journal tail before recovery,
-// simulating a crash mid-write.
+// plane at killAt and restarting it from dir (JournaledManager.Restart).
+// tornBytes > 0 additionally truncates that many bytes off the journal
+// tail before recovery, simulating a crash mid-write. The original
+// manager reports to the returned registry, so the restart must carry the
+// recovered one onto it.
 // snapshotEvery overrides the wrapper's snapshot cadence when > 0; the
 // torn-tail test disables rotation so the tail record is guaranteed to be
 // an appended delta rather than a just-rotated snapshot.
@@ -99,7 +120,10 @@ func killResumeRun(t *testing.T, dir string, killAt time.Duration, tornBytes int
 	if err != nil {
 		t.Fatal(err)
 	}
-	jm := NewJournaled(New(DefaultConfig(), cfg.BatteryCount), store)
+	reg := telemetry.NewRegistry()
+	m := New(DefaultConfig(), cfg.BatteryCount)
+	m.AttachTelemetry(reg)
+	jm := NewJournaled(m, store)
 	if snapshotEvery > 0 {
 		jm.SnapshotEvery = snapshotEvery
 	}
@@ -109,33 +133,21 @@ func killResumeRun(t *testing.T, dir string, killAt time.Duration, tornBytes int
 	tickRange(sys, jm, start, killAt, step)
 	// Hard stop: the controller process dies. Only what the journal holds
 	// survives; the plant (sys) is physical and keeps its state.
-	if err := store.Close(); err != nil {
+	if _, err := jm.Restart(sys, killAt, tornBytes); err != nil {
 		t.Fatal(err)
 	}
-	if tornBytes > 0 {
-		if err := journal.TruncateTail(dir, tornBytes); err != nil {
-			t.Fatal(err)
-		}
+	if jm.Recoveries() != 1 {
+		t.Fatalf("recoveries = %d, want 1", jm.Recoveries())
 	}
-
-	m2, store2, err := Recover(DefaultConfig(), cfg.BatteryCount, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Recoveries() != 1 {
-		t.Fatalf("recoveries = %d, want 1", m2.Recoveries())
-	}
-	reg := telemetry.NewRegistry()
-	m2.AttachTelemetry(reg)
-	m2.Reconcile(sys, killAt)
-	jm2 := NewJournaled(m2, store2)
-	tickRange(sys, jm2, killAt, end, step)
-	if err := jm2.Err(); err != nil {
+	tickRange(sys, jm, killAt, end, step)
+	if err := jm.Err(); err != nil {
 		t.Fatalf("journal commit error after resume: %v", err)
 	}
-	res := sys.Finish(jm2)
-	store2.Close()
-	return res, sys, m2, reg
+	res := sys.Finish(jm)
+	if err := jm.Store().Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res, sys, jm.Manager, reg
 }
 
 // referenceRun is the uninterrupted twin of killResumeRun.

@@ -57,9 +57,6 @@ func NewImageStore(fsys journal.FS, dir string) (*ImageStore, error) {
 // Dir returns the store's root directory (the scrubber target).
 func (s *ImageStore) Dir() string { return s.dir }
 
-// FS returns the filesystem the store writes through.
-func (s *ImageStore) FS() journal.FS { return s.fsys }
-
 // Stats returns the event counts so far.
 func (s *ImageStore) Stats() ImageStats { return s.stats }
 

@@ -16,13 +16,12 @@ var hetBatteries = []int{6, 4}
 
 // hetFleet assembles the heterogeneous two-plant fixture with journaled
 // managers rooted at dirs. Returned managers are driven manually so the
-// test can swap in recovered replacements mid-day.
-func hetFleet(t *testing.T, dirs []string) (*sim.Fleet, []*core.JournaledManager, []core.Config) {
+// test can restart them mid-day.
+func hetFleet(t *testing.T, dirs []string) (*sim.Fleet, []*core.JournaledManager) {
 	t.Helper()
 	traces := []*trace.Trace{trace.FullSystemHigh(), trace.FullSystemLow()}
 	specs := make([]sim.FleetSpec, len(hetBatteries))
 	jms := make([]*core.JournaledManager, len(hetBatteries))
-	mcfgs := make([]core.Config, len(hetBatteries))
 	for i, n := range hetBatteries {
 		cfg := sim.DefaultConfig(traces[i])
 		cfg.BatteryCount = n
@@ -37,39 +36,32 @@ func hetFleet(t *testing.T, dirs []string) (*sim.Fleet, []*core.JournaledManager
 			t.Fatal(err)
 		}
 		jms[i] = core.NewJournaled(core.New(mcfg, n), store)
-		mcfgs[i] = mcfg
 		specs[i] = sim.FleetSpec{Config: cfg, Sink: sim.NewSeismicSink(), Manager: jms[i]}
 	}
 	fl, err := sim.NewFleet(specs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fl, jms, mcfgs
+	return fl, jms
 }
 
 // runHet drives the fleet tick-by-tick. If killAt > 0, both plant
-// controllers are killed just before that instant's tick and rebuilt from
-// their journals alone, exactly as a crashed per-site control plane would
-// come back (PR 4 semantics).
+// controllers are killed just before that instant's tick and restarted
+// from their journals alone, exactly as a crashed per-site control plane
+// would come back.
 func runHet(t *testing.T, dirs []string, killAt time.Duration) ([][]sim.Frame, []sim.Result) {
 	t.Helper()
-	fl, jms, mcfgs := hetFleet(t, dirs)
+	fl, jms := hetFleet(t, dirs)
 	lo, hi := fl.Bounds()
 	step := fl.Step()
 	killed := false
 	for tod := lo; tod < hi; tod += step {
 		if killAt > 0 && !killed && tod >= killAt {
 			killed = true
-			for i := range jms {
-				if err := jms[i].Store().Close(); err != nil {
-					t.Fatal(err)
-				}
-				m2, s2, err := core.Recover(mcfgs[i], hetBatteries[i], dirs[i])
-				if err != nil {
+			for i, jm := range jms {
+				if _, err := jm.Restart(fl.System(i), tod, 0); err != nil {
 					t.Fatalf("plant %d recovery at %v: %v", i, tod, err)
 				}
-				m2.Reconcile(fl.System(i), tod)
-				jms[i] = core.NewJournaled(m2, s2)
 			}
 		}
 		for i := range jms {

@@ -26,9 +26,6 @@ func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 // buffer and is invalidated by the next Reset.
 func (e *Encoder) Bytes() []byte { return e.buf }
 
-// Len returns the current payload length.
-func (e *Encoder) Len() int { return len(e.buf) }
-
 // U8 appends one byte.
 func (e *Encoder) U8(v uint8) { e.buf = append(e.buf, v) }
 

@@ -170,6 +170,17 @@ type LoadResult struct {
 	SnapshotFallback bool
 }
 
+// Newest returns the newest committed payload: the last journal entry
+// when there is one, else the snapshot, else nil. In a store whose every
+// record is a whole state image, as the controller and panel journals
+// are, that one payload is the entire committed state.
+func (r *LoadResult) Newest() []byte {
+	if n := len(r.Entries); n > 0 {
+		return r.Entries[n-1]
+	}
+	return r.Snapshot
+}
+
 // rec is one decoded journal record.
 type rec struct {
 	seq     uint64
@@ -704,8 +715,8 @@ func writeFileAtomic(fsys FS, dir, name string, data []byte) error {
 	return fsys.Rename(tmp, filepath.Join(dir, name))
 }
 
-// Seq returns the sequence number of the last committed record.
-func (s *Store) Seq() uint64 { return s.seq }
+// Dir returns the state directory the store is rooted at.
+func (s *Store) Dir() string { return s.dir }
 
 // Failed returns the write or fsync error that poisoned the store, or nil
 // while the store is healthy. A poisoned store rejects every Append and
@@ -897,23 +908,18 @@ func (s *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// TruncateAfterSeq rolls the journal in dir back so the last record has a
-// sequence number at or below seq, discarding everything committed after
-// it. The fleet daemon uses this on resume: its day-boundary snapshot
-// names the migration-log seq at the start of the day, the tail of the
-// log (the partial day the crash interrupted) is cut back to that point,
-// and the day is re-run deterministically — regenerating the same records
-// the dead process wrote, so the healed log is bit-identical to one from
-// a process that never died.
+// TruncateAfterSeqFS rolls the journal in dir back through fsys so the
+// last record has a sequence number at or below seq, discarding
+// everything committed after it. The fleet daemon uses this on resume:
+// its day-boundary snapshot names the migration-log seq at the start of
+// the day, the tail of the log (the partial day the crash interrupted) is
+// cut back to that point, and the day is re-run deterministically —
+// regenerating the same records the dead process wrote, so the healed log
+// is bit-identical to one from a process that never died.
 //
 // A snapshot or sealed segment newer than seq cannot be rolled back
 // (both are destructive compaction) and is an error. The store must not
 // be open.
-func TruncateAfterSeq(dir string, seq uint64) error {
-	return TruncateAfterSeqFS(Disk, dir, seq)
-}
-
-// TruncateAfterSeqFS is TruncateAfterSeq through fsys.
 func TruncateAfterSeqFS(fsys FS, dir string, seq uint64) error {
 	st, err := loadFull(fsys, dir)
 	if err != nil {

@@ -456,13 +456,6 @@ func (s *Scrubber) Totals() ScrubReport {
 	return s.totals
 }
 
-// Passes returns how many sweeps have completed.
-func (s *Scrubber) Passes() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.passes
-}
-
 // healthy is the registered storage health check.
 func (s *Scrubber) healthy() error {
 	s.mu.Lock()

@@ -9,43 +9,11 @@ import (
 // regStateVersion guards the binary layout of a serialized RegisterFile.
 const regStateVersion = 1
 
-// RegisterState is the commanded state of the register file: coils and
-// holding registers. Discrete and input banks are deliberately excluded —
-// they mirror the plant and are refreshed by the first scan after a
-// restart, so persisting them would only let stale sensor codes mask live
-// readings during recovery.
-type RegisterState struct {
-	Coils   []bool
-	Holding []uint16
-}
-
-// State captures the coil and holding banks.
-func (r *RegisterFile) State() RegisterState {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	st := RegisterState{
-		Coils:   make([]bool, len(r.coils)),
-		Holding: make([]uint16, len(r.holding)),
-	}
-	copy(st.Coils, r.coils)
-	copy(st.Holding, r.holding)
-	return st
-}
-
-// Restore overwrites the coil and holding banks. Bank sizes must match.
-func (r *RegisterFile) Restore(st RegisterState) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(st.Coils) != len(r.coils) || len(st.Holding) != len(r.holding) {
-		return fmt.Errorf("plc: restoring %d coils/%d holding into banks of %d/%d",
-			len(st.Coils), len(st.Holding), len(r.coils), len(r.holding))
-	}
-	copy(r.coils, st.Coils)
-	copy(r.holding, st.Holding)
-	return nil
-}
-
-// AppendState serializes the coil and holding banks into e.
+// AppendState serializes the commanded state of the register file, its
+// coil and holding banks, into e. The discrete and input banks are
+// deliberately left out: they mirror the plant and are refreshed by the
+// first scan after a restart, so persisting them would only let stale
+// sensor codes mask live readings during recovery.
 func (r *RegisterFile) AppendState(e *journal.Encoder) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

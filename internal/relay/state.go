@@ -52,58 +52,6 @@ func ReadRelayState(d *journal.Decoder) RelayState {
 	}
 }
 
-// PairState is the state of one charge/discharge relay pair.
-type PairState struct {
-	Charge    RelayState
-	Discharge RelayState
-}
-
-// State captures both relays of the pair.
-func (p *Pair) State() PairState {
-	return PairState{Charge: p.Charge.State(), Discharge: p.Discharge.State()}
-}
-
-// Restore overwrites both relays of the pair.
-func (p *Pair) Restore(st PairState) {
-	p.Charge.Restore(st.Charge)
-	p.Discharge.Restore(st.Discharge)
-}
-
-// FabricState is the full switch-network state: every unit pair plus the
-// three series/parallel topology relays.
-type FabricState struct {
-	Pairs      []PairState
-	P1, P2, P3 RelayState
-}
-
-// State captures the whole fabric.
-func (f *Fabric) State() FabricState {
-	st := FabricState{
-		Pairs: make([]PairState, len(f.pairs)),
-		P1:    f.P1.State(),
-		P2:    f.P2.State(),
-		P3:    f.P3.State(),
-	}
-	for i, p := range f.pairs {
-		st.Pairs[i] = p.State()
-	}
-	return st
-}
-
-// Restore overwrites the whole fabric. The size must match.
-func (f *Fabric) Restore(st FabricState) error {
-	if len(st.Pairs) != len(f.pairs) {
-		return fmt.Errorf("relay: restoring %d pairs into fabric of %d", len(st.Pairs), len(f.pairs))
-	}
-	for i, p := range f.pairs {
-		p.Restore(st.Pairs[i])
-	}
-	f.P1.Restore(st.P1)
-	f.P2.Restore(st.P2)
-	f.P3.Restore(st.P3)
-	return nil
-}
-
 // AppendState serializes the whole fabric into e.
 func (f *Fabric) AppendState(e *journal.Encoder) {
 	e.Int(len(f.pairs))

@@ -103,9 +103,6 @@ func (f *Fleet) SimulatedTime() time.Duration {
 	return total
 }
 
-// Manager returns plant i's power manager.
-func (f *Fleet) Manager(i int) Manager { return f.mgrs[i] }
-
 // Step is the shared simulation step.
 func (f *Fleet) Step() time.Duration { return f.step }
 

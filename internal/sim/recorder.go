@@ -31,9 +31,6 @@ type Recorder struct {
 	modes  []relay.Mode
 }
 
-// NewRecorder returns an empty recorder that grows on demand.
-func NewRecorder() *Recorder { return &Recorder{} }
-
 // NewRecorderSized returns a recorder pre-sized for the expected number of
 // frames over a run of a plant with nUnits battery units. Captures within
 // the estimate are allocation-free; beyond it the recorder grows as usual.

@@ -297,9 +297,6 @@ func (s *System) Recorder() *Recorder { return s.recorder }
 // plan against.
 func (s *System) SolarNow() units.Watt { return s.SolarPower + s.auxNow }
 
-// AuxNow is the auxiliary renewable contribution alone.
-func (s *System) AuxNow() units.Watt { return s.auxNow }
-
 // LoadNow is the cluster draw this tick.
 func (s *System) LoadNow() units.Watt { return s.LoadPower }
 

@@ -109,9 +109,6 @@ func NewSky(cond Condition, seed int64) *Sky {
 	return &Sky{cond: cond, rng: rand.New(rand.NewSource(seed)), cloud: 1, target: 1}
 }
 
-// Condition returns the sky's weather class.
-func (s *Sky) Condition() Condition { return s.cond }
-
 // Step advances the sky by dt and returns the irradiance fraction at
 // time-of-day tod (0 = midnight).
 func (s *Sky) Step(tod, dt time.Duration) float64 {

@@ -3,8 +3,7 @@
 // actually ride (§2.1's T1/cellular/satellite classes, not a data-center
 // fabric). It is the cross-site twin of internal/faults: a deterministic,
 // seeded fault layer driven entirely by the simulation clock, so a chaos
-// campaign reproduces every drop, collapse, and partition bit-for-bit
-// from its seed.
+// campaign reproduces every drop and partition bit-for-bit from its seed.
 //
 // The model is one uplink per site. A site whose uplink is inside a
 // scheduled outage window is partitioned from everything — the
@@ -17,11 +16,10 @@
 // Determinism contract (shared with internal/chaos — see that package's
 // "Seeding contract" section):
 //
-//   - All *scheduled* randomness (outage windows, bandwidth-collapse
-//     windows) is drawn up front by PlanOutages (collapse windows use the
-//     same planner on their own seed lane) from
-//     rand.New(rand.NewSource(seed)), with a fixed number of draws per
-//     window so the stream layout never depends on earlier outcomes.
+//   - All *scheduled* randomness (the outage windows) is drawn up front
+//     by PlanOutages from rand.New(rand.NewSource(seed)), with a fixed
+//     number of draws per window so the stream layout never depends on
+//     earlier outcomes.
 //   - All *per-event* randomness (whether one chunk attempt is delivered,
 //     dropped, or corrupted) is a pure stateless hash of
 //     (seed, from, to, transfer, chunk, attempt). No generator state
@@ -67,9 +65,7 @@ func (f Fate) String() string {
 }
 
 // Outage is one scheduled uplink partition: site's backhaul is dead for
-// [From, To) on Day. The same shape describes a bandwidth collapse (see
-// Config.Collapses), where the link survives but its throughput falls to
-// CollapseFrac of nominal.
+// [From, To) on Day.
 type Outage struct {
 	Site int
 	Day  int
@@ -86,33 +82,25 @@ func (o Outage) String() string {
 	return fmt.Sprintf("site %d day %d %v-%v", o.Site, o.Day, o.From, o.To)
 }
 
+// nominalMbps is every uplink's bandwidth outside a partition: the
+// migration tariff's 100 Mbps backhaul (cost.DefaultMigrationTariff).
+const nominalMbps = 100
+
 // Config shapes a Network.
 type Config struct {
 	// Seed drives every random choice: scheduled windows through the
-	// up-front planners, per-chunk fates through the stateless hash.
+	// up-front planner, per-chunk fates through the stateless hash.
 	Seed int64
 	// Sites is the fleet size (uplink count).
 	Sites int
-	// Mbps is the nominal per-uplink bandwidth (default 100, the PR 7
-	// tariff link).
-	Mbps float64
-	// LatencyMs is the one-way link latency per chunk; it delays chunk
-	// delivery but not bandwidth accounting (default 50 ms — long-haul
-	// microwave/cellular class).
-	LatencyMs float64
 	// DropRate is the per-chunk-attempt probability of silent loss.
 	DropRate float64
 	// CorruptRate is the per-chunk-attempt probability of a CRC-failed
 	// frame.
 	CorruptRate float64
-	// CollapseFrac is the bandwidth multiplier inside a collapse window
-	// (default 0.1 — the link degrades to a tenth of nominal).
-	CollapseFrac float64
-	// Outages are the scheduled uplink partitions; Collapses the
-	// scheduled bandwidth-collapse windows. Both are typically built by
-	// the planners below, but campaigns may pin windows explicitly.
-	Outages   []Outage
-	Collapses []Outage
+	// Outages are the scheduled uplink partitions, typically built by
+	// PlanOutages, though campaigns may pin windows explicitly.
+	Outages []Outage
 }
 
 // Network is the fault-injectable WAN between sites. All methods are
@@ -127,19 +115,14 @@ func New(cfg Config) (*Network, error) {
 	if cfg.Sites < 1 {
 		return nil, fmt.Errorf("wan: network needs at least one site")
 	}
-	if cfg.Mbps <= 0 {
-		cfg.Mbps = 100
+	// Written as negations so a NaN rate fails them too.
+	if d := cfg.DropRate; !(d >= 0 && d < 1) {
+		return nil, fmt.Errorf("wan: drop rate %v outside [0,1)", d)
 	}
-	if cfg.CollapseFrac <= 0 {
-		cfg.CollapseFrac = 0.1
+	if d, c := cfg.DropRate, cfg.CorruptRate; !(c >= 0 && d+c < 1) {
+		return nil, fmt.Errorf("wan: drop %v + corrupt %v must stay below 1", d, c)
 	}
-	if cfg.DropRate < 0 || cfg.DropRate >= 1 {
-		return nil, fmt.Errorf("wan: drop rate %v outside [0,1)", cfg.DropRate)
-	}
-	if cfg.CorruptRate < 0 || cfg.DropRate+cfg.CorruptRate >= 1 {
-		return nil, fmt.Errorf("wan: drop %v + corrupt %v must stay below 1", cfg.DropRate, cfg.CorruptRate)
-	}
-	for _, o := range append(append([]Outage(nil), cfg.Outages...), cfg.Collapses...) {
+	for _, o := range cfg.Outages {
 		if o.Site < 0 || o.Site >= cfg.Sites {
 			return nil, fmt.Errorf("wan: window %v names a site outside the %d-site fleet", o, cfg.Sites)
 		}
@@ -152,14 +135,6 @@ func New(cfg Config) (*Network, error) {
 
 // Sites returns the uplink count.
 func (n *Network) Sites() int { return n.cfg.Sites }
-
-// NominalMbps returns the configured per-uplink bandwidth.
-func (n *Network) NominalMbps() float64 { return n.cfg.Mbps }
-
-// Latency returns the one-way per-chunk latency.
-func (n *Network) Latency() time.Duration {
-	return time.Duration(n.cfg.LatencyMs * float64(time.Millisecond))
-}
 
 // Partitioned reports whether site's uplink is inside an outage window at
 // (day, tod).
@@ -179,19 +154,12 @@ func (n *Network) Reachable(a, b, day int, tod time.Duration) bool {
 }
 
 // EffectiveMbps is the usable bandwidth between a and b at (day, tod):
-// zero across a partition, the collapsed rate when either endpoint is
-// inside a collapse window, nominal otherwise.
+// zero across a partition, nominal otherwise.
 func (n *Network) EffectiveMbps(a, b, day int, tod time.Duration) float64 {
 	if !n.Reachable(a, b, day, tod) {
 		return 0
 	}
-	mbps := n.cfg.Mbps
-	for _, c := range n.cfg.Collapses {
-		if c.Covers(a, day, tod) || c.Covers(b, day, tod) {
-			return mbps * n.cfg.CollapseFrac
-		}
-	}
-	return mbps
+	return nominalMbps
 }
 
 // ChunkFate decides the outcome of one chunk attempt on the a→b link.

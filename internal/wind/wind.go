@@ -72,9 +72,6 @@ func NewField(regime Regime, seed int64) *Field {
 	}
 }
 
-// Regime returns the site's resource class.
-func (f *Field) Regime() Regime { return f.regime }
-
 // Step advances the process by dt and returns the wind speed in m/s.
 // Mean reversion with a ~10-minute time constant plus gust noise gives the
 // autocorrelation structure real anemometer traces show.
