@@ -45,12 +45,17 @@ smoke-faults:
 
 # smoke-metrics boots the daemons' telemetry plane in-process and runs the
 # scrape through the strict Prometheus exposition parser: plcd's /metrics
-# and /healthz wiring, the registry's own HTTP tests, and the zero-alloc
-# instrumented-tick guard.
+# and /healthz wiring, the registry's own tests (collect hooks, and a
+# health check replaced by name), the zero-alloc instrumented-tick guard,
+# a serving site's exposition golden and the gateway's /stats mirror, and,
+# under the race detector, scrapes while the gateway daemon, an insure-sim
+# -telemetry-addr day and a re-attached plant tick.
 smoke-metrics:
 	$(GO) test -race -count=1 -run 'TestPanelMetricsEndpoint|TestPanelHealthz' ./cmd/insure-plcd
 	$(GO) test -race -count=1 ./internal/telemetry/...
 	$(GO) test -count=1 -run 'TestTickWithTelemetryAllocFree' ./internal/sim
+	$(GO) test -count=1 -run 'TestServingExpositionGolden|TestStatsEndpointAndTelemetry' ./internal/gateway
+	$(GO) test -race -count=1 -run 'TestScrapeWhileTicking|TestLiveTelemetryDayRun|TestReattachReadsNewestPlant' ./cmd/insure-gateway ./cmd/insure-sim ./internal/sim
 
 # smoke-chaos runs the quick seeded crash campaign: controller kills (clean
 # and torn-tail) plus plant faults against the journal/recovery path, with

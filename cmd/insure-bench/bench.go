@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"insure/internal/gateway"
 	"insure/internal/sim"
 	"insure/internal/solar"
+	"insure/internal/telemetry"
 	"insure/internal/trace"
 )
 
@@ -101,6 +103,7 @@ func writeBenchJSON(path string, workers, scalingCells int) error {
 	rep.Benchmarks = append(rep.Benchmarks,
 		record("system_tick", testing.Benchmark(benchSystemTick)),
 		record("gateway_offer", testing.Benchmark(benchGatewayOffer)),
+		record("telemetry_scrape", testing.Benchmark(benchTelemetryScrape)),
 		record("plc_scan", testing.Benchmark(benchPLCScan)),
 		record("full_day_insure", testing.Benchmark(benchFullDay)),
 	)
@@ -257,22 +260,63 @@ func benchGatewayOffer(b *testing.B) {
 	gc := gateway.DefaultConfig()
 	gc.BaseQPS = 15
 	gw := gateway.New(gc, gateway.SimPlant{Sys: sys, Mgr: mgr})
-	const perSecond = 40
-	// The load harness's mix: per 10 arrivals, 1 critical, 6 standard and
-	// 3 best-effort.
-	classes := [10]gateway.Class{
-		gateway.Critical, gateway.Standard, gateway.Standard, gateway.BestEffort, gateway.Standard,
-		gateway.Standard, gateway.BestEffort, gateway.Standard, gateway.Standard, gateway.BestEffort,
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if i%perSecond == 0 {
+		if i%offersPerSecond == 0 {
 			tod += cfg.Step
 			sys.PLC.ScanNow()
 			gw.Advance(tod)
 		}
-		gw.Offer(tod, classes[i%len(classes)])
+		gw.Offer(tod, servingMix[i%len(servingMix)])
+	}
+}
+
+// offersPerSecond is the serving workload's request rate.
+const offersPerSecond = 40
+
+// servingMix is the load harness's class mix: per 10 arrivals, 1
+// critical, 6 standard and 3 best-effort.
+var servingMix = [10]gateway.Class{
+	gateway.Critical, gateway.Standard, gateway.Standard, gateway.BestEffort, gateway.Standard,
+	gateway.Standard, gateway.BestEffort, gateway.Standard, gateway.Standard, gateway.BestEffort,
+}
+
+// benchTelemetryScrape times one Prometheus exposition of a serving site's
+// registry: a sunny-day plant under a survival-armed manager and a gateway
+// over it, all reporting to one registry, after an hour of ticks with
+// offersPerSecond offers each. The scrape runs the plant's and the
+// gateway's collect hooks, so this is what reading them costs.
+func benchTelemetryScrape(b *testing.B) {
+	cfg := sim.DefaultConfig(trace.Synthesize(solar.Sunny, 2015, time.Second))
+	sys, err := sim.New(cfg, sim.NewSeismicSink())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := core.DefaultConfig()
+	mc.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mc, cfg.BatteryCount)
+	gc := gateway.DefaultConfig()
+	gc.BaseQPS = 15
+	gw := gateway.New(gc, gateway.SimPlant{Sys: sys, Mgr: mgr})
+	reg := telemetry.NewRegistry()
+	sys.AttachTelemetry(reg)
+	mgr.AttachTelemetry(reg)
+	gw.AttachTelemetry(reg)
+	lo, _ := sys.Span()
+	for tod := lo; tod < lo+time.Hour; tod += cfg.Step {
+		sys.Tick(tod, mgr)
+		gw.Advance(tod)
+		for i := 0; i < offersPerSecond; i++ {
+			gw.Offer(tod, servingMix[i%len(servingMix)])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

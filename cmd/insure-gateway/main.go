@@ -110,20 +110,11 @@ func main() {
 	}
 	mgr := core.New(mcfg, *batteries)
 
-	reg := telemetry.NewRegistry()
-	sys.AttachTelemetry(reg)
-	mgr.AttachTelemetry(reg)
-
 	gcfg := gateway.DefaultConfig()
 	gcfg.BaseQPS = *baseQPS
-	plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
-	gw := gateway.New(gcfg, plant)
-	gw.AttachTelemetry(reg)
-
+	sc := newSimClock(sys, mgr, gcfg)
+	gw := sc.gw
 	// The sim clock, readable from every HTTP goroutine.
-	lo, hi := sys.Span()
-	sc := &simClock{sys: sys, mgr: mgr, plant: plant, gw: gw, reg: reg, tod: lo, hi: hi, step: scfg.Step}
-	sc.served.Store(int64(lo))
 	now := func() time.Duration { return time.Duration(sc.served.Load()) }
 
 	// Tick loop: advance the simulation at accel× wall speed.
@@ -142,8 +133,8 @@ func main() {
 
 	srv := &gateway.Server{GW: gw, Now: now}
 	mux := srv.Mux()
-	mux.Handle("/metrics", reg.MetricsHandler())
-	mux.Handle("/healthz", reg.HealthzHandler())
+	mux.Handle("/metrics", sc.reg.MetricsHandler())
+	mux.Handle("/healthz", sc.reg.HealthzHandler())
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -223,6 +214,23 @@ type simClock struct {
 	served atomic.Int64
 }
 
+// newSimClock wires the serving site at the start of its day: a gateway
+// over the locked plant, and the plant, its manager and the gateway
+// reporting to one registry, whose collect lock is the plant lock.
+func newSimClock(sys *sim.System, mgr *core.Manager, gcfg gateway.Config) *simClock {
+	reg := telemetry.NewRegistry()
+	sys.AttachTelemetry(reg)
+	mgr.AttachTelemetry(reg)
+	plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
+	reg.SetCollectLock(&plant.mu)
+	gw := gateway.New(gcfg, plant)
+	gw.AttachTelemetry(reg)
+	lo, hi := sys.Span()
+	c := &simClock{sys: sys, mgr: mgr, plant: plant, gw: gw, reg: reg, tod: lo, hi: hi, step: sys.Config().Step}
+	c.served.Store(int64(lo))
+	return c
+}
+
 // advance moves the simulation one step. Lock order is gateway.mu →
 // plant.mu (Advance and Admit take the gateway lock, then read the plant),
 // so the plant lock is released before Advance.
@@ -244,7 +252,11 @@ func (c *simClock) advance() {
 
 // lockedPlant serialises plant reads against the tick loop: the simulated
 // System is not internally synchronised, and gateway admissions read it
-// from HTTP goroutines while the tick loop mutates it.
+// from HTTP goroutines while the tick loop mutates it. mu is also the
+// registry's collect lock, so the plant's collect hook reads the plant
+// under it when /metrics is scraped. The gateway's hook holds only the
+// gateway lock, so no hook ever holds one of the two locks while taking
+// the other.
 type lockedPlant struct {
 	mu    sync.Mutex
 	inner gateway.SimPlant

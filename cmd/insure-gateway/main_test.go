@@ -14,6 +14,7 @@ import (
 	"insure/internal/sim"
 	"insure/internal/solar"
 	"insure/internal/telemetry"
+	"insure/internal/telemetry/promtest"
 	"insure/internal/trace"
 )
 
@@ -210,4 +211,102 @@ func TestServingContinuesPastDayEnd(t *testing.T) {
 	}
 	t.Fatalf("ticket queued at %v (day end %v) still unresolved at %v; queue depth %d",
 		now, hi, time.Duration(sc.served.Load()), gw.Stats().QueueDepth)
+}
+
+// TestScrapeWhileTicking scrapes /metrics over and over while the daemon's
+// clock ticks the plant and two goroutines admit requests, as the live
+// daemon runs. Under -race it fails if a collect hook reads the plant or
+// the gateway without the lock that guards it. Advance and Admit take the
+// gateway lock and then the plant lock; a hook that held one of them while
+// taking the other would deadlock against them, and promtest.Scrape fails
+// on a scrape that does not answer within its deadline. Once everything
+// stops, the scraped counters equal the gateway's own accounting.
+func TestScrapeWhileTicking(t *testing.T) {
+	scfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 1, time.Second))
+	scfg.InitialSoC = 0.35
+	sys, err := sim.New(scfg, sim.NewSeismicSink())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mcfg := core.DefaultConfig()
+	mcfg.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mcfg, scfg.BatteryCount)
+	gcfg := gateway.DefaultConfig()
+	gcfg.BaseQPS = 5
+	sc := newSimClock(sys, mgr, gcfg)
+	// Registry.Serve's stop closes connections without waiting on their
+	// handlers, so a deadlocked scrape fails the test instead of hanging it.
+	addr, stopServer, err := sc.reg.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopServer()
+	url := "http://" + addr.String() + "/metrics"
+	now := func() time.Duration { return time.Duration(sc.served.Load()) }
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			sc.advance()
+		}
+	}()
+	for w := 0; w < 2; w++ {
+		go func(w int) {
+			defer wg.Done()
+			classes := []gateway.Class{gateway.Critical, gateway.Standard, gateway.BestEffort}
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c := classes[i%len(classes)]
+				if w == 0 {
+					sc.gw.Offer(now(), c)
+				} else {
+					sc.gw.Admit(now(), c)
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 20; i++ {
+		promtest.Scrape(t, url)
+	}
+	close(stop)
+	wg.Wait()
+
+	st := sc.gw.Stats()
+	got := map[string]float64{}
+	for _, s := range promtest.Scrape(t, url) {
+		got[s.Name+promtest.LabelSig(s.Labels)] = s.Value
+	}
+	var served int
+	for c := gateway.Class(0); c < gateway.NumClasses; c++ {
+		served += st.Admitted[c]
+		sig := promtest.LabelSig(map[string]string{"class": c.String()})
+		if got["insure_gateway_admitted_total"+sig] != float64(st.Admitted[c]) ||
+			got["insure_gateway_shed_total"+sig] != float64(st.Shed[c]) ||
+			got["insure_gateway_latency_seconds_count"+sig] != float64(st.Admitted[c]) {
+			t.Errorf("class %v: scraped admitted %v shed %v latency count %v, stats %+v", c,
+				got["insure_gateway_admitted_total"+sig], got["insure_gateway_shed_total"+sig],
+				got["insure_gateway_latency_seconds_count"+sig], st)
+		}
+	}
+	if served == 0 {
+		t.Fatal("no request was served")
+	}
+	if got["insure_gateway_queue_depth"] != float64(st.QueueDepth) {
+		t.Errorf("scraped queue depth %v, stats %d", got["insure_gateway_queue_depth"], st.QueueDepth)
+	}
+	if want := sys.Bank.StoredEnergy(); got["insure_stored_watt_hours"] != float64(want) {
+		t.Errorf("scraped stored energy %v, plant holds %v", got["insure_stored_watt_hours"], want)
+	}
 }

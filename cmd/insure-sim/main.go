@@ -19,10 +19,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"os"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"insure/internal/baseline"
@@ -288,8 +290,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		// The day ticks under mu, which a live endpoint's scrapes take too.
+		var mu sync.Mutex
 		if reg != nil && *telemetryAddr != "" {
-			taddr, stop, err := reg.Serve(*telemetryAddr)
+			taddr, stop, err := serveLive(reg, *telemetryAddr, &mu)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -298,9 +302,9 @@ func main() {
 		}
 		var res sim.Result
 		if *stateDir != "" {
-			res, m = runJournaled(s, m.(*core.Manager), kills, *stateDir, *tornKill)
+			res, m = runJournaled(s, m.(*core.Manager), kills, *stateDir, *tornKill, &mu)
 		} else {
-			res = s.Run(m)
+			res = runDay(s, m, &mu)
 		}
 		dump(name, sys, reg)
 		return res, m
@@ -442,13 +446,33 @@ func parseKills(spec string) ([]time.Duration, error) {
 	return out, nil
 }
 
+// serveLive serves reg's /metrics and /healthz on addr while a day runs.
+// Scrapes then read the plant from another goroutine, so mu, which the day
+// ticks under, becomes reg's collect lock.
+func serveLive(reg *telemetry.Registry, addr string, mu *sync.Mutex) (net.Addr, func() error, error) {
+	reg.SetCollectLock(mu)
+	return reg.Serve(addr)
+}
+
+// runDay is sys.Run(mgr) with every tick under mu.
+func runDay(sys *sim.System, mgr sim.Manager, mu *sync.Mutex) sim.Result {
+	start, end := sys.Span()
+	for tod := start; tod < end; tod += sys.Config().Step {
+		mu.Lock()
+		sys.Tick(tod, mgr)
+		mu.Unlock()
+	}
+	return sys.Finish(mgr)
+}
+
 // runJournaled runs the day with the crash-safe control plane: every
 // control pass commits to the state journal in dir, and at each kill point
 // the controller is hard-stopped and rebuilt purely from disk — the plant
 // keeps its physical state, recovery reconciles the restored relay intent
-// against it, and the run continues. It returns the result and the final
-// (possibly recovered) manager so the report can read its fault events.
-func runJournaled(sys *sim.System, mgr *core.Manager, kills []time.Duration, dir string, torn bool) (sim.Result, sim.Manager) {
+// against it, and the run continues. Every tick and restart holds mu. It
+// returns the result and the final (possibly recovered) manager so the
+// report can read its fault events.
+func runJournaled(sys *sim.System, mgr *core.Manager, kills []time.Duration, dir string, torn bool, mu *sync.Mutex) (sim.Result, sim.Manager) {
 	store, err := journal.Open(dir)
 	if err != nil {
 		log.Fatal(err)
@@ -462,6 +486,7 @@ func runJournaled(sys *sim.System, mgr *core.Manager, kills []time.Duration, dir
 	step := sys.Config().Step
 	next := 0
 	for tod := start; tod < end; tod += step {
+		mu.Lock()
 		if next < len(kills) && tod >= kills[next] {
 			// Hard stop: only the journal survives the controller. Restart
 			// rebuilds it under the config it ran with, so a survival-armed
@@ -475,6 +500,7 @@ func runJournaled(sys *sim.System, mgr *core.Manager, kills []time.Duration, dir
 			next++
 		}
 		sys.Tick(tod, jm)
+		mu.Unlock()
 	}
 	res := sys.Finish(jm)
 	if err := jm.Err(); err != nil {

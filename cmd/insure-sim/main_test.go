@@ -1,8 +1,18 @@
 package main
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
+
+	"insure/internal/core"
+	"insure/internal/sim"
+	"insure/internal/solar"
+	"insure/internal/telemetry"
+	"insure/internal/telemetry/promtest"
+	"insure/internal/trace"
 )
 
 func setOf(names ...string) map[string]bool {
@@ -63,6 +73,71 @@ func TestValidateFlags(t *testing.T) {
 				if !strings.Contains(err.Error(), sub) {
 					t.Fatalf("error %q must name %q", err, sub)
 				}
+			}
+		})
+	}
+}
+
+// TestLiveTelemetryDayRun runs a day the way -telemetry-addr does, serving
+// the registry while a scrape loop reads it: once plainly and once
+// journaled with a torn controller kill, whose restart re-attaches the
+// manager's telemetry and reconciles the plant. Under -race it fails if a
+// collect hook reads the plant outside the lock the day ticks under, and
+// promtest.Scrape fails a scrape that does not answer within its deadline.
+// The last scrape reports the plant as the day left it.
+func TestLiveTelemetryDayRun(t *testing.T) {
+	for _, journaled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("journaled=%v", journaled), func(t *testing.T) {
+			cfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 2015, time.Second))
+			sys, err := sim.New(cfg, sim.NewSeismicSink())
+			if err != nil {
+				t.Fatal(err)
+			}
+			mgr := core.New(mgrConfig(true), cfg.BatteryCount)
+			reg := telemetry.NewRegistry()
+			sys.AttachTelemetry(reg)
+			mgr.AttachTelemetry(reg)
+			var mu sync.Mutex
+			addr, stop, err := serveLive(reg, "127.0.0.1:0", &mu)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer stop()
+			dir := t.TempDir()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				if journaled {
+					runJournaled(sys, mgr, []time.Duration{12 * time.Hour}, dir, true, &mu)
+				} else {
+					runDay(sys, mgr, &mu)
+				}
+			}()
+			url := "http://" + addr.String() + "/metrics"
+			scrapes := 0
+			for running := true; running; scrapes++ {
+				select {
+				case <-done:
+					running = false
+				default:
+				}
+				promtest.Scrape(t, url)
+			}
+			if scrapes < 3 {
+				t.Fatalf("only %d scrapes during the day", scrapes)
+			}
+			got := map[string]float64{}
+			for _, s := range promtest.Scrape(t, url) {
+				got[s.Name] = s.Value
+			}
+			if want := float64(sys.Bank.StoredEnergy()); got["insure_stored_watt_hours"] != want {
+				t.Errorf("scraped stored energy %v, plant holds %v", got["insure_stored_watt_hours"], want)
+			}
+			if want := float64(sys.Fabric.TotalCycles()); got["insure_relay_cycles"] != want {
+				t.Errorf("scraped relay cycles %v, fabric counts %v", got["insure_relay_cycles"], want)
+			}
+			if journaled && got["insure_recoveries_total"] != 1 {
+				t.Errorf("scraped %v recoveries, want 1", got["insure_recoveries_total"])
 			}
 		})
 	}

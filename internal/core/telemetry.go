@@ -63,13 +63,11 @@ func (m *Manager) AttachTelemetry(reg *telemetry.Registry) {
 	if m.sv != nil {
 		// Recovery ordering: a restored mode machine attaches telemetry
 		// after its state is already non-zero; bring the registry up to the
-		// manager's lifetime count. The delta form keeps re-attachment after
-		// a crash recovery (same registry, restored manager) from double
-		// counting.
+		// manager's lifetime count. Setting the total keeps re-attachment
+		// after a crash recovery (same registry, restored manager) from
+		// double counting.
 		t.mode.Set(float64(m.sv.mode))
-		if d := int64(m.sv.transitions) - t.modeTransitions.Value(); d > 0 {
-			t.modeTransitions.Add(d)
-		}
+		t.modeTransitions.SetTotal(int64(m.sv.transitions))
 		t.shedWatts.Set(m.sv.shedWatts)
 	}
 	// The health check reads only the atomic counter, so it is safe from

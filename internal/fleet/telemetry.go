@@ -129,37 +129,30 @@ func (c *Coordinator) publishTelemetry() {
 	t.sitesLive.Set(float64(live))
 
 	tot := c.totals
-	setCounter(t.migrations, tot.Migrations)
-	setCounter(t.jobsMoved, tot.JobsMoved)
-	setCounter(t.imagesShipped, tot.ImagesShipped)
-	setCounter(t.restored, tot.RestoredVMs)
-	setCounter(t.sitesLost, tot.SitesLost)
+	t.migrations.SetTotal(int64(tot.Migrations))
+	t.jobsMoved.SetTotal(int64(tot.JobsMoved))
+	t.imagesShipped.SetTotal(int64(tot.ImagesShipped))
+	t.restored.SetTotal(int64(tot.RestoredVMs))
+	t.sitesLost.SetTotal(int64(tot.SitesLost))
 	t.migratedGB.Set(tot.MigratedGB)
 	t.checkpointGB.Set(tot.CheckpointGB)
 	t.energyWh.Set(tot.EnergyWh)
 	t.costUSD.Set(float64(tot.Cost))
 
-	setCounter(t.heals, c.heals)
-	setCounter(t.reroutes, tot.Reroutes)
-	setCounter(t.chunkDrops, tot.ChunkDrops)
-	setCounter(t.chunkCorrupts, tot.ChunkCorrupts)
-	setCounter(t.jobsDoubleRun, tot.JobsDoubleRun)
-	setCounter(t.splitBrain, tot.SplitBrain)
+	t.heals.SetTotal(int64(c.heals))
+	t.reroutes.SetTotal(int64(tot.Reroutes))
+	t.chunkDrops.SetTotal(int64(tot.ChunkDrops))
+	t.chunkCorrupts.SetTotal(int64(tot.ChunkCorrupts))
+	t.jobsDoubleRun.SetTotal(int64(tot.JobsDoubleRun))
+	t.splitBrain.SetTotal(int64(tot.SplitBrain))
 	t.retransmitGB.Set(tot.RetransmitGB)
 
 	if c.cfg.Images != nil && t.imagesLanded != nil {
 		is := c.cfg.Images.Stats()
-		setCounter(t.imagesLanded, is.Landed)
-		setCounter(t.imagesVerified, is.Verified)
-		setCounter(t.imagesRepaired, is.Repaired)
-		setCounter(t.imagesCorrupt, is.Corrupt)
-		setCounter(t.imagesReshipped, is.Reshipped)
-	}
-}
-
-// setCounter advances a monotonic counter to the given absolute total.
-func setCounter(c *telemetry.Counter, total int) {
-	if d := int64(total) - c.Value(); d > 0 {
-		c.Add(d)
+		t.imagesLanded.SetTotal(int64(is.Landed))
+		t.imagesVerified.SetTotal(int64(is.Verified))
+		t.imagesRepaired.SetTotal(int64(is.Repaired))
+		t.imagesCorrupt.SetTotal(int64(is.Corrupt))
+		t.imagesReshipped.SetTotal(int64(is.Reshipped))
 	}
 }

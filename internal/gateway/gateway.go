@@ -421,6 +421,8 @@ type Gateway struct {
 	queues [NumClasses]fifo
 	stats  Stats
 
+	// tel, when set by AttachTelemetry, holds the latency buckets serve
+	// fills; its collect hook reads them and stats when scraped.
 	tel *gwTelemetry
 }
 
@@ -663,10 +665,6 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	g.queues[class].push(p)
 	g.stats.QueuedEver[class]++
 	g.stats.QueueDepth++
-	if g.tel != nil {
-		g.tel.queued[class].Inc()
-		g.tel.queueDepth.Set(float64(g.stats.QueueDepth))
-	}
 	return Outcome{Decision: Queued, Class: class, Mode: st.Mode, SoC: st.SoC}, p.ch
 }
 
@@ -677,9 +675,6 @@ func (g *Gateway) serve(p *pending, now time.Duration, st State, waitDur time.Du
 		// A request must resolve exactly once; a second resolution would be
 		// an admitted-then-dropped (or double-served) bug.
 		g.stats.AdmittedDropped++
-		if g.tel != nil {
-			g.tel.admittedDropped.Inc()
-		}
 		return Outcome{}
 	}
 	p.resolved = true
@@ -715,12 +710,7 @@ func (g *Gateway) serve(p *pending, now time.Duration, st State, waitDur time.Du
 		SoC:       st.SoC,
 	}
 	if g.tel != nil {
-		g.tel.admitted[p.class].Inc()
-		if degraded {
-			g.tel.degraded.Inc()
-		}
-		g.tel.latency[p.class].Observe(float64(latency) / float64(time.Second))
-		g.tel.queueDepth.Set(float64(g.stats.QueueDepth))
+		g.tel.lat[p.class].Observe(float64(latency) / float64(time.Second))
 	}
 	if g.cfg.LatencySink != nil {
 		g.cfg.LatencySink(p.class, out.LatencyMs)
@@ -735,10 +725,6 @@ func (g *Gateway) serve(p *pending, now time.Duration, st State, waitDur time.Du
 func (g *Gateway) shedNow(class Class, now time.Duration, st State, why ShedReason, retry time.Duration) Outcome {
 	g.stats.Shed[class]++
 	g.stats.ShedReason[why]++
-	if g.tel != nil {
-		g.tel.shed[class].Inc()
-		g.tel.shedBy[why].Inc()
-	}
 	return Outcome{
 		Decision:   Shed,
 		Class:      class,
@@ -754,20 +740,12 @@ func (g *Gateway) shedNow(class Class, now time.Duration, st State, why ShedReas
 func (g *Gateway) shedPending(p *pending, now time.Duration, st State, why ShedReason, retry time.Duration) {
 	if p.resolved {
 		g.stats.AdmittedDropped++
-		if g.tel != nil {
-			g.tel.admittedDropped.Inc()
-		}
 		return
 	}
 	p.resolved = true
 	g.stats.QueueDepth--
 	g.stats.Shed[p.class]++
 	g.stats.ShedReason[why]++
-	if g.tel != nil {
-		g.tel.shed[p.class].Inc()
-		g.tel.shedBy[why].Inc()
-		g.tel.queueDepth.Set(float64(g.stats.QueueDepth))
-	}
 	if p.ch != nil {
 		p.ch <- Outcome{
 			Decision:   Shed,

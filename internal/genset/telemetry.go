@@ -40,12 +40,10 @@ func (g *Generator) AttachTelemetry(reg *telemetry.Registry) {
 		wasted: reg.Gauge("insure_genset_wasted_watt_hours",
 			"Cumulative energy dumped to hold the governor's minimum load, watt-hours."),
 	}
-	// Bring the registry up to the generator's lifetime count. The delta
-	// form keeps re-attachment (multi-day campaigns register each day's
+	// Bring the registry up to the generator's lifetime count. Setting the
+	// total keeps re-attachment (multi-day campaigns register each day's
 	// plant on one registry) from double counting.
-	if d := int64(g.starts) - t.starts.Value(); d > 0 {
-		t.starts.Add(d)
-	}
+	t.starts.SetTotal(int64(g.starts))
 	g.tel = t
 }
 

@@ -102,7 +102,8 @@ func (p *Panel) actuate(r *RegisterFile) {
 // AttachTelemetry registers the panel's instruments on reg: per-unit SoC
 // and throughput, relay cycles, and the scan-duration and relay-settle
 // histograms, which it hooks to the PLC's OnScan and every relay's
-// OnSettle. Publish sets the gauges. Call it once.
+// OnSettle, so each scan and settle still observes as it happens. Publish
+// sets the gauges. Call it once.
 func (p *Panel) AttachTelemetry(reg *telemetry.Registry) {
 	for i := range p.Probes {
 		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(i)}
@@ -132,8 +133,13 @@ func (p *Panel) AttachTelemetry(reg *telemetry.Registry) {
 }
 
 // Publish mirrors the bank and fabric into the gauges AttachTelemetry
-// registered, with atomic stores, so a concurrent scrape never races the
-// plant.
+// registered. It reads the bank and fabric, so it runs where nothing moves
+// them. The simulated plant calls it from its collect hook, when the
+// registry is scraped, under the lock the plant ticks under. insure-plcd
+// calls it at the end of every tick instead: its loop runs at 1 Hz of
+// wall time and its supervisor replaces a wedged loop, so a scrape there
+// must never wait on the loop's lock; it reads the gauges as the last tick
+// left them.
 func (p *Panel) Publish() {
 	p.relayCycles.Set(float64(p.Fabric.TotalCycles()))
 	for i, g := range p.soc {

@@ -164,8 +164,9 @@ type System struct {
 	// allocate in the steady state: the zero-alloc tick invariant covers it.
 	onTick func(tod time.Duration)
 
-	// tel, when set by AttachTelemetry, mirrors plant state into the live
-	// telemetry registry at the end of every tick (telemetry.go).
+	// tel, when set by AttachTelemetry, holds the live telemetry registry:
+	// the tick advances its clock, and its collect hook reads the plant
+	// when it is scraped (telemetry.go).
 	tel *telemetryHooks
 
 	auxEnergy units.WattHour
@@ -528,7 +529,9 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 
 	if s.tel != nil {
-		s.tel.publish(s, tod)
+		// The registry clock follows sim time, so a scrape (or an
+		// end-of-run snapshot) correlates with logbook timestamps.
+		s.tel.reg.SetClock(tod)
 	}
 
 	// 7. Trace recording (down-sampled).

@@ -1,17 +1,17 @@
 package sim
 
 import (
-	"time"
-
 	"insure/internal/modbus"
 	"insure/internal/telemetry"
 	"insure/internal/workload"
 )
 
-// telemetryHooks holds the pre-registered instruments the tick path writes.
-// Everything is resolved once in AttachTelemetry so the per-tick publish is
-// pure atomic stores — the zero-alloc tick invariant covers an instrumented
-// system too (see TestTickWithTelemetryAllocFree).
+// telemetryHooks holds the plant's instruments, resolved once in
+// AttachTelemetry. The gauges are set by the plant's collect hook, publish,
+// when the registry is scraped; the tick itself only advances the registry
+// clock and, at their event sites, the brownout and deficit counters — so
+// the zero-alloc tick invariant covers an instrumented system too (see
+// TestTickWithTelemetryAllocFree).
 type telemetryHooks struct {
 	reg *telemetry.Registry
 
@@ -38,10 +38,14 @@ type telemetryHooks struct {
 }
 
 // AttachTelemetry registers the plant's instruments on reg, the panel's
-// among them (plc.Panel.AttachTelemetry). Gauges are published by the tick
-// goroutine with atomic stores, so a concurrent /metrics scrape never races
-// with the simulation; counters advance at the event sites in Tick. Call it
-// once, before the first Tick.
+// among them (plc.Panel.AttachTelemetry), and installs the plant's collect
+// hook, which sets the gauges from the plant whenever reg is scraped.
+// Counters advance at the event sites in Tick. The hook runs under reg's
+// collect lock, so a program that scrapes reg while it ticks must tick
+// under that lock (telemetry.Registry.SetCollectLock); one that scrapes
+// between its own ticks needs none. Attaching another System to reg replaces the hook:
+// a registry reports one plant, the newest. Call it once per System,
+// before the first Tick.
 func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 	t := &telemetryHooks{reg: reg}
 	s.Panel.AttachTelemetry(reg)
@@ -87,13 +91,12 @@ func (s *System) AttachTelemetry(reg *telemetry.Registry) {
 	}
 
 	s.tel = t
+	reg.OnCollect("plant", nil, func() { t.publish(s) })
 }
 
-// publish mirrors the plant state into the gauges at the end of a tick. The
-// registry clock follows sim time, so a scrape (or an end-of-run snapshot)
-// can be correlated with logbook timestamps.
-func (t *telemetryHooks) publish(s *System, tod time.Duration) {
-	t.reg.SetClock(tod)
+// publish is the plant's collect hook: it mirrors the plant as the last
+// tick left it into the gauges, the panel's included.
+func (t *telemetryHooks) publish(s *System) {
 	s.Panel.Publish()
 	t.solar.Set(float64(s.SolarNow()))
 	t.load.Set(float64(s.LoadPower))

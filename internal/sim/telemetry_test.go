@@ -1,7 +1,9 @@
 package sim_test
 
 import (
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -169,6 +171,90 @@ func TestSurvivalSeriesExposition(t *testing.T) {
 	} {
 		if !found[want] {
 			t.Errorf("exposition missing series %q", want)
+		}
+	}
+}
+
+// TestReattachReadsNewestPlant attaches one day's plant and then the next
+// day's to one registry, as the storm campaign does, and scrapes it while
+// the newest plant ticks under the registry's collect lock. The first
+// plant keeps ticking on a goroutine of its own without that lock, so
+// under -race a hook still reading it fails the test: exactly one plant
+// hook runs. The last scrape reports the newest plant.
+func TestReattachReadsNewestPlant(t *testing.T) {
+	newPlant := func(soc float64) (*sim.System, *core.Manager) {
+		cfg := sim.DefaultConfig(trace.FullSystemHigh())
+		cfg.InitialSoC = soc
+		sys, err := sim.New(cfg, sim.NewSeismicSink())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys, core.New(core.DefaultConfig(), cfg.BatteryCount)
+	}
+	day1, mgr1 := newPlant(0.9)
+	day2, mgr2 := newPlant(0.4)
+	reg := telemetry.NewRegistry()
+	var mu sync.Mutex
+	reg.SetCollectLock(&mu)
+	day1.AttachTelemetry(reg)
+	step := day1.Config().Step
+	tod := 6 * time.Hour
+	for ; tod < 7*time.Hour; tod += step {
+		day1.Tick(tod, mgr1)
+	}
+	day2.AttachTelemetry(reg)
+	addr, stopServer, err := reg.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stopServer()
+	url := "http://" + addr.String() + "/metrics"
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func(tod time.Duration) {
+		defer wg.Done()
+		for ; ; tod += step {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			day1.Tick(tod, mgr1)
+		}
+	}(tod)
+	go func(tod time.Duration) {
+		defer wg.Done()
+		for ; ; tod += step {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			mu.Lock()
+			day2.Tick(tod, mgr2)
+			mu.Unlock()
+		}
+	}(tod)
+	for i := 0; i < 20; i++ {
+		promtest.Scrape(t, url)
+	}
+	close(stop)
+	wg.Wait()
+
+	got := map[string]float64{}
+	for _, s := range promtest.Scrape(t, url) {
+		got[s.Name+promtest.LabelSig(s.Labels)] = s.Value
+	}
+	if want := float64(day2.Bank.StoredEnergy()); got["insure_stored_watt_hours"] != want {
+		t.Errorf("scraped stored energy %v, newest plant holds %v (first plant %v)",
+			got["insure_stored_watt_hours"], want, float64(day1.Bank.StoredEnergy()))
+	}
+	for i := 0; i < day2.Bank.Size(); i++ {
+		id := "insure_battery_soc" + promtest.LabelSig(map[string]string{"unit": strconv.Itoa(i)})
+		if want := day2.Bank.Unit(i).SoC(); got[id] != want {
+			t.Errorf("%s = %v, newest plant's unit holds %v", id, got[id], want)
 		}
 	}
 }

@@ -23,12 +23,13 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// WritePrometheus renders the registry in the Prometheus text exposition
-// format (version 0.0.4): one HELP/TYPE block per metric name, samples
-// sorted by label set, histograms expanded into cumulative _bucket/_sum/
-// _count series. The shared sim clock is exported as
-// insure_sim_clock_seconds.
+// WritePrometheus runs the collect hooks and renders the registry in the
+// Prometheus text exposition format (version 0.0.4): one HELP/TYPE block
+// per metric name, samples sorted by label set, histograms expanded into
+// cumulative _bucket/_sum/_count series. The shared sim clock is exported
+// as insure_sim_clock_seconds.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	r.collect()
 	bw := bufio.NewWriter(w)
 	writeClock(bw, r.Clock().Seconds())
 	lastName := ""
@@ -76,15 +77,19 @@ func writeSample(bw *bufio.Writer, id string, v float64) {
 
 // writeHistogram expands one histogram into its exposition series. The
 // le label is appended to (or merged into) the metric's own label set.
+// _count is the +Inf bucket's total, which the text format requires it to
+// equal: while a writer is mid-Observe, the separately loaded count trails
+// the buckets by the observations in flight.
 func writeHistogram(bw *bufio.Writer, h *Histogram) {
 	mm := h.meta()
-	count, cumulative := h.snapshotCounts()
+	_, cumulative := h.snapshotCounts()
+	total := float64(cumulative[len(h.uppers)])
 	for i, ub := range h.uppers {
 		writeSample(bw, histogramSeriesID(mm, "_bucket", formatValue(ub)), float64(cumulative[i]))
 	}
-	writeSample(bw, histogramSeriesID(mm, "_bucket", "+Inf"), float64(cumulative[len(h.uppers)]))
+	writeSample(bw, histogramSeriesID(mm, "_bucket", "+Inf"), total)
 	writeSample(bw, histogramSeriesID(mm, "_sum", ""), h.Sum())
-	writeSample(bw, histogramSeriesID(mm, "_count", ""), float64(count))
+	writeSample(bw, histogramSeriesID(mm, "_count", ""), total)
 }
 
 // histogramSeriesID builds name_suffix{labels...,le="ub"}; le is omitted
@@ -138,9 +143,11 @@ type Snapshot struct {
 	Histograms      map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every instrument. Values are read atomically per
-// instrument; the snapshot as a whole is taken without stopping writers.
+// Snapshot runs the collect hooks and captures every instrument. Values
+// are read atomically per instrument; the snapshot as a whole is taken
+// without stopping writers.
 func (r *Registry) Snapshot() Snapshot {
+	r.collect()
 	s := Snapshot{
 		SimClockSeconds: r.Clock().Seconds(),
 		Counters:        map[string]int64{},

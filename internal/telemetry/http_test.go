@@ -95,6 +95,42 @@ func TestHealthzEndpoint(t *testing.T) {
 	}
 }
 
+// TestHealthCheckReplacedByName installs a failing check and then a passing
+// one under the same name, as a restarted controller re-attaching its
+// faultwatch does: the second replaces the first, so /healthz answers 200
+// with one entry.
+func TestHealthCheckReplacedByName(t *testing.T) {
+	r := NewRegistry()
+	r.AddHealthCheck("faultwatch", func() error { return errors.New("1 unit quarantined") })
+	r.AddHealthCheck("faultwatch", func() error { return nil })
+	addr, stop, err := r.Serve("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	resp, err := http.Get("http://" + addr.String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body struct {
+		Status string            `json:"status"`
+		Checks map[string]string `json:"checks"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || body.Status != "ok" {
+		t.Fatalf("code=%d body=%+v, want 200 ok", resp.StatusCode, body)
+	}
+	if len(body.Checks) != 1 || body.Checks["faultwatch"] != "ok" {
+		t.Fatalf("checks = %v, want one passing faultwatch", body.Checks)
+	}
+	if n := len(r.healthChecks()); n != 1 {
+		t.Fatalf("%d checks installed, want 1", n)
+	}
+}
+
 // TestHealthzReportsOpMode pins the operating-mode surface: the report
 // names the published survivability rung, and a draining mode (Blackout)
 // answers 503 even when every individual health check passes — the signal

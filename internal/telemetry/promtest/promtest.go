@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 var (
@@ -238,13 +239,20 @@ func LabelSig(labels map[string]string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
+// ScrapeTimeout bounds one Scrape. A collect hook deadlocked on a lock
+// the ticking goroutine holds never answers, and that must fail the test,
+// not hang it.
+const ScrapeTimeout = 10 * time.Second
+
 // Scrape fetches url and parses the body as a Prometheus exposition,
-// checking the status code and content type on the way.
+// checking the status code and content type on the way. It fails the test
+// when the endpoint does not answer within ScrapeTimeout.
 func Scrape(t testing.TB, url string) []Sample {
 	t.Helper()
-	resp, err := http.Get(url)
+	client := http.Client{Timeout: ScrapeTimeout}
+	resp, err := client.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("GET %s: %v", url, err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {

@@ -5,13 +5,22 @@
 // platform, which "collects various log data automatically" (§5) and
 // feeds §6.2's longevity analysis.
 //
-// The hot-path operations (Counter.Inc/Add, Gauge.Set, Histogram.Observe)
-// are single atomic instructions and never allocate, so instrumentation
-// can live inside the simulation tick without breaking the zero-alloc
-// steady-state invariant (see DESIGN.md "Performance" and the alloc
-// regression tests). Exposition — Prometheus text format over HTTP, or a
-// JSON snapshot embedded next to BENCH.json — is the slow path and may
-// allocate freely.
+// Instruments are read when they are scraped, not written on every change.
+// A component whose state moves on every tick or request installs a collect
+// hook (OnCollect) that copies that state into its instruments; Snapshot
+// and WritePrometheus (and so WriteJSON and /metrics) run every hook first,
+// one at a time, each under the lock that guards the state it reads: its
+// own, or the registry's collect lock (SetCollectLock), which a program
+// that scrapes while it ticks sets to the lock it ticks under. A hook installed
+// under a name already in use replaces it. Rare events still push: their
+// counters advance at the event site with one atomic add.
+//
+// The push operations (Counter.Inc/Add/SetTotal, Gauge.Set,
+// Histogram.Observe) are atomic and never allocate, so they may live
+// inside the zero-alloc simulation tick (see DESIGN.md "Performance" and
+// the alloc regression tests). Exposition — Prometheus text format over
+// HTTP, or a JSON snapshot embedded next to BENCH.json — is the slow path
+// and may allocate freely.
 //
 // Correlation model: the registry carries a monotonic simulation clock
 // (SetClock), advanced by whoever drives the plant. Logbook events are
@@ -71,15 +80,16 @@ func labelSuffix(labels []Label) string {
 	return b.String()
 }
 
-func escapeLabelValue(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
+// The Prometheus text-format escapes: label values escape backslash,
+// double quote and newline; HELP text escapes backslash and newline.
+var (
+	labelValueEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+	helpEscaper       = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+)
 
-func escapeHelp(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(v)
-}
+func escapeLabelValue(v string) string { return labelValueEscaper.Replace(v) }
+
+func escapeHelp(v string) string { return helpEscaper.Replace(v) }
 
 func newMeta(name, typ, help string, labels []Label) *metricMeta {
 	return &metricMeta{
@@ -105,6 +115,17 @@ func (c *Counter) Inc() { c.v.Add(1) }
 func (c *Counter) Add(n int64) {
 	if n > 0 {
 		c.v.Add(n)
+	}
+}
+
+// SetTotal raises the count to total, a lifetime total its owner keeps.
+// A total below the current count is ignored: counters only go up.
+func (c *Counter) SetTotal(total int64) {
+	for {
+		old := c.v.Load()
+		if total <= old || c.v.CompareAndSwap(old, total) {
+			return
+		}
 	}
 }
 
@@ -156,17 +177,22 @@ type Histogram struct {
 	count  atomic.Int64
 }
 
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	placed := false
-	for i, ub := range h.uppers {
+// bucketOf is the bucket search: the index of the first upper bound at or
+// above v, or len(uppers) for the +Inf bucket.
+func bucketOf(uppers []float64, v float64) int {
+	for i, ub := range uppers {
 		if v <= ub {
-			h.counts[i].Add(1)
-			placed = true
-			break
+			return i
 		}
 	}
-	if !placed {
+	return len(uppers)
+}
+
+// Observe records one value.
+func (h *Histogram) Observe(v float64) {
+	if i := bucketOf(h.uppers, v); i < len(h.uppers) {
+		h.counts[i].Add(1)
+	} else {
 		h.inf.Add(1)
 	}
 	for {
@@ -181,6 +207,41 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count.Load() }
+
+// Buckets is a histogram's plain twin, for an owner that observes under a
+// lock it already holds: Observe makes the same bucket search and the same
+// float additions as Histogram.Observe, with no atomics, and a collect hook
+// running under that lock publishes it with Histogram.Store.
+type Buckets struct {
+	uppers []float64
+	counts []int64 // one per upper bound, then +Inf
+	sum    float64
+	count  int64
+}
+
+// Buckets returns an empty twin with h's bucket bounds.
+func (h *Histogram) Buckets() Buckets {
+	return Buckets{uppers: h.uppers, counts: make([]int64, len(h.uppers)+1)}
+}
+
+// Observe records one value.
+func (b *Buckets) Observe(v float64) {
+	b.counts[bucketOf(b.uppers, v)]++
+	b.sum += v
+	b.count++
+}
+
+// Store sets h to b, which must come from h.Buckets. Like Observe it
+// publishes the buckets and the sum first and the count last, so stores
+// made in order under one lock keep the snapshot-consistency contract.
+func (h *Histogram) Store(b *Buckets) {
+	for i := range h.counts {
+		h.counts[i].Store(b.counts[i])
+	}
+	h.inf.Store(b.counts[len(h.uppers)])
+	h.sum.Store(math.Float64bits(b.sum))
+	h.count.Store(b.count)
+}
 
 // Sum returns the sum of observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -216,13 +277,26 @@ type HealthCheck struct {
 	Check func() error
 }
 
+// collectHook is one OnCollect registration.
+type collectHook struct {
+	name string
+	lock sync.Locker // nil: the registry's collect lock
+	fn   func()
+}
+
 // Registry holds the instruments of one process. The zero value is not
 // usable; call NewRegistry.
 type Registry struct {
-	mu      sync.RWMutex
-	byID    map[string]metric
-	order   []metric // registration order; exposition sorts by name/id
-	clock   atomic.Int64
+	mu    sync.RWMutex // guards byID, order, hooks and collectLock
+	byID  map[string]metric
+	order []metric // registration order; exposition sorts by name/id
+	clock atomic.Int64
+
+	// Collect hooks (OnCollect) and the lock for hooks without their own
+	// (SetCollectLock).
+	hooks       []collectHook
+	collectLock sync.Locker
+
 	healthM sync.RWMutex
 	health  []HealthCheck
 
@@ -322,11 +396,73 @@ func (r *Registry) OpMode() (mode string, draining bool) {
 	return r.opMode, r.opDraining
 }
 
-// AddHealthCheck installs a named liveness check surfaced by /healthz.
+// AddHealthCheck installs a named liveness check surfaced by /healthz. A
+// check installed under a name already in use replaces it, so a component
+// that attaches again — a controller restarted from its journal — keeps
+// one check.
 func (r *Registry) AddHealthCheck(name string, check func() error) {
 	r.healthM.Lock()
 	defer r.healthM.Unlock()
+	for i := range r.health {
+		if r.health[i].Name == name {
+			r.health[i].Check = check
+			return
+		}
+	}
 	r.health = append(r.health, HealthCheck{Name: name, Check: check})
+}
+
+// OnCollect installs fn as the collect hook named name. Snapshot and
+// WritePrometheus run every hook before they read an instrument, so fn is
+// where a component copies its state into its instruments. fn runs
+// holding lock, which must guard everything fn reads; a nil lock means the
+// registry's collect lock (SetCollectLock). fn must not take another
+// hook's lock. A hook installed under a name already in use replaces it:
+// a plant attached again reports the newest state once.
+func (r *Registry) OnCollect(name string, lock sync.Locker, fn func()) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.hooks {
+		if r.hooks[i].name == name {
+			r.hooks[i] = collectHook{name, lock, fn}
+			return
+		}
+	}
+	r.hooks = append(r.hooks, collectHook{name, lock, fn})
+}
+
+// SetCollectLock sets the lock that hooks installed without their own run
+// under. A program that scrapes while it ticks sets it to the lock it
+// ticks under; one that scrapes only between its own ticks leaves it
+// unset.
+func (r *Registry) SetCollectLock(l sync.Locker) {
+	r.mu.Lock()
+	r.collectLock = l
+	r.mu.Unlock()
+}
+
+// collect runs the collect hooks in installation order, one at a time,
+// each under its own lock.
+func (r *Registry) collect() {
+	r.mu.RLock()
+	hooks := append([]collectHook(nil), r.hooks...)
+	dflt := r.collectLock
+	r.mu.RUnlock()
+	for _, h := range hooks {
+		h.run(dflt)
+	}
+}
+
+func (h collectHook) run(dflt sync.Locker) {
+	l := h.lock
+	if l == nil {
+		l = dflt
+	}
+	if l != nil {
+		l.Lock()
+		defer l.Unlock()
+	}
+	h.fn()
 }
 
 // healthChecks returns a copy of the installed checks.

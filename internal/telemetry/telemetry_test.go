@@ -241,3 +241,96 @@ insure_golden_total{unit="0"} 3
 		t.Errorf("exposition mismatch:\ngot:\n%s\nwant:\n%s", b.String(), want)
 	}
 }
+
+// TestSetTotalNeverGoesDown pins the lifetime-total setter: it raises the
+// count to the total and ignores a smaller one.
+func TestSetTotalNeverGoesDown(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("insure_total_total", "c")
+	c.Inc()
+	c.SetTotal(5)
+	c.SetTotal(3)
+	if got := c.Value(); got != 5 {
+		t.Fatalf("counter = %d, want 5", got)
+	}
+}
+
+// TestBucketsStoreMatchesObserve feeds one value stream to a histogram's
+// Observe and to a plain Buckets twin published with Store: the two
+// histograms expose the same bytes, the sum bit for bit.
+func TestBucketsStoreMatchesObserve(t *testing.T) {
+	pushed, pulled := NewRegistry(), NewRegistry()
+	h := pushed.Histogram("insure_twin_seconds", "h", DefTimeBuckets)
+	g := pulled.Histogram("insure_twin_seconds", "h", DefTimeBuckets)
+	b := g.Buckets()
+	for i := 0; i < 5000; i++ {
+		v := float64(i%97) * 1.1e-3
+		if i%13 == 0 {
+			v = 7 + float64(i)/3 // past the last bound: +Inf
+		}
+		h.Observe(v)
+		b.Observe(v)
+	}
+	g.Store(&b)
+	var want, got strings.Builder
+	if err := pushed.WritePrometheus(&want); err != nil {
+		t.Fatal(err)
+	}
+	if err := pulled.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Fatalf("stored twin exposes\n%s\nobserved histogram\n%s", got.String(), want.String())
+	}
+	if math.Float64bits(g.Sum()) != math.Float64bits(h.Sum()) {
+		t.Fatalf("sum %v, want %v bit for bit", g.Sum(), h.Sum())
+	}
+}
+
+// TestCollectHooks pins the collect contract: Snapshot and WritePrometheus
+// run the hooks before reading, a hook installed under a used name
+// replaces the old one, and a hook runs under its own lock or, without
+// one, the registry's collect lock.
+func TestCollectHooks(t *testing.T) {
+	r := NewRegistry()
+	g := r.Gauge("insure_hook_gauge", "g")
+	var own, shared lockProbe
+	r.SetCollectLock(&shared)
+	runs := map[string]int{}
+	r.OnCollect("plant", nil, func() { runs["old plant"]++ })
+	r.OnCollect("gateway", &own, func() {
+		runs["gateway"]++
+		if !own.held || shared.held {
+			t.Error("gateway hook must run under its own lock alone")
+		}
+	})
+	r.OnCollect("plant", nil, func() {
+		runs["plant"]++
+		if !shared.held || own.held {
+			t.Error("plant hook must run under the collect lock alone")
+		}
+		g.Set(float64(runs["plant"]))
+	})
+	if got := r.Snapshot().Gauges["insure_hook_gauge"]; got != 1 {
+		t.Errorf("snapshot gauge = %v, want the hook's 1", got)
+	}
+	var sb strings.Builder
+	if err := r.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "insure_hook_gauge 2\n") {
+		t.Errorf("exposition missing the hook's second value:\n%s", sb.String())
+	}
+	if runs["old plant"] != 0 || runs["plant"] != 2 || runs["gateway"] != 2 {
+		t.Errorf("hook runs = %v, want the replaced plant hook never and the others twice", runs)
+	}
+	if own.held || shared.held {
+		t.Error("a lock is still held after collection")
+	}
+}
+
+// lockProbe is a sync.Locker that records whether it is held.
+type lockProbe struct{ held bool }
+
+func (l *lockProbe) Lock()   { l.held = true }
+func (l *lockProbe) Unlock() { l.held = false }
