@@ -49,13 +49,14 @@ smoke-faults:
 # health check replaced by name), the zero-alloc instrumented-tick guard,
 # a serving site's exposition golden and the gateway's /stats mirror, and,
 # under the race detector, scrapes while the gateway daemon, an insure-sim
-# -telemetry-addr day and a re-attached plant tick.
+# -telemetry-addr day and a re-attached plant tick, and insure-fleetd's
+# /healthz answering at one address across a watchdog rebuild.
 smoke-metrics:
 	$(GO) test -race -count=1 -run 'TestPanelMetricsEndpoint|TestPanelHealthz' ./cmd/insure-plcd
 	$(GO) test -race -count=1 ./internal/telemetry/...
 	$(GO) test -count=1 -run 'TestTickWithTelemetryAllocFree' ./internal/sim
 	$(GO) test -count=1 -run 'TestServingExpositionGolden|TestStatsEndpointAndTelemetry' ./internal/gateway
-	$(GO) test -race -count=1 -run 'TestScrapeWhileTicking|TestLiveTelemetryDayRun|TestReattachReadsNewestPlant' ./cmd/insure-gateway ./cmd/insure-sim ./internal/sim
+	$(GO) test -race -count=1 -run 'TestScrapeWhileTicking|TestLiveTelemetryDayRun|TestReattachReadsNewestPlant|TestFleetdTelemetrySurvivesWatchdogRebuild' ./cmd/insure-gateway ./cmd/insure-sim ./internal/sim ./cmd/insure-fleetd
 
 # smoke-chaos runs the quick seeded crash campaign: controller kills (clean
 # and torn-tail) plus plant faults against the journal/recovery path, with

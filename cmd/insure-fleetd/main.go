@@ -12,7 +12,9 @@
 //
 // An in-process watchdog wraps the day loop: a panic is caught, the world is
 // torn down and rebuilt from the state dir through the same resume path a
-// reboot would take, and the campaign continues.
+// reboot would take, and the campaign continues. The telemetry registry and
+// its listener belong to the process, not the world, so they outlive a
+// rebuild.
 //
 // The daemon also serves an observability plane on -metrics-addr:
 // GET /metrics is Prometheus text exposition (per-site SoC, migration and
@@ -42,6 +44,7 @@ import (
 	"time"
 
 	"insure/internal/fleet"
+	"insure/internal/telemetry"
 )
 
 // daemonOpts is everything main parses; tests drive runDaemon with the same
@@ -90,10 +93,13 @@ func runAttempt(ctx context.Context, w *world, killAt func(int, time.Duration) b
 	return w.run(ctx, killAt)
 }
 
-// runDaemon builds the world (resuming from StateDir when a snapshot exists),
-// serves telemetry, and runs the campaign to completion under the watchdog.
-// It returns the final report on success; on an abort the state dir holds
-// everything the next incarnation needs.
+// runDaemon serves telemetry, builds the world (resuming from StateDir when a
+// snapshot exists), and runs the campaign to completion under the watchdog.
+// The registry and its listener live as long as the process: a rebuilt
+// world re-attaches to them, so scrapes keep answering at one address and
+// counters keep counting across a rebuild. It returns the final report on
+// success; on an abort the state dir holds everything the next incarnation
+// needs.
 func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Report, error) {
 	killAt, err := parseKillAt(opts.KillAt)
 	if err != nil {
@@ -101,6 +107,21 @@ func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Repo
 	}
 	if opts.killFn != nil {
 		killAt = opts.killFn
+	}
+	var reg *telemetry.Registry
+	if opts.MetricsAddr != "" {
+		reg = telemetry.NewRegistry()
+		srv, err := telemetry.Listen(opts.MetricsAddr, reg.Mux())
+		if err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err := srv.Shutdown(); err != nil {
+				fmt.Fprintf(out, "telemetry listener: %v\n", err)
+			}
+		}()
+		fmt.Fprintf(out, "telemetry on http://%s/metrics and /healthz (%d link checks)\n",
+			srv.Addr(), opts.Sites)
 	}
 	for attempt := 0; ; attempt++ {
 		w, err := newWorld(opts.worldConfig)
@@ -111,22 +132,11 @@ func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Repo
 			fmt.Fprintf(out, "resumed fleet state from %s (day %d, miglog seq %d)\n",
 				opts.StateDir, w.day, w.coord.LogSeq())
 		}
-
-		stopMetrics := func() error { return nil }
-		if opts.MetricsAddr != "" {
-			reg := w.attachTelemetry()
-			maddr, stop, err := reg.Serve(opts.MetricsAddr)
-			if err != nil {
-				w.close()
-				return nil, err
-			}
-			stopMetrics = stop
-			fmt.Fprintf(out, "telemetry on http://%s/metrics and /healthz (%d link checks)\n",
-				maddr, opts.Sites)
+		if reg != nil {
+			w.attachTelemetry(reg)
 		}
 
 		runErr := runAttempt(ctx, w, killAt)
-		stopMetrics()
 		if runErr == nil {
 			rep := w.coord.Report()
 			if cerr := w.close(); cerr != nil {

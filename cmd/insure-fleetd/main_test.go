@@ -3,6 +3,9 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"math"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -206,6 +209,81 @@ func TestParseKillAt(t *testing.T) {
 	for _, bad := range []string{"15h", "x:15h", "1:xyz"} {
 		if _, err := parseKillAt(bad); err == nil {
 			t.Errorf("parseKillAt(%q): want error", bad)
+		}
+	}
+}
+
+// TestFleetdTelemetrySurvivesWatchdogRebuild panics the day loop and checks
+// that the registry and its listener outlive the rebuilt world: /healthz at
+// the address printed at boot answers before and after the rebuild, with
+// one link check per site.
+func TestFleetdTelemetrySurvivesWatchdogRebuild(t *testing.T) {
+	opts := fleetdFixture(905, t.TempDir())
+	opts.Days = 2
+	opts.MetricsAddr = "127.0.0.1:0"
+	opts.MaxRestarts = 1
+	var out bytes.Buffer
+	var url string
+	checkHealthz := func(when string) {
+		if url == "" {
+			line, _, _ := strings.Cut(out.String(), "\n")
+			addr, ok := strings.CutPrefix(line, "telemetry on http://")
+			addr, _, _ = strings.Cut(addr, "/")
+			if !ok || addr == "" {
+				t.Fatalf("no telemetry address at boot:\n%s", out.String())
+			}
+			url = "http://" + addr + "/healthz"
+		}
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("%s the rebuild: %v", when, err)
+		}
+		defer resp.Body.Close()
+		var body struct{ Checks map[string]string }
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s the rebuild: %v", when, err)
+		}
+		links := 0
+		for name := range body.Checks {
+			if strings.HasSuffix(name, "-link") {
+				links++
+			}
+		}
+		if links != opts.Sites {
+			t.Errorf("%s the rebuild: %d link checks, want %d: %v", when, links, opts.Sites, body.Checks)
+		}
+	}
+	checked, fired, rebuilt := false, false, false
+	opts.killFn = func(day int, tod time.Duration) bool {
+		switch {
+		case !checked:
+			checked = true
+			checkHealthz("before")
+		case !fired && day == 1 && tod >= 12*time.Hour:
+			fired = true
+			panic("injected day-loop fault")
+		case fired && !rebuilt:
+			rebuilt = true
+			checkHealthz("after")
+		}
+		return false
+	}
+	if _, err := runDaemon(context.Background(), &out, opts); err != nil {
+		t.Fatal(err)
+	}
+	if !rebuilt {
+		t.Fatalf("the world was never rebuilt:\n%s", out.String())
+	}
+}
+
+// TestNewWorldRejectsBadJobSize: a NaN, infinite, zero or negative -job-gb
+// is refused with the flag named.
+func TestNewWorldRejectsBadJobSize(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), 0, -5} {
+		cfg := fleetdFixture(906, "").worldConfig
+		cfg.JobGB = bad
+		if _, err := newWorld(cfg); err == nil || !strings.Contains(err.Error(), "-job-gb") {
+			t.Errorf("-job-gb %v: err = %v, want an error naming -job-gb", bad, err)
 		}
 	}
 }

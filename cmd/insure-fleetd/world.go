@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
 	"time"
 
@@ -42,10 +43,6 @@ type worldConfig struct {
 	// a day-boundary snapshot of every site's batteries, control state, and
 	// work queues lives in StateDir itself.
 	StateDir string
-	// FS mounts the durable state on an alternative filesystem — the
-	// disk-fault storm injects storage failures through it. Nil means the
-	// real disk.
-	FS journal.FS
 }
 
 // snapStateVersion guards the fleetd snapshot layout.
@@ -63,7 +60,6 @@ type world struct {
 	net   *wan.Network
 	snap  *journal.Store // nil without StateDir
 	scrub *journal.Scrubber
-	reg   *telemetry.Registry
 
 	day     int // completed days
 	resumed bool
@@ -116,6 +112,9 @@ func newWorld(cfg worldConfig) (*world, error) {
 	}
 	if cfg.Days < 1 {
 		return nil, fmt.Errorf("insure-fleetd: need at least one day")
+	}
+	if !(cfg.JobGB > 0 && cfg.JobGB <= math.MaxFloat64) {
+		return nil, fmt.Errorf("insure-fleetd: -job-gb %v: need a finite size above 0 GB", cfg.JobGB)
 	}
 
 	w := &world{cfg: cfg}
@@ -173,23 +172,19 @@ func newWorld(cfg worldConfig) (*world, error) {
 	// opens the migration log, because resuming means rolling the log back
 	// to the snapshot's moment first — records the dead incarnation wrote
 	// during its final partial day are crash-consistent garbage.
-	fsys := cfg.FS
-	if fsys == nil {
-		fsys = journal.Disk
-	}
 	var miglogDir string
 	var images *fleet.ImageStore
 	var snapDec *journal.Decoder
 	if cfg.StateDir != "" {
 		miglogDir = filepath.Join(cfg.StateDir, "miglog")
-		if err := fsys.MkdirAll(miglogDir); err != nil {
+		if err := journal.Disk.MkdirAll(miglogDir); err != nil {
 			return nil, err
 		}
-		images, err = fleet.NewImageStore(fsys, filepath.Join(cfg.StateDir, "images"))
+		images, err = fleet.NewImageStore(journal.Disk, filepath.Join(cfg.StateDir, "images"))
 		if err != nil {
 			return nil, err
 		}
-		res, err := journal.LoadFS(fsys, cfg.StateDir)
+		res, err := journal.Load(cfg.StateDir)
 		if err != nil {
 			return nil, err
 		}
@@ -201,7 +196,7 @@ func newWorld(cfg worldConfig) (*world, error) {
 			if err := d.Err(); err != nil {
 				return nil, fmt.Errorf("insure-fleetd: corrupt snapshot: %w", err)
 			}
-			if err := journal.TruncateAfterSeqFS(fsys, miglogDir, miglogSeq); err != nil {
+			if err := journal.TruncateAfterSeqFS(journal.Disk, miglogDir, miglogSeq); err != nil {
 				return nil, err
 			}
 			snapDec = d
@@ -210,7 +205,7 @@ func newWorld(cfg worldConfig) (*world, error) {
 			// No snapshot: the prior incarnation (if any) died inside day
 			// 0. Cold-start — wipe its partial records so the re-run day
 			// appends onto an empty log.
-			if err := journal.TruncateAfterSeqFS(fsys, miglogDir, 0); err != nil {
+			if err := journal.TruncateAfterSeqFS(journal.Disk, miglogDir, 0); err != nil {
 				return nil, err
 			}
 		}
@@ -220,9 +215,9 @@ func newWorld(cfg worldConfig) (*world, error) {
 		// "storage" health check reports writability, mirror sync, and
 		// sweep freshness.
 		w.scrub = journal.NewScrubber(
-			journal.Target{Name: "snapshots", Dir: cfg.StateDir, FS: fsys},
-			journal.Target{Name: "miglog", Dir: miglogDir, FS: fsys},
-			journal.Target{Name: "images", Dir: images.Dir(), FS: fsys},
+			journal.Target{Name: "snapshots", Dir: cfg.StateDir},
+			journal.Target{Name: "miglog", Dir: miglogDir},
+			journal.Target{Name: "images", Dir: images.Dir()},
 		)
 		w.scrub.Interval = 24 * time.Hour // swept at day boundaries, not on a wall clock
 	}
@@ -231,7 +226,6 @@ func newWorld(cfg worldConfig) (*world, error) {
 		Migration: cfg.Migration,
 		WAN:       net,
 		LogDir:    miglogDir,
-		LogFS:     cfg.FS,
 		Images:    images,
 		Abort: func(day int, tod time.Duration) bool {
 			return w.abort != nil && w.abort(day, tod)
@@ -268,7 +262,7 @@ func newWorld(cfg worldConfig) (*world, error) {
 	}
 
 	if cfg.StateDir != "" {
-		w.snap, err = journal.OpenFS(fsys, cfg.StateDir)
+		w.snap, err = journal.Open(cfg.StateDir)
 		if err != nil {
 			return nil, err
 		}
@@ -300,9 +294,10 @@ func (w *world) snapshot() error {
 }
 
 // attachTelemetry publishes the coordinator series and installs per-site
-// link health checks: /healthz degrades while any site's heartbeat is cut.
-func (w *world) attachTelemetry() *telemetry.Registry {
-	reg := telemetry.NewRegistry()
+// link health checks on reg: /healthz degrades while any site's heartbeat is
+// cut. A rebuilt world attaches to the same registry; its instruments are
+// fetched by id and its checks replace the dead world's by name.
+func (w *world) attachTelemetry(reg *telemetry.Registry) {
 	w.coord.AttachTelemetry(reg)
 	if w.scrub != nil {
 		w.scrub.AttachTelemetry(reg)
@@ -322,8 +317,6 @@ func (w *world) attachTelemetry() *telemetry.Registry {
 			return nil
 		})
 	}
-	w.reg = reg
-	return reg
 }
 
 // run drives the remaining days. A context cancellation (signal) or the

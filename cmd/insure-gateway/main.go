@@ -28,11 +28,9 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	"os"
 	"os/signal"
@@ -136,15 +134,17 @@ func main() {
 	mux.Handle("/metrics", sc.reg.MetricsHandler())
 	mux.Handle("/healthz", sc.reg.HealthzHandler())
 
-	ln, err := net.Listen("tcp", *addr)
+	d := &drainer{next: mux}
+	listener, err := telemetry.Listen(*addr, d)
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("serving plane on http://%s/query (weather %s, accel %.0fx, base %.0f qps)",
-		ln.Addr(), *weather, *accel, *baseQPS)
-	if err := serveGateway(ctx, ln, mux, gw, now, drainGrace); err != nil {
+		listener.Addr(), *weather, *accel, *baseQPS)
+	<-ctx.Done()
+	if err := d.drain(listener, gw, now(), drainGrace); err != nil {
 		log.Fatal(err)
 	}
 	log.Print("signal received; drained and stopped")
@@ -159,42 +159,32 @@ const drainGrace = 2 * time.Second
 // while the gateway is draining.
 const drainRetrySeconds = 30
 
-// serveGateway runs the serving plane until ctx is cancelled (SIGINT or
-// SIGTERM in main), then shuts down gracefully: admission stops immediately
-// — /query answers 503 with a Retry-After for one grace window — queued
+// drainer is the query plane's drain-on-SIGTERM, wrapped around the handler
+// the gateway serves: once draining, /query answers 503 with a Retry-After
+// instead of admitting.
+type drainer struct {
+	next     http.Handler
+	draining atomic.Bool
+}
+
+func (d *drainer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if d.draining.Load() && r.URL.Path == "/query" {
+		w.Header().Set("Retry-After", strconv.Itoa(drainRetrySeconds))
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+		return
+	}
+	d.next.ServeHTTP(w, r)
+}
+
+// drain shuts the serving plane down gracefully: admission stops at once —
+// /query answers 503 with a Retry-After for one grace window — queued
 // tickets are shed as ShedDrain, in-flight requests complete, and the
 // listener closes.
-func serveGateway(ctx context.Context, ln net.Listener, handler http.Handler, gw *gateway.Gateway, now func() time.Duration, grace time.Duration) error {
-	var draining atomic.Bool
-	wrapped := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if draining.Load() && r.URL.Path == "/query" {
-			w.Header().Set("Retry-After", strconv.Itoa(drainRetrySeconds))
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		handler.ServeHTTP(w, r)
-	})
-	srv := &http.Server{Handler: wrapped}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(ln) }()
-
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-	}
-	draining.Store(true)
-	gw.Drain(now())
+func (d *drainer) drain(srv *telemetry.Server, gw *gateway.Gateway, now, grace time.Duration) error {
+	d.draining.Store(true)
+	gw.Drain(now)
 	time.Sleep(grace)
-	sdCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(sdCtx); err != nil {
-		return err
-	}
-	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	return nil
+	return srv.Shutdown()
 }
 
 // simClock is the daemon's simulated clock. It ticks the plant through its

@@ -1,9 +1,7 @@
 package main
 
 import (
-	"context"
 	"io"
-	"net"
 	"net/http"
 	"sync"
 	"testing"
@@ -31,10 +29,10 @@ func testGateway(t *testing.T) *gateway.Gateway {
 	return gateway.New(gateway.DefaultConfig(), gateway.SimPlant{Sys: sys, Mgr: mgr})
 }
 
-// TestServeGatewayGracefulShutdown drives the daemon's shutdown path: after
-// the signal context is cancelled, new queries must get 503 + Retry-After
-// while an in-flight request is allowed to finish, and once the grace window
-// closes the listener must be gone.
+// TestServeGatewayGracefulShutdown drives the daemon's shutdown path: once
+// the drain starts, new queries must get 503 + Retry-After while an
+// in-flight request is allowed to finish, and once the grace window closes
+// the listener must be gone.
 func TestServeGatewayGracefulShutdown(t *testing.T) {
 	gw := testGateway(t)
 
@@ -48,18 +46,14 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	})
 
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	d := &drainer{next: handler}
+	srv, err := telemetry.Listen("127.0.0.1:0", d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := "http://" + ln.Addr().String()
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		done <- serveGateway(ctx, ln, handler, gw, func() time.Duration { return 0 }, time.Second)
-	}()
+	base := "http://" + srv.Addr().String()
 
-	// Park one request in flight, then deliver the "signal".
+	// Park one request in flight, then start the drain as SIGTERM does.
 	slowDone := make(chan int, 1)
 	go func() {
 		resp, err := http.Get(base + "/slow")
@@ -71,7 +65,8 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 		slowDone <- resp.StatusCode
 	}()
 	<-arrived
-	cancel()
+	done := make(chan error, 1)
+	go func() { done <- d.drain(srv, gw, 0, time.Second) }()
 
 	// Inside the grace window new queries are refused softly: 503 with a
 	// Retry-After hint, not a connection error.
@@ -102,7 +97,7 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 	}
 
 	if err := <-done; err != nil {
-		t.Fatalf("serveGateway: %v", err)
+		t.Fatalf("drain: %v", err)
 	}
 	if _, err := http.Get(base + "/query"); err == nil {
 		t.Error("listener still accepting after shutdown completed")
@@ -234,14 +229,15 @@ func TestScrapeWhileTicking(t *testing.T) {
 	gcfg := gateway.DefaultConfig()
 	gcfg.BaseQPS = 5
 	sc := newSimClock(sys, mgr, gcfg)
-	// Registry.Serve's stop closes connections without waiting on their
-	// handlers, so a deadlocked scrape fails the test instead of hanging it.
-	addr, stopServer, err := sc.reg.Serve("127.0.0.1:0")
+	// A deadlocked scrape fails promtest.Scrape after its deadline, and
+	// Shutdown closes the stuck connection after its own bound, so the test
+	// fails instead of hanging.
+	srv, err := telemetry.Listen("127.0.0.1:0", sc.reg.Mux())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopServer()
-	url := "http://" + addr.String() + "/metrics"
+	defer srv.Shutdown()
+	url := "http://" + srv.Addr().String() + "/metrics"
 	now := func() time.Duration { return time.Duration(sc.served.Load()) }
 
 	stop := make(chan struct{})

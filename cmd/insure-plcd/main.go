@@ -26,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"os/signal"
 	"syscall"
@@ -53,8 +54,16 @@ type panel struct {
 
 // newPanel wires the plant and registers its telemetry. The plant loop
 // publishes into the registry with atomic stores, so the HTTP goroutines
-// never race with the physics.
+// never race with the physics. Each bus power must be finite and
+// non-negative: a NaN would reach the batteries' state of charge within a
+// tick and be journaled from there.
 func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
+	if !(solarW >= 0 && solarW <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-solar %v: need a finite power of at least 0 W", solarW)
+	}
+	if !(loadW >= 0 && loadW <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-load %v: need a finite power of at least 0 W", loadW)
+	}
 	bank, err := battery.NewBank(battery.DefaultParams(), n, soc)
 	if err != nil {
 		return nil, err
@@ -140,7 +149,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer ps.Close()
 		elapsed, restored, err := ps.restoreInto(p)
 		if err != nil {
 			log.Fatal(err)
@@ -165,20 +173,20 @@ func main() {
 	fmt.Println("coils: 2i=charge relay, 2i+1=discharge relay; inputs: 2i=voltage code, 2i+1=current code")
 
 	if *metricsAddr != "" {
-		maddr, stopMetrics, err := p.reg.Serve(*metricsAddr)
+		ms, err := telemetry.Listen(*metricsAddr, p.reg.Mux())
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer stopMetrics()
-		fmt.Printf("telemetry on http://%s/metrics and /healthz\n", maddr)
+		defer shutdown("telemetry", ms)
+		fmt.Printf("telemetry on http://%s/metrics and /healthz\n", ms.Addr())
 	}
 	if *debugAddr != "" {
-		daddr, stopDebug, err := telemetry.ServeDebug(*debugAddr)
+		ds, err := telemetry.Listen(*debugAddr, telemetry.DebugMux())
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer stopDebug()
-		fmt.Printf("pprof on http://%s/debug/pprof/\n", daddr)
+		defer shutdown("pprof", ds)
+		fmt.Printf("pprof on http://%s/debug/pprof/\n", ds.Addr())
 	}
 
 	injector := faults.NewInjector(faultPlan, faults.Target{Panel: p.Panel, Server: srv})
@@ -202,10 +210,11 @@ func main() {
 		}
 	}
 
-	// Real-time plant loop: 1 s physics ticks under the watchdog. A
-	// panicked or wedged loop is replaced in-process, re-synced from the
-	// journal, and its relay intent re-driven; a killed process resumes
-	// from the same journal at next boot.
+	// Real-time plant loop: 1 s physics ticks. A panicked loop restarts
+	// in-process, re-synced from the journal, and its relay intent
+	// re-driven. A hung process must be restarted; like a killed one, it
+	// resumes from the same journal at next boot. The store closes once the
+	// loop is done with it, then the listeners and Modbus sessions drain.
 	sup := newSupervisor(p, ps)
 	sup.setElapsed(resumeAt)
 	sup.onTick = func(elapsed time.Duration) { injector.Tick(elapsed) }
@@ -216,5 +225,15 @@ func main() {
 		if err := ps.Err(); err != nil {
 			log.Printf("warning: state journal degraded during run: %v", err)
 		}
+		if err := ps.Close(); err != nil {
+			log.Printf("warning: closing state journal: %v", err)
+		}
+	}
+}
+
+// shutdown stops a listener, logging any request it had to cut off.
+func shutdown(name string, s *telemetry.Server) {
+	if err := s.Shutdown(); err != nil {
+		log.Printf("%s listener: %v", name, err)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"testing"
@@ -36,13 +37,7 @@ func TestPanelMetricsEndpoint(t *testing.T) {
 		p.tick(time.Second, elapsed)
 	}
 
-	addr, stop, err := p.reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	samples := promtest.Scrape(t, "http://"+addr.String()+"/metrics")
+	samples := promtest.Scrape(t, serve(t, p.reg)+"/metrics")
 	found := map[string]float64{}
 	for _, s := range samples {
 		found[s.Name+promtest.LabelSig(s.Labels)] = s.Value
@@ -86,12 +81,7 @@ func TestPanelHealthz(t *testing.T) {
 	}
 	p.tick(time.Second, time.Second)
 
-	addr, stop, err := p.reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	url := "http://" + addr.String() + "/healthz"
+	url := serve(t, p.reg) + "/healthz"
 
 	get := func() (int, map[string]any) {
 		t.Helper()
@@ -155,12 +145,7 @@ func TestPanelHelpMatchesSimulator(t *testing.T) {
 // and TYPE lines, keyed by metric name.
 func scrapeMeta(t *testing.T, reg *telemetry.Registry) map[string]string {
 	t.Helper()
-	addr, stop, err := reg.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr.String() + "/metrics")
+	resp, err := http.Get(serve(t, reg) + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,4 +161,36 @@ func scrapeMeta(t *testing.T, reg *telemetry.Registry) map[string]string {
 		}
 	}
 	return meta
+}
+
+// serve serves reg's /metrics and /healthz on a loopback port until the
+// test ends, when Shutdown must return cleanly, and returns the base URL.
+func serve(t *testing.T, reg *telemetry.Registry) string {
+	t.Helper()
+	srv, err := telemetry.Listen("127.0.0.1:0", reg.Mux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	return "http://" + srv.Addr().String()
+}
+
+// TestNewPanelRejectsBadBusPower: a NaN, infinite or negative -solar or
+// -load is refused with the flag named; zero is a valid idle bus.
+func TestNewPanelRejectsBadBusPower(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		if _, err := newPanel(2, 0.5, bad, 300); err == nil || !strings.Contains(err.Error(), "-solar") {
+			t.Errorf("-solar %v: err = %v, want an error naming -solar", bad, err)
+		}
+		if _, err := newPanel(2, 0.5, 400, bad); err == nil || !strings.Contains(err.Error(), "-load") {
+			t.Errorf("-load %v: err = %v, want an error naming -load", bad, err)
+		}
+	}
+	if _, err := newPanel(2, 0.5, 0, 0); err != nil {
+		t.Errorf("zero bus powers: %v", err)
+	}
 }

@@ -52,12 +52,10 @@ func (p *panel) restoreState(b []byte) (time.Duration, error) {
 }
 
 // panelStore journals the panel state once per plant tick. All store
-// access is mutex-guarded: the watchdog may re-read the journal to re-sync
-// the plant while an abandoned loop incarnation is still unwinding out of
-// a stalled commit.
+// access is mutex-guarded: the scrubber sweeps the directory under the same
+// lock, and /healthz reads Err from an HTTP goroutine.
 type panelStore struct {
-	dir  string
-	fsys journal.FS
+	dir string
 
 	mu            sync.Mutex
 	store         *journal.Store
@@ -67,26 +65,20 @@ type panelStore struct {
 	err           error
 }
 
-// openPanelStore opens (or creates) the state directory on the real disk.
-// Any torn tail left by a crash is truncated away here.
+// openPanelStore opens (or creates) the state directory. Any torn tail
+// left by a crash is truncated away here.
 func openPanelStore(dir string) (*panelStore, error) {
-	return openPanelStoreFS(journal.Disk, dir)
-}
-
-// openPanelStoreFS is openPanelStore on an explicit filesystem — the
-// disk-fault storm mounts the store on an injecting FS through this.
-func openPanelStoreFS(fsys journal.FS, dir string) (*panelStore, error) {
-	st, err := journal.OpenFS(fsys, dir)
+	st, err := journal.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &panelStore{dir: dir, fsys: fsys, store: st, snapshotEvery: defaultPanelSnapshotEvery}, nil
+	return &panelStore{dir: dir, store: st, snapshotEvery: defaultPanelSnapshotEvery}, nil
 }
 
 // scrubTarget exposes the store directory to a journal.Scrubber, sharing
 // the store mutex so sweeps serialize with commits.
 func (s *panelStore) scrubTarget() journal.Target {
-	return journal.Target{Name: "panel-state", Dir: s.dir, FS: s.fsys, Lock: &s.mu}
+	return journal.Target{Name: "panel-state", Dir: s.dir, Lock: &s.mu}
 }
 
 // restoreInto loads the newest committed state image into p. Returns the
@@ -94,7 +86,7 @@ func (s *panelStore) scrubTarget() journal.Target {
 func (s *panelStore) restoreInto(p *panel) (time.Duration, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	res, err := journal.LoadFS(s.fsys, s.dir)
+	res, err := journal.Load(s.dir)
 	if err != nil {
 		return 0, false, err
 	}

@@ -10,54 +10,37 @@ import (
 	"insure/internal/telemetry"
 )
 
-// supervisor runs the panel's real-time control loop under a watchdog. Two
-// failure modes are handled in-process:
+// supervisor runs the panel's real-time control loop and restarts it when
+// a tick panics: the loop recovers, the plant control state is re-synced
+// from the journal, and the relay fabric is re-driven from the restored
+// coil intent, so a half-applied tick cannot linger.
 //
-//   - panic: the loop goroutine recovers, reports, and the watchdog starts
-//     a fresh incarnation;
-//   - wedge: no heartbeat within Patience (a hook or a journal fsync has
-//     stalled) — the incarnation is abandoned and superseded.
-//
-// A goroutine cannot be killed, so abandonment is generation-fenced: every
-// incarnation re-checks the generation counter between stages (after the
-// hook, before the plant tick, before the heartbeat) and exits silently
-// once superseded. After each restart the plant control state is re-synced
-// from the journal and the relay fabric is re-driven from the restored
-// coil intent, so a half-applied tick cannot linger. The fence cannot
-// preempt a goroutine wedged inside the physics tick itself — that is the
-// process-restart case, which the journal also covers (see restoreInto).
+// A hang is not recovered in-process. A stalled journal fsync holds the
+// store lock that a re-sync would need, and nothing can preempt a goroutine
+// wedged inside the physics tick, so a hang is the process-restart case,
+// which the journal also covers (see restoreInto). It stays visible:
+// insure_sim_clock_seconds and /healthz's sim_clock_seconds stop advancing.
 type supervisor struct {
 	p  *panel
 	ps *panelStore // nil = run without persistence
 
-	// Interval is the real-time tick period; Patience is how long the
-	// watchdog waits for a heartbeat before declaring the loop wedged.
+	// Interval is the real-time tick period.
 	Interval time.Duration
-	Patience time.Duration
 
 	// onTick, when set, runs inside the loop before each plant tick. The
-	// daemon hangs the fault injector here; tests hang wedges and panics.
+	// daemon hangs the fault injector here; tests hang panics and stalls.
 	onTick func(elapsed time.Duration)
 
-	gen       atomic.Int64
-	beat      atomic.Int64 // wall-clock nanos of the last completed tick
 	restarts  atomic.Int64
 	reapplied atomic.Int64 // relay pairs re-driven across all recoveries
 	elapsed   atomic.Int64 // sim-elapsed nanos; survives restarts
-	crashCh   chan int64   // generation of a panicked incarnation
 }
 
 func newSupervisor(p *panel, ps *panelStore) *supervisor {
-	return &supervisor{
-		p:        p,
-		ps:       ps,
-		Interval: time.Second,
-		Patience: 5 * time.Second,
-		crashCh:  make(chan int64, 4),
-	}
+	return &supervisor{p: p, ps: ps, Interval: time.Second}
 }
 
-// Restarts reports how many times the watchdog replaced the control loop.
+// Restarts reports how many times a panicking control loop was restarted.
 func (s *supervisor) Restarts() int64 { return s.restarts.Load() }
 
 // Reapplied reports how many relay pairs recovery re-drove in total.
@@ -69,53 +52,27 @@ func (s *supervisor) Elapsed() time.Duration { return time.Duration(s.elapsed.Lo
 // setElapsed seeds the clock, e.g. from a boot-time journal restore.
 func (s *supervisor) setElapsed(d time.Duration) { s.elapsed.Store(int64(d)) }
 
-// registerTelemetry exposes the watchdog's counters on reg.
+// registerTelemetry exposes the supervisor's counters on reg.
 func (s *supervisor) registerTelemetry(reg *telemetry.Registry) {
 	reg.FuncGauge("insure_plcd_loop_restarts",
-		"Control-loop incarnations the watchdog has replaced after a panic or wedge.",
+		"Control-loop incarnations the watchdog has replaced after a panic.",
 		func() float64 { return float64(s.Restarts()) })
 	reg.FuncGauge("insure_plcd_relay_reapplied",
 		"Relay pairs re-driven after a loop restart because the restored coil intent disagreed with the fabric.",
 		func() float64 { return float64(s.Reapplied()) })
 }
 
-// Run drives the loop and its watchdog until ctx is cancelled.
+// Run ticks the plant every Interval until ctx is cancelled, restarting
+// the loop after a panic. No tick starts once ctx is done, and Run returns
+// only after the tick and the commit in flight have finished.
 func (s *supervisor) Run(ctx context.Context) {
-	s.beat.Store(time.Now().UnixNano())
-	go s.loop(ctx, s.gen.Load())
-
-	patience := s.Patience
-	if patience <= 0 {
-		patience = 5 * time.Second
+	t := time.NewTicker(s.Interval)
+	defer t.Stop()
+	for !s.loop(ctx, t) {
+		n := s.resync()
+		s.restarts.Add(1)
+		log.Printf("control loop restarted: state re-synced from journal, %d relay pairs re-driven", n)
 	}
-	check := time.NewTicker(patience / 4)
-	defer check.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case g := <-s.crashCh:
-			if g != s.gen.Load() {
-				continue // a stale incarnation's death rattle
-			}
-			s.restart(ctx, "panicked")
-		case <-check.C:
-			if time.Duration(time.Now().UnixNano()-s.beat.Load()) > patience {
-				s.restart(ctx, "wedged")
-			}
-		}
-	}
-}
-
-// restart supersedes the current incarnation, re-syncs the plant control
-// state from the journal, and launches a fresh loop.
-func (s *supervisor) restart(ctx context.Context, why string) {
-	gen := s.gen.Add(1)
-	n := s.resync()
-	s.restarts.Add(1)
-	s.beat.Store(time.Now().UnixNano())
-	log.Printf("control loop %s: restarted (incarnation %d), state re-synced from journal, %d relay pairs re-driven", why, gen, n)
-	go s.loop(ctx, gen)
 }
 
 // resync restores the newest journaled state into the live panel and
@@ -146,42 +103,29 @@ func (s *supervisor) resync() int {
 	return fixed
 }
 
-// loop is one control-loop incarnation.
-func (s *supervisor) loop(ctx context.Context, gen int64) {
+// loop ticks the plant on t until ctx is done, when it reports true, or a
+// tick panics, when it recovers and reports false.
+func (s *supervisor) loop(ctx context.Context, t *time.Ticker) (done bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			log.Printf("control loop panic: %v", r)
-			select {
-			case s.crashCh <- gen:
-			default:
-			}
 		}
 	}()
-	t := time.NewTicker(s.Interval)
-	defer t.Stop()
 	for {
 		select {
 		case <-ctx.Done():
-			return
 		case <-t.C:
 		}
-		if s.gen.Load() != gen {
-			return // superseded while we slept
+		if ctx.Err() != nil {
+			return true
 		}
 		elapsed := time.Duration(s.elapsed.Add(int64(s.Interval)))
 		if s.onTick != nil {
 			s.onTick(elapsed)
 		}
-		if s.gen.Load() != gen {
-			return // the hook wedged and we were abandoned: do not touch the plant
-		}
 		s.p.tick(s.Interval, elapsed)
 		if s.ps != nil {
 			s.ps.commit(s.p, elapsed)
 		}
-		if s.gen.Load() != gen {
-			return // don't heartbeat for a stale incarnation
-		}
-		s.beat.Store(time.Now().UnixNano())
 	}
 }

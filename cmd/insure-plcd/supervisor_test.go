@@ -66,8 +66,8 @@ func TestPanelStateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSupervisorRecoversFromPanic: a hook that panics kills the loop
-// incarnation; the watchdog must start a fresh one that keeps ticking.
+// TestSupervisorRecoversFromPanic: a hook that panics ends the loop; Run
+// must restart it, keep ticking, and return once the context is cancelled.
 func TestSupervisorRecoversFromPanic(t *testing.T) {
 	p := testPanel(t, 2)
 	ps, err := openPanelStore(t.TempDir())
@@ -78,7 +78,6 @@ func TestSupervisorRecoversFromPanic(t *testing.T) {
 
 	sup := newSupervisor(p, ps)
 	sup.Interval = time.Millisecond
-	sup.Patience = 200 * time.Millisecond
 	var fired atomic.Bool
 	sup.onTick = func(elapsed time.Duration) {
 		if elapsed >= 5*time.Millisecond && fired.CompareAndSwap(false, true) {
@@ -87,7 +86,11 @@ func TestSupervisorRecoversFromPanic(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	go sup.Run(ctx)
+	returned := make(chan struct{})
+	go func() {
+		sup.Run(ctx)
+		close(returned)
+	}()
 
 	waitFor(t, 5*time.Second, func() bool { return sup.Restarts() >= 1 })
 	after := sup.Elapsed()
@@ -95,38 +98,66 @@ func TestSupervisorRecoversFromPanic(t *testing.T) {
 	if err := ps.Err(); err != nil {
 		t.Fatalf("journal degraded across panic recovery: %v", err)
 	}
+	cancel()
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return after the context was cancelled")
+	}
 }
 
-// TestSupervisorRecoversWedgedLoop: a hook that never returns starves the
-// heartbeat; the watchdog must abandon the incarnation and start another.
-// The wedged goroutine is released at cleanup and must exit through the
-// generation fence without touching the plant.
-func TestSupervisorRecoversWedgedLoop(t *testing.T) {
-	p := testPanel(t, 2)
-	ps, err := openPanelStore(t.TempDir())
+// TestSupervisorRunWaitsForInFlightTick cancels the context while a tick is
+// blocked in its hook. Run must not return until that tick and its commit
+// have finished, so the newest journaled image is the blocked tick's.
+func TestSupervisorRunWaitsForInFlightTick(t *testing.T) {
+	dir := t.TempDir()
+	ps, err := openPanelStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ps.Close()
-
-	sup := newSupervisor(p, ps)
+	sup := newSupervisor(testPanel(t, 2), ps)
 	sup.Interval = time.Millisecond
-	sup.Patience = 50 * time.Millisecond
-	release := make(chan struct{})
-	defer close(release)
-	var wedged atomic.Bool
+	const blockAt = 5 * time.Millisecond
+	blocked, release := make(chan struct{}), make(chan struct{})
 	sup.onTick = func(elapsed time.Duration) {
-		if elapsed >= 5*time.Millisecond && wedged.CompareAndSwap(false, true) {
-			<-release // simulate a hook stuck on dead I/O
+		if elapsed == blockAt {
+			close(blocked)
+			<-release
 		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go sup.Run(ctx)
+	returned := make(chan struct{})
+	go func() {
+		sup.Run(ctx)
+		close(returned)
+	}()
 
-	waitFor(t, 5*time.Second, func() bool { return sup.Restarts() >= 1 })
-	after := sup.Elapsed()
-	waitFor(t, 5*time.Second, func() bool { return sup.Elapsed() > after+10*time.Millisecond })
+	<-blocked
+	cancel()
+	select {
+	case <-returned:
+		close(release)
+		t.Fatal("Run returned while a tick was still in flight")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	<-returned
+	if err := ps.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	reopened, err := openPanelStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reopened.Close()
+	elapsed, ok, err := reopened.restoreInto(testPanel(t, 2))
+	if err != nil || !ok {
+		t.Fatalf("restore: ok=%v err=%v", ok, err)
+	}
+	if elapsed != blockAt {
+		t.Fatalf("newest journaled image is at %v, want the blocked tick's %v", elapsed, blockAt)
+	}
 }
 
 // TestSupervisorResyncReappliesRelays: if a dying incarnation left the

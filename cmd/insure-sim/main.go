@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"os"
 	"sort"
 	"strconv"
@@ -293,12 +292,16 @@ func main() {
 		// The day ticks under mu, which a live endpoint's scrapes take too.
 		var mu sync.Mutex
 		if reg != nil && *telemetryAddr != "" {
-			taddr, stop, err := serveLive(reg, *telemetryAddr, &mu)
+			srv, err := serveLive(reg, *telemetryAddr, &mu)
 			if err != nil {
 				log.Fatal(err)
 			}
-			defer stop()
-			fmt.Printf("telemetry on http://%s/metrics and /healthz\n", taddr)
+			defer func() {
+				if err := srv.Shutdown(); err != nil {
+					log.Printf("warning: telemetry listener: %v", err)
+				}
+			}()
+			fmt.Printf("telemetry on http://%s/metrics and /healthz\n", srv.Addr())
 		}
 		var res sim.Result
 		if *stateDir != "" {
@@ -449,9 +452,9 @@ func parseKills(spec string) ([]time.Duration, error) {
 // serveLive serves reg's /metrics and /healthz on addr while a day runs.
 // Scrapes then read the plant from another goroutine, so mu, which the day
 // ticks under, becomes reg's collect lock.
-func serveLive(reg *telemetry.Registry, addr string, mu *sync.Mutex) (net.Addr, func() error, error) {
+func serveLive(reg *telemetry.Registry, addr string, mu *sync.Mutex) (*telemetry.Server, error) {
 	reg.SetCollectLock(mu)
-	return reg.Serve(addr)
+	return telemetry.Listen(addr, reg.Mux())
 }
 
 // runDay is sys.Run(mgr) with every tick under mu.

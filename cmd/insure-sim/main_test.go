@@ -98,11 +98,11 @@ func TestLiveTelemetryDayRun(t *testing.T) {
 			sys.AttachTelemetry(reg)
 			mgr.AttachTelemetry(reg)
 			var mu sync.Mutex
-			addr, stop, err := serveLive(reg, "127.0.0.1:0", &mu)
+			srv, err := serveLive(reg, "127.0.0.1:0", &mu)
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer stop()
+			defer srv.Shutdown()
 			dir := t.TempDir()
 			done := make(chan struct{})
 			go func() {
@@ -113,7 +113,7 @@ func TestLiveTelemetryDayRun(t *testing.T) {
 					runDay(sys, mgr, &mu)
 				}
 			}()
-			url := "http://" + addr.String() + "/metrics"
+			url := "http://" + srv.Addr().String() + "/metrics"
 			scrapes := 0
 			for running := true; running; scrapes++ {
 				select {

@@ -224,8 +224,10 @@ type ClassPolicy struct {
 type Config struct {
 	// BaseQPS is the full-cluster serving capacity at ModeNormal.
 	BaseQPS float64
-	// Burst is the token-bucket depth in requests (default: one second of
-	// BaseQPS).
+	// Burst is the token-bucket depth in requests. Zero means one second
+	// of BaseQPS. DefaultConfig sets 25, one second of its own BaseQPS
+	// only: a caller that raises BaseQPS on DefaultConfig keeps a
+	// 25-request bucket.
 	Burst float64
 
 	// ConservativeCapFrac and SurvivalCapFrac derate capacity on the

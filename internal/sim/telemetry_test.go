@@ -203,12 +203,12 @@ func TestReattachReadsNewestPlant(t *testing.T) {
 		day1.Tick(tod, mgr1)
 	}
 	day2.AttachTelemetry(reg)
-	addr, stopServer, err := reg.Serve("127.0.0.1:0")
+	srv, err := telemetry.Listen("127.0.0.1:0", reg.Mux())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer stopServer()
-	url := "http://" + addr.String() + "/metrics"
+	defer srv.Shutdown()
+	url := "http://" + srv.Addr().String() + "/metrics"
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup

@@ -1,10 +1,13 @@
 package telemetry
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"time"
 )
 
 // MetricsHandler serves the Prometheus text exposition.
@@ -70,19 +73,6 @@ func (r *Registry) Mux() *http.ServeMux {
 	return mux
 }
 
-// Serve binds addr and serves /metrics and /healthz in a background
-// goroutine. It returns the bound address (useful with ":0") and a stop
-// function that closes the listener.
-func (r *Registry) Serve(addr string) (net.Addr, func() error, error) {
-	l, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := &http.Server{Handler: r.Mux()}
-	go func() { _ = srv.Serve(l) }()
-	return l.Addr(), srv.Close, nil
-}
-
 // DebugMux returns a mux exposing the net/http/pprof profiling surface —
 // intended for a separate, operator-only -debug-addr listener.
 func DebugMux() *http.ServeMux {
@@ -95,14 +85,48 @@ func DebugMux() *http.ServeMux {
 	return mux
 }
 
-// ServeDebug binds addr with the pprof surface in a background goroutine,
-// returning the bound address and a stop function.
-func ServeDebug(addr string) (net.Addr, func() error, error) {
+// shutdownTimeout bounds how long Server.Shutdown lets in-flight requests
+// finish before it closes the connections that are left.
+const shutdownTimeout = 10 * time.Second
+
+// Server is one daemon HTTP listener: a metrics and health plane, a pprof
+// surface, or a query plane. Listen starts it; Shutdown, called once, stops
+// it and waits for its serving goroutine.
+type Server struct {
+	srv  http.Server
+	addr net.Addr
+	done chan error // receives http.Server.Serve's result when it returns
+}
+
+// Listen binds addr and serves h on a background goroutine.
+func Listen(addr string, h http.Handler) (*Server, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	srv := &http.Server{Handler: DebugMux()}
-	go func() { _ = srv.Serve(l) }()
-	return l.Addr(), srv.Close, nil
+	s := &Server{srv: http.Server{Handler: h}, addr: l.Addr(), done: make(chan error, 1)}
+	go func() { s.done <- s.srv.Serve(l) }()
+	return s, nil
+}
+
+// Addr returns the bound address, which names the chosen port when the
+// address passed to Listen had port 0.
+func (s *Server) Addr() net.Addr { return s.addr }
+
+// Shutdown stops accepting connections, lets in-flight requests finish for
+// up to 10 s, closes the connections still open after that, and returns
+// once the serving goroutine has exited. It returns the serving
+// goroutine's error if it failed, else the timeout's if requests were cut
+// off.
+func (s *Server) Shutdown() error {
+	ctx, cancel := context.WithTimeout(context.Background(), shutdownTimeout)
+	defer cancel()
+	err := s.srv.Shutdown(ctx)
+	if err != nil {
+		_ = s.srv.Close() // err already reports the cut-off requests
+	}
+	if serr := <-s.done; !errors.Is(serr, http.ErrServerClosed) {
+		return serr
+	}
+	return err
 }

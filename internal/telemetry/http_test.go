@@ -26,13 +26,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		h.Observe(float64(i) * 1e-3)
 	}
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	samples := promtest.Scrape(t, "http://"+addr.String()+"/metrics")
+	samples := promtest.Scrape(t, listen(t, r.Mux())+"/metrics")
 	found := map[string]float64{}
 	for _, s := range samples {
 		found[s.Name+promtest.LabelSig(s.Labels)] = s.Value
@@ -60,12 +54,7 @@ func TestHealthzEndpoint(t *testing.T) {
 		}
 		return nil
 	})
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	url := "http://" + addr.String() + "/healthz"
+	url := listen(t, r.Mux()) + "/healthz"
 
 	get := func() (int, map[string]any) {
 		resp, err := http.Get(url)
@@ -103,12 +92,7 @@ func TestHealthCheckReplacedByName(t *testing.T) {
 	r := NewRegistry()
 	r.AddHealthCheck("faultwatch", func() error { return errors.New("1 unit quarantined") })
 	r.AddHealthCheck("faultwatch", func() error { return nil })
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr.String() + "/healthz")
+	resp, err := http.Get(listen(t, r.Mux()) + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,12 +123,7 @@ func TestHealthCheckReplacedByName(t *testing.T) {
 func TestHealthzReportsOpMode(t *testing.T) {
 	r := NewRegistry()
 	r.AddHealthCheck("always-ok", func() error { return nil })
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	url := "http://" + addr.String() + "/healthz"
+	url := listen(t, r.Mux()) + "/healthz"
 
 	get := func() (int, map[string]any) {
 		resp, err := http.Get(url)
@@ -200,12 +179,7 @@ func TestHealthzDrainingWinsOverDegraded(t *testing.T) {
 	r := NewRegistry()
 	r.AddHealthCheck("faultwatch", func() error { return errors.New("1 unit quarantined") })
 	r.SetOpMode("blackout", true)
-	addr, stop, err := r.Serve("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr.String() + "/healthz")
+	resp, err := http.Get(listen(t, r.Mux()) + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,12 +194,7 @@ func TestHealthzDrainingWinsOverDegraded(t *testing.T) {
 }
 
 func TestDebugMuxServesPprof(t *testing.T) {
-	addr, stop, err := ServeDebug("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	resp, err := http.Get("http://" + addr.String() + "/debug/pprof/")
+	resp, err := http.Get(listen(t, DebugMux()) + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,4 +202,20 @@ func TestDebugMuxServesPprof(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("pprof index: %s", resp.Status)
 	}
+}
+
+// listen serves h on a loopback port until the test ends, when Shutdown
+// must return cleanly, and returns the base URL.
+func listen(t *testing.T, h http.Handler) string {
+	t.Helper()
+	srv, err := Listen("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := srv.Shutdown(); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	return "http://" + srv.Addr().String()
 }

@@ -20,7 +20,8 @@
 // inside the zero-alloc simulation tick (see DESIGN.md "Performance" and
 // the alloc regression tests). Exposition — Prometheus text format over
 // HTTP, or a JSON snapshot embedded next to BENCH.json — is the slow path
-// and may allocate freely.
+// and may allocate freely. Every daemon HTTP listener is a Server, started
+// by Listen and stopped by Shutdown.
 //
 // Correlation model: the registry carries a monotonic simulation clock
 // (SetClock), advanced by whoever drives the plant. Logbook events are
