@@ -157,11 +157,13 @@ race-bitrot:
 
 # vet-storage is the storage-integrity vet step: it rejects any bare
 # statement-level Sync()/Close() call in the durability packages, in the
-# control plane that commits to and restarts from its state journal, and
-# in the two daemons that open journal stores, where a silently discarded
-# fsync verdict would fake durability (see internal/tools/synccheck).
+# control plane that commits to and restarts from its state journal, in
+# the two daemons that open journal stores, and in the chaos campaigns and
+# insure-sim, which drive journaled controllers, where a silently
+# discarded fsync verdict would fake durability (see
+# internal/tools/synccheck).
 vet-storage:
-	$(GO) run ./internal/tools/synccheck ./internal/journal ./internal/fleet ./internal/core ./cmd/insure-plcd ./cmd/insure-fleetd
+	$(GO) run ./internal/tools/synccheck ./internal/journal ./internal/fleet ./internal/core ./cmd/insure-plcd ./cmd/insure-fleetd ./internal/chaos ./cmd/insure-sim
 
 # test-benchmark runs the benchmark module's own tests: BENCHMARK.json's
 # workload and metric names must match the code, and repeated reps of each

@@ -59,7 +59,7 @@ type daemonOpts struct {
 }
 
 // errPanicked marks a day loop that died under the watchdog.
-var errPanicked = errors.New("insure-fleetd: day loop panicked")
+var errPanicked = errors.New("day loop panicked")
 
 // parseKillAt turns "day:tod" into an abort predicate, nil when unset.
 func parseKillAt(spec string) (func(day int, tod time.Duration) bool, error) {
@@ -68,15 +68,15 @@ func parseKillAt(spec string) (func(day int, tod time.Duration) bool, error) {
 	}
 	dayStr, todStr, ok := strings.Cut(spec, ":")
 	if !ok {
-		return nil, fmt.Errorf("insure-fleetd: -kill-at wants day:tod, got %q", spec)
+		return nil, fmt.Errorf("-kill-at wants day:tod, got %q", spec)
 	}
 	day, err := strconv.Atoi(dayStr)
 	if err != nil {
-		return nil, fmt.Errorf("insure-fleetd: bad -kill-at day: %w", err)
+		return nil, fmt.Errorf("bad -kill-at day: %w", err)
 	}
 	tod, err := time.ParseDuration(todStr)
 	if err != nil {
-		return nil, fmt.Errorf("insure-fleetd: bad -kill-at time: %w", err)
+		return nil, fmt.Errorf("bad -kill-at time: %w", err)
 	}
 	return func(d int, t time.Duration) bool {
 		return d == day && t >= tod

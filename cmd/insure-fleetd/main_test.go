@@ -207,8 +207,11 @@ func TestParseKillAt(t *testing.T) {
 		t.Error("kill predicate fired at the wrong moment")
 	}
 	for _, bad := range []string{"15h", "x:15h", "1:xyz"} {
-		if _, err := parseKillAt(bad); err == nil {
+		_, err := parseKillAt(bad)
+		if err == nil {
 			t.Errorf("parseKillAt(%q): want error", bad)
+		} else if strings.HasPrefix(err.Error(), "insure-fleetd: ") {
+			t.Errorf("parseKillAt(%q): %q repeats the name log.SetPrefix adds", bad, err)
 		}
 	}
 }
@@ -277,13 +280,17 @@ func TestFleetdTelemetrySurvivesWatchdogRebuild(t *testing.T) {
 }
 
 // TestNewWorldRejectsBadJobSize: a NaN, infinite, zero or negative -job-gb
-// is refused with the flag named.
+// is refused with the flag named, and without the daemon's name, which
+// log.SetPrefix already prints.
 func TestNewWorldRejectsBadJobSize(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), 0, -5} {
 		cfg := fleetdFixture(906, "").worldConfig
 		cfg.JobGB = bad
-		if _, err := newWorld(cfg); err == nil || !strings.Contains(err.Error(), "-job-gb") {
+		_, err := newWorld(cfg)
+		if err == nil || !strings.Contains(err.Error(), "-job-gb") {
 			t.Errorf("-job-gb %v: err = %v, want an error naming -job-gb", bad, err)
+		} else if strings.HasPrefix(err.Error(), "insure-fleetd: ") {
+			t.Errorf("-job-gb %v: %q repeats the name log.SetPrefix adds", bad, err)
 		}
 	}
 }

@@ -71,7 +71,7 @@ type world struct {
 }
 
 // errKilled distinguishes the -kill-at test hook from a signal abort.
-var errKilled = errors.New("insure-fleetd: killed by -kill-at")
+var errKilled = errors.New("killed by -kill-at")
 
 // darkSite is the scenario's storm-parked site index.
 const darkSite = 0
@@ -108,13 +108,13 @@ func (w *world) dayConfigs(day int) []sim.Config {
 // day and produces the byte-identical log the undisturbed run would have.
 func newWorld(cfg worldConfig) (*world, error) {
 	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("insure-fleetd: need at least two sites")
+		return nil, fmt.Errorf("need at least two sites")
 	}
 	if cfg.Days < 1 {
-		return nil, fmt.Errorf("insure-fleetd: need at least one day")
+		return nil, fmt.Errorf("need at least one day")
 	}
 	if !(cfg.JobGB > 0 && cfg.JobGB <= math.MaxFloat64) {
-		return nil, fmt.Errorf("insure-fleetd: -job-gb %v: need a finite size above 0 GB", cfg.JobGB)
+		return nil, fmt.Errorf("-job-gb %v: need a finite size above 0 GB", cfg.JobGB)
 	}
 
 	w := &world{cfg: cfg}
@@ -189,17 +189,15 @@ func newWorld(cfg worldConfig) (*world, error) {
 			return nil, err
 		}
 		if res.Snapshot != nil {
-			d := journal.NewDecoder(res.Snapshot)
-			d.ExpectVersion(snapStateVersion)
-			w.day = d.Int()
-			miglogSeq := d.U64()
-			if err := d.Err(); err != nil {
-				return nil, fmt.Errorf("insure-fleetd: corrupt snapshot: %w", err)
+			snapDec = journal.NewDecoder(res.Snapshot)
+			var miglogSeq uint64
+			w.walkHeader(journal.Decoding(snapDec), &miglogSeq)
+			if err := snapDec.Err(); err != nil {
+				return nil, fmt.Errorf("corrupt snapshot: %w", err)
 			}
 			if err := journal.TruncateAfterSeqFS(journal.Disk, miglogDir, miglogSeq); err != nil {
 				return nil, err
 			}
-			snapDec = d
 			w.resumed = true
 		} else {
 			// No snapshot: the prior incarnation (if any) died inside day
@@ -238,26 +236,9 @@ func newWorld(cfg worldConfig) (*world, error) {
 	// Restore on top of the replayed log: the coordinator's detector view
 	// and every site's physical state land exactly on the day boundary.
 	if snapDec != nil {
-		if err := w.coord.RestoreState(snapDec); err != nil {
-			return nil, err
-		}
-		for i := range sites {
-			if err := w.banks[i].RestoreState(snapDec); err != nil {
-				return nil, err
-			}
-			blob := snapDec.String()
-			if err := snapDec.Err(); err != nil {
-				return nil, fmt.Errorf("insure-fleetd: corrupt snapshot: %w", err)
-			}
-			if err := w.mgrs[i].Restore([]byte(blob)); err != nil {
-				return nil, err
-			}
-			if err := w.sinks[i].RestoreState(snapDec); err != nil {
-				return nil, err
-			}
-		}
+		w.walkBody(journal.Decoding(snapDec))
 		if err := snapDec.Err(); err != nil {
-			return nil, fmt.Errorf("insure-fleetd: corrupt snapshot: %w", err)
+			return nil, fmt.Errorf("corrupt snapshot: %w", err)
 		}
 	}
 
@@ -270,26 +251,36 @@ func newWorld(cfg worldConfig) (*world, error) {
 	return w, nil
 }
 
-// snapshot persists the day-boundary state: the completed-day count, the
-// migration log's applied sequence, the coordinator's detector view, and
-// every site's batteries, control state, and queues.
+// walkHeader is the snapshot header's layout: the completed-day count and
+// the migration log's applied sequence. Resume reads it before rolling the
+// log back to that sequence.
+func (w *world) walkHeader(c journal.Codec, miglogSeq *uint64) {
+	c.Version(snapStateVersion)
+	journal.Int(c, &w.day)
+	c.U64(miglogSeq)
+}
+
+// walkBody is the layout of the rest of the snapshot: the coordinator's
+// detector view, then every site's batteries, control state (a nested
+// image) and queues. Resume reads it once fleet.New has replayed the log.
+func (w *world) walkBody(c journal.Codec) {
+	w.coord.Walk(c)
+	for i := range w.banks {
+		w.banks[i].Walk(c)
+		c.Blob(w.mgrs[i].Walk)
+		w.sinks[i].Walk(c)
+	}
+}
+
+// snapshot persists the day-boundary state.
 func (w *world) snapshot() error {
 	if w.snap == nil {
 		return nil
 	}
 	var enc journal.Encoder
-	enc.U8(snapStateVersion)
-	enc.Int(w.day)
-	enc.U64(w.coord.LogSeq())
-	w.coord.AppendState(&enc)
-	var scratch journal.Encoder
-	for i := range w.banks {
-		w.banks[i].AppendState(&enc)
-		scratch.Reset()
-		w.mgrs[i].AppendState(&scratch)
-		enc.String(string(scratch.Bytes()))
-		w.sinks[i].AppendState(&enc)
-	}
+	miglogSeq := w.coord.LogSeq()
+	w.walkHeader(journal.Encoding(&enc), &miglogSeq)
+	w.walkBody(journal.Encoding(&enc))
 	return w.snap.Snapshot(enc.Bytes())
 }
 

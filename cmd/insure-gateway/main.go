@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -161,17 +162,26 @@ const drainRetrySeconds = 30
 
 // drainer is the query plane's drain-on-SIGTERM, wrapped around the handler
 // the gateway serves: once draining, /query answers 503 with a Retry-After
-// instead of admitting.
+// instead of admitting, and /healthz answers 503 "draining" whatever the
+// ladder rung, so a load balancer stops routing queries here.
 type drainer struct {
 	next     http.Handler
 	draining atomic.Bool
 }
 
 func (d *drainer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if d.draining.Load() && r.URL.Path == "/query" {
-		w.Header().Set("Retry-After", strconv.Itoa(drainRetrySeconds))
-		http.Error(w, "draining", http.StatusServiceUnavailable)
-		return
+	if d.draining.Load() {
+		switch r.URL.Path {
+		case "/query":
+			w.Header().Set("Retry-After", strconv.Itoa(drainRetrySeconds))
+			http.Error(w, "draining", http.StatusServiceUnavailable)
+			return
+		case "/healthz":
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusServiceUnavailable)
+			_, _ = io.WriteString(w, "{\n  \"status\": \"draining\"\n}\n")
+			return
+		}
 	}
 	d.next.ServeHTTP(w, r)
 }

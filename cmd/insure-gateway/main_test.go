@@ -3,6 +3,7 @@ package main
 import (
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -88,6 +89,17 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 	}
 	if !sawDrain {
 		t.Error("draining gateway never answered /query with 503 + Retry-After")
+	}
+	// /healthz turns 503 "draining" with the drain, whatever the wrapped
+	// handler answers, so a load balancer stops routing queries here.
+	if resp, err := http.Get(base + "/healthz"); err != nil {
+		t.Errorf("/healthz during the drain: %v", err)
+	} else {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusServiceUnavailable || !strings.Contains(string(body), `"status": "draining"`) {
+			t.Errorf("/healthz during the drain = %d %q, want 503 with status draining", resp.StatusCode, body)
+		}
 	}
 
 	// The in-flight request must still complete.

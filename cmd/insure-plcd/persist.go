@@ -15,40 +15,37 @@ const panelStateVersion = 1
 // daemon's 1 s tick a snapshot rotates the journal once a minute.
 const defaultPanelSnapshotEvery = 60
 
-// appendState serializes everything a restarted daemon needs to resume:
-// the sim-elapsed clock, the battery wells and wear counters, the relay
-// fabric (positions, in-flight settles, faults), and the PLC's command
-// registers. Input/discrete registers are plant-mirrored and refreshed by
-// the first scan after restore; persisting them would mask live readings.
-func (p *panel) appendState(e *journal.Encoder, elapsed time.Duration) {
-	e.U8(panelStateVersion)
-	e.Dur(elapsed)
-	p.Bank.AppendState(e)
-	p.Fabric.AppendState(e)
-	p.PLC.Regs.AppendState(e)
+// walkState is the panel image's one layout: everything a restarted
+// daemon needs to resume, the sim-elapsed clock, the battery wells and
+// wear counters, the relay fabric (positions, in-flight settles, faults),
+// and the PLC's command registers. Input/discrete registers are
+// plant-mirrored and refreshed by the first scan after restore; persisting
+// them would mask live readings. Decoding mutates the EXISTING bank,
+// fabric, and register file in place: the Modbus server and telemetry
+// closures hold pointers into them, so recovery must never swap objects.
+func (p *panel) walkState(c journal.Codec, elapsed *time.Duration) {
+	c.Version(panelStateVersion)
+	journal.I64(c, elapsed)
+	p.Bank.Walk(c)
+	p.Fabric.Walk(c)
+	p.PLC.Regs.Walk(c)
 }
 
-// restoreState decodes a state image into the EXISTING bank, fabric, and
-// register file — the Modbus server and telemetry closures hold pointers
-// into them, so recovery must mutate in place, never swap objects. Returns
-// the elapsed clock the image was taken at.
+// appendState serializes the panel, taken at elapsed, into e.
+func (p *panel) appendState(e *journal.Encoder, elapsed time.Duration) {
+	p.walkState(journal.Encoding(e), &elapsed)
+}
+
+// restoreState decodes a state image into p and returns the elapsed clock
+// the image was taken at.
 func (p *panel) restoreState(b []byte) (time.Duration, error) {
 	d := journal.NewDecoder(b)
-	d.ExpectVersion(panelStateVersion)
-	elapsed := d.Dur()
+	var elapsed time.Duration
+	p.walkState(journal.Decoding(d), &elapsed)
 	if err := d.Err(); err != nil {
-		return 0, fmt.Errorf("panel state header: %w", err)
+		return 0, fmt.Errorf("panel state: %w", err)
 	}
-	if err := p.Bank.RestoreState(d); err != nil {
-		return 0, fmt.Errorf("panel bank: %w", err)
-	}
-	if err := p.Fabric.RestoreState(d); err != nil {
-		return 0, fmt.Errorf("panel fabric: %w", err)
-	}
-	if err := p.PLC.Regs.RestoreState(d); err != nil {
-		return 0, fmt.Errorf("panel registers: %w", err)
-	}
-	return elapsed, d.Err()
+	return elapsed, nil
 }
 
 // panelStore journals the panel state once per plant tick. All store

@@ -55,7 +55,7 @@ func (s *supervisor) setElapsed(d time.Duration) { s.elapsed.Store(int64(d)) }
 // registerTelemetry exposes the supervisor's counters on reg.
 func (s *supervisor) registerTelemetry(reg *telemetry.Registry) {
 	reg.FuncGauge("insure_plcd_loop_restarts",
-		"Control-loop incarnations the watchdog has replaced after a panic.",
+		"Control-loop restarts after a panicking tick.",
 		func() float64 { return float64(s.Restarts()) })
 	reg.FuncGauge("insure_plcd_relay_reapplied",
 		"Relay pairs re-driven after a loop restart because the restored coil intent disagreed with the fabric.",

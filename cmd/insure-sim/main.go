@@ -164,7 +164,7 @@ func main() {
 			log.Fatal(err)
 		}
 		tr, err = trace.ReadCSV(f)
-		f.Close()
+		_ = f.Close() // read-only: nothing to flush, and ReadCSV reported any read error
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package battery
 
 import (
-	"fmt"
-
 	"insure/internal/journal"
 	"insure/internal/units"
 )
@@ -34,53 +32,27 @@ func (u *Unit) State() UnitState { return u.st }
 // Restore overwrites the unit's mutable state. Params are untouched.
 func (u *Unit) Restore(st UnitState) { u.st = st }
 
-// AppendTo serializes the state bit-exactly into e.
-func (st UnitState) AppendTo(e *journal.Encoder) {
-	e.U8(unitStateVersion)
-	e.F64(st.AvailAh)
-	e.F64(st.BoundAh)
-	e.F64(float64(st.LastI))
-	e.F64(float64(st.Throughput))
-	e.F64(float64(st.RawOut))
-	e.F64(float64(st.RawIn))
-	e.F64(st.Cycles)
-	e.F64(st.FaultLoss)
+// walk is the unit's one persisted layout.
+func (st *UnitState) walk(c journal.Codec) {
+	c.Version(unitStateVersion)
+	journal.F64(c, &st.AvailAh)
+	journal.F64(c, &st.BoundAh)
+	journal.F64(c, &st.LastI)
+	journal.F64(c, &st.Throughput)
+	journal.F64(c, &st.RawOut)
+	journal.F64(c, &st.RawIn)
+	journal.F64(c, &st.Cycles)
+	journal.F64(c, &st.FaultLoss)
 }
 
-// ReadUnitState decodes one UnitState written by AppendTo.
-func ReadUnitState(d *journal.Decoder) UnitState {
-	d.ExpectVersion(unitStateVersion)
-	return UnitState{
-		AvailAh:    d.F64(),
-		BoundAh:    d.F64(),
-		LastI:      units.Amp(d.F64()),
-		Throughput: units.AmpHour(d.F64()),
-		RawOut:     units.AmpHour(d.F64()),
-		RawIn:      units.AmpHour(d.F64()),
-		Cycles:     d.F64(),
-		FaultLoss:  d.F64(),
+// Walk is the bank's one persisted layout: the unit count, which must
+// match the bank's, then every unit's state.
+func (b *Bank) Walk(c journal.Codec) {
+	c.Size(len(b.units), "battery: restoring %d unit states into bank of %d")
+	for _, u := range b.units {
+		u.st.walk(c)
 	}
 }
 
 // AppendState serializes the whole bank into e.
-func (b *Bank) AppendState(e *journal.Encoder) {
-	e.Int(len(b.units))
-	for _, u := range b.units {
-		u.State().AppendTo(e)
-	}
-}
-
-// RestoreState decodes a bank serialized by AppendState into b.
-func (b *Bank) RestoreState(d *journal.Decoder) error {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(b.units) {
-		return fmt.Errorf("battery: restoring %d unit states into bank of %d", n, len(b.units))
-	}
-	for _, u := range b.units {
-		u.Restore(ReadUnitState(d))
-	}
-	return d.Err()
-}
+func (b *Bank) AppendState(e *journal.Encoder) { b.Walk(journal.Encoding(e)) }

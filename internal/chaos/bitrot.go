@@ -236,23 +236,25 @@ func newBitrotState(seed int64, ticks int) *bitrotState {
 	return s
 }
 
+// walkBitrotImage is the harness image's one layout: a tick and its hash.
+func walkBitrotImage(c journal.Codec, tick, hash *uint64) {
+	c.Version(bitrotStateVersion)
+	c.U64(tick)
+	c.U64(hash)
+}
+
 func (s *bitrotState) payload(t int) []byte {
 	s.enc.Reset()
-	s.enc.U8(bitrotStateVersion)
-	s.enc.U64(uint64(t))
-	s.enc.U64(s.hashes[t])
+	tick := uint64(t)
+	walkBitrotImage(journal.Encoding(&s.enc), &tick, &s.hashes[t])
 	return s.enc.Bytes()
 }
 
 func (s *bitrotState) decode(b []byte) (int, uint64, error) {
 	d := journal.NewDecoder(b)
-	d.ExpectVersion(bitrotStateVersion)
-	t := d.U64()
-	h := d.U64()
-	if err := d.Err(); err != nil {
-		return 0, 0, err
-	}
-	return int(t), h, nil
+	var t, h uint64
+	walkBitrotImage(journal.Decoding(d), &t, &h)
+	return int(t), h, d.Err()
 }
 
 // RunBitrotStorm executes the bit-rot storm campaign described by cfg.

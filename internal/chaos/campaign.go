@@ -67,7 +67,7 @@ func newWorld(v *Verdict, plan faults.Plan) (*watch, error) {
 // The only error returns are harness failures (bad config, journal I/O,
 // fieldbus setup); invariant breaks are reported, not errored, so a test
 // can print the full report with its seed.
-func Run(cfg Config) (*Report, error) {
+func Run(cfg Config) (_ *Report, err error) {
 	if cfg.StateDir == "" {
 		return nil, fmt.Errorf("chaos: StateDir is required")
 	}
@@ -118,7 +118,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	jm := core.NewJournaled(mgr, store)
-	defer func() { jm.Store().Close() }()
+	defer closeStore(jm, &err)
 	// Append-only journaling: every record stays a delta on the tail, so a
 	// KillTorn always has a freshly-written record to tear, never a
 	// just-rotated empty file.
@@ -236,4 +236,13 @@ func nearAny(t time.Duration, set []time.Duration, tol time.Duration) bool {
 		}
 	}
 	return false
+}
+
+// closeStore closes a campaign's state journal at the end of its run. The
+// close error carries the final fsync verdict and any poisoning, so it
+// fails the run as a harness failure unless an earlier one already did.
+func closeStore(jm *core.JournaledManager, err *error) {
+	if cerr := jm.Store().Close(); cerr != nil && *err == nil {
+		*err = fmt.Errorf("chaos: closing the state journal: %w", cerr)
+	}
 }

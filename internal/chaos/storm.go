@@ -190,7 +190,7 @@ func RunStorm(cfg StormConfig) (*StormReport, error) {
 // runStorm is one pass over the storm. With kill set, the controller is
 // hard-stopped on cfg.KillDay at the first control pass spent in an
 // emergency rung and recovered from the journal in cfg.StateDir.
-func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
+func runStorm(cfg StormConfig, kill bool) (_ *StormReport, err error) {
 	mcfg := core.DefaultConfig()
 	if cfg.Survival {
 		mcfg.Survival = core.DefaultSurvivalConfig()
@@ -218,8 +218,10 @@ func runStorm(cfg StormConfig, kill bool) (*StormReport, error) {
 			return nil, err
 		}
 		jm = core.NewJournaled(mgr, store)
-		defer func() { jm.Store().Close() }()
 		drive = jm
+	}
+	if jm != nil {
+		defer closeStore(jm, &err)
 	}
 
 	rep := &StormReport{Seed: cfg.Seed, Days: cfg.Days, Survival: cfg.Survival}

@@ -17,8 +17,8 @@ import (
 // socMemo is MeanSoC's last answer: mean, computed on plant sys at its
 // readings generation gen. A nil sys means there is none. The mean reads
 // only the probes' register codes, which move only with the generation,
-// and the quarantine flags, whose two writers (quarantine and RestoreState)
-// drop the memo; the battery parameters it also reads are configuration.
+// and the quarantine flags, whose two writers (quarantine and a decoding
+// Walk) drop the memo; the battery parameters it also reads are configuration.
 type socMemo struct {
 	sys  *sim.System
 	gen  uint64

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"insure/internal/forecast"
 	"insure/internal/journal"
 	"insure/internal/relay"
-	"insure/internal/units"
 )
 
 // managerStateVersion guards the binary layout of a serialized Manager.
@@ -14,258 +11,155 @@ import (
 // crash mid-emergency recovers into the same ladder rung.
 const managerStateVersion = 2
 
-// AppendState serializes the manager's complete mutable state — group
-// table, discharge-history table, SPM/TPM phase, charge batch, forecast
-// state, and the full faultwatch (quarantine flags, screen counters, and
-// the quarantine event log) — into e. The encoding is fixed-width binary
-// with bit-exact floats, so encode→decode→encode is byte-identical, and
-// it appends into e's reusable buffer so the journaling path stays
-// allocation-free at steady state.
+// Walk is the manager's one persisted layout, its complete mutable state:
+// group table, discharge-history table, SPM/TPM phase, charge batch,
+// forecast state, relay intent, the full faultwatch (quarantine flags,
+// screen counters, and the quarantine event log) and the survivability
+// mode machine. The encoding is fixed-width binary with bit-exact floats,
+// so encode→decode→encode is byte-identical, and it appends into the
+// encoder's reusable buffer so the journaling path stays allocation-free
+// at steady state. Decoding requires the unit count to match the
+// manager's configuration; telemetry attachment and config survive
+// untouched.
 //
 // Config and scratch buffers are not state: configuration is rebuilt by
 // the caller (a config change must not be masked by disk), and scratch is
 // recomputed by the next control pass.
-func (m *Manager) AppendState(e *journal.Encoder) {
-	e.U8(managerStateVersion)
+func (m *Manager) Walk(c journal.Codec) {
+	c.Version(managerStateVersion)
 	n := len(m.groups)
-	e.Int(n)
-	for _, g := range m.groups {
-		e.Int(int(g))
-	}
-	for _, v := range m.ahTable {
-		e.F64(v)
-	}
-	e.F64(m.unused)
-	e.Dur(m.elapsed)
-	e.Dur(m.lastCoarse)
-	e.Bool(m.started)
-	e.F64(m.duty)
-	e.Int(m.targetVM)
-	e.Int(len(m.activeCharge))
-	for _, i := range m.activeCharge {
-		e.Int(i)
-	}
-	for _, v := range m.chargeStall {
-		e.Int(v)
-	}
-	for _, v := range m.commissioned {
-		e.Bool(v)
-	}
-	e.Int(m.bestBatchVMs)
-
-	e.Bool(m.fc != nil)
-	if m.fc != nil {
-		st := m.fc.State()
-		e.F64(st.Ratio)
-		e.Bool(st.HaveObs)
-		e.F64(st.Variance)
-	}
-
-	e.Bool(m.lastModes != nil)
-	if m.lastModes != nil {
-		for _, mode := range m.lastModes {
-			e.Int(int(mode))
-		}
-	}
-
-	e.Int(m.seenBrownouts)
-	e.Dur(m.holdDownUntil)
-	e.Int(m.screenings)
-	e.Int(m.capEvents)
-	e.Int(m.boostEvents)
-	e.Int(m.recoveries)
-	e.Int(m.reconciliations)
-
-	// faultwatch
-	for _, v := range m.watch.quarantined {
-		e.Bool(v)
-	}
-	for _, v := range m.watch.prevSoC {
-		e.F64(v)
-	}
-	for _, v := range m.watch.prevCur {
-		e.F64(float64(v))
-	}
-	for _, v := range m.watch.hasPrevCur {
-		e.Bool(v)
-	}
-	e.F64(float64(m.watch.prevExpect))
-	e.Bool(m.watch.hasExpect)
-	for _, v := range m.watch.lowFor {
-		e.Int(v)
-	}
-	for _, v := range m.watch.ghostFor {
-		e.Int(v)
-	}
-	for _, v := range m.watch.frozenFor {
-		e.Int(v)
-	}
-	for _, v := range m.watch.bandFor {
-		e.Int(v)
-	}
-	e.Int(len(m.watch.events))
-	for _, ev := range m.watch.events {
-		e.Dur(ev.At)
-		e.Int(ev.Unit)
-		e.String(ev.Reason)
-	}
-
-	// survivability mode machine (v2)
-	e.Bool(m.sv != nil)
-	if m.sv != nil {
-		e.Int(int(m.sv.mode))
-		e.Dur(m.sv.modeSince)
-		e.Int(m.sv.transitions)
-		e.Int(m.sv.bsTarget)
-		e.F64(m.sv.shedWatts)
-	}
-}
-
-// RestoreState overwrites the manager's mutable state from d. The unit
-// count must match the manager's configuration; telemetry attachment and
-// config survive untouched.
-func (m *Manager) RestoreState(d *journal.Decoder) error {
-	d.ExpectVersion(managerStateVersion)
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(m.groups) {
-		return fmt.Errorf("core: restoring state for %d units into manager of %d", n, len(m.groups))
-	}
+	c.Size(n, "core: restoring state for %d units into manager of %d")
 	for i := range m.groups {
-		m.groups[i] = Group(d.Int())
+		journal.Int(c, &m.groups[i])
 	}
 	for i := range m.ahTable {
-		m.ahTable[i] = d.F64()
+		journal.F64(c, &m.ahTable[i])
 	}
-	m.unused = d.F64()
-	m.elapsed = d.Dur()
-	m.lastCoarse = d.Dur()
-	m.started = d.Bool()
-	m.duty = d.F64()
-	m.targetVM = d.Int()
-	nActive := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nActive < 0 || nActive > n {
-		return fmt.Errorf("core: restoring %d active-charge entries for %d units", nActive, n)
-	}
-	m.activeCharge = m.activeCharge[:0]
-	for i := 0; i < nActive; i++ {
-		m.activeCharge = append(m.activeCharge, d.Int())
+	journal.F64(c, &m.unused)
+	journal.I64(c, &m.elapsed)
+	journal.I64(c, &m.lastCoarse)
+	c.Bool(&m.started)
+	journal.F64(c, &m.duty)
+	journal.Int(c, &m.targetVM)
+	journal.Slice(c, &m.activeCharge, n, "core: restoring %d active-charge entries for %d units")
+	for i := range m.activeCharge {
+		journal.Int(c, &m.activeCharge[i])
 	}
 	for i := range m.chargeStall {
-		m.chargeStall[i] = d.Int()
+		journal.Int(c, &m.chargeStall[i])
 	}
 	for i := range m.commissioned {
-		m.commissioned[i] = d.Bool()
+		c.Bool(&m.commissioned[i])
 	}
-	m.bestBatchVMs = d.Int()
+	journal.Int(c, &m.bestBatchVMs)
 
-	if hasFC := d.Bool(); hasFC {
-		st := forecast.EstimatorState{
-			Ratio:    d.F64(),
-			HaveObs:  d.Bool(),
-			Variance: d.F64(),
-		}
+	// The forecast section is read and dropped when the config no longer
+	// enables the estimator: a config change must not be masked by disk.
+	hasFC := m.fc != nil
+	c.Bool(&hasFC)
+	if hasFC {
+		var st forecast.EstimatorState
 		if m.fc != nil {
+			st = m.fc.State()
+		}
+		journal.F64(c, &st.Ratio)
+		c.Bool(&st.HaveObs)
+		journal.F64(c, &st.Variance)
+		if c.Decoding() && m.fc != nil {
 			m.fc.Restore(st)
 		}
 	}
 
-	if hasModes := d.Bool(); hasModes {
-		if m.lastModes == nil {
-			m.lastModes = make([]relay.Mode, n)
-		}
-		for i := range m.lastModes {
-			m.lastModes[i] = relay.Mode(d.Int())
-		}
-	} else {
+	hasModes := m.lastModes != nil
+	c.Bool(&hasModes)
+	switch {
+	case !hasModes:
 		m.lastModes = nil
+	case m.lastModes == nil:
+		m.lastModes = make([]relay.Mode, n)
+	}
+	for i := range m.lastModes {
+		journal.Int(c, &m.lastModes[i])
 	}
 
-	m.seenBrownouts = d.Int()
-	m.holdDownUntil = d.Dur()
-	m.screenings = d.Int()
-	m.capEvents = d.Int()
-	m.boostEvents = d.Int()
-	m.recoveries = d.Int()
-	m.reconciliations = d.Int()
+	journal.Int(c, &m.seenBrownouts)
+	journal.I64(c, &m.holdDownUntil)
+	journal.Int(c, &m.screenings)
+	journal.Int(c, &m.capEvents)
+	journal.Int(c, &m.boostEvents)
+	journal.Int(c, &m.recoveries)
+	journal.Int(c, &m.reconciliations)
 
+	// faultwatch
 	for i := range m.watch.quarantined {
-		m.watch.quarantined[i] = d.Bool()
+		c.Bool(&m.watch.quarantined[i])
 	}
-	m.soc = socMemo{}
+	if c.Decoding() {
+		m.soc = socMemo{} // MeanSoC reads the flags but does not key on them
+	}
 	for i := range m.watch.prevSoC {
-		m.watch.prevSoC[i] = d.F64()
+		journal.F64(c, &m.watch.prevSoC[i])
 	}
 	for i := range m.watch.prevCur {
-		m.watch.prevCur[i] = units.Amp(d.F64())
+		journal.F64(c, &m.watch.prevCur[i])
 	}
 	for i := range m.watch.hasPrevCur {
-		m.watch.hasPrevCur[i] = d.Bool()
+		c.Bool(&m.watch.hasPrevCur[i])
 	}
-	m.watch.prevExpect = units.Amp(d.F64())
-	m.watch.hasExpect = d.Bool()
+	journal.F64(c, &m.watch.prevExpect)
+	c.Bool(&m.watch.hasExpect)
 	for i := range m.watch.lowFor {
-		m.watch.lowFor[i] = d.Int()
+		journal.Int(c, &m.watch.lowFor[i])
 	}
 	for i := range m.watch.ghostFor {
-		m.watch.ghostFor[i] = d.Int()
+		journal.Int(c, &m.watch.ghostFor[i])
 	}
 	for i := range m.watch.frozenFor {
-		m.watch.frozenFor[i] = d.Int()
+		journal.Int(c, &m.watch.frozenFor[i])
 	}
 	for i := range m.watch.bandFor {
-		m.watch.bandFor[i] = d.Int()
+		journal.Int(c, &m.watch.bandFor[i])
 	}
-	nEvents := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if nEvents < 0 || nEvents > 1<<20 {
-		return fmt.Errorf("core: implausible fault-event count %d", nEvents)
-	}
-	m.watch.events = m.watch.events[:0]
-	for i := 0; i < nEvents; i++ {
-		m.watch.events = append(m.watch.events, FaultEvent{
-			At:     d.Dur(),
-			Unit:   d.Int(),
-			Reason: d.String(),
-		})
+	journal.Slice(c, &m.watch.events, 1<<20, "core: implausible fault-event count %[1]d")
+	for i := range m.watch.events {
+		ev := &m.watch.events[i]
+		journal.I64(c, &ev.At)
+		journal.Int(c, &ev.Unit)
+		c.String(&ev.Reason)
 	}
 
-	if hasSv := d.Bool(); hasSv {
-		mode := OpMode(d.Int())
-		since := d.Dur()
-		transitions := d.Int()
-		bsTarget := d.Int()
-		shed := d.F64()
-		// If the config no longer enables survival the fields are read and
-		// dropped — a config change must not be masked by disk.
-		if m.sv != nil {
-			m.sv.mode = mode
-			m.sv.modeSince = since
-			m.sv.transitions = transitions
-			m.sv.bsTarget = bsTarget
-			m.sv.shedWatts = shed
+	// survivability mode machine (v2), read and dropped like the forecast
+	// section when the config no longer enables it
+	hasSv := m.sv != nil
+	c.Bool(&hasSv)
+	if hasSv {
+		sv := m.sv
+		if sv == nil {
+			sv = new(survival)
 		}
+		journal.Int(c, &sv.mode)
+		journal.I64(c, &sv.modeSince)
+		journal.Int(c, &sv.transitions)
+		journal.Int(c, &sv.bsTarget)
+		journal.F64(c, &sv.shedWatts)
 	}
-	return d.Err()
 }
+
+// AppendState serializes the manager's state into e.
+func (m *Manager) AppendState(e *journal.Encoder) { m.Walk(journal.Encoding(e)) }
 
 // State returns the manager's serialized state as a fresh byte slice —
 // the convenience form for tests and the sim's kill/resume path. The
-// journaling hot path uses AppendState with a reused encoder instead.
+// journaling hot path walks a reused encoder instead.
 func (m *Manager) State() []byte {
 	var e journal.Encoder
-	m.AppendState(&e)
+	m.Walk(journal.Encoding(&e))
 	return append([]byte(nil), e.Bytes()...)
 }
 
 // Restore overwrites the manager's state from a State() payload.
 func (m *Manager) Restore(b []byte) error {
-	return m.RestoreState(journal.NewDecoder(b))
+	d := journal.NewDecoder(b)
+	m.Walk(journal.Decoding(d))
+	return d.Err()
 }

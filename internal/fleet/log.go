@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"insure/internal/journal"
@@ -112,65 +113,42 @@ type Record struct {
 // recordVersion is the codec version of encoded records.
 const recordVersion = 2
 
-func encodeRecord(enc *journal.Encoder, r Record) {
-	enc.Reset()
-	enc.U8(recordVersion)
-	enc.U8(uint8(r.Kind))
-	enc.Int(r.Day)
-	enc.Dur(r.At)
-	enc.Int(r.From)
-	enc.Int(r.To)
-	enc.Int(r.Jobs)
-	enc.F64(r.GB)
-	enc.Int(r.Images)
-	enc.U64(r.Xfer)
-	enc.I64(r.Offset)
-	enc.I64(r.Attempted)
-	enc.Int(r.Drops)
-	enc.Int(r.Corrupts)
-	enc.Int(len(r.Manifest))
-	for _, j := range r.Manifest {
-		enc.U64(j.ID)
-		enc.F64(j.Size)
-		enc.F64(j.Remaining)
-		enc.Dur(j.Arrived)
-		enc.Int(j.Origin)
+// walk is the record's one persisted layout after its version byte,
+// which decodeRecord checks first so a version mismatch reports as one.
+func (r *Record) walk(c journal.Codec) {
+	c.U8((*uint8)(&r.Kind))
+	journal.Int(c, &r.Day)
+	journal.I64(c, &r.At)
+	journal.Int(c, &r.From)
+	journal.Int(c, &r.To)
+	journal.Int(c, &r.Jobs)
+	journal.F64(c, &r.GB)
+	journal.Int(c, &r.Images)
+	c.U64(&r.Xfer)
+	journal.I64(c, &r.Offset)
+	journal.I64(c, &r.Attempted)
+	journal.Int(c, &r.Drops)
+	journal.Int(c, &r.Corrupts)
+	journal.Slice(c, &r.Manifest, math.MaxInt, "fleet: %d manifest entries outside [0, %d]")
+	for i := range r.Manifest {
+		j := &r.Manifest[i]
+		c.U64(&j.ID)
+		journal.F64(c, &j.Size)
+		journal.F64(c, &j.Remaining)
+		journal.I64(c, &j.Arrived)
+		journal.Int(c, &j.Origin)
 	}
 }
 
 func decodeRecord(b []byte) (Record, error) {
 	d := journal.NewDecoder(b)
-	if version := d.U8(); version != recordVersion {
+	c := journal.Decoding(d)
+	var version uint8
+	if c.U8(&version); version != recordVersion {
 		return Record{}, fmt.Errorf("fleet: migration record version %d, want %d", version, recordVersion)
 	}
-	r := Record{
-		Kind:      RecordKind(d.U8()),
-		Day:       d.Int(),
-		At:        d.Dur(),
-		From:      d.Int(),
-		To:        d.Int(),
-		Jobs:      d.Int(),
-		GB:        d.F64(),
-		Images:    d.Int(),
-		Xfer:      d.U64(),
-		Offset:    d.I64(),
-		Attempted: d.I64(),
-		Drops:     d.Int(),
-		Corrupts:  d.Int(),
-	}
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)
-	}
-	for i := 0; i < n; i++ {
-		r.Manifest = append(r.Manifest, JobRef{
-			ID:        d.U64(),
-			Size:      d.F64(),
-			Remaining: d.F64(),
-			Arrived:   d.Dur(),
-			Origin:    d.Int(),
-		})
-	}
+	var r Record
+	r.walk(c)
 	if err := d.Err(); err != nil {
 		return Record{}, fmt.Errorf("fleet: corrupt migration record: %w", err)
 	}
@@ -207,7 +185,9 @@ func openLog(fsys journal.FS, dir string) (*migLog, []Record, []uint64, error) {
 }
 
 func (l *migLog) append(r Record) (uint64, error) {
-	encodeRecord(&l.enc, r)
+	l.enc.Reset()
+	l.enc.U8(recordVersion)
+	r.walk(journal.Encoding(&l.enc))
 	return l.store.Append(l.enc.Bytes())
 }
 

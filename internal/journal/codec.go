@@ -70,9 +70,10 @@ func (e *Encoder) String(v string) {
 // the record was truncated or the layout versions disagree.
 var ErrShort = errors.New("journal: truncated payload")
 
-// Decoder reads values back in the order the Encoder appended them. The
-// error is sticky: after the first failure every read returns the zero
-// value, so callers can decode a whole struct and check Err once.
+// Decoder holds a payload being read back, through a Decoding codec, in
+// the order the Encoder appended it. The error is sticky: after the first
+// failure every read fails, so callers can decode a whole struct and check
+// Err once.
 type Decoder struct {
 	buf []byte
 	off int
@@ -88,6 +89,7 @@ func (d *Decoder) Err() error { return d.err }
 // Remaining returns the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
+// take consumes the next n bytes, or returns nil once the decoder failed.
 func (d *Decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
@@ -101,67 +103,188 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
+// fail records err as the decoder's first error.
+func (d *Decoder) fail(err error) {
+	if d.err == nil {
+		d.err = err
 	}
-	return b[0]
 }
 
-// U16 reads a uint16.
-func (d *Decoder) U16() uint16 {
-	b := d.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
+// Codec walks a persisted layout in one direction. Each persisted type
+// has one walk that hands the codec a pointer to every field in order:
+// under Encoding the walk appends each value, under Decoding it
+// overwrites each value, so the encoder and the decoder cannot drift
+// apart. Once a decode fails, the walk leaves every later value
+// untouched; the caller checks the Decoder's Err once after the walk.
+// Encoding appends into the Encoder's reused buffer and allocates
+// nothing.
+type Codec struct {
+	e *Encoder
+	d *Decoder
 }
 
-// U64 reads a uint64.
-func (d *Decoder) U64() uint64 {
-	b := d.take(8)
-	if b == nil {
-		return 0
+// Encoding returns a codec whose walks append every value to e.
+func Encoding(e *Encoder) Codec { return Codec{e: e} }
+
+// Decoding returns a codec whose walks overwrite every value from d.
+func Decoding(d *Decoder) Codec { return Codec{d: d} }
+
+// Decoding reports whether walks read. A walk branches on it only where
+// decoding must build a value or hand one over.
+func (c Codec) Decoding() bool { return c.d != nil }
+
+// Version walks a one-byte layout version: decoding fails on any other.
+func (c Codec) Version(v uint8) {
+	got := v
+	c.U8(&got)
+	if got != v {
+		c.d.fail(fmt.Errorf("journal: layout version %d, want %d", got, v))
 	}
-	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
+// U8 walks one byte.
+func (c Codec) U8(v *uint8) {
+	if c.e != nil {
+		c.e.U8(*v)
+	} else if b := c.d.take(1); b != nil {
+		*v = b[0]
+	}
+}
 
-// Int reads an int.
-func (d *Decoder) Int() int { return int(d.I64()) }
+// U16 walks a uint16.
+func (c Codec) U16(v *uint16) {
+	if c.e != nil {
+		c.e.U16(*v)
+	} else if b := c.d.take(2); b != nil {
+		*v = binary.LittleEndian.Uint16(b)
+	}
+}
 
-// F64 reads a float64 bit-exactly.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
+// U64 walks a uint64.
+func (c Codec) U64(v *uint64) {
+	if c.e != nil {
+		c.e.U64(*v)
+	} else if b := c.d.take(8); b != nil {
+		*v = binary.LittleEndian.Uint64(b)
+	}
+}
 
-// Bool reads a bool.
-func (d *Decoder) Bool() bool { return d.U8() != 0 }
+// Bool walks a bool as one byte.
+func (c Codec) Bool(v *bool) {
+	if c.e != nil {
+		c.e.Bool(*v)
+	} else if b := c.d.take(1); b != nil {
+		*v = b[0] != 0
+	}
+}
 
-// Dur reads a time.Duration.
-func (d *Decoder) Dur() time.Duration { return time.Duration(d.I64()) }
-
-// String reads a length-prefixed string. Decoding allocates; it only
+// String walks a length-prefixed string. Decoding allocates; it only
 // runs on the recovery path, never in the tick loop.
-func (d *Decoder) String() string {
-	n := d.Int()
-	if d.err != nil {
-		return ""
+func (c Codec) String(v *string) {
+	if c.e != nil {
+		c.e.String(*v)
+		return
 	}
-	if n < 0 || n > d.Remaining() {
-		d.err = ErrShort
-		return ""
+	n := c.Len(0, math.MaxInt, "journal: string of %d bytes outside [0, %d]")
+	if b := c.d.take(n); b != nil {
+		*v = string(b)
 	}
-	return string(d.take(n))
 }
 
-// ExpectVersion reads a one-byte layout version and fails the decoder if
-// it does not match want.
-func (d *Decoder) ExpectVersion(want uint8) {
-	got := d.U8()
-	if d.err == nil && got != want {
-		d.err = fmt.Errorf("journal: layout version %d, want %d", got, want)
+// Int walks an int-kinded value (a count, an index, an enum) as an int64.
+func Int[T ~int](c Codec, v *T) {
+	if c.e != nil {
+		c.e.Int(int(*v))
+	} else if b := c.d.take(8); b != nil {
+		*v = T(int64(binary.LittleEndian.Uint64(b)))
+	}
+}
+
+// I64 walks an int64-kinded value, such as a time.Duration.
+func I64[T ~int64](c Codec, v *T) {
+	if c.e != nil {
+		c.e.I64(int64(*v))
+	} else if b := c.d.take(8); b != nil {
+		*v = T(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// F64 walks a float64-kinded value bit-exactly.
+func F64[T ~float64](c Codec, v *T) {
+	if c.e != nil {
+		c.e.F64(float64(*v))
+	} else if b := c.d.take(8); b != nil {
+		*v = T(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+}
+
+// Size walks a length prefix that must equal n, a size the caller's
+// configuration fixes. Decoding fails on any other count with mismatch
+// formatted with the decoded count and n.
+func (c Codec) Size(n int, mismatch string) {
+	got := n
+	Int(c, &got)
+	if got != n {
+		c.d.fail(fmt.Errorf(mismatch, got, n))
+	}
+}
+
+// Len walks a length prefix and returns the count: n when encoding, the
+// decoded count when decoding. A decoded count below 0 or above max fails
+// the walk with tooMany formatted with the count and max; one above the
+// bytes left fails it as truncated, since every element takes at least a
+// byte. A failed walk returns 0, so a corrupt count never sizes an
+// allocation.
+func (c Codec) Len(n, max int, tooMany string) int {
+	if c.e != nil {
+		c.e.Int(n)
+		return n
+	}
+	count := 0
+	Int(c, &count)
+	switch {
+	case c.d.err != nil:
+		return 0
+	case count < 0 || count > max:
+		c.d.fail(fmt.Errorf(tooMany, count, max))
+		return 0
+	case count > c.d.Remaining():
+		c.d.fail(ErrShort)
+		return 0
+	}
+	return count
+}
+
+// Slice walks the length prefix of *s through Len and resizes *s to the
+// decoded count, reusing its backing array. The caller then walks each
+// element.
+func Slice[T any](c Codec, s *[]T, max int, tooMany string) {
+	n := c.Len(len(*s), max, tooMany)
+	switch {
+	case n == len(*s):
+	case n <= cap(*s):
+		*s = (*s)[:n]
+	default:
+		*s = make([]T, n)
+	}
+}
+
+// Blob walks a nested image as a length-prefixed string. Encoding runs
+// walk on the same buffer and back-fills the length; decoding runs walk
+// on a decoder over exactly the prefixed bytes, so the nested layout
+// reads what it wrote and no more.
+func (c Codec) Blob(walk func(Codec)) {
+	if c.e != nil {
+		off := len(c.e.buf)
+		c.e.U64(0)
+		walk(c)
+		binary.LittleEndian.PutUint64(c.e.buf[off:], uint64(len(c.e.buf)-off-8))
+		return
+	}
+	n := c.Len(0, math.MaxInt, "journal: blob of %d bytes outside [0, %d]")
+	if b := c.d.take(n); b != nil {
+		sub := NewDecoder(b)
+		walk(Decoding(sub))
+		c.d.fail(sub.err)
 	}
 }

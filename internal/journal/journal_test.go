@@ -10,8 +10,41 @@ import (
 	"time"
 )
 
+// sample is a layout that walks every value kind the codec has.
+type sample struct {
+	u8       uint8
+	u16      uint16
+	u64      uint64
+	i64      int64
+	n        int
+	pi, zero float64
+	yes, no  bool
+	dur      time.Duration
+	s, empty string
+}
+
+func (v *sample) walk(c Codec) {
+	c.Version(3)
+	c.U8(&v.u8)
+	c.U16(&v.u16)
+	c.U64(&v.u64)
+	I64(c, &v.i64)
+	Int(c, &v.n)
+	F64(c, &v.pi)
+	F64(c, &v.zero)
+	c.Bool(&v.yes)
+	c.Bool(&v.no)
+	I64(c, &v.dur)
+	c.String(&v.s)
+	c.String(&v.empty)
+}
+
+// TestCodecRoundTrip: a decoding walk reads back exactly what the Encoder
+// appended, bit-exact floats included, and an encoding walk of the result
+// writes the same bytes.
 func TestCodecRoundTrip(t *testing.T) {
 	var e Encoder
+	e.U8(3)
 	e.U8(7)
 	e.U16(65535)
 	e.U64(1<<63 + 12345)
@@ -25,56 +58,47 @@ func TestCodecRoundTrip(t *testing.T) {
 	e.String("quarantine: ghost current")
 	e.String("")
 
+	var got sample
 	d := NewDecoder(e.Bytes())
-	if got := d.U8(); got != 7 {
-		t.Errorf("U8 = %d", got)
+	got.walk(Decoding(d))
+	if d.Err() != nil {
+		t.Fatal(d.Err())
 	}
-	if got := d.U16(); got != 65535 {
-		t.Errorf("U16 = %d", got)
-	}
-	if got := d.U64(); got != 1<<63+12345 {
-		t.Errorf("U64 = %d", got)
-	}
-	if got := d.I64(); got != -42 {
-		t.Errorf("I64 = %d", got)
-	}
-	if got := d.Int(); got != -7 {
-		t.Errorf("Int = %d", got)
-	}
-	if got := d.F64(); got != 3.141592653589793 {
-		t.Errorf("F64 = %v", got)
-	}
-	if got := d.U64(); got != 1<<63 { // -0.0 must round-trip bit-exactly
-		t.Errorf("-0.0 bits = %x", got)
-	}
-	if !d.Bool() || d.Bool() {
-		t.Error("Bool round-trip failed")
-	}
-	if got := d.Dur(); got != 90*time.Minute {
-		t.Errorf("Dur = %v", got)
-	}
-	if got := d.String(); got != "quarantine: ghost current" {
-		t.Errorf("String = %q", got)
-	}
-	if got := d.String(); got != "" {
-		t.Errorf("empty String = %q", got)
+	want := sample{u8: 7, u16: 65535, u64: 1<<63 + 12345, i64: -42, n: -7,
+		pi: 3.141592653589793, zero: math.Copysign(0, -1), yes: true,
+		dur: 90 * time.Minute, s: "quarantine: ghost current"}
+	if got != want || !math.Signbit(got.zero) { // -0.0 must round-trip bit-exactly
+		t.Errorf("decoded %+v, want %+v", got, want)
 	}
 	if d.Remaining() != 0 {
 		t.Errorf("%d bytes left over", d.Remaining())
 	}
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	var again Encoder
+	got.walk(Encoding(&again))
+	if !bytes.Equal(again.Bytes(), e.Bytes()) {
+		t.Error("encoding walk of the decoded value differs from the original bytes")
 	}
 }
 
+// TestDecoderStickyError: after a short read every later walked value is
+// left untouched, and a wrong version byte fails the walk.
 func TestDecoderStickyError(t *testing.T) {
 	d := NewDecoder([]byte{1, 2})
-	_ = d.U64() // too short
+	c := Decoding(d)
+	var u uint64
+	c.U64(&u) // too short
 	if d.Err() == nil {
 		t.Fatal("want error on short read")
 	}
-	if got := d.F64(); got != 0 {
-		t.Errorf("read after error = %v, want 0", got)
+	f := 2.5
+	F64(c, &f)
+	if f != 2.5 {
+		t.Errorf("read after error overwrote the value with %v", f)
+	}
+	d = NewDecoder([]byte{2})
+	Decoding(d).Version(1)
+	if d.Err() == nil {
+		t.Error("want error on a version mismatch")
 	}
 }
 

@@ -137,7 +137,7 @@ func (p *Panel) AttachTelemetry(reg *telemetry.Registry) {
 // them. The simulated plant calls it from its collect hook, when the
 // registry is scraped, under the lock the plant ticks under. insure-plcd
 // calls it at the end of every tick instead: its loop runs at 1 Hz of
-// wall time and its supervisor replaces a wedged loop, so a scrape there
+// wall time and a tick can stall on a journal fsync, so a scrape there
 // must never wait on the loop's lock; it reads the gauges as the last tick
 // left them.
 func (p *Panel) Publish() {

@@ -1,7 +1,6 @@
 package relay
 
 import (
-	"fmt"
 	"time"
 
 	"insure/internal/journal"
@@ -28,57 +27,27 @@ func (r *Relay) State() RelayState { return r.st }
 // Restore overwrites the relay's mutable state.
 func (r *Relay) Restore(st RelayState) { r.st = st }
 
-// AppendTo serializes the state into e.
-func (st RelayState) AppendTo(e *journal.Encoder) {
-	e.U8(relayStateVersion)
-	e.Bool(st.Closed)
-	e.I64(st.Cycles)
-	e.I64(st.Aborted)
-	e.Dur(st.Pending)
-	e.Dur(st.Waited)
-	e.Int(int(st.Fail))
+// walk is the relay's one persisted layout.
+func (st *RelayState) walk(c journal.Codec) {
+	c.Version(relayStateVersion)
+	c.Bool(&st.Closed)
+	journal.I64(c, &st.Cycles)
+	journal.I64(c, &st.Aborted)
+	journal.I64(c, &st.Pending)
+	journal.I64(c, &st.Waited)
+	journal.Int(c, &st.Fail)
 }
 
-// ReadRelayState decodes one RelayState written by AppendTo.
-func ReadRelayState(d *journal.Decoder) RelayState {
-	d.ExpectVersion(relayStateVersion)
-	return RelayState{
-		Closed:  d.Bool(),
-		Cycles:  d.I64(),
-		Aborted: d.I64(),
-		Pending: d.Dur(),
-		Waited:  d.Dur(),
-		Fail:    FailMode(d.Int()),
-	}
-}
-
-// AppendState serializes the whole fabric into e.
-func (f *Fabric) AppendState(e *journal.Encoder) {
-	e.Int(len(f.pairs))
+// Walk is the fabric's one persisted layout: the pair count, which must
+// match the fabric's, then every pair's contacts and the three topology
+// switches.
+func (f *Fabric) Walk(c journal.Codec) {
+	c.Size(len(f.pairs), "relay: restoring %d pairs into fabric of %d")
 	for _, p := range f.pairs {
-		p.Charge.State().AppendTo(e)
-		p.Discharge.State().AppendTo(e)
+		p.Charge.st.walk(c)
+		p.Discharge.st.walk(c)
 	}
-	f.P1.State().AppendTo(e)
-	f.P2.State().AppendTo(e)
-	f.P3.State().AppendTo(e)
-}
-
-// RestoreState decodes a fabric serialized by AppendState into f.
-func (f *Fabric) RestoreState(d *journal.Decoder) error {
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if n != len(f.pairs) {
-		return fmt.Errorf("relay: restoring %d pairs into fabric of %d", n, len(f.pairs))
-	}
-	for _, p := range f.pairs {
-		p.Charge.Restore(ReadRelayState(d))
-		p.Discharge.Restore(ReadRelayState(d))
-	}
-	f.P1.Restore(ReadRelayState(d))
-	f.P2.Restore(ReadRelayState(d))
-	f.P3.Restore(ReadRelayState(d))
-	return d.Err()
+	f.P1.st.walk(c)
+	f.P2.st.walk(c)
+	f.P3.st.walk(c)
 }

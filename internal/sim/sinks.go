@@ -1,7 +1,7 @@
 package sim
 
 import (
-	"fmt"
+	"math"
 	"time"
 
 	"insure/internal/journal"
@@ -105,37 +105,29 @@ func (b *BatchSink) Rollover() {
 // batchSinkStateVersion versions the sink's serialized layout.
 const batchSinkStateVersion = 1
 
-// AppendState serializes the sink — arrival cursor, in-flight scheduled
-// arrivals, and the whole queue — for the fleet daemon's day-boundary
-// snapshots.
-func (b *BatchSink) AppendState(e *journal.Encoder) {
-	e.U8(batchSinkStateVersion)
-	e.Int(b.next)
-	e.Dur(b.lastNow)
-	e.Int(len(b.scheduled))
-	for _, s := range b.scheduled {
-		e.Dur(s.at)
-		workload.AppendJobState(e, s.job)
+// Walk is the sink's one persisted layout: the arrival cursor, the
+// in-flight scheduled arrivals, and the whole queue. The fleet daemon's
+// day-boundary snapshots carry it.
+func (b *BatchSink) Walk(c journal.Codec) {
+	c.Version(batchSinkStateVersion)
+	journal.Int(c, &b.next)
+	journal.I64(c, &b.lastNow)
+	n := c.Len(len(b.scheduled), math.MaxInt, "sim: %d scheduled arrivals outside [0, %d]")
+	if c.Decoding() {
+		b.scheduled = b.scheduled[:0]
+		for i := 0; i < n; i++ {
+			b.scheduled = append(b.scheduled, scheduledJob{job: new(workload.Job)})
+		}
 	}
-	b.Queue.AppendState(e)
+	for i := range b.scheduled {
+		journal.I64(c, &b.scheduled[i].at)
+		b.scheduled[i].job.Walk(c)
+	}
+	b.Queue.Walk(c)
 }
 
-// RestoreState overwrites the sink from an AppendState payload.
-func (b *BatchSink) RestoreState(d *journal.Decoder) error {
-	d.ExpectVersion(batchSinkStateVersion)
-	b.next = d.Int()
-	b.lastNow = d.Dur()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("sim: corrupt batch sink state: %w", err)
-	}
-	b.scheduled = b.scheduled[:0]
-	for i := 0; i < n; i++ {
-		at := d.Dur()
-		b.scheduled = append(b.scheduled, scheduledJob{at: at, job: workload.DecodeJobState(d)})
-	}
-	return b.Queue.RestoreState(d)
-}
+// AppendState serializes the sink into e.
+func (b *BatchSink) AppendState(e *journal.Encoder) { b.Walk(journal.Encoding(e)) }
 
 // HasWork reports pending jobs.
 func (b *BatchSink) HasWork(now time.Duration) bool { return b.Queue.HasWork() }

@@ -1,7 +1,7 @@
 package workload
 
 import (
-	"fmt"
+	"math"
 
 	"insure/internal/journal"
 )
@@ -13,77 +13,40 @@ import (
 
 const batchQueueStateVersion = 1
 
-// AppendJobState serializes one job; DecodeJobState reads it back. The
-// fleet layer also uses the pair for in-flight migrated jobs riding sink
-// snapshots.
-func AppendJobState(e *journal.Encoder, j *Job) { appendJob(e, j) }
-
-// DecodeJobState reads one job written by AppendJobState.
-func DecodeJobState(d *journal.Decoder) *Job { return decodeJob(d) }
-
-func appendJob(e *journal.Encoder, j *Job) {
-	e.U64(j.ID)
-	e.F64(j.Size)
-	e.F64(j.Remaining)
-	e.Dur(j.Arrived)
-	e.Dur(j.Done)
-	e.Bool(j.Migrated)
-	e.Int(j.Origin)
+// Walk is one job's persisted layout. The fleet layer also walks it for
+// in-flight migrated jobs riding sink snapshots.
+func (j *Job) Walk(c journal.Codec) {
+	c.U64(&j.ID)
+	journal.F64(c, &j.Size)
+	journal.F64(c, &j.Remaining)
+	journal.I64(c, &j.Arrived)
+	journal.I64(c, &j.Done)
+	c.Bool(&j.Migrated)
+	journal.Int(c, &j.Origin)
 }
 
-func decodeJob(d *journal.Decoder) *Job {
-	return &Job{
-		ID:        d.U64(),
-		Size:      d.F64(),
-		Remaining: d.F64(),
-		Arrived:   d.Dur(),
-		Done:      d.Dur(),
-		Migrated:  d.Bool(),
-		Origin:    d.Int(),
-	}
+// Walk is the queue's one persisted layout: the ID cursor, the processed
+// total, and the pending and completed jobs.
+func (q *BatchQueue) Walk(c journal.Codec) {
+	c.Version(batchQueueStateVersion)
+	c.U64(&q.idBase)
+	c.U64(&q.idSeq)
+	journal.F64(c, &q.processed)
+	walkJobs(c, &q.pending)
+	walkJobs(c, &q.completed)
 }
 
-// AppendState serializes the queue — pending and completed jobs, the
-// processed total, and the ID cursor — onto enc.
-func (q *BatchQueue) AppendState(e *journal.Encoder) {
-	e.U8(batchQueueStateVersion)
-	e.U64(q.idBase)
-	e.U64(q.idSeq)
-	e.F64(q.processed)
-	e.Int(len(q.pending))
-	for _, j := range q.pending {
-		appendJob(e, j)
+// walkJobs walks a length-prefixed job list. Decoding builds fresh jobs:
+// a decoded job must not alias one handed out before the restore.
+func walkJobs(c journal.Codec, jobs *[]*Job) {
+	n := c.Len(len(*jobs), math.MaxInt, "workload: %d jobs outside [0, %d]")
+	if c.Decoding() {
+		*jobs = (*jobs)[:0]
+		for i := 0; i < n; i++ {
+			*jobs = append(*jobs, new(Job))
+		}
 	}
-	e.Int(len(q.completed))
-	for _, j := range q.completed {
-		appendJob(e, j)
+	for _, j := range *jobs {
+		j.Walk(c)
 	}
-}
-
-// RestoreState overwrites the queue from a payload written by AppendState.
-func (q *BatchQueue) RestoreState(d *journal.Decoder) error {
-	d.ExpectVersion(batchQueueStateVersion)
-	q.idBase = d.U64()
-	q.idSeq = d.U64()
-	q.processed = d.F64()
-	n := d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
-	}
-	q.pending = q.pending[:0]
-	for i := 0; i < n; i++ {
-		q.pending = append(q.pending, decodeJob(d))
-	}
-	n = d.Int()
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
-	}
-	q.completed = q.completed[:0]
-	for i := 0; i < n; i++ {
-		q.completed = append(q.completed, decodeJob(d))
-	}
-	if err := d.Err(); err != nil {
-		return fmt.Errorf("workload: corrupt batch queue state: %w", err)
-	}
-	return nil
 }
