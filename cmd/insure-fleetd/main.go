@@ -93,14 +93,18 @@ func runAttempt(ctx context.Context, w *world, killAt func(int, time.Duration) b
 	return w.run(ctx, killAt)
 }
 
-// runDaemon serves telemetry, builds the world (resuming from StateDir when a
-// snapshot exists), and runs the campaign to completion under the watchdog.
+// runDaemon checks the flags, serves telemetry, builds the world (resuming
+// from StateDir when a snapshot exists), and runs the campaign to completion
+// under the watchdog.
 // The registry and its listener live as long as the process: a rebuilt
 // world re-attaches to them, so scrapes keep answering at one address and
 // counters keep counting across a rebuild. It returns the final report on
 // success; on an abort the state dir holds everything the next incarnation
 // needs.
 func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Report, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	killAt, err := parseKillAt(opts.KillAt)
 	if err != nil {
 		return nil, err

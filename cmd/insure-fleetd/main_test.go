@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"math"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -276,6 +277,28 @@ func TestFleetdTelemetrySurvivesWatchdogRebuild(t *testing.T) {
 	}
 	if !rebuilt {
 		t.Fatalf("the world was never rebuilt:\n%s", out.String())
+	}
+}
+
+// TestFleetdValidatesFlagsBeforeBinding holds the -metrics-addr address
+// and starts the daemon with a NaN -job-gb: the error must name the flag,
+// not the taken port, and no listener may have been reported.
+func TestFleetdValidatesFlagsBeforeBinding(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	opts := fleetdFixture(907, "")
+	opts.MetricsAddr = held.Addr().String()
+	opts.JobGB = math.NaN()
+	var out bytes.Buffer
+	_, err = runDaemon(context.Background(), &out, opts)
+	if err == nil || !strings.Contains(err.Error(), "-job-gb") {
+		t.Errorf("err = %v, want an error naming -job-gb", err)
+	}
+	if strings.Contains(out.String(), "telemetry on") {
+		t.Errorf("telemetry bound before the flags were checked:\n%s", out.String())
 	}
 }
 

@@ -45,6 +45,21 @@ type worldConfig struct {
 	StateDir string
 }
 
+// validate checks the flags a world cannot be built without. runDaemon
+// runs it before it binds any listener, so a bad flag is reported as such.
+func (cfg worldConfig) validate() error {
+	if cfg.Sites < 2 {
+		return fmt.Errorf("need at least two sites")
+	}
+	if cfg.Days < 1 {
+		return fmt.Errorf("need at least one day")
+	}
+	if !(cfg.JobGB > 0 && cfg.JobGB <= math.MaxFloat64) {
+		return fmt.Errorf("-job-gb %v: need a finite size above 0 GB", cfg.JobGB)
+	}
+	return nil
+}
+
 // snapStateVersion guards the fleetd snapshot layout.
 const snapStateVersion = 1
 
@@ -107,14 +122,8 @@ func (w *world) dayConfigs(day int) []sim.Config {
 // state, and queues are restored — the resumed world re-runs the partial
 // day and produces the byte-identical log the undisturbed run would have.
 func newWorld(cfg worldConfig) (*world, error) {
-	if cfg.Sites < 2 {
-		return nil, fmt.Errorf("need at least two sites")
-	}
-	if cfg.Days < 1 {
-		return nil, fmt.Errorf("need at least one day")
-	}
-	if !(cfg.JobGB > 0 && cfg.JobGB <= math.MaxFloat64) {
-		return nil, fmt.Errorf("-job-gb %v: need a finite size above 0 GB", cfg.JobGB)
+	if err := cfg.validate(); err != nil {
+		return nil, err
 	}
 
 	w := &world{cfg: cfg}

@@ -37,7 +37,6 @@ import (
 	"insure/internal/journal"
 	"insure/internal/modbus"
 	"insure/internal/plc"
-	"insure/internal/relay"
 	"insure/internal/telemetry"
 	"insure/internal/units"
 )
@@ -50,6 +49,9 @@ type panel struct {
 	*plc.Panel
 	reg          *telemetry.Registry
 	failedRelays *telemetry.Gauge
+
+	// The units by relay mode, refilled by every tick's one fabric pass.
+	open, charging, discharging []int
 }
 
 // newPanel wires the plant and registers its telemetry. The plant loop
@@ -72,7 +74,13 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &panel{Panel: pp, reg: telemetry.NewRegistry()}
+	p := &panel{
+		Panel:       pp,
+		reg:         telemetry.NewRegistry(),
+		open:        make([]int, 0, n),
+		charging:    make([]int, 0, n),
+		discharging: make([]int, 0, n),
+	}
 	p.SolarPower, p.LoadPower = units.Watt(solarW), units.Watt(loadW)
 	p.AttachTelemetry(p.reg)
 	p.failedRelays = p.reg.Gauge("insure_relay_failed",
@@ -89,11 +97,10 @@ func newPanel(n int, soc, solarW, loadW float64) (*panel, error) {
 // tick advances the plant by dt at time-since-start elapsed and publishes
 // the cycle's telemetry.
 func (p *panel) tick(dt, elapsed time.Duration) {
-	charging := p.Fabric.UnitsIn(relay.Charging)
-	discharging := p.Fabric.UnitsIn(relay.Discharging)
-	p.Bank.ChargeSet(charging, p.SolarPower, dt)
-	p.Bank.DischargeSet(discharging, p.LoadPower, dt)
-	for _, i := range p.Fabric.UnitsIn(relay.Open) {
+	p.open, p.charging, p.discharging = p.Fabric.AppendByMode(p.open[:0], p.charging[:0], p.discharging[:0])
+	p.Bank.ChargeSet(p.charging, p.SolarPower, dt)
+	p.Bank.DischargeSet(p.discharging, p.LoadPower, dt)
+	for _, i := range p.open {
 		p.Bank.Unit(i).Rest(dt)
 	}
 	p.Fabric.Tick(dt)

@@ -194,3 +194,31 @@ func TestNewPanelRejectsBadBusPower(t *testing.T) {
 		t.Errorf("zero bus powers: %v", err)
 	}
 }
+
+// TestPanelTickAllocFree pins the daemon's 1 Hz tick at zero allocations
+// with units on the charge bus, on the discharge bus and open: one fabric
+// pass refills the panel's scratch lists in place.
+func TestPanelTickAllocFree(t *testing.T) {
+	p, err := newPanel(6, 0.5, 400, 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []uint16{plc.CoilCharge(0), plc.CoilCharge(1), plc.CoilDischarge(2), plc.CoilDischarge(3)} {
+		if err := p.PLC.Regs.WriteCoil(c, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.PLC.ScanNow()
+	var elapsed time.Duration
+	if a := testing.AllocsPerRun(100, func() {
+		elapsed += time.Second
+		p.tick(time.Second, elapsed)
+	}); a != 0 {
+		t.Errorf("tick allocates %.2f times per call, want 0", a)
+	}
+	for i, want := range []relay.Mode{relay.Charging, relay.Charging, relay.Discharging, relay.Discharging, relay.Open, relay.Open} {
+		if got := p.Fabric.Pair(i).Mode(); got != want {
+			t.Errorf("unit %d in mode %v, want %v", i, got, want)
+		}
+	}
+}

@@ -132,18 +132,30 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Unit is one battery cabinet: its configuration, the two KiBaM factors
-// derived from it, and its mutable state.
+// Unit is one battery cabinet: its configuration, the KiBaM factors derived
+// from it, its mutable state, and the two values derived from that state.
+//
+// capAh and ocv are derived from st: every method that writes st ends by
+// calling derive, so the tick's many readers of a unit (SoC, the probes'
+// TerminalVoltage, the charge bus voltage) read values evaluated once per
+// step. A new writer of st, such as a counter added to UnitState, must end
+// the same way.
 type Unit struct {
 	p Params
 
-	// kk is the KiBaM head-difference decay rate k(1/c + 1/(1−c)), and
-	// relax1 = 1 − exp(−kk·1 s) is the fraction of that difference relaxed
-	// over the simulation's 1 s step. Both depend only on p and are set once
-	// in New.
-	kk, relax1 float64
+	// headPerAh = 1/c + 1/(1−c) is the change in the KiBaM head difference
+	// per amp-hour moved between the wells, kk = k·headPerAh is the head
+	// difference's decay rate, and relax1 = 1 − exp(−kk·1 s) is the
+	// fraction of that difference relaxed over the simulation's 1 s step.
+	// All three depend only on p and are set once in New.
+	headPerAh, kk, relax1 float64
 
 	st UnitState
+
+	// capAh is the present usable capacity and ocv the open-circuit
+	// voltage, both as derive last computed them from st.
+	capAh float64
+	ocv   units.Volt
 }
 
 // New returns a Unit at the given initial state of charge.
@@ -156,16 +168,20 @@ func New(p Params, soc float64) (*Unit, error) {
 	}
 	nameplate := float64(p.CapacityAh)
 	c := p.CapacityRatio
-	kk := p.RateConst * (1/c + 1/(1-c))
-	return &Unit{
-		p:      p,
-		kk:     kk,
-		relax1: 1 - math.Exp(-kk),
+	headPerAh := 1/c + 1/(1-c)
+	kk := p.RateConst * headPerAh
+	u := &Unit{
+		p:         p,
+		headPerAh: headPerAh,
+		kk:        kk,
+		relax1:    1 - math.Exp(-kk),
 		st: UnitState{
 			AvailAh: soc * nameplate * c,
 			BoundAh: soc * nameplate * (1 - c),
 		},
-	}, nil
+	}
+	u.derive()
+	return u, nil
 }
 
 // MustNew is New for known-good parameters; it panics on error.
@@ -180,16 +196,18 @@ func MustNew(p Params, soc float64) *Unit {
 // Params returns the unit's configuration.
 func (u *Unit) Params() Params { return u.p }
 
-// capAh is the present usable capacity: nameplate reduced by linear aging
-// fade as wear accumulates toward the lifetime throughput, and by any
-// injected capacity-loss fault.
-func (u *Unit) capAh() float64 {
+// derive recomputes the values derived from st. The present usable
+// capacity is nameplate reduced by linear aging fade as wear accumulates
+// toward the lifetime throughput, and by any injected capacity-loss fault;
+// the OCV is the rest voltage the available well implies at that capacity.
+func (u *Unit) derive() {
 	w := u.WearFraction()
 	if w > 1.5 {
 		w = 1.5
 	}
 	fade := u.p.FadeAtEOL * w
-	return float64(u.p.CapacityAh) * (1 - fade) * (1 - u.st.FaultLoss)
+	u.capAh = float64(u.p.CapacityAh) * (1 - fade) * (1 - u.st.FaultLoss)
+	u.ocv = units.Volt(units.Lerp(float64(u.p.OCVEmpty), float64(u.p.OCVFull), u.AvailableSoC()))
 }
 
 // InjectCapacityLoss destroys frac of the unit's capacity mid-operation —
@@ -207,25 +225,26 @@ func (u *Unit) InjectCapacityLoss(frac float64) {
 	keep := (1 - frac) * (1 - frac)
 	st.AvailAh *= keep
 	st.BoundAh *= keep
+	u.derive()
 }
 
 // Failed reports whether a capacity-loss fault has been injected.
 func (u *Unit) Failed() bool { return u.st.FaultLoss > 0 }
 
 // EffectiveCapacity is the present usable capacity after aging fade.
-func (u *Unit) EffectiveCapacity() units.AmpHour { return units.AmpHour(u.capAh()) }
+func (u *Unit) EffectiveCapacity() units.AmpHour { return units.AmpHour(u.capAh) }
 
 // SoC is the total state of charge in [0,1] counting both wells, against
 // the present (faded) capacity.
 func (u *Unit) SoC() float64 {
-	return units.Clamp((u.st.AvailAh+u.st.BoundAh)/u.capAh(), 0, 1)
+	return units.Clamp((u.st.AvailAh+u.st.BoundAh)/u.capAh, 0, 1)
 }
 
 // AvailableSoC is the normalised level of the available well only. Under
 // sustained high current it drops well below SoC — that gap is the
 // rate-capacity effect, and its closing at rest is the recovery effect.
 func (u *Unit) AvailableSoC() float64 {
-	denom := u.capAh() * u.p.CapacityRatio
+	denom := u.capAh * u.p.CapacityRatio
 	return units.Clamp(u.st.AvailAh/denom, 0, 1)
 }
 
@@ -235,14 +254,12 @@ func (u *Unit) StoredEnergy() units.WattHour {
 }
 
 // OCV is the rest (open-circuit) voltage implied by the available well.
-func (u *Unit) OCV() units.Volt {
-	return units.Volt(units.Lerp(float64(u.p.OCVEmpty), float64(u.p.OCVFull), u.AvailableSoC()))
-}
+func (u *Unit) OCV() units.Volt { return u.ocv }
 
 // TerminalVoltage is what a transducer reads: OCV sagged or lifted by the
 // most recent current through the internal resistance.
 func (u *Unit) TerminalVoltage() units.Volt {
-	return units.Volt(float64(u.OCV()) - float64(u.st.LastI)*u.p.InternalOhm)
+	return units.Volt(float64(u.ocv) - float64(u.st.LastI)*u.p.InternalOhm)
 }
 
 // LastCurrent is the most recent current through the unit: positive on
@@ -250,9 +267,11 @@ func (u *Unit) TerminalVoltage() units.Volt {
 // everything a transducer reads.
 func (u *Unit) LastCurrent() units.Amp { return u.st.LastI }
 
-// diffuse moves charge between the wells for dt seconds (KiBaM valve).
-func (u *Unit) diffuse(dtSec float64, capAh float64) {
+// diffuse moves charge between the wells for dt seconds (KiBaM valve),
+// within the present capacity.
+func (u *Unit) diffuse(dtSec float64) {
 	st := &u.st
+	capAh := u.capAh
 	c := u.p.CapacityRatio
 	h1 := st.AvailAh / c
 	h2 := st.BoundAh / (1 - c)
@@ -266,7 +285,7 @@ func (u *Unit) diffuse(dtSec float64, capAh float64) {
 	delta := (h2 - h1) * relax
 	// Convert head change back to charge moved (both wells see the same
 	// transferred charge q; h1 rises by q/c, h2 falls by q/(1−c)).
-	q := delta / (1/c + 1/(1-c))
+	q := delta / u.headPerAh
 	st.AvailAh += q
 	st.BoundAh -= q
 	if st.AvailAh < 0 {
@@ -287,7 +306,8 @@ func (u *Unit) diffuse(dtSec float64, capAh float64) {
 // happens. The relay for this unit is open.
 func (u *Unit) Rest(dt time.Duration) {
 	u.st.LastI = 0
-	u.diffuse(dt.Seconds(), u.capAh())
+	u.diffuse(dt.Seconds())
+	u.derive()
 }
 
 // Discharge draws current i for dt and returns the charge actually
@@ -305,7 +325,7 @@ func (u *Unit) Discharge(i units.Amp, dt time.Duration) units.AmpHour {
 		got = st.AvailAh
 	}
 	st.AvailAh -= got
-	u.diffuse(dtSec, u.capAh())
+	u.diffuse(dtSec)
 	st.LastI = i
 	if got < want {
 		// Partially delivered: the terminal voltage should reflect a
@@ -313,6 +333,8 @@ func (u *Unit) Discharge(i units.Amp, dt time.Duration) units.AmpHour {
 		st.LastI = units.Amp(got * 3600 / math.Max(dtSec, 1e-9))
 	}
 
+	// The deep-discharge test reads the pre-step capacity: derive runs
+	// only after the throughput update.
 	wear := got
 	if u.SoC() < u.p.DeepSoC {
 		wear *= u.p.DeepWearFactor
@@ -320,6 +342,7 @@ func (u *Unit) Discharge(i units.Amp, dt time.Duration) units.AmpHour {
 	st.Throughput += units.AmpHour(wear)
 	st.RawOut += units.AmpHour(got)
 	st.Cycles += got / float64(u.p.CapacityAh)
+	u.derive()
 	return units.AmpHour(got)
 }
 
@@ -359,7 +382,7 @@ func (u *Unit) Charge(i units.Amp, dt time.Duration) units.Amp {
 	stored := useful * u.p.CoulombicEff * dtSec / 3600 // Ah
 
 	c := u.p.CapacityRatio
-	capAh := u.capAh()
+	capAh := u.capAh
 	// Charge enters the available well, then diffuses toward the bound well.
 	room := capAh*c - st.AvailAh
 	if stored > room {
@@ -372,11 +395,12 @@ func (u *Unit) Charge(i units.Amp, dt time.Duration) units.Amp {
 	if st.BoundAh > capAh*(1-c) {
 		st.BoundAh = capAh * (1 - c)
 	}
-	u.diffuse(dtSec, capAh)
+	u.diffuse(dtSec)
 
 	drawn := units.Amp(gas + useful)
 	st.LastI = -drawn
 	st.RawIn += units.AmpHour(useful * dtSec / 3600)
+	u.derive()
 	return drawn
 }
 
@@ -395,7 +419,7 @@ func (u *Unit) ChargeAtPower(p units.Watt, dt time.Duration) units.Watt {
 
 // chargeBusVoltage approximates the regulated charging voltage for the unit.
 func (u *Unit) chargeBusVoltage() units.Volt {
-	return units.Volt(float64(u.OCV()) + float64(u.p.MaxChargeA)*u.p.InternalOhm)
+	return units.Volt(float64(u.ocv) + float64(u.p.MaxChargeA)*u.p.InternalOhm)
 }
 
 // Throughput returns the wear-weighted lifetime discharge throughput (the
@@ -433,8 +457,8 @@ func (u *Unit) RemainingLife(dailyAh units.AmpHour) time.Duration {
 // at equilibrium. Intended for test setup and experiment initialisation.
 func (u *Unit) SetSoC(soc float64) {
 	soc = units.Clamp(soc, 0, 1)
-	capAh := u.capAh()
-	u.st.AvailAh = soc * capAh * u.p.CapacityRatio
-	u.st.BoundAh = soc * capAh * (1 - u.p.CapacityRatio)
+	u.st.AvailAh = soc * u.capAh * u.p.CapacityRatio
+	u.st.BoundAh = soc * u.capAh * (1 - u.p.CapacityRatio)
 	u.st.LastI = 0
+	u.derive()
 }

@@ -29,9 +29,6 @@ type UnitState struct {
 // State captures the unit's full mutable state.
 func (u *Unit) State() UnitState { return u.st }
 
-// Restore overwrites the unit's mutable state. Params are untouched.
-func (u *Unit) Restore(st UnitState) { u.st = st }
-
 // walk is the unit's one persisted layout.
 func (st *UnitState) walk(c journal.Codec) {
 	c.Version(unitStateVersion)
@@ -46,11 +43,15 @@ func (st *UnitState) walk(c journal.Codec) {
 }
 
 // Walk is the bank's one persisted layout: the unit count, which must
-// match the bank's, then every unit's state.
+// match the bank's, then every unit's state. Decoding re-derives each
+// unit's capacity and OCV from the state it read.
 func (b *Bank) Walk(c journal.Codec) {
 	c.Size(len(b.units), "battery: restoring %d unit states into bank of %d")
 	for _, u := range b.units {
 		u.st.walk(c)
+		if c.Decoding() {
+			u.derive()
+		}
 	}
 }
 

@@ -79,13 +79,21 @@ func TestBankStateRoundTrip(t *testing.T) {
 // TestUnitStateObservablesSurviveRestore checks restore reproduces the
 // external view (SoC, voltage, wear), not just raw fields.
 func TestUnitStateObservablesSurviveRestore(t *testing.T) {
-	u := MustNew(DefaultParams(), 0.8)
+	live := MustNewBank(DefaultParams(), 1, 0.8)
+	u := live.Unit(0)
 	u.Discharge(5, 90*time.Second)
 	u.Charge(3, 30*time.Second)
 	u.Discharge(2, 10*time.Second)
 
-	v := MustNew(DefaultParams(), 0.2)
-	v.Restore(u.State())
+	restored := MustNewBank(DefaultParams(), 1, 0.2)
+	v := restored.Unit(0)
+	var e journal.Encoder
+	live.AppendState(&e)
+	d := journal.NewDecoder(e.Bytes())
+	restored.Walk(journal.Decoding(d))
+	if d.Err() != nil {
+		t.Fatal(d.Err())
+	}
 	if u.SoC() != v.SoC() || u.TerminalVoltage() != v.TerminalVoltage() {
 		t.Fatalf("observables diverged: SoC %v vs %v, V %v vs %v",
 			u.SoC(), v.SoC(), u.TerminalVoltage(), v.TerminalVoltage())

@@ -26,11 +26,12 @@ type Panel struct {
 	// InputSolarPower and InputLoadPower registers.
 	SolarPower, LoadPower units.Watt
 
-	// The scan's process images: 2n unit input codes, the solar and load
-	// codes, and 2n relay coils, each moved under one register lock, so a
-	// scan takes the lock three times however many units the bank has.
+	// The scan's process images, each moved under one register lock, so a
+	// scan takes the lock twice however many units the bank has: input
+	// registers 0..InputLoadPower (the 2n unit codes, the registers no
+	// unit uses, which stay 0, then the solar and load codes) and the 2n
+	// relay coils.
 	inputs []uint16
-	powers [2]uint16
 	coils  []bool
 
 	// The gauges Publish sets, registered by AttachTelemetry.
@@ -51,7 +52,7 @@ func NewPanel(bank *battery.Bank) (*Panel, error) {
 		Fabric: relay.NewFabric(n),
 		Probes: make([]*sensor.BatteryProbe, n),
 		PLC:    New(n),
-		inputs: make([]uint16, 2*n),
+		inputs: make([]uint16, InputLoadPower+1),
 		coils:  make([]bool, 2*n),
 	}
 	for i := range p.Probes {
@@ -63,7 +64,9 @@ func NewPanel(bank *battery.Bank) (*Panel, error) {
 }
 
 // sample is the analog modules' pass: every probe samples its unit, and the
-// unit codes and the bus power codes land in the input registers.
+// unit codes and the bus power codes land in the input registers as one
+// block, so a fieldbus block read sees both from the same scan. NewPanel's
+// MaxUnits check keeps the unit codes below the power codes.
 func (p *Panel) sample(r *RegisterFile) {
 	for i, u := range p.Bank.Units() {
 		pr := p.Probes[i]
@@ -71,10 +74,9 @@ func (p *Panel) sample(r *RegisterFile) {
 		p.inputs[InputVolt(i)] = pr.Volt.Raw()
 		p.inputs[InputCurrent(i)] = pr.Current.Raw()
 	}
+	p.inputs[InputSolarPower] = PowerCode(p.SolarPower)
+	p.inputs[InputLoadPower] = PowerCode(p.LoadPower)
 	_ = r.SetInputs(InputVoltBase, p.inputs)
-	p.powers[0] = PowerCode(p.SolarPower)
-	p.powers[1] = PowerCode(p.LoadPower)
-	_ = r.SetInputs(InputSolarPower, p.powers[:])
 }
 
 // actuate drives every unit's relay pair from its coil pair.

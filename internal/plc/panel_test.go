@@ -1,6 +1,8 @@
 package plc
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"insure/internal/battery"
@@ -92,4 +94,72 @@ func TestPanelUnitCap(t *testing.T) {
 	if _, err := NewPanel(battery.MustNewBank(battery.DefaultParams(), MaxUnits+1, 0.5)); err == nil {
 		t.Errorf("%d-unit panel accepted", MaxUnits+1)
 	}
+}
+
+// TestPanelScanImageNeverMixed reads input registers 0..InputLoadPower as
+// one block, the way a Modbus client does, while the panel scans a plant
+// that alternates between two states: unit 0 at SoC 0.2 with 0 W of solar,
+// and at SoC 0.9 with 1000 W. The unit codes and the bus-power codes of a
+// scan land under one register lock, so every read must see both from the
+// same state. Run it with -race (make race-plc).
+func TestPanelScanImageNeverMixed(t *testing.T) {
+	p := newTestPanel(t, 2)
+	states := [2]struct {
+		soc   float64
+		solar units.Watt
+	}{{0.2, 0}, {0.9, 1000}}
+	set := func(k int) {
+		p.Bank.Unit(0).SetSoC(states[k].soc)
+		p.SolarPower = states[k].solar
+	}
+	// Each state's unit-0 voltage code and solar code, as one scan writes them.
+	var volt, solar [2]uint16
+	for k := range states {
+		set(k)
+		p.PLC.ScanNow()
+		img, err := p.PLC.Regs.ReadInput(0, InputLoadPower+1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		volt[k], solar[k] = img[InputVolt(0)], img[InputSolarPower]
+	}
+	if volt[0] == volt[1] || solar[0] == solar[1] {
+		t.Fatalf("the two states share codes: volt %v, solar %v", volt, solar)
+	}
+
+	done := make(chan struct{})
+	var reads atomic.Int64
+	var exited atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer exited.Store(true)
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			img, err := p.PLC.Regs.ReadInput(0, InputLoadPower+1)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			reads.Add(1)
+			for k := range states {
+				if img[InputVolt(0)] == volt[k] && img[InputSolarPower] != solar[k] {
+					t.Errorf("unit 0 code %d of state %d beside solar code %d (want %d)",
+						volt[k], k, img[InputSolarPower], solar[k])
+					return
+				}
+			}
+		}
+	}()
+	for k := 0; k < 4000 || (reads.Load() < 1000 && !exited.Load()); k++ {
+		set(k % 2)
+		p.PLC.ScanNow()
+	}
+	close(done)
+	wg.Wait()
 }

@@ -43,6 +43,10 @@ const (
 	HoldControlPeriodS  = 2 // control period, seconds
 )
 
+// scanInterval is the controller's cycle time: the S7-200 scans in
+// single-digit milliseconds.
+const scanInterval = 10 * time.Millisecond
+
 // MaxUnits is the largest bank the register map addresses: unit 48's codes
 // and coils would land on InputSolarPower and CoilP1. It also keeps a whole
 // bank's 2n unit codes within one Modbus block read (125 registers) and its
@@ -75,12 +79,16 @@ var ErrAddress = errors.New("plc: illegal data address")
 // server touch it from different goroutines.
 //
 // Every call takes the lock once, so a block call is atomic: the scan cycle
-// publishes its input image with SetInputs and reads its coil image with
-// CoilsInto, one lock per block per pass, and a fieldbus client's block read
-// sees each block of a scan as a whole — never half of one pass and half of
-// the next. A coordinator's relay command lands the same way, with SetCoils.
+// publishes its whole input image with SetInputs and reads its coil image
+// with CoilsInto, one lock per hook per pass, and a fieldbus client's block
+// read sees each block of a scan as a whole — never half of one pass and
+// half of the next. A coordinator's relay command lands the same way, with
+// SetCoils. The lock is a plain mutex: every call holds it for one short
+// block copy (a Modbus read is at most 125 registers), so shared reads gain
+// nothing, while a reader-writer lock costs two more atomic operations on
+// every write.
 type RegisterFile struct {
-	mu       sync.RWMutex
+	mu       sync.Mutex
 	coils    []bool
 	discrete []bool
 	holding  []uint16
@@ -101,8 +109,8 @@ func NewRegisterFile(coils, discrete, holding, input int) *RegisterFile {
 // allocating. The scan cycle's actuation pass reads its whole relay image
 // this way, under one lock.
 func (r *RegisterFile) CoilsInto(dst []bool, addr uint16) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(addr)+len(dst) > len(r.coils) {
 		return ErrAddress
 	}
@@ -112,8 +120,8 @@ func (r *RegisterFile) CoilsInto(dst []bool, addr uint16) error {
 
 // ReadCoils returns count coil states starting at addr.
 func (r *RegisterFile) ReadCoils(addr, count uint16) ([]bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(addr)+int(count) > len(r.coils) {
 		return nil, ErrAddress
 	}
@@ -149,8 +157,8 @@ func (r *RegisterFile) WriteCoil(addr uint16, v bool) error {
 
 // ReadDiscrete returns count discrete-input states starting at addr.
 func (r *RegisterFile) ReadDiscrete(addr, count uint16) ([]bool, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(addr)+int(count) > len(r.discrete) {
 		return nil, ErrAddress
 	}
@@ -172,8 +180,8 @@ func (r *RegisterFile) SetDiscrete(addr uint16, v bool) error {
 
 // ReadHolding returns count holding registers starting at addr.
 func (r *RegisterFile) ReadHolding(addr, count uint16) ([]uint16, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(addr)+int(count) > len(r.holding) {
 		return nil, ErrAddress
 	}
@@ -195,8 +203,8 @@ func (r *RegisterFile) WriteHolding(addr uint16, vals []uint16) error {
 
 // ReadInput returns count input registers starting at addr.
 func (r *RegisterFile) ReadInput(addr, count uint16) ([]uint16, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if int(addr)+int(count) > len(r.input) {
 		return nil, ErrAddress
 	}
@@ -224,10 +232,6 @@ func (r *RegisterFile) SetInputs(addr uint16, vals []uint16) error {
 type PLC struct {
 	Regs *RegisterFile
 
-	// ScanInterval is the controller's cycle time. The S7-200 scans in
-	// single-digit milliseconds; we default to 10 ms.
-	ScanInterval time.Duration
-
 	// Sample reads plant sensors into the register file.
 	Sample func(*RegisterFile)
 	// Actuate drives plant actuators from the register file.
@@ -245,30 +249,21 @@ type PLC struct {
 
 // New builds a PLC sized for n battery units.
 func New(n int) *PLC {
-	return &PLC{
-		Regs:         NewRegisterFile(2*n+8+96, 2*n, 16, 2*n+8+96),
-		ScanInterval: 10 * time.Millisecond,
-	}
+	return &PLC{Regs: NewRegisterFile(2*n+8+96, 2*n, 16, 2*n+8+96)}
 }
 
 // Scans returns the number of completed scan cycles.
 func (p *PLC) Scans() int64 { return p.scans }
 
-// Tick advances simulated time and runs as many scan cycles as fit.
-// Simulation ticks (1 s) are much longer than scan cycles (10 ms); running
-// one sample/actuate pass per elapsed interval keeps the register file as
-// fresh as the real controller would.
+// Tick advances simulated time and runs one scan cycle once at least a
+// scan interval has elapsed. Simulation ticks (1 s) are much longer than
+// scan cycles, but one full refresh per simulation tick is enough fidelity:
+// real intra-tick rescans would observe an unchanged plant.
 func (p *PLC) Tick(dt time.Duration) {
 	p.accum += dt
-	for p.accum >= p.ScanInterval {
-		p.accum -= p.ScanInterval
+	if p.accum >= scanInterval {
+		p.accum %= scanInterval
 		p.scan()
-		// One full refresh per simulation tick is enough fidelity; real
-		// intra-tick rescans would observe an unchanged plant.
-		if p.accum < p.ScanInterval {
-			break
-		}
-		p.accum = p.accum % p.ScanInterval
 	}
 }
 

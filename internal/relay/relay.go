@@ -313,16 +313,23 @@ func (f *Fabric) UnitsIn(m Mode) []int {
 	return idx
 }
 
-// AppendUnitsIn appends the indices currently in the given mode to dst and
-// returns it. Passing dst[:0] with capacity Size() makes the per-tick mode
-// query allocation-free, which the simulation hot path relies on.
-func (f *Fabric) AppendUnitsIn(dst []int, m Mode) []int {
+// AppendByMode is one pass over the fabric: it appends each unit's index to
+// open, charging or discharging by its pair's Mode (a double-closed pair
+// counts as open) and returns the three slices. Passing each as s[:0] with
+// capacity Size() makes the pass allocation-free, which the simulation hot
+// path relies on.
+func (f *Fabric) AppendByMode(open, charging, discharging []int) ([]int, []int, []int) {
 	for i, p := range f.pairs {
-		if p.Mode() == m {
-			dst = append(dst, i)
+		switch p.Mode() {
+		case Charging:
+			charging = append(charging, i)
+		case Discharging:
+			discharging = append(discharging, i)
+		default:
+			open = append(open, i)
 		}
 	}
-	return dst
+	return open, charging, discharging
 }
 
 // TotalCycles sums mechanical cycles across the whole network, a proxy for

@@ -1,6 +1,7 @@
 package relay
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -100,6 +101,39 @@ func TestFabricUnitsIn(t *testing.T) {
 	}
 	if got := f.UnitsIn(Open); len(got) != 1 || got[0] != 1 {
 		t.Errorf("open units = %v", got)
+	}
+}
+
+// TestFabricAppendByMode checks the one-pass split against UnitsIn for
+// every mode, with a double-closed pair (a welded charge contact beside a
+// closed discharge contact) counted as open, and pins the pass at zero
+// allocations into reused slices.
+func TestFabricAppendByMode(t *testing.T) {
+	f := NewFabric(5)
+	f.Pair(0).SetMode(Charging)
+	f.Pair(2).SetMode(Discharging)
+	f.Pair(3).SetMode(Discharging)
+	f.Pair(4).Charge.Fail(FailWeldClosed)
+	f.Pair(4).Discharge.Set(true)
+	open, charging, discharging := make([]int, 0, 5), make([]int, 0, 5), make([]int, 0, 5)
+	open, charging, discharging = f.AppendByMode(open, charging, discharging)
+	for _, tc := range []struct {
+		m    Mode
+		got  []int
+		want []int
+	}{
+		{Open, open, []int{1, 4}},
+		{Charging, charging, []int{0}},
+		{Discharging, discharging, []int{2, 3}},
+	} {
+		if !reflect.DeepEqual(tc.got, tc.want) || !reflect.DeepEqual(tc.got, f.UnitsIn(tc.m)) {
+			t.Errorf("%v units = %v, want %v (UnitsIn %v)", tc.m, tc.got, tc.want, f.UnitsIn(tc.m))
+		}
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		open, charging, discharging = f.AppendByMode(open[:0], charging[:0], discharging[:0])
+	}); a != 0 {
+		t.Errorf("AppendByMode allocates %.2f times per call, want 0", a)
 	}
 }
 

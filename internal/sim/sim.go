@@ -416,8 +416,10 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	surplus := supply - solarToLoad
 	deficit := s.LoadPower - solarToLoad
 
-	s.scratchCharging = s.Fabric.AppendUnitsIn(s.scratchCharging[:0], relay.Charging)
-	s.scratchDischarging = s.Fabric.AppendUnitsIn(s.scratchDischarging[:0], relay.Discharging)
+	// One fabric pass splits the units by mode; nothing below moves a relay
+	// before the rest loop reads the open list.
+	s.scratchOpen, s.scratchCharging, s.scratchDischarging = s.Fabric.AppendByMode(
+		s.scratchOpen[:0], s.scratchCharging[:0], s.scratchDischarging[:0])
 	charging := s.scratchCharging
 	discharging := s.scratchDischarging
 
@@ -491,7 +493,6 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	s.harvested += units.Energy(solarToLoad+chargedW, dt)
 
 	// Units not on either bus rest and recover.
-	s.scratchOpen = s.Fabric.AppendUnitsIn(s.scratchOpen[:0], relay.Open)
 	for _, i := range s.scratchOpen {
 		s.Bank.Unit(i).Rest(dt)
 	}
