@@ -200,8 +200,10 @@ bench-json:
 	$(GO) run ./cmd/insure-bench -bench-json BENCH.json
 
 # perf-diff regenerates the performance report into BENCH.new.json and
-# compares it against the committed BENCH.json, printing ns/op regressions
-# beyond 5% on the hot-path benchmarks.
+# compares it against the committed BENCH.json. It fails only when a
+# benchmark the committed report records at 0 allocs/op (system_tick,
+# plc_scan, gateway_offer) allocates; ns/op deltas are printed but not
+# judged, since one run against one run on a drifting host decides nothing.
 perf-diff:
 	$(GO) run ./cmd/insure-bench -bench-json BENCH.new.json
 	$(GO) run ./cmd/insure-bench -perf-diff BENCH.new.json -perf-base BENCH.json

@@ -9,7 +9,7 @@
 //	insure-bench -bench-json BENCH.json   # machine-readable perf suite
 //	insure-bench -scaling          # plant-years/sec workers-scaling curve
 //	insure-bench -scaling -gate    # same, exit 1 if median speedup < 0.7·N (N = GOMAXPROCS ≥ 2)
-//	insure-bench -perf-diff BENCH.new.json   # compare against committed BENCH.json
+//	insure-bench -perf-diff BENCH.new.json   # compare against committed BENCH.json, exit 1 if a zero-alloc benchmark allocates
 package main
 
 import (
@@ -34,7 +34,7 @@ func main() {
 	scaling := flag.Bool("scaling", false, "measure the plant-years/sec workers-scaling curve and print it")
 	gate := flag.Bool("gate", false, "with -scaling: exit non-zero when the median speedup at N workers is < 0.7*N (N = GOMAXPROCS >= 2)")
 	scalingCells := flag.Int("scaling-cells", 16, "full-day campaign cells per scaling measurement")
-	perfDiff := flag.String("perf-diff", "", "compare this BENCH.json against -perf-base and report regressions > 5%")
+	perfDiff := flag.String("perf-diff", "", "compare this BENCH.json against -perf-base; exit 1 when a benchmark the base records at 0 allocs/op allocates")
 	perfBase := flag.String("perf-base", "BENCH.json", "baseline report for -perf-diff")
 	flag.Parse()
 
@@ -45,8 +45,12 @@ func main() {
 		return
 	}
 	if *perfDiff != "" {
-		if _, err := runPerfDiff(*perfBase, *perfDiff); err != nil {
+		n, err := runPerfDiff(*perfBase, *perfDiff)
+		if err != nil {
 			log.Fatal(err)
+		}
+		if n > 0 {
+			os.Exit(1)
 		}
 		return
 	}

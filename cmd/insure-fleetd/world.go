@@ -72,7 +72,6 @@ type world struct {
 	sinks []*sim.BatchSink
 	mgrs  []*core.Manager
 	coord *fleet.Coordinator
-	net   *wan.Network
 	snap  *journal.Store // nil without StateDir
 	scrub *journal.Scrubber
 
@@ -175,7 +174,6 @@ func newWorld(cfg worldConfig) (*world, error) {
 	if err != nil {
 		return nil, err
 	}
-	w.net = net
 
 	// Durable state: load the snapshot (if any) BEFORE the coordinator
 	// opens the migration log, because resuming means rolling the log back
@@ -204,7 +202,7 @@ func newWorld(cfg worldConfig) (*world, error) {
 			if err := snapDec.Err(); err != nil {
 				return nil, fmt.Errorf("corrupt snapshot: %w", err)
 			}
-			if err := journal.TruncateAfterSeqFS(journal.Disk, miglogDir, miglogSeq); err != nil {
+			if err := journal.TruncateAfterSeq(miglogDir, miglogSeq); err != nil {
 				return nil, err
 			}
 			w.resumed = true
@@ -212,7 +210,7 @@ func newWorld(cfg worldConfig) (*world, error) {
 			// No snapshot: the prior incarnation (if any) died inside day
 			// 0. Cold-start — wipe its partial records so the re-run day
 			// appends onto an empty log.
-			if err := journal.TruncateAfterSeqFS(journal.Disk, miglogDir, 0); err != nil {
+			if err := journal.TruncateAfterSeq(miglogDir, 0); err != nil {
 				return nil, err
 			}
 		}

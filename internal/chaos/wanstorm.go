@@ -28,12 +28,6 @@ type WANStormConfig struct {
 	Seed int64
 	// Days is the storm length (the acceptance bar is >= 3).
 	Days int
-	// Sites is the fleet size; StormSite is the index under the storm.
-	Sites     int
-	StormSite int
-	// Batteries and Servers size each plant.
-	Batteries int
-	Servers   int
 	// Migration arms the federation stack. Off, the campaign additionally
 	// re-runs every site solo and demands byte-identity — the WAN and the
 	// failure detector may change only what the coordinator believes.
@@ -44,22 +38,20 @@ type WANStormConfig struct {
 	Partitions []wan.Outage
 }
 
-// DefaultWANStormConfig is the acceptance campaign: three sites, a
-// three-day storm over site 0, two 6-hour partitions.
+// DefaultWANStormConfig is the acceptance campaign: a three-day storm,
+// two 6-hour partitions.
 func DefaultWANStormConfig(seed int64) WANStormConfig {
-	return WANStormConfig{
-		Seed:      seed,
-		Days:      3,
-		Sites:     3,
-		StormSite: 0,
-		Batteries: plantBatteries,
-		Servers:   plantServers,
-	}
+	return WANStormConfig{Seed: seed, Days: 3}
 }
 
-// The storm-rate per-chunk-attempt loss probabilities every WAN storm
-// runs at (the acceptance bar is a combined rate >= 0.30).
 const (
+	// Every WAN storm runs over wanStormSites prototype plants with the
+	// storm over site wanStormSite.
+	wanStormSites = 3
+	wanStormSite  = 0
+
+	// The storm-rate per-chunk-attempt loss probabilities every WAN storm
+	// runs at (the acceptance bar is a combined rate >= 0.30).
 	wanStormDropRate    = 0.30
 	wanStormCorruptRate = 0.05
 )
@@ -122,18 +114,18 @@ func (r *WANStormReport) String() string {
 // reported in the WANStormReport so a test can print it with its seed.
 func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 	rep := &WANStormReport{
-		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, Migration: cfg.Migration,
+		Seed: cfg.Seed, Days: cfg.Days, Sites: wanStormSites, Migration: cfg.Migration,
 	}
 	f, err := newStormFleet(SiteLossConfig{
-		Seed: cfg.Seed, Days: cfg.Days, Sites: cfg.Sites, StormSite: cfg.StormSite,
-		Batteries: cfg.Batteries, Servers: cfg.Servers, Migration: cfg.Migration,
+		Seed: cfg.Seed, Days: cfg.Days, Sites: wanStormSites, StormSite: wanStormSite,
+		Batteries: plantBatteries, Servers: plantServers, Migration: cfg.Migration,
 	}, &rep.Verdict)
 	if err != nil {
 		return nil, err
 	}
 	partitions := cfg.Partitions
 	if partitions == nil {
-		partitions = defaultPartitions(cfg.StormSite, cfg.Sites)
+		partitions = defaultPartitions(wanStormSite, wanStormSites)
 	}
 	// The migration log is required: reconciliation replays it.
 	logDir, err := os.MkdirTemp("", "insure-wanstorm-*")
@@ -143,7 +135,7 @@ func RunWANStorm(cfg WANStormConfig) (*WANStormReport, error) {
 	defer os.RemoveAll(logDir)
 
 	net, err := wan.New(wan.Config{
-		Seed: cfg.Seed, Sites: cfg.Sites,
+		Seed: cfg.Seed, Sites: wanStormSites,
 		DropRate: wanStormDropRate, CorruptRate: wanStormCorruptRate,
 		Outages: partitions,
 	})

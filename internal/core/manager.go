@@ -53,46 +53,50 @@ func (g Group) String() string {
 	}
 }
 
+// The prototype's fixed control tuning. Each is one value in every run the
+// paper reports, so it is a constant rather than a Config field.
+const (
+	// controlPeriod is the fine-grained TPM control interval.
+	controlPeriod = 30 * time.Second
+	// targetSoC is the charge-to level before a unit goes online (90%).
+	targetSoC = 0.90
+	// minSoC is the discharge floor; below it a unit goes Offline.
+	minSoC = 0.30
+	// emergencySoC triggers cluster checkpoint-shutdown when the online
+	// buffer falls this low.
+	emergencySoC = 0.18
+	// desiredLifetime is T_L in Eq-1.
+	desiredLifetime = 4 * 365 * 24 * time.Hour
+	// dutyStep is the DVFS actuator's step for batch loads (Config.MinDuty
+	// is its floor).
+	dutyStep = 0.1
+	// boostFactor lets SPM temporarily exceed the Eq-1 threshold for
+	// on-demand acceleration (§3.3, last paragraph).
+	boostFactor = 1.15
+	// forecastCapacity is the installed clear-sky peak the estimator
+	// normalises against (the prototype's 1.6 kW × 0.95 derate).
+	forecastCapacity units.Watt = 1520
+)
+
 // Config tunes the manager.
 type Config struct {
-	// Period is the fine-grained TPM control interval.
-	Period time.Duration
 	// CoarsePeriod is the SPM screening interval (Fig 9's "coarse-grained
 	// control interval T").
 	CoarsePeriod time.Duration
-
-	// TargetSoC is the charge-to level before a unit goes online (90%).
-	TargetSoC float64
-	// MinSoC is the discharge floor; below it a unit goes Offline.
-	MinSoC float64
-	// EmergencySoC triggers cluster checkpoint-shutdown when the online
-	// buffer falls this low.
-	EmergencySoC float64
 
 	// UnitDischargeCap is TPM's per-unit discharge current cap. Keeping
 	// per-unit current at or below this leaves room for the recovery
 	// effect and avoids the rate-capacity collapse.
 	UnitDischargeCap units.Amp
 
-	// DesiredLifetime is T_L in Eq-1.
-	DesiredLifetime time.Duration
-
-	// DutyStep and MinDuty bound the DVFS actuator for batch loads.
-	DutyStep float64
-	MinDuty  float64
-
-	// BoostFactor lets SPM temporarily exceed the Eq-1 threshold for
-	// on-demand acceleration (§3.3, last paragraph); 1.0 disables boost.
-	BoostFactor float64
+	// MinDuty is the floor of the DVFS actuator for batch loads.
+	MinDuty float64
 
 	// UseForecast enables lookahead planning (the paper's future-work
 	// direction): instead of a fixed 25% cloud margin, the manager plans
 	// against a clear-sky-ratio forecast discounted by the sky's observed
 	// variability.
 	UseForecast bool
-	// ForecastCapacity is the installed clear-sky peak the estimator
-	// normalises against (the prototype's 1.6 kW × 0.95 derate).
-	ForecastCapacity units.Watt
 
 	// Survival enables the energy-emergency survivability ladder
 	// (survival.go): degraded operating modes, orderly pre-brownout
@@ -103,17 +107,9 @@ type Config struct {
 // DefaultConfig returns the prototype's tuning.
 func DefaultConfig() Config {
 	return Config{
-		Period:           30 * time.Second,
 		CoarsePeriod:     15 * time.Minute,
-		TargetSoC:        0.90,
-		MinSoC:           0.30,
-		EmergencySoC:     0.18,
 		UnitDischargeCap: 4, // ≈0.11 C on the 35 Ah units: recovery-friendly sustained draw
-		DesiredLifetime:  4 * 365 * 24 * time.Hour,
-		DutyStep:         0.1,
 		MinDuty:          0.4,
-		BoostFactor:      1.15,
-		ForecastCapacity: 1520,
 	}
 }
 
@@ -214,14 +210,10 @@ func New(cfg Config, n int) *Manager {
 		watch:        newFaultWatch(n),
 	}
 	if cfg.UseForecast || cfg.Survival.Enabled {
-		cap := cfg.ForecastCapacity
-		if cap <= 0 {
-			cap = 1520
-		}
-		m.fc = forecast.NewEstimator(cap)
+		m.fc = forecast.NewEstimator(forecastCapacity)
 	}
 	if cfg.Survival.Enabled {
-		m.sv = &survival{cfg: cfg.Survival.normalized()}
+		m.sv = &survival{}
 	}
 	return m
 }
@@ -230,7 +222,7 @@ func New(cfg Config, n int) *Manager {
 func (m *Manager) Name() string { return "InSURE" }
 
 // Period implements sim.Manager.
-func (m *Manager) Period() time.Duration { return m.cfg.Period }
+func (m *Manager) Period() time.Duration { return controlPeriod }
 
 // Groups returns a copy of the per-unit group assignments.
 func (m *Manager) Groups() []Group { return append([]Group(nil), m.groups...) }
@@ -259,7 +251,6 @@ func estNodePower(sys *sim.System, n int, duty float64) units.Watt {
 	if n <= 0 {
 		return 0
 	}
-	nodes := (n + prof.VMSlots - 1) / prof.VMSlots
 	span := float64(prof.PeakPower - prof.IdlePower)
 	util := sys.Sink.Spec().Util
 	perNode := float64(prof.IdlePower) + span*util*duty
@@ -271,7 +262,6 @@ func estNodePower(sys *sim.System, n int, duty float64) units.Watt {
 		frac := float64(rem) / float64(prof.VMSlots)
 		p += float64(prof.IdlePower) + span*util*duty*frac
 	}
-	_ = nodes
 	return units.Watt(p)
 }
 
@@ -314,7 +304,7 @@ func (m *Manager) dimmedSupply(sys *sim.System, now time.Duration) units.Watt {
 	if m.fc == nil {
 		return units.Watt(0.75 * float64(solar))
 	}
-	p := m.fc.ConservativePredict(now+m.cfg.Period, 1.0)
+	p := m.fc.ConservativePredict(now+controlPeriod, 1.0)
 	if p > solar {
 		p = solar
 	}
@@ -355,7 +345,7 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 			m.bestBatchVMs = sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
 		}
 	}
-	m.elapsed += m.cfg.Period
+	m.elapsed += controlPeriod
 
 	// Resync after a brownout: the plant shut the cluster down behind our
 	// back; hold restart down so we do not thrash against a collapsed bus.
@@ -372,7 +362,7 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 	m.updateHistoryTable(sys)
 	m.detectFaults(sys, now)
 	if m.fc != nil {
-		m.fc.Observe(now, sys.SolarNow(), m.cfg.Period)
+		m.fc.Observe(now, sys.SolarNow(), controlPeriod)
 	}
 
 	// SPM Offline-mode screening at coarse boundaries (Fig 9).
@@ -424,7 +414,7 @@ func (m *Manager) manageSecondary(sys *sim.System, now time.Duration) {
 
 // updateHistoryTable integrates transduced discharge currents into AhT.
 func (m *Manager) updateHistoryTable(sys *sim.System) {
-	hours := m.cfg.Period.Hours()
+	hours := controlPeriod.Hours()
 	for i := range m.groups {
 		_, cur := sys.UnitReading(i)
 		if cur > 0 {
@@ -442,7 +432,7 @@ func (m *Manager) screenOffline(sys *sim.System) {
 	}
 	p := sys.Config().BatteryParams
 	// Eq-1: δD = D_U + D_L · T / T_L, with T the elapsed operating time.
-	perUnitBudget := float64(p.LifetimeAh) * (m.elapsed.Hours() / m.cfg.DesiredLifetime.Hours())
+	perUnitBudget := float64(p.LifetimeAh) * (m.elapsed.Hours() / desiredLifetime.Hours())
 	threshold := m.unused + perUnitBudget
 
 	var pool, eligible int
@@ -458,8 +448,8 @@ func (m *Manager) screenOffline(sys *sim.System) {
 	}
 	// On-demand acceleration (§3.3): if screening admitted nothing but
 	// offline capacity exists, relax the threshold once.
-	if pool > 0 && eligible == 0 && m.cfg.BoostFactor > 1 {
-		boosted := threshold * m.cfg.BoostFactor
+	if pool > 0 && eligible == 0 {
+		boosted := threshold * boostFactor
 		for i, g := range m.groups {
 			if g == GroupOffline && !m.watch.quarantined[i] && m.ahTable[i] < boosted {
 				m.groups[i] = GroupCharging
@@ -484,7 +474,7 @@ func (m *Manager) retireDrainedUnits(sys *sim.System) {
 			continue
 		}
 		v, _ := sys.UnitReading(i)
-		if estSoC(sys, i) < m.cfg.MinSoC || v < cutoff {
+		if estSoC(sys, i) < minSoC || v < cutoff {
 			m.groups[i] = GroupOffline
 			m.commissioned[i] = false
 		}
@@ -500,14 +490,14 @@ func (m *Manager) promoteChargedUnits(sys *sim.System) {
 	for _, i := range m.activeCharge {
 		active[i] = true
 	}
-	stallLimit := int((45 * time.Minute) / m.cfg.Period)
+	stallLimit := int((45 * time.Minute) / controlPeriod)
 	for i, g := range m.groups {
 		if g != GroupCharging {
 			m.chargeStall[i] = 0
 			continue
 		}
 		soc := estSoC(sys, i)
-		if soc >= m.cfg.TargetSoC {
+		if soc >= targetSoC {
 			m.groups[i] = GroupStandby
 			m.commissioned[i] = true
 			m.chargeStall[i] = 0
@@ -520,7 +510,7 @@ func (m *Manager) promoteChargedUnits(sys *sim.System) {
 			continue
 		}
 		m.chargeStall[i]++
-		if m.chargeStall[i] >= stallLimit && soc >= m.cfg.MinSoC+0.1 {
+		if m.chargeStall[i] >= stallLimit && soc >= minSoC+0.1 {
 			m.groups[i] = GroupStandby
 			m.commissioned[i] = true
 			m.chargeStall[i] = 0
@@ -707,7 +697,7 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 		if m.sv != nil {
 			maxDuty = m.sv.dutyCap(m.cfg.MinDuty)
 		}
-		for d := maxDuty; d >= m.cfg.MinDuty-1e-9; d -= m.cfg.DutyStep {
+		for d := maxDuty; d >= m.cfg.MinDuty-1e-9; d -= dutyStep {
 			if estNodePower(sys, m.targetVM, d) <= dutyBudget {
 				duty = d
 				break
@@ -727,7 +717,7 @@ func (m *Manager) dischargeablePower(sys *sim.System) units.Watt {
 	per := m.perUnitDischargePower(sys)
 	var p units.Watt
 	for i, g := range m.groups {
-		if g != GroupOffline && estSoC(sys, i) > m.cfg.MinSoC+0.05 {
+		if g != GroupOffline && estSoC(sys, i) > minSoC+0.05 {
 			p += per
 		}
 	}
@@ -766,7 +756,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 			if avail >= need {
 				break
 			}
-			if estSoC(sys, i) > m.cfg.MinSoC {
+			if estSoC(sys, i) > minSoC {
 				m.groups[i] = GroupStandby
 				avail++
 			}
@@ -806,7 +796,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 // receive float charging).
 func (m *Manager) assignChargeSet(sys *sim.System) {
 	for i, g := range m.groups {
-		if g == GroupStandby && estSoC(sys, i) < m.cfg.TargetSoC-0.05 {
+		if g == GroupStandby && estSoC(sys, i) < targetSoC-0.05 {
 			m.groups[i] = GroupCharging
 		}
 	}
@@ -894,7 +884,7 @@ func (m *Manager) temporalCap(sys *sim.System) {
 		}
 		if spec.Kind == workload.Batch {
 			if m.duty > m.cfg.MinDuty {
-				m.duty = math.Max(m.cfg.MinDuty, m.duty-m.cfg.DutyStep)
+				m.duty = math.Max(m.cfg.MinDuty, m.duty-dutyStep)
 				sys.Cluster.SetDuty(m.duty)
 			} else if m.targetVM > 1 {
 				// Duty exhausted: shed a VM as last resort.
@@ -906,14 +896,14 @@ func (m *Manager) temporalCap(sys *sim.System) {
 			sys.Cluster.SetTargetVMs(m.targetVM)
 		}
 	case id < 0.5*capTotal && m.duty < 1 && spec.Kind == workload.Batch:
-		m.duty = math.Min(1, m.duty+m.cfg.DutyStep)
+		m.duty = math.Min(1, m.duty+dutyStep)
 		sys.Cluster.SetDuty(m.duty)
 	}
 
 	// With the survivability ladder attached, emergency shutdown belongs to
 	// the mode machine (it fires earlier, through the orderly Survival →
 	// Blackout edge); the reactive floor here would fight its journal state.
-	if m.sv == nil && online > 0 && socSum/float64(online) < m.cfg.EmergencySoC &&
+	if m.sv == nil && online > 0 && socSum/float64(online) < emergencySoC &&
 		m.dischargeablePower(sys) < sys.Cluster.Power()-sys.SolarNow() {
 		sys.Cluster.Shutdown()
 		m.targetVM = 0
@@ -948,17 +938,8 @@ func (m *Manager) applyModes(sys *sim.System, now time.Duration) {
 	sys.PLC.ScanNow()
 }
 
-func (m *Manager) unitsIn(g Group) []int {
-	var out []int
-	for i, gi := range m.groups {
-		if gi == g {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// appendUnitsIn is unitsIn into a reusable buffer (pass buf[:0]).
+// appendUnitsIn appends the units in group g to dst (pass a reusable
+// buffer's [:0]).
 func (m *Manager) appendUnitsIn(dst []int, g Group) []int {
 	for i, gi := range m.groups {
 		if gi == g {
@@ -1010,11 +991,4 @@ func (m *Manager) sortByAhDesc(idx []int) {
 			}
 		}
 	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -87,103 +87,54 @@ func LadderAdjacent(a, b OpMode) bool {
 	return false
 }
 
-// SurvivalConfig tunes the survivability ladder.
+// SurvivalConfig switches the survivability ladder.
 type SurvivalConfig struct {
-	// Enabled switches the whole layer on; zero-valued thresholds below are
-	// replaced by the defaults.
+	// Enabled switches the whole layer on.
 	Enabled bool
+}
 
-	// ConservativeSoC and SurvivalSoC are the downgrade thresholds on the
-	// bank's mean usable SoC; Hysteresis is added on top for the matching
+// DefaultSurvivalConfig returns the ladder the storm campaign validates.
+func DefaultSurvivalConfig() SurvivalConfig {
+	return SurvivalConfig{Enabled: true}
+}
+
+// The ladder's tuning, the one the storm campaign validates.
+const (
+	// conservativeSoC and survivalSoC are the downgrade thresholds on the
+	// bank's mean usable SoC; hysteresis is added on top for the matching
 	// upgrade, so the ladder never flaps on sensor noise.
-	ConservativeSoC float64
-	SurvivalSoC     float64
-	Hysteresis      float64
+	conservativeSoC = 0.45
+	survivalSoC     = 0.32
+	hysteresis      = 0.08
 
-	// RestartSoC gates Blackout→Blackstart: the batteries must recover this
+	// restartSoC gates Blackout→Blackstart: the batteries must recover this
 	// far before the cluster cold-boots, so the boot itself (restore power
 	// with no revenue work) cannot re-deplete the bank.
-	RestartSoC float64
+	restartSoC = 0.40
 
-	// Horizon is the forecast window the ladder plans against.
-	Horizon time.Duration
-	// MinHold is the dwell before any upgrade; downgrades act immediately
+	// outlookHorizon is the forecast window the ladder plans against.
+	outlookHorizon = 2 * time.Hour
+	// minHold is the dwell before any upgrade; downgrades act immediately
 	// (safety never waits out a timer).
-	MinHold time.Duration
+	minHold = 10 * time.Minute
 
-	// ConservativeVMFrac caps stream VM counts and ConservativeDutyCap caps
+	// conservativeVMFrac caps stream VM counts and conservativeDutyCap caps
 	// batch duty while in Conservative.
-	ConservativeVMFrac  float64
-	ConservativeDutyCap float64
+	conservativeVMFrac  = 0.75
+	conservativeDutyCap = 0.8
 
-	// ShutdownSafety scales the checkpoint window: the orderly shutdown
+	// shutdownSafety scales the checkpoint window: the orderly shutdown
 	// fires when the projected time-to-depletion falls below
-	// ShutdownSafety × CheckpointFor(full occupancy).
-	ShutdownSafety float64
+	// shutdownSafety × CheckpointFor(full occupancy).
+	shutdownSafety = 1.5
 
-	// GensetLead is margin added to the generator's StartDelay when
+	// gensetLead is margin added to the generator's StartDelay when
 	// deciding how late a dispatch may wait and still arrive in time.
-	GensetLead time.Duration
-}
-
-// DefaultSurvivalConfig returns the tuning the storm campaign validates.
-func DefaultSurvivalConfig() SurvivalConfig {
-	return SurvivalConfig{
-		Enabled:             true,
-		ConservativeSoC:     0.45,
-		SurvivalSoC:         0.32,
-		Hysteresis:          0.08,
-		RestartSoC:          0.40,
-		Horizon:             2 * time.Hour,
-		MinHold:             10 * time.Minute,
-		ConservativeVMFrac:  0.75,
-		ConservativeDutyCap: 0.8,
-		ShutdownSafety:      1.5,
-		GensetLead:          2 * time.Minute,
-	}
-}
-
-// normalized fills zero fields with the defaults so a caller can set just
-// Enabled and get sane behaviour.
-func (c SurvivalConfig) normalized() SurvivalConfig {
-	d := DefaultSurvivalConfig()
-	if c.ConservativeSoC <= 0 {
-		c.ConservativeSoC = d.ConservativeSoC
-	}
-	if c.SurvivalSoC <= 0 {
-		c.SurvivalSoC = d.SurvivalSoC
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = d.Hysteresis
-	}
-	if c.RestartSoC <= 0 {
-		c.RestartSoC = d.RestartSoC
-	}
-	if c.Horizon <= 0 {
-		c.Horizon = d.Horizon
-	}
-	if c.MinHold <= 0 {
-		c.MinHold = d.MinHold
-	}
-	if c.ConservativeVMFrac <= 0 {
-		c.ConservativeVMFrac = d.ConservativeVMFrac
-	}
-	if c.ConservativeDutyCap <= 0 {
-		c.ConservativeDutyCap = d.ConservativeDutyCap
-	}
-	if c.ShutdownSafety <= 0 {
-		c.ShutdownSafety = d.ShutdownSafety
-	}
-	if c.GensetLead <= 0 {
-		c.GensetLead = d.GensetLead
-	}
-	return c
-}
+	gensetLead = 2 * time.Minute
+)
 
 // survival is the mode machine's mutable state (journaled; see state.go).
 type survival struct {
-	cfg SurvivalConfig
-
 	mode        OpMode
 	modeSince   time.Duration
 	transitions int
@@ -280,7 +231,7 @@ func (m *Manager) forecastWh(sys *sim.System, now time.Duration, horizon time.Du
 // demandW against the forecast supply. Recharge surpluses are not credited
 // (conservative), and anything beyond the horizon reads as the horizon.
 func (m *Manager) projectDepletion(sys *sim.System, now time.Duration, demandW, usableWh float64) time.Duration {
-	horizon := m.sv.cfg.Horizon
+	horizon := outlookHorizon
 	if demandW <= 0 {
 		return horizon
 	}
@@ -345,7 +296,7 @@ func (m *Manager) ckptSupportNodes(sys *sim.System, now time.Duration) int {
 		if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 			continue
 		}
-		if estSoC(sys, i) > m.cfg.MinSoC+0.05 {
+		if estSoC(sys, i) > minSoC+0.05 {
 			supply += perUnit
 		}
 	}
@@ -359,7 +310,7 @@ func (m *Manager) ckptSupportNodes(sys *sim.System, now time.Duration) int {
 func (sv *survival) vmCap(maxVMs, slots int) int {
 	switch sv.mode {
 	case ModeConservative:
-		c := int(math.Ceil(sv.cfg.ConservativeVMFrac * float64(maxVMs)))
+		c := int(math.Ceil(conservativeVMFrac * float64(maxVMs)))
 		if c < 1 {
 			c = 1
 		}
@@ -379,7 +330,7 @@ func (sv *survival) vmCap(maxVMs, slots int) int {
 func (sv *survival) dutyCap(minDuty float64) float64 {
 	switch sv.mode {
 	case ModeConservative:
-		return sv.cfg.ConservativeDutyCap
+		return conservativeDutyCap
 	case ModeSurvival:
 		return minDuty
 	}
@@ -406,8 +357,8 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 		}
 		soc := estSoC(sys, i)
 		socSum += soc
-		if soc > m.cfg.MinSoC {
-			usableWh += (soc - m.cfg.MinSoC) * unitWh
+		if soc > minSoC {
+			usableWh += (soc - minSoC) * unitWh
 		}
 		n++
 	}
@@ -417,29 +368,29 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 	}
 
 	demandW := float64(sys.Cluster.Power())
-	supplyWh := m.forecastWh(sys, now, sv.cfg.Horizon)
-	demandWh := demandW * sv.cfg.Horizon.Hours()
+	supplyWh := m.forecastWh(sys, now, outlookHorizon)
+	demandWh := demandW * outlookHorizon.Hours()
 	// gapWh > 0 means the horizon cannot be bridged at the current posture
 	// even by draining the whole usable buffer.
 	gapWh := demandWh - supplyWh - usableWh
 	tdep := m.projectDepletion(sys, now, demandW, usableWh)
 	dwell := now - sv.modeSince
 
-	ckptBudget := time.Duration(sv.cfg.ShutdownSafety * float64(checkpointWindow(sys)))
+	ckptBudget := time.Duration(shutdownSafety * float64(checkpointWindow(sys)))
 
 	switch sv.mode {
 	case ModeNormal:
-		if socMean < sv.cfg.ConservativeSoC || gapWh > 0 {
+		if socMean < conservativeSoC || gapWh > 0 {
 			m.setMode(sys, now, ModeConservative,
 				fmt.Sprintf("SoC %.2f, horizon gap %.0f Wh", socMean, gapWh))
 		}
 
 	case ModeConservative:
 		switch {
-		case socMean < sv.cfg.SurvivalSoC || (gapWh > 0 && tdep < sv.cfg.Horizon/2):
+		case socMean < survivalSoC || (gapWh > 0 && tdep < outlookHorizon/2):
 			m.setMode(sys, now, ModeSurvival,
 				fmt.Sprintf("SoC %.2f, depletion in %v", socMean, tdep))
-		case socMean >= sv.cfg.ConservativeSoC+sv.cfg.Hysteresis && gapWh <= 0 && dwell >= sv.cfg.MinHold:
+		case socMean >= conservativeSoC+hysteresis && gapWh <= 0 && dwell >= minHold:
 			m.setMode(sys, now, ModeNormal, fmt.Sprintf("SoC %.2f, outlook clear", socMean))
 		}
 
@@ -455,10 +406,10 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 			m.targetVM = 0
 			m.setMode(sys, now, ModeBlackout,
 				fmt.Sprintf("depletion in %v inside the %v checkpoint window", tdep, ckptBudget))
-		case !sys.Cluster.AnyRunning() && socMean < m.cfg.EmergencySoC:
+		case !sys.Cluster.AnyRunning() && socMean < emergencySoC:
 			m.setMode(sys, now, ModeBlackout, fmt.Sprintf("buffer depleted at SoC %.2f", socMean))
-		case socMean >= math.Max(sv.cfg.SurvivalSoC+sv.cfg.Hysteresis, sv.cfg.ConservativeSoC) &&
-			gapWh <= 0 && dwell >= sv.cfg.MinHold:
+		case socMean >= math.Max(survivalSoC+hysteresis, conservativeSoC) &&
+			gapWh <= 0 && dwell >= minHold:
 			// Leaving the emergency rung re-arms battery-funded serving, so
 			// the upgrade waits for the Conservative threshold itself — a
 			// recovery that only just clears the survival band would be
@@ -467,14 +418,14 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 		}
 
 	case ModeBlackout:
-		if socMean >= sv.cfg.RestartSoC && demandW == 0 && dwell >= sv.cfg.MinHold {
+		if socMean >= restartSoC && demandW == 0 && dwell >= minHold {
 			// Re-commission every unit holding usable charge: blackstart
 			// runs on what the plant has, not on the 90% charge target.
 			for i := range m.groups {
 				if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 					continue
 				}
-				if estSoC(sys, i) >= m.cfg.MinSoC+0.1 {
+				if estSoC(sys, i) >= minSoC+0.1 {
 					m.commissioned[i] = true
 					if m.groups[i] == GroupCharging {
 						m.groups[i] = GroupStandby
@@ -487,7 +438,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 
 	case ModeBlackstart:
 		switch {
-		case socMean < sv.cfg.SurvivalSoC || (sys.Cluster.AnyRunning() && tdep <= ckptBudget):
+		case socMean < survivalSoC || (sys.Cluster.AnyRunning() && tdep <= ckptBudget):
 			// The storm came back mid-boot: abort back into blackout with an
 			// orderly checkpoint, never a crash.
 			sys.Cluster.Shutdown()
@@ -499,7 +450,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 			switch {
 			case sv.bsTarget == 0:
 				if fit > 0 {
-					sv.bsTarget = minInt(fit, slots)
+					sv.bsTarget = min(fit, slots)
 				}
 			case sys.Cluster.RunningVMs() >= sv.bsTarget:
 				// The stage's VMs restored; grow by one node's worth, or
@@ -508,7 +459,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 					m.setMode(sys, now, ModeNormal,
 						fmt.Sprintf("blackstart complete at %d VMs", sv.bsTarget))
 				} else {
-					sv.bsTarget = minInt(sv.bsTarget+slots, fit)
+					sv.bsTarget = min(sv.bsTarget+slots, fit)
 				}
 			}
 		}
@@ -528,7 +479,7 @@ func (m *Manager) surviveGenset(sys *sim.System, now time.Duration, demandW, gap
 	}
 	sv := m.sv
 	minLoad := gen.Params().MinLoadFrac * float64(gen.Params().Rated)
-	lead := gen.Params().StartDelay + sv.cfg.GensetLead
+	lead := gen.Params().StartDelay + gensetLead
 
 	// The bus is quiet once the cluster draws nothing — checkpoints in
 	// flight keep drawing until their images are safe, and the generator
@@ -559,7 +510,7 @@ func (m *Manager) surviveGenset(sys *sim.System, now time.Duration, demandW, gap
 		// Dispatch window: the gap is real, depletion is close enough that
 		// output must start ramping now to arrive in time, and the deficit
 		// is worth the min-load floor it will burn.
-		critical := tdep <= lead+sv.cfg.Horizon/4
+		critical := tdep <= lead+outlookHorizon/4
 		var nextSupply float64
 		if m.fc != nil {
 			nextSupply = float64(m.fc.ConservativePredict(now+lead, 1))
@@ -580,11 +531,4 @@ func (m *Manager) surviveGenset(sys *sim.System, now time.Duration, demandW, gap
 				gen.Params().Kind, tdep, gen.Params().StartDelay, gapWh)
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -40,23 +40,6 @@ func TestLadderAdjacency(t *testing.T) {
 	}
 }
 
-func TestSurvivalConfigNormalized(t *testing.T) {
-	got := SurvivalConfig{Enabled: true}.normalized()
-	want := DefaultSurvivalConfig()
-	if got != want {
-		t.Errorf("normalized zero config = %+v, want defaults %+v", got, want)
-	}
-	// Explicit values survive normalization.
-	c := SurvivalConfig{Enabled: true, SurvivalSoC: 0.5, Horizon: time.Hour}
-	n := c.normalized()
-	if n.SurvivalSoC != 0.5 || n.Horizon != time.Hour {
-		t.Errorf("normalized clobbered explicit fields: %+v", n)
-	}
-	if n.ConservativeSoC != want.ConservativeSoC {
-		t.Errorf("normalized left zero ConservativeSoC: %+v", n)
-	}
-}
-
 func survivalManagerConfig() Config {
 	cfg := DefaultConfig()
 	cfg.Survival = DefaultSurvivalConfig()

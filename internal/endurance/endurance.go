@@ -99,7 +99,6 @@ func Run(c Campaign) (*Summary, error) {
 	}
 
 	s := &Summary{}
-	var prevProcessed float64
 	for day := 0; day < c.Days; day++ {
 		cond := c.Climate.Day()
 		tr := trace.Synthesize(cond, c.Seed+int64(day), time.Second)
@@ -123,7 +122,6 @@ func Run(c Campaign) (*Summary, error) {
 			MeanSoC:   bank.MeanSoC(),
 			Processed: res.ProcessedGB,
 		}
-		_ = prevProcessed
 		s.Days = append(s.Days, out)
 		s.TotalGB += res.ProcessedGB
 		s.TotalBrown += res.Brownouts

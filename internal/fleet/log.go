@@ -169,13 +169,9 @@ func openLog(fsys journal.FS, dir string) (*migLog, []Record, []uint64, error) {
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	var records []Record
-	for _, payload := range res.Entries {
-		r, err := decodeRecord(payload)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		records = append(records, r)
+	records, err := decodeEntries(res)
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	store, err := journal.OpenFS(fsys, dir)
 	if err != nil {
@@ -200,6 +196,11 @@ func ReplayLog(dir string) ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
+	return decodeEntries(res)
+}
+
+// decodeEntries decodes every record a load of the log returned, in order.
+func decodeEntries(res *journal.LoadResult) ([]Record, error) {
 	records := make([]Record, 0, len(res.Entries))
 	for _, payload := range res.Entries {
 		r, err := decodeRecord(payload)

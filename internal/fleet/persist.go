@@ -10,7 +10,7 @@ import (
 // per-site control cursors. Everything the log can rebuild — totals,
 // in-flight transfers, job dedup maps, per-site shipping accounting — is
 // deliberately absent: the daemon rolls the log back to the snapshot's
-// sequence number (journal.TruncateAfterSeqFS) and lets New's replay rebuild
+// sequence number (journal.TruncateAfterSeq) and lets New's replay rebuild
 // it, so there is exactly one source of truth for migration accounting.
 
 const coordStateVersion = 1

@@ -201,24 +201,59 @@ type Plant interface {
 	ForecastW(at time.Duration) float64
 }
 
-// ClassPolicy tunes one request class.
-type ClassPolicy struct {
-	// Deadline is the maximum queueing delay before service must begin;
+// classPolicy tunes one request class.
+type classPolicy struct {
+	// deadline is the maximum queueing delay before service must begin;
 	// requests that cannot start by then are shed, never silently late.
-	Deadline time.Duration
-	// ServiceTime is the simulated service duration.
-	ServiceTime time.Duration
-	// RespKB sizes the response for energy pricing; DegradedKB is the
+	deadline time.Duration
+	// serviceTime is the simulated service duration.
+	serviceTime time.Duration
+	// respKB sizes the response for energy pricing; degradedKB is the
 	// reduced payload served under emergency rungs.
-	RespKB     float64
-	DegradedKB float64
-	// MaxQueue bounds the class's queue depth.
-	MaxQueue int
-	// MinSoC gates admission on the buffer even when the rung would serve
+	respKB     float64
+	degradedKB float64
+	// maxQueue bounds the class's queue depth.
+	maxQueue int
+	// minSoC gates admission on the buffer even when the rung would serve
 	// the class (0 disables). This is the direct SoC knob; the ladder is
 	// the indirect one.
-	MinSoC float64
+	minSoC float64
 }
+
+// policies holds the fixed per-class policies.
+var policies = [NumClasses]classPolicy{
+	Critical:   {deadline: 2 * time.Second, serviceTime: 20 * time.Millisecond, respKB: 2, degradedKB: 0.5, maxQueue: 64},
+	Standard:   {deadline: 5 * time.Second, serviceTime: 60 * time.Millisecond, respKB: 16, degradedKB: 2, maxQueue: 128},
+	BestEffort: {deadline: 15 * time.Second, serviceTime: 120 * time.Millisecond, respKB: 64, degradedKB: 8, maxQueue: 256, minSoC: 0.50},
+}
+
+// tariff prices each served request's energy.
+var tariff = cost.DefaultServingTariff()
+
+// The serving plane's fixed tuning.
+const (
+	// conservativeCapFrac and survivalCapFrac derate capacity on the
+	// degraded rungs (Blackout is always zero; Blackstart uses the
+	// Survival fraction while the cluster reboots).
+	conservativeCapFrac = 0.6
+	survivalCapFrac     = 0.12
+
+	// brakeHighSoC/brakeLowSoC/brakeFloorFrac derate capacity linearly as
+	// the buffer drains: full capacity at or above brakeHighSoC, falling
+	// to brakeFloorFrac of it at brakeLowSoC. This couples admission to
+	// SoC directly, ahead of (and independent of) the ladder.
+	brakeHighSoC   = 0.45
+	brakeLowSoC    = 0.30
+	brakeFloorFrac = 0.30
+
+	// recoveryW is the forecast supply at which shed traffic should come
+	// back; retry-after hints are the time until the forecast first
+	// reaches it. retryStep is the forecast walk's resolution.
+	recoveryW    = 150
+	retryStep    = 5 * time.Minute
+	retryHorizon = 6 * time.Hour
+	minRetry     = 30 * time.Second
+)
 
 // Config shapes a Gateway.
 type Config struct {
@@ -230,35 +265,6 @@ type Config struct {
 	// 25-request bucket.
 	Burst float64
 
-	// ConservativeCapFrac and SurvivalCapFrac derate capacity on the
-	// degraded rungs (Blackout is always zero; Blackstart uses the
-	// Survival fraction while the cluster reboots).
-	ConservativeCapFrac float64
-	SurvivalCapFrac     float64
-
-	// BrakeHighSoC/BrakeLowSoC/BrakeFloorFrac derate capacity linearly as
-	// the buffer drains: full capacity at or above BrakeHighSoC, falling
-	// to BrakeFloorFrac of it at BrakeLowSoC. This couples admission to
-	// SoC directly, ahead of (and independent of) the ladder.
-	BrakeHighSoC   float64
-	BrakeLowSoC    float64
-	BrakeFloorFrac float64
-
-	// RecoveryW is the forecast supply at which shed traffic should come
-	// back; retry-after hints are the time until the forecast first
-	// reaches it. RetryStep is the forecast walk's resolution.
-	RecoveryW    float64
-	RetryStep    time.Duration
-	RetryHorizon time.Duration
-	MinRetry     time.Duration
-
-	// Classes holds the per-class policies.
-	Classes [NumClasses]ClassPolicy
-
-	// Tariff prices each served request's energy; the zero value means
-	// cost.DefaultServingTariff.
-	Tariff cost.ServingTariff
-
 	// LatencySink, when set, receives every served request's latency in
 	// simulated milliseconds (the load harness installs a percentile
 	// recorder here). Called with the gateway lock held; keep it fast.
@@ -267,69 +273,16 @@ type Config struct {
 
 // DefaultConfig returns the serving-plane tuning the load harness sweeps.
 func DefaultConfig() Config {
-	return Config{
-		BaseQPS:             25,
-		Burst:               25,
-		ConservativeCapFrac: 0.6,
-		SurvivalCapFrac:     0.12,
-		BrakeHighSoC:        0.45,
-		BrakeLowSoC:         0.30,
-		BrakeFloorFrac:      0.30,
-		RecoveryW:           150,
-		RetryStep:           5 * time.Minute,
-		RetryHorizon:        6 * time.Hour,
-		MinRetry:            30 * time.Second,
-		Classes: [NumClasses]ClassPolicy{
-			Critical:   {Deadline: 2 * time.Second, ServiceTime: 20 * time.Millisecond, RespKB: 2, DegradedKB: 0.5, MaxQueue: 64},
-			Standard:   {Deadline: 5 * time.Second, ServiceTime: 60 * time.Millisecond, RespKB: 16, DegradedKB: 2, MaxQueue: 128},
-			BestEffort: {Deadline: 15 * time.Second, ServiceTime: 120 * time.Millisecond, RespKB: 64, DegradedKB: 8, MaxQueue: 256, MinSoC: 0.50},
-		},
-	}
+	return Config{BaseQPS: 25, Burst: 25}
 }
 
 // normalized fills zero fields with defaults.
 func (c Config) normalized() Config {
-	d := DefaultConfig()
 	if c.BaseQPS <= 0 {
-		c.BaseQPS = d.BaseQPS
+		c.BaseQPS = DefaultConfig().BaseQPS
 	}
 	if c.Burst <= 0 {
 		c.Burst = c.BaseQPS
-	}
-	if c.ConservativeCapFrac <= 0 {
-		c.ConservativeCapFrac = d.ConservativeCapFrac
-	}
-	if c.SurvivalCapFrac <= 0 {
-		c.SurvivalCapFrac = d.SurvivalCapFrac
-	}
-	if c.BrakeHighSoC <= 0 {
-		c.BrakeHighSoC = d.BrakeHighSoC
-	}
-	if c.BrakeLowSoC <= 0 {
-		c.BrakeLowSoC = d.BrakeLowSoC
-	}
-	if c.BrakeFloorFrac <= 0 {
-		c.BrakeFloorFrac = d.BrakeFloorFrac
-	}
-	if c.RecoveryW <= 0 {
-		c.RecoveryW = d.RecoveryW
-	}
-	if c.RetryStep <= 0 {
-		c.RetryStep = d.RetryStep
-	}
-	if c.RetryHorizon <= 0 {
-		c.RetryHorizon = d.RetryHorizon
-	}
-	if c.MinRetry <= 0 {
-		c.MinRetry = d.MinRetry
-	}
-	for i := range c.Classes {
-		if c.Classes[i].Deadline <= 0 {
-			c.Classes[i] = d.Classes[i]
-		}
-	}
-	if c.Tariff.BaseWh <= 0 {
-		c.Tariff = cost.DefaultServingTariff()
 	}
 	return c
 }
@@ -457,55 +410,58 @@ func (g *Gateway) capacityQPS(st State) float64 {
 	case core.ModeNormal:
 		frac = 1
 	case core.ModeConservative:
-		frac = g.cfg.ConservativeCapFrac
+		frac = conservativeCapFrac
 	case core.ModeSurvival, core.ModeBlackstart:
-		frac = g.cfg.SurvivalCapFrac
+		frac = survivalCapFrac
 	default: // ModeBlackout
 		return 0
 	}
-	return g.cfg.BaseQPS * frac * g.socFactor(st.SoC)
+	return g.cfg.BaseQPS * frac * socFactor(st.SoC)
 }
 
-// socFactor is the linear SoC brake: 1 at or above BrakeHighSoC, falling
-// to BrakeFloorFrac at BrakeLowSoC.
-func (g *Gateway) socFactor(soc float64) float64 {
-	hi, lo := g.cfg.BrakeHighSoC, g.cfg.BrakeLowSoC
-	if soc >= hi || hi <= lo {
+// socFactor is the linear SoC brake: 1 at or above brakeHighSoC, falling
+// to brakeFloorFrac at brakeLowSoC.
+func socFactor(soc float64) float64 {
+	// float64 variables, not constants: the constant expression
+	// brakeHighSoC-brakeLowSoC folds exactly to 0.15, while the float64
+	// subtraction the brake is defined by gives 0.15000000000000002.
+	var hi, lo float64 = brakeHighSoC, brakeLowSoC
+	if soc >= hi {
 		return 1
 	}
 	if soc <= lo {
-		return g.cfg.BrakeFloorFrac
+		return brakeFloorFrac
 	}
 	t := (soc - lo) / (hi - lo)
-	return g.cfg.BrakeFloorFrac + t*(1-g.cfg.BrakeFloorFrac)
+	return brakeFloorFrac + t*(1-brakeFloorFrac)
 }
 
 // retryAfter derives the back-off hint from the supply forecast: the time
-// until the conservative forecast first reaches RecoveryW, clamped to
-// [MinRetry, RetryHorizon]. When the forecast never recovers inside the
+// until the conservative forecast first reaches recoveryW, clamped to
+// [minRetry, retryHorizon]. When the forecast never recovers inside the
 // horizon the hint is the full horizon — "come back tomorrow".
 func (g *Gateway) retryAfter(now time.Duration) time.Duration {
-	for t := now + g.cfg.RetryStep; t <= now+g.cfg.RetryHorizon; t += g.cfg.RetryStep {
-		if g.plant.ForecastW(t) >= g.cfg.RecoveryW {
+	for t := now + retryStep; t <= now+retryHorizon; t += retryStep {
+		if g.plant.ForecastW(t) >= recoveryW {
 			d := t - now
-			if d < g.cfg.MinRetry {
-				d = g.cfg.MinRetry
+			if d < minRetry {
+				d = minRetry
 			}
 			return d
 		}
 	}
-	return g.cfg.RetryHorizon
+	return retryHorizon
 }
 
 // drainEstimate is the capacity-shed back-off: roughly how long the queue
 // ahead of a new arrival needs to drain at the current rate.
 func (g *Gateway) drainEstimate(ahead int, rate float64) time.Duration {
 	if rate <= 0 {
-		return g.cfg.RetryHorizon
+		return retryHorizon
 	}
 	d := time.Duration(float64(ahead+1) / rate * float64(time.Second))
-	if d < g.cfg.MinRetry {
-		d = g.cfg.MinRetry
+	if d < minRetry {
+		d = minRetry
 	}
 	return d
 }
@@ -633,12 +589,12 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	}
 	g.stats.Requests++
 	st := g.plant.State(now)
-	pol := g.cfg.Classes[class]
+	pol := &policies[class]
 
 	if !servedIn(st.Mode, class) {
 		return g.shedNow(class, now, st, ShedMode, g.retryAfter(now)), nil
 	}
-	if pol.MinSoC > 0 && st.SoC < pol.MinSoC {
+	if pol.minSoC > 0 && st.SoC < pol.minSoC {
 		return g.shedNow(class, now, st, ShedSoC, g.retryAfter(now)), nil
 	}
 
@@ -656,11 +612,11 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	// the plant has already decided not to do.
 	ahead := g.aheadOf(class)
 	projWait := time.Duration(float64(ahead+1) / max(rate, 1e-9) * float64(time.Second))
-	if rate <= 0 || g.queues[class].len() >= pol.MaxQueue || projWait > pol.Deadline {
+	if rate <= 0 || g.queues[class].len() >= pol.maxQueue || projWait > pol.deadline {
 		return g.shedNow(class, now, st, ShedCapacity, g.drainEstimate(ahead, rate)), nil
 	}
 
-	p := pending{class: class, arrived: now, deadline: now + pol.Deadline}
+	p := pending{class: class, arrived: now, deadline: now + pol.deadline}
 	if ticketed {
 		p.ch = make(chan Outcome, 1)
 	}
@@ -680,15 +636,15 @@ func (g *Gateway) serve(p *pending, now time.Duration, st State, waitDur time.Du
 		return Outcome{}
 	}
 	p.resolved = true
-	pol := g.cfg.Classes[p.class]
+	pol := &policies[p.class]
 	degraded := degradedIn(st.Mode)
-	kb := pol.RespKB
+	kb := pol.respKB
 	if degraded {
-		kb = pol.DegradedKB
+		kb = pol.degradedKB
 	}
-	wh := g.cfg.Tariff.RequestWh(kb)
-	usd := float64(g.cfg.Tariff.RequestCost(kb))
-	latency := waitDur + pol.ServiceTime
+	wh := tariff.RequestWh(kb)
+	usd := float64(tariff.RequestCost(kb))
+	latency := waitDur + pol.serviceTime
 
 	g.stats.Admitted[p.class]++
 	if degraded {

@@ -129,8 +129,8 @@ func TestShedByModeWithForecastRetry(t *testing.T) {
 	// No recovery inside the horizon: the hint is the whole horizon.
 	plant.recoverAt = 0
 	out2, _ := gw.Admit(time.Second, Standard)
-	if out2.RetryAfter != gw.cfg.RetryHorizon {
-		t.Fatalf("unrecoverable forecast: retry %v, want horizon %v", out2.RetryAfter, gw.cfg.RetryHorizon)
+	if out2.RetryAfter != retryHorizon {
+		t.Fatalf("unrecoverable forecast: retry %v, want horizon %v", out2.RetryAfter, retryHorizon)
 	}
 }
 
@@ -177,25 +177,34 @@ func TestQueueThenDispatch(t *testing.T) {
 
 func TestCapacityShedWhenQueueFull(t *testing.T) {
 	cfg := testConfig()
-	cfg.Classes[Standard].MaxQueue = 1
+	// Fast enough that a full standard queue still starts inside the
+	// class deadline: the shed below is the depth bound, not the wait.
+	cfg.BaseQPS = 100
 	plant := &fakePlant{mode: core.ModeNormal, soc: 0.8}
 	gw := New(cfg, plant)
 	gw.Advance(0)
 	gw.Admit(0, Standard) // served, token gone
-	gw.Admit(0, Standard) // queued (depth 1 = MaxQueue)
+	for i := 0; i < policies[Standard].maxQueue; i++ {
+		if out, _ := gw.Admit(0, Standard); out.Decision != Queued {
+			t.Fatalf("request %d of a %d-deep queue: want queued, got %v(%v)",
+				i, policies[Standard].maxQueue, out.Decision, out.Reason)
+		}
+	}
 	out, _ := gw.Admit(0, Standard)
 	if out.Decision != Shed || out.Reason != ShedCapacity {
 		t.Fatalf("queue full: want shed(capacity), got %v(%v)", out.Decision, out.Reason)
 	}
-	if out.RetryAfter < gw.cfg.MinRetry {
-		t.Fatalf("capacity shed retry %v below MinRetry %v", out.RetryAfter, gw.cfg.MinRetry)
+	if out.RetryAfter < minRetry {
+		t.Fatalf("capacity shed retry %v below minRetry %v", out.RetryAfter, minRetry)
 	}
 	checkBalance(t, gw.Stats())
 }
 
 func TestDeadlineExpiry(t *testing.T) {
 	cfg := testConfig()
-	cfg.BrakeFloorFrac = 0.01 // SoC collapse brakes capacity to 1% of base
+	// At SoC 0.8 a 0.25 QPS plant starts one waiter in 4 s, inside the
+	// 5 s class deadline, so the second request queues.
+	cfg.BaseQPS = 0.25
 	plant := &fakePlant{mode: core.ModeNormal, soc: 0.8}
 	gw := New(cfg, plant)
 	gw.Advance(0)
@@ -204,8 +213,9 @@ func TestDeadlineExpiry(t *testing.T) {
 	if out.Decision != Queued {
 		t.Fatalf("want queued, got %v", out.Decision)
 	}
-	// The buffer collapses while the request waits: at 1% of 1 QPS the
-	// token never refills before the 5 s class deadline.
+	// The buffer collapses while the request waits: the SoC brake holds
+	// capacity at its 30% floor, and at 0.075 QPS the token never refills
+	// before the 5 s class deadline.
 	plant.set(core.ModeNormal, 0.05)
 	gw.Advance(6 * time.Second)
 	select {
@@ -225,10 +235,11 @@ func TestDeadlineExpiry(t *testing.T) {
 // critical work keeps its place, and nothing is admitted-then-dropped.
 func TestRetriageOnMidFlightDowngrade(t *testing.T) {
 	plant := &fakePlant{mode: core.ModeNormal, soc: 0.8, recoverAt: 2 * time.Hour}
-	cfg := testConfig() // 1 QPS, burst 1
-	// Keep enough Survival capacity that the queued critical can dispatch
-	// before its deadline — this test is about re-triage, not starvation.
-	cfg.SurvivalCapFrac = 1
+	cfg := testConfig() // burst 1
+	// Keep enough Survival capacity (12% of 8 QPS) that the queued critical
+	// can dispatch before its deadline — this test is about re-triage, not
+	// starvation.
+	cfg.BaseQPS = 8
 	gw := New(cfg, plant)
 	gw.Advance(0)
 	if out, _ := gw.Admit(0, Standard); out.Decision != Served {

@@ -612,12 +612,6 @@ type Store struct {
 	fm   File // active journal mirror
 	seq  uint64
 
-	// Sync controls whether Append fsyncs after each record. On by
-	// default — commit means durable. Benchmarks and the chaos harness
-	// may disable it to trade durability for wall-clock time; the
-	// framing keeps replay correct either way.
-	Sync bool
-
 	frame []byte // reusable framing buffer so Append never allocates
 
 	failed  error     // first write/fsync failure; poisons the store
@@ -676,7 +670,6 @@ func OpenFS(fsys FS, dir string) (*Store, error) {
 		f:       f,
 		fm:      fm,
 		seq:     st.res.LastSeq,
-		Sync:    true,
 		slotSeq: st.slotSeq,
 		maxSeal: st.maxSeal,
 		jsize:   int64(len(canon)),
@@ -732,8 +725,8 @@ func (s *Store) poison(err error) error {
 	return err
 }
 
-// Append commits one state payload to the journal pair and (with Sync
-// set) fsyncs both copies before returning. The payload is copied into
+// Append commits one state payload to the journal pair and fsyncs both
+// copies before returning: commit means durable. The payload is copied into
 // the store's framing buffer, so the caller may reuse its own buffer
 // immediately. Any write or fsync failure poisons the store.
 func (s *Store) Append(payload []byte) (uint64, error) {
@@ -759,13 +752,11 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	if _, err := s.fm.Write(s.frame); err != nil {
 		return 0, s.poison(err)
 	}
-	if s.Sync {
-		if err := s.f.Sync(); err != nil {
-			return 0, s.poison(err)
-		}
-		if err := s.fm.Sync(); err != nil {
-			return 0, s.poison(err)
-		}
+	if err := s.f.Sync(); err != nil {
+		return 0, s.poison(err)
+	}
+	if err := s.fm.Sync(); err != nil {
+		return 0, s.poison(err)
 	}
 	s.jsize += int64(len(s.frame))
 	return s.seq, nil
@@ -908,9 +899,9 @@ func (s *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// TruncateAfterSeqFS rolls the journal in dir back through fsys so the
-// last record has a sequence number at or below seq, discarding
-// everything committed after it. The fleet daemon uses this on resume:
+// TruncateAfterSeq rolls the journal in dir back so the last record has a
+// sequence number at or below seq, discarding everything committed after
+// it. The fleet daemon uses this on resume:
 // its day-boundary snapshot names the migration-log seq at the start of
 // the day, the tail of the log (the partial day the crash interrupted) is
 // cut back to that point, and the day is re-run deterministically —
@@ -920,8 +911,8 @@ func (s *Store) Close() error {
 // A snapshot or sealed segment newer than seq cannot be rolled back
 // (both are destructive compaction) and is an error. The store must not
 // be open.
-func TruncateAfterSeqFS(fsys FS, dir string, seq uint64) error {
-	st, err := loadFull(fsys, dir)
+func TruncateAfterSeq(dir string, seq uint64) error {
+	st, err := loadFull(Disk, dir)
 	if err != nil {
 		return err
 	}
@@ -940,19 +931,19 @@ func TruncateAfterSeqFS(fsys FS, dir string, seq uint64) error {
 	canon := encodeRecords(keep)
 	rewrote := false
 	if !bytes.Equal(st.rawActive, canon) {
-		if err := writeFileAtomic(fsys, dir, journalName, canon); err != nil {
+		if err := writeFileAtomic(Disk, dir, journalName, canon); err != nil {
 			return err
 		}
 		rewrote = true
 	}
 	if !bytes.Equal(st.rawMirror, canon) {
-		if err := writeFileAtomic(fsys, dir, journalMirror, canon); err != nil {
+		if err := writeFileAtomic(Disk, dir, journalMirror, canon); err != nil {
 			return err
 		}
 		rewrote = true
 	}
 	if rewrote {
-		return fsys.SyncDir(dir)
+		return Disk.SyncDir(dir)
 	}
 	return nil
 }
@@ -963,14 +954,9 @@ func TruncateAfterSeqFS(fsys FS, dir string, seq uint64) error {
 // together: both copies were mid-append). Chopping more bytes than a file
 // holds empties it.
 func TruncateTail(dir string, n int64) error {
-	return TruncateTailFS(Disk, dir, n)
-}
-
-// TruncateTailFS is TruncateTail through fsys.
-func TruncateTailFS(fsys FS, dir string, n int64) error {
 	for _, name := range []string{journalName, journalMirror} {
 		path := filepath.Join(dir, name)
-		st, err := fsys.Stat(path)
+		st, err := Disk.Stat(path)
 		if errors.Is(err, os.ErrNotExist) {
 			continue
 		}
@@ -981,7 +967,7 @@ func TruncateTailFS(fsys FS, dir string, n int64) error {
 		if size < 0 {
 			size = 0
 		}
-		f, err := fsys.OpenFile(path, os.O_RDWR)
+		f, err := Disk.OpenFile(path, os.O_RDWR)
 		if err != nil {
 			return err
 		}

@@ -563,7 +563,6 @@ func TestStoreAppendDoesNotAllocate(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	s.Sync = false // measure the framing path, not the kernel
 	payload := make([]byte, 256)
 	if _, err := s.Append(payload); err != nil {
 		t.Fatal(err)

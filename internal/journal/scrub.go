@@ -350,9 +350,6 @@ func (t Target) fs() FS {
 type Scrubber struct {
 	// Interval paces Run; zero defaults to one minute.
 	Interval time.Duration
-	// MaxAge is the /healthz freshness threshold; zero defaults to five
-	// Intervals.
-	MaxAge time.Duration
 
 	targets []Target
 	now     func() time.Time
@@ -429,15 +426,23 @@ func (s *Scrubber) RunOnce() ([]ScrubReport, error) {
 	return reps, firstErr
 }
 
+// interval is Interval with its one-minute default.
+func (s *Scrubber) interval() time.Duration {
+	if s.Interval <= 0 {
+		return time.Minute
+	}
+	return s.Interval
+}
+
+// staleSweeps is the /healthz freshness threshold in sweep intervals: the
+// storage check fails once the last sweep is older than this many.
+const staleSweeps = 5
+
 // Run sweeps on a ticker until ctx is done. The first sweep runs
 // immediately so /healthz is meaningful from boot.
 func (s *Scrubber) Run(ctx context.Context) {
-	interval := s.Interval
-	if interval <= 0 {
-		interval = time.Minute
-	}
 	_, _ = s.RunOnce()
-	tick := time.NewTicker(interval)
+	tick := time.NewTicker(s.interval())
 	defer tick.Stop()
 	for {
 		select {
@@ -467,14 +472,7 @@ func (s *Scrubber) healthy() error {
 	if lastErr != nil {
 		return lastErr
 	}
-	maxAge := s.MaxAge
-	if maxAge <= 0 {
-		interval := s.Interval
-		if interval <= 0 {
-			interval = time.Minute
-		}
-		maxAge = 5 * interval
-	}
+	maxAge := staleSweeps * s.interval()
 	if age := s.now().Sub(last); age > maxAge {
 		return fmt.Errorf("last scrub pass %v ago (threshold %v)", age.Round(time.Second), maxAge)
 	}

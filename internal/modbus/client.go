@@ -36,8 +36,6 @@ type Client struct {
 
 	// Timeout bounds each round trip (default 5 s).
 	Timeout time.Duration
-	// UnitID addresses the target device (the prototype uses one panel).
-	UnitID byte
 	// MaxRetries is how many times a failed round trip is retried before
 	// the error is surfaced (default 3; 0 retries forever is not offered —
 	// set it negative to disable retrying).
@@ -46,6 +44,9 @@ type Client struct {
 	// subsequent attempt (default 50 ms).
 	RetryBackoff time.Duration
 }
+
+// panelUnitID addresses the target device: the prototype has one panel.
+const panelUnitID = 1
 
 // Dial connects to a Modbus TCP server.
 func Dial(addr string) (*Client, error) {
@@ -57,7 +58,6 @@ func Dial(addr string) (*Client, error) {
 		conn:         conn,
 		addr:         addr,
 		Timeout:      5 * time.Second,
-		UnitID:       1,
 		MaxRetries:   3,
 		RetryBackoff: 50 * time.Millisecond,
 	}, nil
@@ -142,7 +142,7 @@ func (c *Client) attempt(pdu []byte) ([]byte, error) {
 	if err := c.conn.SetDeadline(deadline); err != nil {
 		return nil, err
 	}
-	if err := WriteADU(c.conn, ADU{Transaction: c.txn, UnitID: c.UnitID, PDU: pdu}); err != nil {
+	if err := WriteADU(c.conn, ADU{Transaction: c.txn, UnitID: panelUnitID, PDU: pdu}); err != nil {
 		return nil, err
 	}
 	for {

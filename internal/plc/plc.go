@@ -242,9 +242,8 @@ type PLC struct {
 	// the hook is installed, so an uninstrumented controller pays nothing.
 	OnScan func(elapsed time.Duration)
 
-	scans    int64
-	lastScan time.Duration
-	accum    time.Duration
+	scans int64
+	accum time.Duration
 }
 
 // New builds a PLC sized for n battery units.

@@ -124,7 +124,6 @@ type Node struct {
 	vmsSaved    int // VM images whose checkpoint completed
 	vmsLost     int // VMs destroyed by power loss before their image was safe
 	energy      units.WattHour
-	busyTime    time.Duration
 }
 
 // NewNode returns a powered-off node.
@@ -255,7 +254,6 @@ func (n *Node) Step(dt time.Duration) float64 {
 		if n.activeVMs == 0 {
 			return 0
 		}
-		n.busyTime += dt
 		return float64(n.activeVMs) * n.duty * n.prof.Speed * dt.Hours()
 	}
 	return 0

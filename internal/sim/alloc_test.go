@@ -96,8 +96,8 @@ func TestTickWithTelemetryAllocFree(t *testing.T) {
 // does not break the hot-path allocation budget: every control pass encodes
 // the full manager state into a reused buffer and frames it into the
 // store's reused buffer, so the journaled tick stays under the same
-// amortised bound as the bare managed tick. Sync is disabled — fsync cost
-// is I/O, not allocation, and the smoke targets cover the synced path.
+// amortised bound as the bare managed tick. Every commit fsyncs both
+// copies, as in production: an fsync costs I/O time, not allocations.
 func TestTickWithJournalingAllocBound(t *testing.T) {
 	sys, _ := newSteadySystem(t)
 	store, err := journal.Open(t.TempDir())
@@ -105,7 +105,6 @@ func TestTickWithJournalingAllocBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	store.Sync = false
 	mgr := core.NewJournaled(core.New(core.DefaultConfig(), sys.Config().BatteryCount), store)
 	// Warm the wrapper into steady state (first commits size the buffers).
 	tod := 8 * time.Hour

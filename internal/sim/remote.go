@@ -25,12 +25,11 @@ func (s *System) AttachRemotePanel() (func() error, error) {
 	if err != nil {
 		return nil, err
 	}
-	cli, stopClient, err := s.ConnectRemote(addr)
+	_, stopClient, err := s.ConnectRemote(addr)
 	if err != nil {
 		stopServer()
 		return nil, err
 	}
-	_ = cli
 	return func() error {
 		err := stopClient()
 		if e := stopServer(); err == nil {

@@ -80,9 +80,6 @@ type Config struct {
 	// a 30 s-period manager exactly one chance to react, after which the
 	// bus collapses (§2.3's service disruption).
 	HoldUp time.Duration
-	// CalendarLifeYears caps the e-Buffer service-life projection: VRLA
-	// batteries age out chemically even when lightly cycled (~6 years).
-	CalendarLifeYears float64
 	// Secondary, when non-nil, is the optional backup generator of Fig 6.
 	// It feeds the load bus after the battery, under manager control.
 	Secondary *genset.Generator
@@ -120,8 +117,6 @@ func DefaultConfig(tr *trace.Trace) Config {
 		WindowEnd:     19*time.Hour + 30*time.Minute,
 		RecordEvery:   30 * time.Second,
 		HoldUp:        35 * time.Second,
-
-		CalendarLifeYears: 6,
 	}
 }
 
@@ -192,7 +187,6 @@ type System struct {
 	shortfallFor  time.Duration
 	upTicks       int
 	windowTicks   int
-	dischargeAh   units.AmpHour
 	storedSeries  *metrics.Series
 	voltSeries    *metrics.Series
 	minVolt       units.Volt
@@ -439,11 +433,6 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 	if remaining > 0 && len(discharging) > 0 {
 		deliveredWh += s.Bank.DischargeSet(discharging, remaining, dt)
-		for _, i := range discharging {
-			v := s.Bank.Unit(i).TerminalVoltage()
-			cur := units.Current(remaining/units.Watt(max(len(discharging), 1)), v)
-			s.dischargeAh += units.Charge(cur, dt)
-		}
 	} else {
 		// Connected but idle discharge units still diffuse/recover.
 		for _, i := range discharging {
@@ -543,13 +532,6 @@ func (s *System) Tick(tod time.Duration, mgr Manager) {
 	}
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Run simulates one full day (from one hour before the solar window to one
 // hour past the operating window) under the manager.
 func (s *System) Run(mgr Manager) Result {
@@ -624,6 +606,10 @@ type Result struct {
 	AuxKWh float64
 }
 
+// calendarLifeYears caps the e-Buffer service-life projection: VRLA
+// batteries age out chemically even when lightly cycled.
+const calendarLifeYears = 6
+
 func (s *System) result(mgr Manager) Result {
 	window := s.cfg.WindowEnd - s.cfg.WindowStart
 	r := Result{
@@ -671,10 +657,10 @@ func (s *System) result(mgr Manager) Result {
 		r.GenWastedKWh = s.Secondary.Wasted().KWh()
 	}
 	r.AuxKWh = s.auxEnergy.KWh()
-	r.ServiceLifeYear = s.cfg.CalendarLifeYears
+	r.ServiceLifeYear = calendarLifeYears
 	if daily > 0 {
 		total := float64(s.cfg.BatteryParams.LifetimeAh) * float64(s.cfg.BatteryCount)
-		if cyc := total / float64(daily) / 365; cyc < r.ServiceLifeYear || s.cfg.CalendarLifeYears <= 0 {
+		if cyc := total / float64(daily) / 365; cyc < r.ServiceLifeYear {
 			r.ServiceLifeYear = cyc
 		}
 	}

@@ -287,7 +287,6 @@ type StreamQueue struct {
 	// (lost frames), which the paper's availability metric penalises.
 	MaxBacklogGB float64
 
-	delaySum     float64 // GB-weighted delay integral (gb·minutes)
 	maxDelayMin  float64
 	delaySamples int
 	delayTotal   float64
