@@ -181,15 +181,17 @@ bench-scaling:
 	$(GO) run ./cmd/insure-bench -scaling -gate -scaling-cells 8
 
 # check is the CI gate: formatting, static analysis, a clean build, the full
-# test suite under the race detector (the parallel experiment engine and
-# campaign runner are exercised concurrently there), the PLC register file's
-# concurrent fieldbus view under the race detector, the injected-fault smoke
+# test suite once without the race detector (the only run of the
+# RunAllParallel == RunAll pin, which skips itself under -race) and once
+# under it (the parallel experiment engine and campaign runner are
+# exercised concurrently there), the PLC register file's concurrent
+# fieldbus view under the race detector, the injected-fault smoke
 # simulation, the telemetry-plane smoke test, the crash-recovery chaos
 # campaigns, the energy-emergency survivability gates, the fleet-federation
 # gates, the serving-plane gates, the degraded-WAN gates, the self-healing
 # storage gates, the benchmark module's own tests, and the multicore scaling
 # gate.
-check: fmt vet vet-storage build race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot test-benchmark bench-scaling
+check: fmt vet vet-storage build test race race-plc race-faults smoke-faults smoke-metrics smoke-chaos race-chaos smoke-survival race-survival smoke-fleet race-fleet smoke-gateway race-gateway smoke-wan race-wan smoke-bitrot race-bitrot test-benchmark bench-scaling
 
 # bench runs the simulation hot-path and experiment benchmarks.
 bench:
@@ -199,14 +201,14 @@ bench:
 bench-json:
 	$(GO) run ./cmd/insure-bench -bench-json BENCH.json
 
-# perf-diff regenerates the performance report into BENCH.new.json and
-# compares it against the committed BENCH.json. It fails only when a
-# benchmark the committed report records at 0 allocs/op (system_tick,
-# plc_scan, gateway_offer) allocates; ns/op deltas are printed but not
-# judged, since one run against one run on a drifting host decides nothing.
+# perf-diff times the four hot-path benchmarks (system_tick, plc_scan,
+# gateway_offer, full_day_insure) in process and compares them against the
+# committed BENCH.json. It fails only when a benchmark the committed report
+# records at 0 allocs/op (system_tick, plc_scan, gateway_offer) allocates;
+# ns/op deltas are printed but not judged, since one run against one run on
+# a drifting host decides nothing.
 perf-diff:
-	$(GO) run ./cmd/insure-bench -bench-json BENCH.new.json
-	$(GO) run ./cmd/insure-bench -perf-diff BENCH.new.json -perf-base BENCH.json
+	$(GO) run ./cmd/insure-bench -perf-diff BENCH.json
 
 # experiments regenerates every table/figure of the paper on the parallel
 # engine (byte-identical to the serial engine).
@@ -214,4 +216,4 @@ experiments:
 	$(GO) run ./cmd/insure-bench -exp all
 
 clean:
-	rm -f BENCH.json BENCH.new.json
+	rm -f BENCH.json

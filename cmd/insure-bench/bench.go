@@ -87,6 +87,33 @@ func record(name string, r testing.BenchmarkResult) benchCase {
 	return c
 }
 
+// benchmarks is the suite's one name-to-benchmark table: -bench-json
+// records every row in this order, and -perf-diff times the perfDiffCases
+// rows.
+var benchmarks = []struct {
+	name string
+	fn   func(*testing.B)
+}{
+	{"system_tick", benchSystemTick},
+	{"gateway_offer", benchGatewayOffer},
+	{"telemetry_scrape", benchTelemetryScrape},
+	{"plc_scan", benchPLCScan},
+	{"full_day_insure", benchFullDay},
+}
+
+// timeBenchmarks runs the rows of benchmarks that keep accepts, in table
+// order, and records each.
+func timeBenchmarks(keep func(name string) bool) []benchCase {
+	var out []benchCase
+	for _, bm := range benchmarks {
+		if keep(bm.name) {
+			fmt.Fprintf(os.Stderr, "benchmarking %s...\n", bm.name)
+			out = append(out, record(bm.name, testing.Benchmark(bm.fn)))
+		}
+	}
+	return out
+}
+
 // writeBenchJSON runs the performance suite — the simulation hot path, a
 // full-day macro run with domain metrics, a serial-vs-parallel timing of
 // the whole evaluation, and the campaign-scaling matrix — and writes the
@@ -99,14 +126,7 @@ func writeBenchJSON(path string, workers, scalingCells int) error {
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 
-	fmt.Fprintln(os.Stderr, "benchmarking simulation hot path...")
-	rep.Benchmarks = append(rep.Benchmarks,
-		record("system_tick", testing.Benchmark(benchSystemTick)),
-		record("gateway_offer", testing.Benchmark(benchGatewayOffer)),
-		record("telemetry_scrape", testing.Benchmark(benchTelemetryScrape)),
-		record("plc_scan", testing.Benchmark(benchPLCScan)),
-		record("full_day_insure", testing.Benchmark(benchFullDay)),
-	)
+	rep.Benchmarks = timeBenchmarks(func(string) bool { return true })
 
 	fmt.Fprintln(os.Stderr, "timing serial experiment engine...")
 	t0 := time.Now()

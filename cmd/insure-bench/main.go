@@ -9,7 +9,7 @@
 //	insure-bench -bench-json BENCH.json   # machine-readable perf suite
 //	insure-bench -scaling          # plant-years/sec workers-scaling curve
 //	insure-bench -scaling -gate    # same, exit 1 if median speedup < 0.7·N (N = GOMAXPROCS ≥ 2)
-//	insure-bench -perf-diff BENCH.new.json   # compare against committed BENCH.json, exit 1 if a zero-alloc benchmark allocates
+//	insure-bench -perf-diff BENCH.json       # time the hot-path rows and compare, exit 1 if a zero-alloc benchmark allocates
 package main
 
 import (
@@ -34,8 +34,7 @@ func main() {
 	scaling := flag.Bool("scaling", false, "measure the plant-years/sec workers-scaling curve and print it")
 	gate := flag.Bool("gate", false, "with -scaling: exit non-zero when the median speedup at N workers is < 0.7*N (N = GOMAXPROCS >= 2)")
 	scalingCells := flag.Int("scaling-cells", 16, "full-day campaign cells per scaling measurement")
-	perfDiff := flag.String("perf-diff", "", "compare this BENCH.json against -perf-base; exit 1 when a benchmark the base records at 0 allocs/op allocates")
-	perfBase := flag.String("perf-base", "BENCH.json", "baseline report for -perf-diff")
+	perfDiff := flag.String("perf-diff", "", "time the "+strings.Join(perfDiffCases, ", ")+" benchmarks and compare them with this BENCH.json; exit 1 when a benchmark it records at 0 allocs/op allocates")
 	flag.Parse()
 
 	if *list {
@@ -45,7 +44,7 @@ func main() {
 		return
 	}
 	if *perfDiff != "" {
-		n, err := runPerfDiff(*perfBase, *perfDiff)
+		n, err := runPerfDiff(*perfDiff)
 		if err != nil {
 			log.Fatal(err)
 		}

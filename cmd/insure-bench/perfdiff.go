@@ -5,16 +5,17 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 )
 
-// perf-diff compares a freshly generated BENCH.json against a committed
-// baseline. It judges only what one run against one other run can decide:
-// a benchmark the base records at 0 allocs/op that now allocates. That is
-// structural, the same on every host and every rep. Wall-clock deltas are
-// printed for the reader and never judged: two back-to-back runs of one
-// unchanged tree on the 2-vCPU Xeon host read system_tick +29.5%, plc_scan
-// +42.4% and full_day_insure +135.1%, so a threshold on one run each
-// reports the host, not the code.
+// perf-diff times the perfDiffCases benchmarks in process and compares
+// them against a committed BENCH.json. It judges only what one run against
+// one other run can decide: a benchmark the base records at 0 allocs/op
+// that now allocates. That is structural, the same on every host and every
+// rep. Wall-clock deltas are printed for the reader and never judged: two
+// back-to-back runs of one unchanged tree on the 2-vCPU Xeon host read
+// system_tick +29.5%, plc_scan +42.4% and full_day_insure +135.1%, so a
+// threshold on one run each reports the host, not the code.
 
 // perfDiffCases are the benchmarks compared: the hot-path names present in
 // every BENCH.json since the suite existed, plus gateway admission.
@@ -41,18 +42,17 @@ func (r *benchReport) benchCase(name string) *benchCase {
 	return nil
 }
 
-// runPerfDiff prints a comparison of newPath against basePath and returns
-// the number of regressions found.
-func runPerfDiff(basePath, newPath string) (int, error) {
+// runPerfDiff times the perfDiffCases benchmarks, prints them against the
+// report at basePath and returns the number of regressions found.
+func runPerfDiff(basePath string) (int, error) {
 	base, err := loadBenchReport(basePath)
 	if err != nil {
 		return 0, err
 	}
-	cur, err := loadBenchReport(newPath)
-	if err != nil {
-		return 0, err
-	}
-	fmt.Printf("perf-diff: %s (base) vs %s (new)\n", basePath, newPath)
+	cur := &benchReport{Benchmarks: timeBenchmarks(func(name string) bool {
+		return slices.Contains(perfDiffCases, name)
+	})}
+	fmt.Printf("perf-diff: %s (base) vs this tree (new)\n", basePath)
 	return perfDiff(os.Stdout, base, cur), nil
 }
 

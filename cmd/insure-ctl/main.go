@@ -9,6 +9,14 @@
 //	insure-ctl -addr 127.0.0.1:1502 discharge 2      # unit 2 -> load bus
 //	insure-ctl -addr 127.0.0.1:1502 open 2           # unit 2 -> open
 //	insure-ctl -addr 127.0.0.1:1502 coils            # raw coil states
+//
+// -units (default 6, at most plc.MaxUnits = 48) must match the panel: the
+// panel does not report its size. The input registers up to 95 exist on
+// every panel and read 0 where no unit is, so status cannot tell a 6-unit
+// panel from a 20-unit one and shows each unit past the panel's as
+// "0.00 V -10.00 A charging". The panel has exactly two coils per unit, so
+// coils, charge, discharge and open past its size fail with "illegal data
+// address".
 package main
 
 import (
@@ -26,11 +34,14 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("insure-ctl: ")
 	addr := flag.String("addr", "127.0.0.1:1502", "control panel address")
-	units := flag.Int("units", 6, "battery units on the panel")
+	units := flag.Int("units", 6, fmt.Sprintf("battery units on the panel, 1..%d; the panel does not report its size", plc.MaxUnits))
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
 		args = []string{"status"}
+	}
+	if err := checkUnits(*units); err != nil {
+		log.Fatal(err)
 	}
 
 	c, err := modbus.Dial(*addr)
@@ -56,6 +67,15 @@ func main() {
 	default:
 		log.Fatalf("unknown command %q (want status, coils, charge, discharge, open)", args[0])
 	}
+}
+
+// checkUnits rejects a -units value outside the 1..plc.MaxUnits units the
+// register map addresses.
+func checkUnits(n int) error {
+	if n < 1 || n > plc.MaxUnits {
+		return fmt.Errorf("-units %d outside 1..%d", n, plc.MaxUnits)
+	}
+	return nil
 }
 
 // status decodes the voltage/current input registers through the same

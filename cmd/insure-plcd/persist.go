@@ -11,18 +11,18 @@ import (
 // panelStateVersion guards the binary layout of a serialized panel.
 const panelStateVersion = 1
 
-// defaultPanelSnapshotEvery is the snapshot cadence in plant ticks: at the
+// panelSnapshotEvery is the snapshot cadence in plant ticks: at the
 // daemon's 1 s tick a snapshot rotates the journal once a minute.
-const defaultPanelSnapshotEvery = 60
+const panelSnapshotEvery = 60
 
 // walkState is the panel image's one layout: everything a restarted
 // daemon needs to resume, the sim-elapsed clock, the battery wells and
 // wear counters, the relay fabric (positions, in-flight settles, faults),
-// and the PLC's command registers. Input/discrete registers are
-// plant-mirrored and refreshed by the first scan after restore; persisting
-// them would mask live readings. Decoding mutates the EXISTING bank,
-// fabric, and register file in place: the Modbus server and telemetry
-// closures hold pointers into them, so recovery must never swap objects.
+// and the PLC's command coils. Input registers are plant-mirrored and
+// refreshed by the first scan after restore; persisting them would mask
+// live readings. Decoding mutates the EXISTING bank, fabric, and register
+// file in place: the Modbus server and telemetry closures hold pointers
+// into them, so recovery must never swap objects.
 func (p *panel) walkState(c journal.Codec, elapsed *time.Duration) {
 	c.Version(panelStateVersion)
 	journal.I64(c, elapsed)
@@ -54,12 +54,11 @@ func (p *panel) restoreState(b []byte) (time.Duration, error) {
 type panelStore struct {
 	dir string
 
-	mu            sync.Mutex
-	store         *journal.Store
-	enc           journal.Encoder
-	snapshotEvery int
-	ticks         int
-	err           error
+	mu    sync.Mutex
+	store *journal.Store
+	enc   journal.Encoder
+	ticks int
+	err   error
 }
 
 // openPanelStore opens (or creates) the state directory. Any torn tail
@@ -69,7 +68,7 @@ func openPanelStore(dir string) (*panelStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &panelStore{dir: dir, store: st, snapshotEvery: defaultPanelSnapshotEvery}, nil
+	return &panelStore{dir: dir, store: st}, nil
 }
 
 // scrubTarget exposes the store directory to a journal.Scrubber, sharing
@@ -107,7 +106,7 @@ func (s *panelStore) commit(p *panel, elapsed time.Duration) {
 	s.enc.Reset()
 	p.appendState(&s.enc, elapsed)
 	var err error
-	if s.snapshotEvery > 0 && s.ticks%s.snapshotEvery == 0 {
+	if s.ticks%panelSnapshotEvery == 0 {
 		err = s.store.Snapshot(s.enc.Bytes())
 	} else {
 		_, err = s.store.Append(s.enc.Bytes())

@@ -15,19 +15,15 @@ import (
 )
 
 // TestPanelLayoutGolden pins the bytes of the daemon's panel image: a
-// panel with commanded relays, a welded contact, a moved topology and
-// written setpoints, 30 s into its run, encodes to the committed testdata,
-// and the image decodes into a freshly wired panel that re-encodes byte
-// for byte.
+// panel with commanded relays and a welded contact, 30 s into its run,
+// encodes to the committed testdata, and the image decodes into a freshly
+// wired panel that re-encodes byte for byte.
 func TestPanelLayoutGolden(t *testing.T) {
 	p := testPanel(t, 4)
 	for _, c := range []uint16{plc.CoilCharge(1), plc.CoilDischarge(2), plc.CoilDischarge(3)} {
 		if err := p.PLC.Regs.WriteCoil(c, true); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := p.PLC.Regs.WriteHolding(plc.HoldDischargeCapA10, []uint16{180, 85, 60}); err != nil {
-		t.Fatal(err)
 	}
 	for i := 0; i < 30; i++ {
 		if i == 12 {

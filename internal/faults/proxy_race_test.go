@@ -17,7 +17,7 @@ import (
 // requests may fail (the proxy is built to break them); the assertions are
 // about safety and liveness, not success.
 func TestProxyConcurrentClientsUnderChaos(t *testing.T) {
-	regs := plc.NewRegisterFile(64, 4, 16, 16)
+	regs := plc.NewRegisterFile(64, 16)
 	srv := modbus.NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

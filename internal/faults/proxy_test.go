@@ -11,7 +11,7 @@ import (
 // proxyPair stands up server <- proxy <- client over loopback.
 func proxyPair(t *testing.T) (*FlakyProxy, *modbus.Client) {
 	t.Helper()
-	regs := plc.NewRegisterFile(16, 4, 16, 16)
+	regs := plc.NewRegisterFile(16, 16)
 	srv := modbus.NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

@@ -163,75 +163,53 @@ func (c *Client) attempt(pdu []byte) ([]byte, error) {
 	}
 }
 
-func readReq(fn byte, addr, count uint16) []byte {
+// request encodes a PDU of a function code and two big-endian fields: an
+// address, then a count (the reads) or a value (0x05).
+func request(fn byte, addr, arg uint16) []byte {
 	pdu := make([]byte, 5)
 	pdu[0] = fn
 	binary.BigEndian.PutUint16(pdu[1:], addr)
-	binary.BigEndian.PutUint16(pdu[3:], count)
+	binary.BigEndian.PutUint16(pdu[3:], arg)
 	return pdu
 }
 
-func (c *Client) readBits(fn byte, addr, count uint16) ([]bool, error) {
-	resp, err := c.roundTrip(readReq(fn, addr, count))
+// read sends a read request and returns the data bytes of its response.
+func (c *Client) read(fn byte, addr, count uint16) ([]byte, error) {
+	resp, err := c.roundTrip(request(fn, addr, count))
 	if err != nil {
 		return nil, err
 	}
 	if len(resp) < 2 || len(resp) != 2+int(resp[1]) {
 		return nil, errShortFrame
 	}
-	return unpackBits(resp[2:], int(count))
-}
-
-func (c *Client) readRegs(fn byte, addr, count uint16) ([]uint16, error) {
-	resp, err := c.roundTrip(readReq(fn, addr, count))
-	if err != nil {
-		return nil, err
-	}
-	if len(resp) < 2 || len(resp) != 2+int(resp[1]) {
-		return nil, errShortFrame
-	}
-	return unpackRegs(resp[2:])
+	return resp[2:], nil
 }
 
 // ReadCoils reads count coils starting at addr.
 func (c *Client) ReadCoils(addr, count uint16) ([]bool, error) {
-	return c.readBits(FuncReadCoils, addr, count)
-}
-
-// ReadDiscrete reads count discrete inputs starting at addr.
-func (c *Client) ReadDiscrete(addr, count uint16) ([]bool, error) {
-	return c.readBits(FuncReadDiscrete, addr, count)
-}
-
-// ReadHolding reads count holding registers starting at addr.
-func (c *Client) ReadHolding(addr, count uint16) ([]uint16, error) {
-	return c.readRegs(FuncReadHolding, addr, count)
+	data, err := c.read(FuncReadCoils, addr, count)
+	if err != nil {
+		return nil, err
+	}
+	return unpackBits(data, int(count))
 }
 
 // ReadInput reads count input registers starting at addr.
 func (c *Client) ReadInput(addr, count uint16) ([]uint16, error) {
-	return c.readRegs(FuncReadInput, addr, count)
+	data, err := c.read(FuncReadInput, addr, count)
+	if err != nil {
+		return nil, err
+	}
+	return unpackRegs(data)
 }
 
 // WriteCoil sets a single coil.
 func (c *Client) WriteCoil(addr uint16, v bool) error {
-	pdu := make([]byte, 5)
-	pdu[0] = FuncWriteSingleCoil
-	binary.BigEndian.PutUint16(pdu[1:], addr)
+	var val uint16
 	if v {
-		binary.BigEndian.PutUint16(pdu[3:], 0xFF00)
+		val = 0xFF00
 	}
-	_, err := c.roundTrip(pdu)
-	return err
-}
-
-// WriteRegister sets a single holding register.
-func (c *Client) WriteRegister(addr, val uint16) error {
-	pdu := make([]byte, 5)
-	pdu[0] = FuncWriteSingleReg
-	binary.BigEndian.PutUint16(pdu[1:], addr)
-	binary.BigEndian.PutUint16(pdu[3:], val)
-	_, err := c.roundTrip(pdu)
+	_, err := c.roundTrip(request(FuncWriteSingleCoil, addr, val))
 	return err
 }
 
@@ -245,50 +223,6 @@ func (c *Client) WriteCoils(addr uint16, vals []bool) error {
 	packed := packBits(vals)
 	pdu := make([]byte, 6+len(packed))
 	pdu[0] = FuncWriteMultipleCoils
-	binary.BigEndian.PutUint16(pdu[1:], addr)
-	binary.BigEndian.PutUint16(pdu[3:], uint16(len(vals)))
-	pdu[5] = byte(len(packed))
-	copy(pdu[6:], packed)
-	_, err := c.roundTrip(pdu)
-	return err
-}
-
-// ReadWriteRegisters writes wVals at wAddr and reads rCount registers from
-// rAddr in a single transaction (the write happens first, per the spec).
-func (c *Client) ReadWriteRegisters(rAddr, rCount, wAddr uint16, wVals []uint16) ([]uint16, error) {
-	if rCount == 0 || rCount > MaxRegsPerRead {
-		return nil, fmt.Errorf("modbus: read count %d out of range", rCount)
-	}
-	if len(wVals) == 0 || len(wVals) > MaxRegsPerWrite {
-		return nil, fmt.Errorf("modbus: write count %d out of range", len(wVals))
-	}
-	packed := packRegs(wVals)
-	pdu := make([]byte, 10+len(packed))
-	pdu[0] = FuncReadWriteMultipleRegs
-	binary.BigEndian.PutUint16(pdu[1:], rAddr)
-	binary.BigEndian.PutUint16(pdu[3:], rCount)
-	binary.BigEndian.PutUint16(pdu[5:], wAddr)
-	binary.BigEndian.PutUint16(pdu[7:], uint16(len(wVals)))
-	pdu[9] = byte(len(packed))
-	copy(pdu[10:], packed)
-	resp, err := c.roundTrip(pdu)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp) < 2 || len(resp) != 2+int(resp[1]) {
-		return nil, errShortFrame
-	}
-	return unpackRegs(resp[2:])
-}
-
-// WriteRegisters sets multiple holding registers starting at addr.
-func (c *Client) WriteRegisters(addr uint16, vals []uint16) error {
-	if len(vals) == 0 || len(vals) > MaxRegsPerWrite {
-		return fmt.Errorf("modbus: write count %d out of range", len(vals))
-	}
-	packed := packRegs(vals)
-	pdu := make([]byte, 6+len(packed))
-	pdu[0] = FuncWriteMultipleRegs
 	binary.BigEndian.PutUint16(pdu[1:], addr)
 	binary.BigEndian.PutUint16(pdu[3:], uint16(len(vals)))
 	pdu[5] = byte(len(packed))

@@ -16,7 +16,7 @@ import (
 // counters are safe to read at any moment, including mid-backoff while
 // the request path holds the connection mutex.
 func TestCounterReadsRaceWithRetries(t *testing.T) {
-	regs := plc.NewRegisterFile(16, 4, 16, 4)
+	regs := plc.NewRegisterFile(16, 4)
 	srv := NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -70,7 +70,7 @@ func TestCounterReadsRaceWithRetries(t *testing.T) {
 	for time.Now().Before(deadline) {
 		// Errors are expected when a drop lands mid-exchange and the retry
 		// budget runs out; the point is the counters stay consistent.
-		_, _ = c.ReadHolding(0, 4)
+		_, _ = c.ReadInput(0, 4)
 	}
 	close(stop)
 	wg.Wait()
@@ -107,7 +107,7 @@ func TestTimeoutCounterAdvances(t *testing.T) {
 	c.RetryBackoff = time.Millisecond
 	c.MaxRetries = 2
 
-	if _, err := c.ReadHolding(0, 1); err == nil {
+	if _, err := c.ReadInput(0, 1); err == nil {
 		t.Fatal("read succeeded against a silent server")
 	}
 	if got := c.Timeouts(); got != int64(c.MaxRetries)+1 {

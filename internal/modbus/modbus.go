@@ -5,8 +5,11 @@
 // simplicity".
 //
 // The implementation is written from scratch on the standard library's net
-// package: MBAP framing, the five function codes the controller needs, and
-// standard exception responses.
+// package: MBAP framing, standard exception responses, and the four
+// function codes over the two banks the panel moves (see plc.RegisterFile):
+// 0x01 read coils, 0x04 read input registers, 0x05 write single coil and
+// 0x0F write multiple coils. The server answers every other code with
+// ExIllegalFunction.
 package modbus
 
 import (
@@ -18,16 +21,11 @@ import (
 
 // Function codes.
 const (
-	FuncReadCoils                  = 0x01
-	FuncReadDiscrete               = 0x02
-	FuncReadHolding                = 0x03
-	FuncReadInput                  = 0x04
-	FuncWriteSingleCoil            = 0x05
-	FuncWriteSingleReg             = 0x06
-	FuncWriteMultipleCoils         = 0x0F
-	FuncWriteMultipleRegs          = 0x10
-	FuncReadWriteMultipleRegs      = 0x17
-	exceptionFlag             byte = 0x80
+	FuncReadCoils               = 0x01
+	FuncReadInput               = 0x04
+	FuncWriteSingleCoil         = 0x05
+	FuncWriteMultipleCoils      = 0x0F
+	exceptionFlag          byte = 0x80
 )
 
 // Exception codes.
@@ -43,7 +41,6 @@ const (
 	MaxCoilsPerRead  = 2000
 	MaxCoilsPerWrite = 1968
 	MaxRegsPerRead   = 125
-	MaxRegsPerWrite  = 123
 	maxPDU           = 253
 )
 

@@ -105,7 +105,7 @@ func newPair(t *testing.T, regs *plc.RegisterFile) *Client {
 }
 
 func TestClientServerCoils(t *testing.T) {
-	regs := plc.NewRegisterFile(32, 8, 16, 16)
+	regs := plc.NewRegisterFile(32, 16)
 	c := newPair(t, regs)
 
 	if err := c.WriteCoil(5, true); err != nil {
@@ -128,49 +128,24 @@ func TestClientServerCoils(t *testing.T) {
 	}
 }
 
-func TestClientServerRegisters(t *testing.T) {
-	regs := plc.NewRegisterFile(8, 8, 32, 32)
-	c := newPair(t, regs)
-
-	if err := c.WriteRegister(2, 1234); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WriteRegisters(10, []uint16{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := c.ReadHolding(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != uint16(i+1) {
-			t.Errorf("holding[%d] = %d", 10+i, v)
-		}
-	}
-	one, err := c.ReadHolding(2, 1)
-	if err != nil || one[0] != 1234 {
-		t.Errorf("single register = %v, %v", one, err)
-	}
-}
-
 func TestClientServerInputAndDiscrete(t *testing.T) {
-	regs := plc.NewRegisterFile(8, 8, 8, 8)
+	regs := plc.NewRegisterFile(8, 8)
 	_ = regs.SetInputs(3, []uint16{2222})
-	_ = regs.SetDiscrete(1, true)
+	_ = regs.WriteCoil(1, true)
 	c := newPair(t, regs)
 
 	in, err := c.ReadInput(3, 1)
 	if err != nil || in[0] != 2222 {
 		t.Errorf("input = %v, %v", in, err)
 	}
-	d, err := c.ReadDiscrete(0, 2)
+	d, err := c.ReadCoils(0, 2)
 	if err != nil || d[0] || !d[1] {
-		t.Errorf("discrete = %v, %v", d, err)
+		t.Errorf("coils = %v, %v", d, err)
 	}
 }
 
 func TestServerExceptions(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	c := newPair(t, regs)
 
 	_, err := c.ReadCoils(100, 4)
@@ -178,20 +153,36 @@ func TestServerExceptions(t *testing.T) {
 	if !errors.As(err, &ex) || byte(ex) != ExIllegalAddress {
 		t.Errorf("OOB coil read error = %v, want illegal address", err)
 	}
-	if err := c.WriteRegister(99, 1); !errors.As(err, &ex) || byte(ex) != ExIllegalAddress {
-		t.Errorf("OOB register write error = %v", err)
+	if err := c.WriteCoil(99, true); !errors.As(err, &ex) || byte(ex) != ExIllegalAddress {
+		t.Errorf("OOB coil write error = %v", err)
 	}
-	if _, err := c.ReadHolding(0, 0); err == nil {
+	if _, err := c.ReadInput(0, 0); err == nil {
 		t.Error("zero-count read accepted")
 	}
 }
 
+// TestServerIllegalFunction checks that the server answers every function
+// code outside the four it serves with ExIllegalFunction: an unknown code,
+// and the standard discrete-input and holding-register codes, each sent
+// with a well-formed body that addresses register 0.
 func TestServerIllegalFunction(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	resp := srv.handle([]byte{0x2B, 0x00})
 	if len(resp) != 2 || resp[0] != 0x2B|exceptionFlag || resp[1] != ExIllegalFunction {
 		t.Errorf("illegal function response = %v", resp)
+	}
+	for _, pdu := range [][]byte{
+		{0x02, 0, 0, 0, 1},                            // read discrete inputs
+		{0x03, 0, 0, 0, 1},                            // read holding registers
+		{0x06, 0, 0, 0x12, 0x34},                      // write single register
+		{0x10, 0, 0, 0, 1, 2, 0x12, 0x34},             // write multiple registers
+		{0x17, 0, 0, 0, 1, 0, 0, 0, 1, 2, 0x12, 0x34}, // read/write multiple registers
+	} {
+		resp := srv.handle(pdu)
+		if len(resp) != 2 || resp[0] != pdu[0]|exceptionFlag || resp[1] != ExIllegalFunction {
+			t.Errorf("function %#02x response = %v, want illegal function", pdu[0], resp)
+		}
 	}
 	if resp := srv.handle(nil); len(resp) != 2 || resp[1] != ExIllegalFunction {
 		t.Errorf("empty PDU response = %v", resp)
@@ -199,7 +190,7 @@ func TestServerIllegalFunction(t *testing.T) {
 }
 
 func TestWriteCoilValueValidation(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	resp := srv.handle([]byte{FuncWriteSingleCoil, 0, 0, 0x12, 0x34})
 	if resp[0] != FuncWriteSingleCoil|exceptionFlag || resp[1] != ExIllegalValue {
@@ -208,7 +199,7 @@ func TestWriteCoilValueValidation(t *testing.T) {
 }
 
 func TestConcurrentClients(t *testing.T) {
-	regs := plc.NewRegisterFile(64, 8, 64, 64)
+	regs := plc.NewRegisterFile(64, 64)
 	srv := NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -228,11 +219,11 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for i := 0; i < 50; i++ {
-				if err := c.WriteRegister(uint16(g), uint16(i)); err != nil {
+				if err := c.WriteCoil(uint16(g), i%2 == 0); err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.ReadHolding(0, 8); err != nil {
+				if _, err := c.ReadCoils(0, 8); err != nil {
 					t.Error(err)
 					return
 				}
@@ -240,17 +231,6 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-}
-
-func TestClientWriteRegistersValidation(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 200, 4)
-	c := newPair(t, regs)
-	if err := c.WriteRegisters(0, nil); err == nil {
-		t.Error("empty write accepted")
-	}
-	if err := c.WriteRegisters(0, make([]uint16, 150)); err == nil {
-		t.Error("oversized write accepted")
-	}
 }
 
 func TestExceptionStrings(t *testing.T) {
@@ -262,7 +242,7 @@ func TestExceptionStrings(t *testing.T) {
 }
 
 func TestWriteMultipleCoils(t *testing.T) {
-	regs := plc.NewRegisterFile(16, 0, 0, 0)
+	regs := plc.NewRegisterFile(16, 0)
 	c := newPair(t, regs)
 	if err := c.WriteCoils(2, []bool{true, false, true, true}); err != nil {
 		t.Fatal(err)
@@ -297,7 +277,7 @@ func TestWriteMultipleCoils(t *testing.T) {
 // the scan's interlock answers by opening the pair. Run it with -race.
 func TestWriteCoilsPairNeverTorn(t *testing.T) {
 	const swings = 3000
-	regs := plc.NewRegisterFile(2, 0, 0, 0)
+	regs := plc.NewRegisterFile(2, 0)
 	c := newPair(t, regs)
 	done := make(chan struct{})
 	var torn atomic.Int64
@@ -342,7 +322,7 @@ func TestWriteCoilsPairNeverTorn(t *testing.T) {
 // TestClientCountsTransactions checks that every request counts once,
 // including one the panel refuses.
 func TestClientCountsTransactions(t *testing.T) {
-	regs := plc.NewRegisterFile(8, 0, 0, 8)
+	regs := plc.NewRegisterFile(8, 8)
 	c := newPair(t, regs)
 	if err := c.WriteCoils(0, []bool{true, false}); err != nil {
 		t.Fatal(err)
@@ -382,7 +362,7 @@ func (l *logRecorder) all() []string {
 }
 
 func TestServerTruncatedFrameLogsProtocolError(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	rec := &logRecorder{}
 	srv.Logf = rec.logf
@@ -413,7 +393,7 @@ func TestServerTruncatedFrameLogsProtocolError(t *testing.T) {
 }
 
 func TestServerCleanCloseIsSilent(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	rec := &logRecorder{}
 	srv.Logf = rec.logf
@@ -436,19 +416,19 @@ func TestServerCleanCloseIsSilent(t *testing.T) {
 }
 
 func TestServerOversizedReadCount(t *testing.T) {
-	regs := plc.NewRegisterFile(64, 4, 64, 4)
+	regs := plc.NewRegisterFile(64, 4)
 	c := newPair(t, regs)
 	var ex Exception
 	if _, err := c.ReadCoils(0, MaxCoilsPerRead+1); !errors.As(err, &ex) || byte(ex) != ExIllegalValue {
 		t.Errorf("oversized coil read error = %v, want illegal value", err)
 	}
-	if _, err := c.ReadHolding(0, MaxRegsPerRead+1); !errors.As(err, &ex) || byte(ex) != ExIllegalValue {
+	if _, err := c.ReadInput(0, MaxRegsPerRead+1); !errors.As(err, &ex) || byte(ex) != ExIllegalValue {
 		t.Errorf("oversized register read error = %v, want illegal value", err)
 	}
 }
 
 func TestClientRecoversFromDroppedConnection(t *testing.T) {
-	regs := plc.NewRegisterFile(16, 4, 16, 4)
+	regs := plc.NewRegisterFile(16, 4)
 	srv := NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -482,7 +462,7 @@ func TestClientRecoversFromDroppedConnection(t *testing.T) {
 }
 
 func TestClientDoesNotRetryExceptions(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	c := newPair(t, regs)
 	c.RetryBackoff = time.Millisecond
 	var ex Exception
@@ -495,7 +475,7 @@ func TestClientDoesNotRetryExceptions(t *testing.T) {
 }
 
 func TestClientGivesUpWhenServerGone(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -517,7 +497,7 @@ func TestClientGivesUpWhenServerGone(t *testing.T) {
 }
 
 func TestServeShutsDownOnContextCancel(t *testing.T) {
-	regs := plc.NewRegisterFile(4, 4, 4, 4)
+	regs := plc.NewRegisterFile(4, 4)
 	srv := NewServer(regs)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -546,43 +526,11 @@ func waitFor(t *testing.T, cond func() bool) {
 	t.Fatal("condition not met within 2 s")
 }
 
-func TestReadWriteMultipleRegisters(t *testing.T) {
-	regs := plc.NewRegisterFile(0, 0, 32, 0)
-	_ = regs.WriteHolding(0, []uint16{7, 8, 9})
-	c := newPair(t, regs)
-	// Write to 10..11 and read back 0..2 in one transaction.
-	got, err := c.ReadWriteRegisters(0, 3, 10, []uint16{100, 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 7 || got[1] != 8 || got[2] != 9 {
-		t.Errorf("read part = %v", got)
-	}
-	check, _ := c.ReadHolding(10, 2)
-	if check[0] != 100 || check[1] != 200 {
-		t.Errorf("write part = %v", check)
-	}
-	// Write-before-read ordering: overlapping addresses observe the write.
-	got, err = c.ReadWriteRegisters(10, 1, 10, []uint16{4242})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 4242 {
-		t.Errorf("overlapping read = %d, want the freshly written 4242", got[0])
-	}
-	if _, err := c.ReadWriteRegisters(0, 0, 0, []uint16{1}); err == nil {
-		t.Error("zero-count read accepted")
-	}
-	if _, err := c.ReadWriteRegisters(0, 1, 0, nil); err == nil {
-		t.Error("empty write accepted")
-	}
-}
-
 // TestServerReapsHalfOpenSessions proves a client that connects and then
 // goes silent (a half-open/partitioned peer) cannot pin a session goroutine
 // forever: the server reaps it after SessionTimeout and counts the reap.
 func TestServerReapsHalfOpenSessions(t *testing.T) {
-	regs := plc.NewRegisterFile(8, 8, 8, 8)
+	regs := plc.NewRegisterFile(8, 8)
 	srv := NewServer(regs)
 	srv.SessionTimeout = 50 * time.Millisecond
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -637,7 +585,7 @@ func TestServerReapsHalfOpenSessions(t *testing.T) {
 // TestServerReapedCounterTelemetry wires the server counter into a registry
 // and checks the documented instrument name is present.
 func TestServerReapedCounterTelemetry(t *testing.T) {
-	regs := plc.NewRegisterFile(8, 8, 8, 8)
+	regs := plc.NewRegisterFile(8, 8)
 	srv := NewServer(regs)
 	reg := telemetry.NewRegistry()
 	srv.RegisterTelemetry(reg)

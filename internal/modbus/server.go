@@ -182,7 +182,7 @@ func (s *Server) handle(pdu []byte) []byte {
 	fn := pdu[0]
 	body := pdu[1:]
 	switch fn {
-	case FuncReadCoils, FuncReadDiscrete:
+	case FuncReadCoils:
 		if len(body) != 4 {
 			return exception(fn, ExIllegalValue)
 		}
@@ -191,20 +191,14 @@ func (s *Server) handle(pdu []byte) []byte {
 		if count == 0 || count > MaxCoilsPerRead {
 			return exception(fn, ExIllegalValue)
 		}
-		var bits []bool
-		var err error
-		if fn == FuncReadCoils {
-			bits, err = s.regs.ReadCoils(addr, count)
-		} else {
-			bits, err = s.regs.ReadDiscrete(addr, count)
-		}
+		bits, err := s.regs.ReadCoils(addr, count)
 		if err != nil {
 			return exception(fn, ExIllegalAddress)
 		}
 		packed := packBits(bits)
 		return append([]byte{fn, byte(len(packed))}, packed...)
 
-	case FuncReadHolding, FuncReadInput:
+	case FuncReadInput:
 		if len(body) != 4 {
 			return exception(fn, ExIllegalValue)
 		}
@@ -213,13 +207,7 @@ func (s *Server) handle(pdu []byte) []byte {
 		if count == 0 || count > MaxRegsPerRead {
 			return exception(fn, ExIllegalValue)
 		}
-		var regs []uint16
-		var err error
-		if fn == FuncReadHolding {
-			regs, err = s.regs.ReadHolding(addr, count)
-		} else {
-			regs, err = s.regs.ReadInput(addr, count)
-		}
+		regs, err := s.regs.ReadInput(addr, count)
 		if err != nil {
 			return exception(fn, ExIllegalAddress)
 		}
@@ -239,40 +227,6 @@ func (s *Server) handle(pdu []byte) []byte {
 			return exception(fn, ExIllegalAddress)
 		}
 		return pdu // echo per spec
-
-	case FuncWriteSingleReg:
-		if len(body) != 4 {
-			return exception(fn, ExIllegalValue)
-		}
-		addr := binary.BigEndian.Uint16(body[0:])
-		val := binary.BigEndian.Uint16(body[2:])
-		if err := s.regs.WriteHolding(addr, []uint16{val}); err != nil {
-			return exception(fn, ExIllegalAddress)
-		}
-		return pdu
-
-	case FuncWriteMultipleRegs:
-		if len(body) < 5 {
-			return exception(fn, ExIllegalValue)
-		}
-		addr := binary.BigEndian.Uint16(body[0:])
-		count := binary.BigEndian.Uint16(body[2:])
-		byteCount := int(body[4])
-		if count == 0 || count > MaxRegsPerWrite || byteCount != 2*int(count) || len(body) != 5+byteCount {
-			return exception(fn, ExIllegalValue)
-		}
-		vals, err := unpackRegs(body[5:])
-		if err != nil {
-			return exception(fn, ExIllegalValue)
-		}
-		if err := s.regs.WriteHolding(addr, vals); err != nil {
-			return exception(fn, ExIllegalAddress)
-		}
-		resp := make([]byte, 5)
-		resp[0] = fn
-		binary.BigEndian.PutUint16(resp[1:], addr)
-		binary.BigEndian.PutUint16(resp[3:], count)
-		return resp
 
 	case FuncWriteMultipleCoils:
 		if len(body) < 5 {
@@ -299,34 +253,6 @@ func (s *Server) handle(pdu []byte) []byte {
 		binary.BigEndian.PutUint16(resp[1:], addr)
 		binary.BigEndian.PutUint16(resp[3:], count)
 		return resp
-
-	case FuncReadWriteMultipleRegs:
-		if len(body) < 9 {
-			return exception(fn, ExIllegalValue)
-		}
-		rAddr := binary.BigEndian.Uint16(body[0:])
-		rCount := binary.BigEndian.Uint16(body[2:])
-		wAddr := binary.BigEndian.Uint16(body[4:])
-		wCount := binary.BigEndian.Uint16(body[6:])
-		byteCount := int(body[8])
-		if rCount == 0 || rCount > MaxRegsPerRead || wCount == 0 || wCount > MaxRegsPerWrite ||
-			byteCount != 2*int(wCount) || len(body) != 9+byteCount {
-			return exception(fn, ExIllegalValue)
-		}
-		vals, err := unpackRegs(body[9:])
-		if err != nil {
-			return exception(fn, ExIllegalValue)
-		}
-		// Per the specification the write executes before the read.
-		if err := s.regs.WriteHolding(wAddr, vals); err != nil {
-			return exception(fn, ExIllegalAddress)
-		}
-		regs, err := s.regs.ReadHolding(rAddr, rCount)
-		if err != nil {
-			return exception(fn, ExIllegalAddress)
-		}
-		packed := packRegs(regs)
-		return append([]byte{fn, byte(len(packed))}, packed...)
 
 	default:
 		return exception(fn, ExIllegalFunction)

@@ -2,11 +2,12 @@
 // InSURE battery control plane (§4): a Siemens S7-200 CPU224 with analog
 // input extension modules.
 //
-// The PLC exposes the standard fieldbus data model — coils, discrete
-// inputs, holding registers, and input registers — and runs a scan cycle:
-// sample inputs, execute the control program, drive outputs. The energy
-// manager talks to this register file (locally or over Modbus TCP, see
-// insure/internal/modbus) exactly as the prototype's coordination node does.
+// The PLC exposes the two fieldbus banks the panel moves — coils, which
+// drive the relays, and input registers, which the analog modules fill
+// from the transducers — and runs a scan cycle: sample inputs, execute the
+// control program, drive outputs. The energy manager talks to this register
+// file (locally or over Modbus TCP, see insure/internal/modbus) exactly as
+// the prototype's coordination node does.
 // Panel (panel.go) wires the controller to the bank, relays and transducers
 // it serves.
 package plc
@@ -22,13 +23,9 @@ import (
 // Register-map layout for the InSURE battery controller. All addresses are
 // zero-based.
 const (
-	// Coils: two per battery unit (charge relay, discharge relay), then the
-	// topology switches.
-	CoilChargeBase    = 0  // coil 2i   = unit i charge relay
-	CoilDischargeBase = 1  // coil 2i+1 = unit i discharge relay
-	CoilP1            = 96 // topology: parallel high side
-	CoilP2            = 97 // topology: series link
-	CoilP3            = 98 // topology: parallel low side
+	// Coils: two per battery unit (charge relay, discharge relay).
+	CoilChargeBase    = 0 // coil 2i   = unit i charge relay
+	CoilDischargeBase = 1 // coil 2i+1 = unit i discharge relay
 
 	// Input registers: two per unit (voltage code, current code), then
 	// system-level readings.
@@ -36,11 +33,6 @@ const (
 	InputCurrentBase = 1 // reg 2i+1 = unit i current ADC code
 	InputSolarPower  = 96
 	InputLoadPower   = 97
-
-	// Holding registers: controller setpoints written by the coordinator.
-	HoldDischargeCapA10 = 0 // discharge current cap, tenths of an amp
-	HoldTargetSoCPct    = 1 // charge-to SoC target, percent
-	HoldControlPeriodS  = 2 // control period, seconds
 )
 
 // scanInterval is the controller's cycle time: the S7-200 scans in
@@ -48,9 +40,9 @@ const (
 const scanInterval = 10 * time.Millisecond
 
 // MaxUnits is the largest bank the register map addresses: unit 48's codes
-// and coils would land on InputSolarPower and CoilP1. It also keeps a whole
-// bank's 2n unit codes within one Modbus block read (125 registers) and its
-// 2n relay coils within one block write.
+// would land on InputSolarPower. It also keeps a whole bank's 2n unit codes
+// within one Modbus block read (125 registers) and its 2n relay coils
+// within one block write.
 const MaxUnits = 48
 
 // CoilCharge returns the coil address of unit i's charge relay.
@@ -74,9 +66,9 @@ func PowerCode(w units.Watt) uint16 { return uint16(units.Clamp(float64(w), 0, 6
 // Modbus "illegal data address" exception semantics.
 var ErrAddress = errors.New("plc: illegal data address")
 
-// RegisterFile is the PLC's process image: the four standard register
-// banks. It is safe for concurrent access — the scan cycle and the fieldbus
-// server touch it from different goroutines.
+// RegisterFile is the PLC's process image: the coil bank and the input
+// registers. It is safe for concurrent access — the scan cycle and the
+// fieldbus server touch it from different goroutines.
 //
 // Every call takes the lock once, so a block call is atomic: the scan cycle
 // publishes its whole input image with SetInputs and reads its coil image
@@ -88,20 +80,16 @@ var ErrAddress = errors.New("plc: illegal data address")
 // nothing, while a reader-writer lock costs two more atomic operations on
 // every write.
 type RegisterFile struct {
-	mu       sync.Mutex
-	coils    []bool
-	discrete []bool
-	holding  []uint16
-	input    []uint16
+	mu    sync.Mutex
+	coils []bool
+	input []uint16
 }
 
 // NewRegisterFile allocates banks of the given sizes.
-func NewRegisterFile(coils, discrete, holding, input int) *RegisterFile {
+func NewRegisterFile(coils, input int) *RegisterFile {
 	return &RegisterFile{
-		coils:    make([]bool, coils),
-		discrete: make([]bool, discrete),
-		holding:  make([]uint16, holding),
-		input:    make([]uint16, input),
+		coils: make([]bool, coils),
+		input: make([]uint16, input),
 	}
 }
 
@@ -155,52 +143,6 @@ func (r *RegisterFile) WriteCoil(addr uint16, v bool) error {
 	return nil
 }
 
-// ReadDiscrete returns count discrete-input states starting at addr.
-func (r *RegisterFile) ReadDiscrete(addr, count uint16) ([]bool, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(addr)+int(count) > len(r.discrete) {
-		return nil, ErrAddress
-	}
-	out := make([]bool, count)
-	copy(out, r.discrete[addr:int(addr)+int(count)])
-	return out, nil
-}
-
-// SetDiscrete sets a discrete input (driven by the scan cycle, not clients).
-func (r *RegisterFile) SetDiscrete(addr uint16, v bool) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(addr) >= len(r.discrete) {
-		return ErrAddress
-	}
-	r.discrete[addr] = v
-	return nil
-}
-
-// ReadHolding returns count holding registers starting at addr.
-func (r *RegisterFile) ReadHolding(addr, count uint16) ([]uint16, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(addr)+int(count) > len(r.holding) {
-		return nil, ErrAddress
-	}
-	out := make([]uint16, count)
-	copy(out, r.holding[addr:int(addr)+int(count)])
-	return out, nil
-}
-
-// WriteHolding sets count holding registers starting at addr.
-func (r *RegisterFile) WriteHolding(addr uint16, vals []uint16) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if int(addr)+len(vals) > len(r.holding) {
-		return ErrAddress
-	}
-	copy(r.holding[addr:], vals)
-	return nil
-}
-
 // ReadInput returns count input registers starting at addr.
 func (r *RegisterFile) ReadInput(addr, count uint16) ([]uint16, error) {
 	r.mu.Lock()
@@ -246,9 +188,10 @@ type PLC struct {
 	accum time.Duration
 }
 
-// New builds a PLC sized for n battery units.
+// New builds a PLC sized for n battery units: a charge and a discharge
+// coil per unit, and the input registers up to InputLoadPower.
 func New(n int) *PLC {
-	return &PLC{Regs: NewRegisterFile(2*n+8+96, 2*n, 16, 2*n+8+96)}
+	return &PLC{Regs: NewRegisterFile(2*n, InputLoadPower+1)}
 }
 
 // Scans returns the number of completed scan cycles.

@@ -23,7 +23,7 @@ func TestAddressHelpers(t *testing.T) {
 }
 
 func TestRegisterFileCoils(t *testing.T) {
-	r := NewRegisterFile(8, 0, 0, 0)
+	r := NewRegisterFile(8, 0)
 	if err := r.WriteCoil(3, true); err != nil {
 		t.Fatal(err)
 	}
@@ -37,24 +37,24 @@ func TestRegisterFileCoils(t *testing.T) {
 }
 
 func TestRegisterFileBounds(t *testing.T) {
-	r := NewRegisterFile(4, 4, 4, 4)
+	r := NewRegisterFile(4, 4)
 	if err := r.WriteCoil(4, true); !errors.Is(err, ErrAddress) {
 		t.Errorf("coil OOB error = %v", err)
 	}
 	if _, err := r.ReadCoils(3, 2); !errors.Is(err, ErrAddress) {
 		t.Errorf("coil read OOB error = %v", err)
 	}
-	if _, err := r.ReadHolding(0, 5); !errors.Is(err, ErrAddress) {
-		t.Errorf("holding OOB error = %v", err)
+	if _, err := r.ReadInput(0, 5); !errors.Is(err, ErrAddress) {
+		t.Errorf("input read OOB error = %v", err)
 	}
-	if err := r.WriteHolding(3, []uint16{1, 2}); !errors.Is(err, ErrAddress) {
-		t.Errorf("holding write OOB error = %v", err)
+	if err := r.SetInputs(3, []uint16{1, 2}); !errors.Is(err, ErrAddress) {
+		t.Errorf("input block OOB error = %v", err)
 	}
 	if err := r.SetInputs(9, []uint16{1}); !errors.Is(err, ErrAddress) {
 		t.Errorf("input OOB error = %v", err)
 	}
-	if _, err := r.ReadDiscrete(2, 3); !errors.Is(err, ErrAddress) {
-		t.Errorf("discrete OOB error = %v", err)
+	if _, err := r.ReadCoils(2, 3); !errors.Is(err, ErrAddress) {
+		t.Errorf("coil block read OOB error = %v", err)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestRegisterFileBounds(t *testing.T) {
 // fails with ErrAddress and touches nothing: no partial block is written,
 // and the destination of a failed coil read keeps its contents.
 func TestBlockCallsBounds(t *testing.T) {
-	r := NewRegisterFile(4, 0, 0, 4)
+	r := NewRegisterFile(4, 4)
 	if err := r.SetInputs(0, []uint16{1, 2, 3, 4}); err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestBlockCallsBounds(t *testing.T) {
 // TestBlockCallsAllocFree pins the scan cycle's and the coordinator's block
 // calls at zero allocations.
 func TestBlockCallsAllocFree(t *testing.T) {
-	r := NewRegisterFile(12, 0, 0, 12)
+	r := NewRegisterFile(12, 12)
 	in := make([]uint16, 12)
 	coils := make([]bool, 12)
 	if n := testing.AllocsPerRun(1000, func() {
@@ -134,7 +134,7 @@ func TestBlockCallsAllocFree(t *testing.T) {
 // with -race.
 func TestSetInputsImageNeverTorn(t *testing.T) {
 	const n = 6
-	r := NewRegisterFile(0, 0, 0, 2*n)
+	r := NewRegisterFile(0, 2*n)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -191,22 +191,8 @@ func TestPowerCode(t *testing.T) {
 	}
 }
 
-func TestRegisterFileHolding(t *testing.T) {
-	r := NewRegisterFile(0, 0, 8, 0)
-	if err := r.WriteHolding(2, []uint16{100, 200}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := r.ReadHolding(2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 100 || got[1] != 200 {
-		t.Errorf("holding = %v", got)
-	}
-}
-
 func TestRegisterFileInputAndDiscrete(t *testing.T) {
-	r := NewRegisterFile(0, 4, 0, 4)
+	r := NewRegisterFile(4, 4)
 	if err := r.SetInputs(1, []uint16{2048}); err != nil {
 		t.Fatal(err)
 	}
@@ -214,17 +200,48 @@ func TestRegisterFileInputAndDiscrete(t *testing.T) {
 	if err != nil || in[1] != 2048 {
 		t.Fatalf("input read = %v, %v", in, err)
 	}
-	if err := r.SetDiscrete(0, true); err != nil {
+	if err := r.WriteCoil(0, true); err != nil {
 		t.Fatal(err)
 	}
-	d, err := r.ReadDiscrete(0, 1)
+	d, err := r.ReadCoils(0, 1)
 	if err != nil || !d[0] {
-		t.Fatalf("discrete read = %v, %v", d, err)
+		t.Fatalf("coil read = %v, %v", d, err)
+	}
+}
+
+// TestNewSizesTheRegisterMap checks that a PLC for n units holds exactly
+// the banks the panel moves: 2n relay coils and the input registers up to
+// InputLoadPower, so an address past either answers ErrAddress.
+func TestNewSizesTheRegisterMap(t *testing.T) {
+	r := New(6).Regs
+	if err := r.WriteCoil(11, true); err != nil {
+		t.Errorf("coil 11 write = %v", err)
+	}
+	if got, err := r.ReadCoils(11, 1); err != nil || !got[0] {
+		t.Errorf("coil 11 read = %v, %v", got, err)
+	}
+	if err := r.WriteCoil(12, true); !errors.Is(err, ErrAddress) {
+		t.Errorf("coil 12 write error = %v, want ErrAddress", err)
+	}
+	if _, err := r.ReadCoils(12, 1); !errors.Is(err, ErrAddress) {
+		t.Errorf("coil 12 read error = %v, want ErrAddress", err)
+	}
+	if err := r.SetInputs(97, []uint16{300}); err != nil {
+		t.Errorf("input register 97 write = %v", err)
+	}
+	if got, err := r.ReadInput(97, 1); err != nil || got[0] != 300 {
+		t.Errorf("input register 97 read = %v, %v", got, err)
+	}
+	if err := r.SetInputs(98, []uint16{1}); !errors.Is(err, ErrAddress) {
+		t.Errorf("input register 98 write error = %v, want ErrAddress", err)
+	}
+	if _, err := r.ReadInput(98, 1); !errors.Is(err, ErrAddress) {
+		t.Errorf("input register 98 read error = %v, want ErrAddress", err)
 	}
 }
 
 func TestRegisterFileConcurrency(t *testing.T) {
-	r := NewRegisterFile(16, 0, 16, 16)
+	r := NewRegisterFile(16, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)

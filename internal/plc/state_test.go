@@ -12,20 +12,16 @@ import (
 )
 
 // TestRegisterFileLayoutGolden pins the bytes of the register file's
-// command image: written coils and holding registers encode to the
-// committed testdata, and the image decodes into a fresh register file
-// that re-encodes byte for byte.
+// command image: written coils encode to the committed testdata, and the
+// image decodes into a fresh register file that re-encodes byte for byte.
 func TestRegisterFileLayoutGolden(t *testing.T) {
-	live := NewRegisterFile(12, 4, 6, 8)
+	live := NewRegisterFile(12, 8)
 	for _, a := range []uint16{1, 4, 5, 11} {
 		if err := live.WriteCoil(a, true); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := live.WriteHolding(1, []uint16{400, 0xBEEF, 7}); err != nil {
-		t.Fatal(err)
-	}
-	// The plant-mirrored banks stay out of the image.
+	// The plant-mirrored input registers stay out of the image.
 	if err := live.SetInputs(0, []uint16{9, 9}); err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +29,7 @@ func TestRegisterFileLayoutGolden(t *testing.T) {
 	var e journal.Encoder
 	live.Walk(journal.Encoding(&e))
 	matchGolden(t, "register_file.golden", e.Bytes())
-	fresh := NewRegisterFile(12, 4, 6, 8)
+	fresh := NewRegisterFile(12, 8)
 	d := journal.NewDecoder(e.Bytes())
 	fresh.Walk(journal.Decoding(d))
 	if err := d.Err(); err != nil {
