@@ -105,12 +105,14 @@ race-fleet:
 # smoke-gateway runs the serving-plane gates: admission/ladder/deadline
 # unit tests, the allocation-free steady-state Offer/Advance churn, the
 # exactness of the memoized admission reads (MeanSoC over a faulted day and
-# a fieldbus image, the forecast's cached discount, and every State answer
-# of the two-day admission golden), plus a single-site load replay through
-# the insure-gateway entry point (seeded; exits nonzero on any
+# a fieldbus image, the forecast's cached discount, the retry-after hint
+# across a tick before Advance, a restoring Walk and a SolarNow moved with
+# no scan, and every State answer and forecast hint of the two-day
+# admission golden), plus a single-site load replay through the
+# insure-gateway entry point (seeded; exits nonzero on any
 # admitted-then-dropped request).
 smoke-gateway:
-	$(GO) test -count=1 -run 'TestLadderSheddingByClass|TestRetriageOnMidFlightDowngrade|TestModeChurnNeverDropsAdmitted|TestLoadTestSmoke|TestOfferAdvanceAllocFree|TestOfferOutcomesGolden|TestMeanSoCMemoExact|TestConservativePredictCacheExact' ./internal/gateway ./internal/core ./internal/forecast
+	$(GO) test -count=1 -run 'TestLadderSheddingByClass|TestRetriageOnMidFlightDowngrade|TestModeChurnNeverDropsAdmitted|TestLoadTestSmoke|TestOfferAdvanceAllocFree|TestOfferOutcomesGolden|TestRetryMemoExact|TestMeanSoCMemoExact|TestConservativePredictCacheExact' ./internal/gateway ./internal/core ./internal/forecast
 	$(GO) run ./cmd/insure-gateway -loadtest -loadtest-sites 1 -loadtest-qps 5
 
 # race-gateway runs the full gateway suite — concurrent admits against a
@@ -119,7 +121,9 @@ smoke-gateway:
 # serializes admission reads against the tick loop, and the sensor
 # channels, whose Value writes its decode cache on those reads. Those
 # reads write two more caches: the manager's MeanSoC memo and the
-# forecast estimator's cached discount.
+# forecast estimator's cached discount (and, with no estimator,
+# ForecastGen's last-seen SolarNow). The third memo on the admission path,
+# the gateway's retry-after hint, is written under the gateway's lock.
 race-gateway:
 	$(GO) test -race -count=1 ./internal/gateway ./cmd/insure-gateway ./internal/sensor
 
@@ -215,5 +219,10 @@ perf-diff:
 experiments:
 	$(GO) run ./cmd/insure-bench -exp all
 
+# clean removes what building, testing and benchmarking leave behind, the
+# untracked outputs .gitignore lists. It keeps BENCH.json, the committed
+# baseline perf-diff compares against.
 clean:
-	rm -f BENCH.json
+	rm -rf .bench_build
+	rm -f insure-* benchmark/benchmark
+	find . -name '*.test' -type f -not -path './.git/*' -delete

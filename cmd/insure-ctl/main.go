@@ -5,11 +5,12 @@
 // Usage:
 //
 //	insure-ctl -addr 127.0.0.1:1502 status           # per-unit telemetry
-//	insure-ctl -addr 127.0.0.1:1502 charge 2         # unit 2 -> charge bus
-//	insure-ctl -addr 127.0.0.1:1502 discharge 2      # unit 2 -> load bus
-//	insure-ctl -addr 127.0.0.1:1502 open 2           # unit 2 -> open
+//	insure-ctl -addr 127.0.0.1:1502 charge 2         # battery #2 -> charge bus
+//	insure-ctl -addr 127.0.0.1:1502 discharge 2      # battery #2 -> load bus
+//	insure-ctl -addr 127.0.0.1:1502 open 2           # battery #2 -> open
 //	insure-ctl -addr 127.0.0.1:1502 coils            # raw coil states
 //
+// Batteries are numbered 1..-units, as status and coils print them.
 // -units (default 6, at most plc.MaxUnits = 48) must match the panel: the
 // panel does not report its size. The input registers up to 95 exist on
 // every panel and read 0 where no unit is, so status cannot tell a 6-unit
@@ -43,6 +44,20 @@ func main() {
 	if err := checkUnits(*units); err != nil {
 		log.Fatal(err)
 	}
+	unit := 0
+	switch args[0] {
+	case "status", "coils":
+	case "charge", "discharge", "open":
+		if len(args) < 2 {
+			log.Fatalf("%s needs a battery number, 1..%d", args[0], *units)
+		}
+		var err error
+		if unit, err = parseBattery(args[1], *units); err != nil {
+			log.Fatal(err)
+		}
+	default:
+		log.Fatalf("unknown command %q (want status, coils, charge, discharge, open)", args[0])
+	}
 
 	c, err := modbus.Dial(*addr)
 	if err != nil {
@@ -55,17 +70,8 @@ func main() {
 		status(c, *units)
 	case "coils":
 		coils(c, *units)
-	case "charge", "discharge", "open":
-		if len(args) < 2 {
-			log.Fatalf("%s needs a unit index", args[0])
-		}
-		unit, err := strconv.Atoi(args[1])
-		if err != nil || unit < 0 || unit >= *units {
-			log.Fatalf("bad unit %q", args[1])
-		}
-		setMode(c, unit, args[0])
 	default:
-		log.Fatalf("unknown command %q (want status, coils, charge, discharge, open)", args[0])
+		setMode(c, unit, args[0])
 	}
 }
 
@@ -76,6 +82,16 @@ func checkUnits(n int) error {
 		return fmt.Errorf("-units %d outside 1..%d", n, plc.MaxUnits)
 	}
 	return nil
+}
+
+// parseBattery reads a battery number the way status and coils print it,
+// 1..units, and returns the unit's 0-based index.
+func parseBattery(arg string, units int) (int, error) {
+	n, err := strconv.Atoi(arg)
+	if err != nil || n < 1 || n > units {
+		return 0, fmt.Errorf("battery %q outside 1..%d", arg, units)
+	}
+	return n - 1, nil
 }
 
 // status decodes the voltage/current input registers through the same
@@ -116,7 +132,7 @@ func coils(c *modbus.Client, n int) {
 	}
 }
 
-// setMode swings the unit's relay pair atomically with a multi-coil write,
+// setMode swings unit's relay pair (0-based) atomically with a multi-coil write,
 // preserving the charge/discharge interlock.
 func setMode(c *modbus.Client, unit int, mode string) {
 	var pair []bool

@@ -19,6 +19,9 @@
 //	GET /metrics  — Prometheus exposition (plant + gateway)
 //	GET /healthz  — liveness; 503 "draining" at the Blackout rung
 //
+// -debug-addr, empty by default, serves net/http/pprof on its own listener,
+// which shuts down with the query listener.
+//
 // The daemon simulates one plant-day at -accel× wall speed. When the day
 // completes the plant state freezes (the gateway keeps serving against the
 // final state); -loadtest is the batch alternative that replays a full
@@ -32,6 +35,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -57,6 +61,7 @@ func main() {
 	log.SetPrefix("insure-gateway: ")
 
 	addr := flag.String("addr", ":8080", "HTTP listen address")
+	debugAddr := flag.String("debug-addr", "", "HTTP listen address for net/http/pprof (empty disables)")
 	weather := flag.String("weather", "sunny", "sky model: sunny, cloudy, rainy")
 	seed := flag.Int64("seed", 2015, "trace seed")
 	peak := flag.Float64("peak", 0, "scale trace to this peak power (W); 0 = natural")
@@ -73,13 +78,17 @@ func main() {
 	jsonOut := flag.String("json", "", "with -loadtest, also write the serving_plane JSON block to this path")
 	flag.Parse()
 
+	qps, err := checkFlags(*accel, *baseQPS, *initSoC, *peak, *ltQPS)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cond, err := parseWeather(*weather)
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	if *loadtest {
-		runLoadtest(cond, *seed, *ltQPS, *ltSites, *batteries, *servers, *baseQPS, *peak, *initSoC, *jsonOut)
+		runLoadtest(cond, *seed, qps, *ltSites, *batteries, *servers, *baseQPS, *peak, *initSoC, *jsonOut)
 		return
 	}
 
@@ -136,7 +145,7 @@ func main() {
 	mux.Handle("/healthz", sc.reg.HealthzHandler())
 
 	d := &drainer{next: mux}
-	listener, err := telemetry.Listen(*addr, d)
+	listener, debug, err := listen(*addr, *debugAddr, d)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -144,11 +153,64 @@ func main() {
 	defer stop()
 	log.Printf("serving plane on http://%s/query (weather %s, accel %.0fx, base %.0f qps)",
 		listener.Addr(), *weather, *accel, *baseQPS)
+	if debug != nil {
+		log.Printf("pprof on http://%s/debug/pprof/", debug.Addr())
+	}
 	<-ctx.Done()
-	if err := d.drain(listener, gw, now(), drainGrace); err != nil {
+	err = d.drain(listener, gw, now(), drainGrace)
+	if debug != nil {
+		if derr := debug.Shutdown(); derr != nil {
+			log.Printf("pprof listener: %v", derr)
+		}
+	}
+	if err != nil {
 		log.Fatal(err)
 	}
 	log.Print("signal received; drained and stopped")
+}
+
+// checkFlags refuses, before anything binds -addr, the numeric flags that
+// would serve a frozen clock (-accel 0 or NaN), spin the tick loop
+// (-accel +Inf), shed nearly everything (-base-qps NaN) or replay NaN rows
+// (-loadtest-qps NaN), and a NaN or negative -soc or -peak, where 0 keeps
+// the default. It returns the -loadtest-qps levels.
+func checkFlags(accel, baseQPS, soc, peak float64, ltQPS string) ([]float64, error) {
+	if !(accel > 0 && accel <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-accel %v: need a finite speed-up above 0", accel)
+	}
+	if !(baseQPS > 0 && baseQPS <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-base-qps %v: need a finite rate above 0", baseQPS)
+	}
+	if !(soc >= 0 && soc <= 1) {
+		return nil, fmt.Errorf("-soc %v: need a state of charge in [0, 1], 0 for the default", soc)
+	}
+	if !(peak >= 0 && peak <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-peak %v: need a finite power of at least 0 W, 0 for the natural trace", peak)
+	}
+	var qps []float64
+	for _, part := range strings.Split(ltQPS, ",") {
+		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+		if err != nil || !(v > 0 && v <= math.MaxFloat64) {
+			return nil, fmt.Errorf("-loadtest-qps %q: need finite rates above 0", part)
+		}
+		qps = append(qps, v)
+	}
+	return qps, nil
+}
+
+// listen binds the query plane on addr and, unless debugAddr is empty,
+// net/http/pprof on debugAddr.
+func listen(addr, debugAddr string, h http.Handler) (query, debug *telemetry.Server, err error) {
+	query, err = telemetry.Listen(addr, h)
+	if err != nil || debugAddr == "" {
+		return query, nil, err
+	}
+	debug, err = telemetry.Listen(debugAddr, telemetry.DebugMux())
+	if err != nil {
+		_ = query.Shutdown() // nothing was served yet; the bind error is the one to report
+		return nil, nil, err
+	}
+	return query, debug, nil
 }
 
 // drainGrace is how long a shutting-down gateway keeps answering — new
@@ -287,15 +349,7 @@ func parseWeather(s string) (solar.Condition, error) {
 }
 
 // runLoadtest executes the sweep and prints the table BENCH.json records.
-func runLoadtest(cond solar.Condition, seed int64, qpsSpec string, sites, batteries, servers int, baseQPS, peak, initSoC float64, jsonOut string) {
-	var qps []float64
-	for _, part := range strings.Split(qpsSpec, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-		if err != nil || v <= 0 {
-			log.Fatalf("-loadtest-qps %q: need positive numbers", part)
-		}
-		qps = append(qps, v)
-	}
+func runLoadtest(cond solar.Condition, seed int64, qps []float64, sites, batteries, servers int, baseQPS, peak, initSoC float64, jsonOut string) {
 	cfg := gateway.DefaultLoadConfig(seed)
 	cfg.Sites = sites
 	cfg.QPS = qps

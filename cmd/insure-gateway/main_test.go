@@ -2,6 +2,7 @@ package main
 
 import (
 	"io"
+	"math"
 	"net/http"
 	"strings"
 	"sync"
@@ -118,53 +119,58 @@ func TestServeGatewayGracefulShutdown(t *testing.T) {
 
 // TestLockedPlantSerializesReads reads the plant through lockedPlant from
 // several goroutines, as concurrent admissions do, while the tick loop
-// advances it under the same lock. Reads write three caches: the sensor
-// channels' decodes, the manager's MeanSoC memo and the forecast
-// estimator's cached discount. Under -race this fails if any read path
-// skips the lock.
+// advances it under the same lock. Reads write caches: the sensor
+// channels' decodes, the manager's MeanSoC memo, and either the forecast
+// estimator's cached discount (ladder armed, the default) or, with no
+// estimator (-survival=false), ForecastGen's last-seen SolarNow. Under
+// -race this fails if any read path skips the lock.
 func TestLockedPlantSerializesReads(t *testing.T) {
-	scfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 1, time.Second))
-	sys, err := sim.New(scfg, sim.NewSeismicSink())
-	if err != nil {
-		t.Fatal(err)
-	}
-	mcfg := core.DefaultConfig()
-	mcfg.Survival = core.DefaultSurvivalConfig()
-	mgr := core.New(mcfg, scfg.BatteryCount)
-	plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
-
-	lo, _ := sys.Span()
-	start := lo + 4*time.Hour
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for tod := start; tod < start+10*time.Minute; tod += scfg.Step {
-			plant.mu.Lock()
-			sys.Tick(tod, mgr)
-			plant.mu.Unlock()
+	for _, survival := range []bool{true, false} {
+		scfg := sim.DefaultConfig(trace.Synthesize(solar.Cloudy, 1, time.Second))
+		sys, err := sim.New(scfg, sim.NewSeismicSink())
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
+		mcfg := core.DefaultConfig()
+		if survival {
+			mcfg.Survival = core.DefaultSurvivalConfig()
+		}
+		mgr := core.New(mcfg, scfg.BatteryCount)
+		plant := &lockedPlant{inner: gateway.SimPlant{Sys: sys, Mgr: mgr}}
 
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
+		lo, _ := sys.Span()
+		start := lo + 4*time.Hour
+		done := make(chan struct{})
 		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if st := plant.State(start); st.SoC < 0 || st.SoC > 1 {
-					t.Errorf("mean SoC %v outside [0,1]", st.SoC)
-					return
-				}
-				plant.ForecastW(start + time.Hour)
+			defer close(done)
+			for tod := start; tod < start+10*time.Minute; tod += scfg.Step {
+				plant.mu.Lock()
+				sys.Tick(tod, mgr)
+				plant.mu.Unlock()
 			}
 		}()
+
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					select {
+					case <-done:
+						return
+					default:
+					}
+					if st := plant.State(start); st.SoC < 0 || st.SoC > 1 {
+						t.Errorf("survival %v: mean SoC %v outside [0,1]", survival, st.SoC)
+						return
+					}
+					plant.ForecastW(start + time.Hour)
+				}
+			}()
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
 
 // TestServingContinuesPastDayEnd steps the daemon's clock across the end of
@@ -316,5 +322,96 @@ func TestScrapeWhileTicking(t *testing.T) {
 	}
 	if want := sys.Bank.StoredEnergy(); got["insure_stored_watt_hours"] != float64(want) {
 		t.Errorf("scraped stored energy %v, plant holds %v", got["insure_stored_watt_hours"], want)
+	}
+}
+
+// TestCheckFlags pins the numeric flags insure-gateway refuses before it
+// binds -addr, each with an error that names the flag: an -accel that
+// freezes the clock (0, NaN) or spins the tick loop (+Inf), a -base-qps
+// that is not a finite rate above 0, a NaN or negative -soc or -peak (0
+// keeps the default), and -loadtest-qps entries that are not finite rates
+// above 0.
+func TestCheckFlags(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	type flags struct {
+		accel, baseQPS, soc, peak float64
+		ltQPS                     string
+	}
+	def := flags{accel: 60, baseQPS: 25, ltQPS: "5,15,40"}
+	for _, tc := range []struct {
+		name string
+		edit func(*flags)
+		bad  string // the flag the error must name; "" when accepted
+	}{
+		{"defaults", func(*flags) {}, ""},
+		{"accel 0", func(f *flags) { f.accel = 0 }, "-accel"},
+		{"accel NaN", func(f *flags) { f.accel = nan }, "-accel"},
+		{"accel +Inf", func(f *flags) { f.accel = inf }, "-accel"},
+		{"accel negative", func(f *flags) { f.accel = -60 }, "-accel"},
+		{"accel 600", func(f *flags) { f.accel = 600 }, ""},
+		{"base-qps NaN", func(f *flags) { f.baseQPS = nan }, "-base-qps"},
+		{"base-qps 0", func(f *flags) { f.baseQPS = 0 }, "-base-qps"},
+		{"base-qps +Inf", func(f *flags) { f.baseQPS = inf }, "-base-qps"},
+		{"soc NaN", func(f *flags) { f.soc = nan }, "-soc"},
+		{"soc negative", func(f *flags) { f.soc = -0.1 }, "-soc"},
+		{"soc above 1", func(f *flags) { f.soc = 1.5 }, "-soc"},
+		{"soc 0.48", func(f *flags) { f.soc = 0.48 }, ""},
+		{"peak NaN", func(f *flags) { f.peak = nan }, "-peak"},
+		{"peak negative", func(f *flags) { f.peak = -250 }, "-peak"},
+		{"peak +Inf", func(f *flags) { f.peak = inf }, "-peak"},
+		{"peak 250", func(f *flags) { f.peak = 250 }, ""},
+		{"loadtest-qps NaN", func(f *flags) { f.ltQPS = "NaN" }, "-loadtest-qps"},
+		{"loadtest-qps +Inf", func(f *flags) { f.ltQPS = "5,+Inf" }, "-loadtest-qps"},
+		{"loadtest-qps 0", func(f *flags) { f.ltQPS = "0,15" }, "-loadtest-qps"},
+		{"loadtest-qps empty entry", func(f *flags) { f.ltQPS = "5,,40" }, "-loadtest-qps"},
+		{"loadtest-qps word", func(f *flags) { f.ltQPS = "fast" }, "-loadtest-qps"},
+	} {
+		f := def
+		tc.edit(&f)
+		qps, err := checkFlags(f.accel, f.baseQPS, f.soc, f.peak, f.ltQPS)
+		switch {
+		case tc.bad == "" && err != nil:
+			t.Errorf("%s: %v, want accepted", tc.name, err)
+		case tc.bad != "" && (err == nil || !strings.HasPrefix(err.Error(), tc.bad+" ")):
+			t.Errorf("%s: err = %v, want an error naming %s", tc.name, err, tc.bad)
+		case tc.bad == "" && len(qps) != len(strings.Split(f.ltQPS, ",")):
+			t.Errorf("%s: -loadtest-qps %q parsed to %v", tc.name, f.ltQPS, qps)
+		}
+	}
+}
+
+// TestDebugAddrServesPprof binds the query plane with -debug-addr set:
+// pprof answers on the debug listener and not on the query mux. With
+// -debug-addr empty no debug listener is bound.
+func TestDebugAddrServesPprof(t *testing.T) {
+	mux := (&gateway.Server{GW: testGateway(t), Now: func() time.Duration { return 0 }}).Mux()
+	query, debug, err := listen("127.0.0.1:0", "127.0.0.1:0", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer query.Shutdown()
+	defer debug.Shutdown()
+	for _, c := range []struct {
+		srv  *telemetry.Server
+		want int
+	}{{debug, http.StatusOK}, {query, http.StatusNotFound}} {
+		resp, err := http.Get("http://" + c.srv.Addr().String() + "/debug/pprof/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want || (c.want == http.StatusOK && !strings.Contains(string(body), "goroutine")) {
+			t.Errorf("GET %s/debug/pprof/ = %d, want %d", c.srv.Addr(), resp.StatusCode, c.want)
+		}
+	}
+
+	q2, d2, err := listen("127.0.0.1:0", "", mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer q2.Shutdown()
+	if d2 != nil {
+		t.Errorf("empty -debug-addr bound a debug listener on %s", d2.Addr())
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"insure/internal/sim"
+	"insure/internal/units"
 )
 
 // This file is the manager's external energy-outlook surface: the small,
@@ -54,6 +55,41 @@ func (m *Manager) MeanSoC(sys *sim.System) float64 {
 	}
 	m.soc = socMemo{sys: sys, gen: gen, mean: mean}
 	return mean
+}
+
+// forecastGen holds the terms of ForecastGen that the plant does not count.
+type forecastGen struct {
+	restores uint64     // decoding Walks that restored the estimator
+	solar    units.Watt // the last SolarNow read with no estimator
+	moves    uint64     // the reads that found it changed
+}
+
+// ForecastGen is the forecast generation of sys under m: a counter that
+// moves whenever ForecastSupplyW(sys, ·) can answer differently, so the
+// serving gateway memoizes its retry-after hint on it. It sums three
+// terms, each of which only grows, so the sum moves whenever one does:
+//
+//   - sys.ReadingsGen(), which moves on every PLC scan. The estimator's
+//     online writer, Observe, runs in a control pass, and every pass ends
+//     in applyModes's ScanNow; each tick's new SolarNow comes with the
+//     tick's own scan.
+//   - The decoding Walks, which Restore the estimator with no scan after.
+//   - With no estimator, each new SolarNow this read finds, for a SolarNow
+//     that moved with no scan (a tick shorter than the PLC's scan
+//     interval, or a write to sys.SolarPower).
+//
+// The last term is written on read: readers need the same serialization
+// as the tick.
+func (m *Manager) ForecastGen(sys *sim.System) uint64 {
+	gen := sys.ReadingsGen() + m.fgen.restores
+	if m.fc == nil {
+		if s := sys.SolarNow(); s != m.fgen.solar {
+			m.fgen.solar = s
+			m.fgen.moves++
+		}
+		gen += m.fgen.moves
+	}
+	return gen
 }
 
 // ForecastSupplyW is the conservative renewable supply forecast at sim time

@@ -67,6 +67,7 @@ func (m *Manager) Walk(c journal.Codec) {
 		journal.F64(c, &st.Variance)
 		if c.Decoding() && m.fc != nil {
 			m.fc.Restore(st)
+			m.fgen.restores++ // no scan follows: ForecastGen must move
 		}
 	}
 

@@ -187,6 +187,10 @@ type Ticket struct {
 type State struct {
 	Mode core.OpMode
 	SoC  float64
+	// Gen is the plant's forecast generation: it must move whenever
+	// ForecastW could answer differently. The gateway memoizes its
+	// retry-after hint on (now, Gen).
+	Gen uint64
 }
 
 // Plant supplies the gateway's energy state and forecast. Implementations
@@ -194,7 +198,8 @@ type State struct {
 // driven from multiple goroutines (the live daemon serialises plant ticks
 // and gateway calls behind one mutex; see cmd/insure-gateway).
 type Plant interface {
-	// State reports the energy state at sim time now.
+	// State reports the energy state at sim time now, and the generation
+	// of the forecast ForecastW answers from.
 	State(now time.Duration) State
 	// ForecastW is the conservative renewable supply forecast at sim time
 	// at, in watts — the curve retry-after hints walk.
@@ -375,6 +380,7 @@ type Gateway struct {
 
 	queues [NumClasses]fifo
 	stats  Stats
+	hint   hintMemo
 
 	// tel, when set by AttachTelemetry, holds the latency buckets serve
 	// fills; its collect hook reads them and stats when scraped.
@@ -436,13 +442,36 @@ func socFactor(soc float64) float64 {
 	return brakeFloorFrac + t*(1-brakeFloorFrac)
 }
 
-// retryAfter derives the back-off hint from the supply forecast: the time
+// hintMemo is retryAfter's last answer: hint d for sim time now at the
+// plant's forecast generation gen. d is at least minRetry, so a zero d
+// means there is none.
+type hintMemo struct {
+	now time.Duration
+	gen uint64
+	d   time.Duration
+}
+
+// retryAfter is walkRetry's back-off hint at sim time now, where gen is
+// the forecast generation of the State the caller read. Every request shed
+// in one tick asks at the same now, so the hint is memoized on (now, gen);
+// gen moves whenever the forecast could answer differently, so a hit is
+// bit-identical to walking again.
+func (g *Gateway) retryAfter(now time.Duration, gen uint64) time.Duration {
+	if h := g.hint; h.d != 0 && h.now == now && h.gen == gen {
+		return h.d
+	}
+	d := walkRetry(g.plant, now)
+	g.hint = hintMemo{now: now, gen: gen, d: d}
+	return d
+}
+
+// walkRetry derives the back-off hint from p's supply forecast: the time
 // until the conservative forecast first reaches recoveryW, clamped to
 // [minRetry, retryHorizon]. When the forecast never recovers inside the
 // horizon the hint is the full horizon — "come back tomorrow".
-func (g *Gateway) retryAfter(now time.Duration) time.Duration {
+func walkRetry(p Plant, now time.Duration) time.Duration {
 	for t := now + retryStep; t <= now+retryHorizon; t += retryStep {
-		if g.plant.ForecastW(t) >= recoveryW {
+		if p.ForecastW(t) >= recoveryW {
 			d := t - now
 			if d < minRetry {
 				d = minRetry
@@ -500,7 +529,6 @@ func (g *Gateway) Advance(now time.Duration) {
 // forecast retry-after hints. Queued requests were never admitted, so this
 // sheds promises-not-yet-made — the AdmittedDropped invariant stays zero.
 func (g *Gateway) retriage(now time.Duration, st State) {
-	retry := time.Duration(0)
 	for c := Class(0); c < NumClasses; c++ {
 		if servedIn(st.Mode, c) {
 			continue
@@ -508,10 +536,7 @@ func (g *Gateway) retriage(now time.Duration, st State) {
 		q := &g.queues[c]
 		for q.len() > 0 {
 			p := q.pop()
-			if retry == 0 {
-				retry = g.retryAfter(now)
-			}
-			g.shedPending(&p, now, st, ShedRetriage, retry)
+			g.shedPending(&p, now, st, ShedRetriage, g.retryAfter(now, st.Gen))
 		}
 	}
 }
@@ -592,10 +617,10 @@ func (g *Gateway) admit(now time.Duration, class Class, ticketed bool) (Outcome,
 	pol := &policies[class]
 
 	if !servedIn(st.Mode, class) {
-		return g.shedNow(class, now, st, ShedMode, g.retryAfter(now)), nil
+		return g.shedNow(class, now, st, ShedMode, g.retryAfter(now, st.Gen)), nil
 	}
 	if pol.minSoC > 0 && st.SoC < pol.minSoC {
-		return g.shedNow(class, now, st, ShedSoC, g.retryAfter(now)), nil
+		return g.shedNow(class, now, st, ShedSoC, g.retryAfter(now, st.Gen)), nil
 	}
 
 	rate := g.capacityQPS(st)
@@ -727,7 +752,7 @@ func (g *Gateway) Drain(now time.Duration) {
 		q := &g.queues[c]
 		for q.len() > 0 {
 			p := q.pop()
-			g.shedPending(&p, now, st, ShedDrain, g.retryAfter(now))
+			g.shedPending(&p, now, st, ShedDrain, g.retryAfter(now, st.Gen))
 		}
 	}
 }

@@ -14,6 +14,7 @@ type fakePlant struct {
 	mode      core.OpMode
 	soc       float64
 	recoverAt time.Duration // forecast reaches recovery supply at this sim time
+	gen       uint64        // moves with recoverAt, after construction
 }
 
 func (p *fakePlant) set(mode core.OpMode, soc float64) {
@@ -22,10 +23,19 @@ func (p *fakePlant) set(mode core.OpMode, soc float64) {
 	p.mode, p.soc = mode, soc
 }
 
+// recoverFrom moves the forecast's recovery time, and with it the
+// forecast generation.
+func (p *fakePlant) recoverFrom(at time.Duration) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.recoverAt = at
+	p.gen++
+}
+
 func (p *fakePlant) State(now time.Duration) State {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return State{Mode: p.mode, SoC: p.soc}
+	return State{Mode: p.mode, SoC: p.soc, Gen: p.gen}
 }
 
 func (p *fakePlant) ForecastW(at time.Duration) float64 {
@@ -126,11 +136,15 @@ func TestShedByModeWithForecastRetry(t *testing.T) {
 	if out.RetryAfter < 85*time.Minute || out.RetryAfter > 95*time.Minute {
 		t.Fatalf("retry-after %v, want ~90m from forecast", out.RetryAfter)
 	}
-	// No recovery inside the horizon: the hint is the whole horizon.
-	plant.recoverAt = 0
-	out2, _ := gw.Admit(time.Second, Standard)
-	if out2.RetryAfter != retryHorizon {
-		t.Fatalf("unrecoverable forecast: retry %v, want horizon %v", out2.RetryAfter, retryHorizon)
+	// No recovery inside the horizon: the hint is the whole horizon, also
+	// for a second request at the same time, which the memo answers only
+	// while the forecast generation holds.
+	plant.recoverFrom(0)
+	for _, now := range []time.Duration{0, time.Second} {
+		out2, _ := gw.Admit(now, Standard)
+		if out2.RetryAfter != retryHorizon {
+			t.Fatalf("unrecoverable forecast at %v: retry %v, want horizon %v", now, out2.RetryAfter, retryHorizon)
+		}
 	}
 }
 

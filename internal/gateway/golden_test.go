@@ -13,7 +13,7 @@ import (
 // exactPlant is SimPlant with every State answer checked against a live
 // recomputation that bypasses the memo: the manager's mode, and the
 // index-order mean of EstimatedSoC over the units Quarantined leaves in,
-// equal bit for bit.
+// equal bit for bit. checkHint does the same for the gateway's hint memo.
 type exactPlant struct {
 	SimPlant
 	t *testing.T
@@ -39,6 +39,19 @@ func (p exactPlant) State(now time.Duration) State {
 	return st
 }
 
+// checkHint re-walks the forecast for an outcome shed with a forecast hint
+// (by mode or by SoC) at sim time now, without the gateway's memo, and
+// fails on any difference.
+func (p exactPlant) checkHint(now time.Duration, out Outcome) {
+	if out.Decision != Shed || (out.Reason != ShedMode && out.Reason != ShedSoC) {
+		return
+	}
+	if want := walkRetry(p.SimPlant, now); out.RetryAfter != want {
+		p.t.Fatalf("%v request shed (%v) at %v with hint %v, a fresh walk gives %v",
+			out.Class, out.Reason, now, out.RetryAfter, want)
+	}
+}
+
 // TestOfferOutcomesGolden pins admission bit for bit over live plants: the
 // load harness's sunny and storm days (DefaultLoadConfig(2015), two sites
 // each) at its saturating 40 req/s, replayed through SimPlant. Every
@@ -53,8 +66,10 @@ func (p exactPlant) State(now time.Duration) State {
 // one class at one site within a tick mostly share an outcome — which
 // keeps every outcome in the hash at a fraction of the formatting cost.
 //
-// The same replay proves the plant reads' memo exact: every State answer
-// goes through exactPlant.
+// The same replay proves the admission memos exact: every State answer
+// goes through exactPlant, and so does every forecast hint an Offer
+// returns. (A hint that re-triage or the drain gives an Offer-path request
+// reaches no caller; it comes from the same memo.)
 func TestOfferOutcomesGolden(t *testing.T) {
 	if raceEnabled {
 		// One goroutine replays two full days of 40 req/s; under the race
@@ -76,8 +91,10 @@ func TestOfferOutcomesGolden(t *testing.T) {
 			t.Fatal(err)
 		}
 		gws := make([]*Gateway, cfg.Sites)
+		plants := make([]exactPlant, cfg.Sites)
 		for i := range gws {
-			gws[i] = New(cfg.Gateway, exactPlant{SimPlant: SimPlant{Sys: fl.System(i), Mgr: mgrs[i]}, t: t})
+			plants[i] = exactPlant{SimPlant: SimPlant{Sys: fl.System(i), Mgr: mgrs[i]}, t: t}
+			gws[i] = New(cfg.Gateway, plants[i])
 		}
 		var last [lanes]Outcome
 		var runs [lanes]int
@@ -98,6 +115,7 @@ func TestOfferOutcomesGolden(t *testing.T) {
 			for acc += qps * step.Seconds(); acc >= 1; acc-- {
 				k := n % lanes
 				out := gws[n%cfg.Sites].Offer(tod, classMix[k])
+				plants[n%cfg.Sites].checkHint(tod, out)
 				if runs[k] > 0 && out == last[k] {
 					runs[k]++
 				} else {

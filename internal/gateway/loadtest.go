@@ -22,16 +22,17 @@ import (
 // the engine throughput numbers.
 
 // SimPlant adapts one simulated plant (System + its InSURE manager) to the
-// gateway's Plant interface. State and forecast both come from the
-// manager's energy-outlook surface (core/outlook.go), so the gateway
-// admits against exactly what the plant's own controller believes.
+// gateway's Plant interface. State, its forecast generation and the
+// forecast all come from the manager's energy-outlook surface
+// (core/outlook.go), so the gateway admits against exactly what the
+// plant's own controller believes.
 type SimPlant struct {
 	Sys *sim.System
 	Mgr *core.Manager
 }
 
 func (p SimPlant) State(now time.Duration) State {
-	return State{Mode: p.Mgr.Mode(), SoC: p.Mgr.MeanSoC(p.Sys)}
+	return State{Mode: p.Mgr.Mode(), SoC: p.Mgr.MeanSoC(p.Sys), Gen: p.Mgr.ForecastGen(p.Sys)}
 }
 
 func (p SimPlant) ForecastW(at time.Duration) float64 {
