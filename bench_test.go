@@ -12,7 +12,6 @@ import (
 
 	"insure/internal/baseline"
 	"insure/internal/battery"
-	"insure/internal/blink"
 	"insure/internal/core"
 	"insure/internal/experiments"
 	"insure/internal/journal"
@@ -281,5 +280,5 @@ func BenchmarkAblationForecastLookahead(b *testing.B) {
 // BenchmarkAblationBlinkTracking swaps in the Blink-style fast power-state
 // tracker of reference [88].
 func BenchmarkAblationBlinkTracking(b *testing.B) {
-	runAblation(b, func(int) sim.Manager { return blink.New(blink.DefaultConfig()) })
+	runAblation(b, func(int) sim.Manager { return baseline.NewBlink() })
 }

@@ -28,7 +28,6 @@ func main() {
 	log.SetPrefix("insure-bench: ")
 	exp := flag.String("exp", "all", "experiment ID to run, or 'all'")
 	list := flag.Bool("list", false, "list available experiment IDs")
-	format := flag.String("format", "text", "output format: text, csv, markdown")
 	workers := flag.Int("workers", 0, "worker pool size for 'all' and -bench-json; 1 = the serial engine (output is byte-identical), 0 = GOMAXPROCS")
 	benchJSON := flag.String("bench-json", "", "run the performance suite and write machine-readable results to this path")
 	scaling := flag.Bool("scaling", false, "measure the plant-years/sec workers-scaling curve and print it")
@@ -71,7 +70,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for _, tbl := range tables {
-			if err := tbl.RenderAs(os.Stdout, *format); err != nil {
+			if err := tbl.Render(os.Stdout); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -81,7 +80,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := tbl.RenderAs(os.Stdout, *format); err != nil {
+	if err := tbl.Render(os.Stdout); err != nil {
 		log.Fatal(err)
 	}
 }

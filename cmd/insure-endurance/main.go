@@ -14,7 +14,6 @@ import (
 	"log"
 
 	"insure/internal/baseline"
-	"insure/internal/blink"
 	"insure/internal/core"
 	"insure/internal/endurance"
 	"insure/internal/sim"
@@ -46,7 +45,7 @@ func main() {
 	case "baseline":
 		mgr = baseline.New(baseline.DefaultConfig())
 	case "blink":
-		mgr = blink.New(blink.DefaultConfig())
+		mgr = baseline.NewBlink()
 	default:
 		log.Fatalf("unknown policy %q", *policy)
 	}

@@ -49,6 +49,7 @@ import (
 	"insure/internal/core"
 	"insure/internal/gateway"
 	"insure/internal/genset"
+	"insure/internal/plc"
 	"insure/internal/sim"
 	"insure/internal/solar"
 	"insure/internal/telemetry"
@@ -78,7 +79,7 @@ func main() {
 	jsonOut := flag.String("json", "", "with -loadtest, also write the serving_plane JSON block to this path")
 	flag.Parse()
 
-	qps, err := checkFlags(*accel, *baseQPS, *initSoC, *peak, *ltQPS)
+	qps, err := checkFlags(*accel, *baseQPS, *initSoC, *peak, *ltQPS, *ltSites, *batteries, *servers)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -172,9 +173,11 @@ func main() {
 // checkFlags refuses, before anything binds -addr, the numeric flags that
 // would serve a frozen clock (-accel 0 or NaN), spin the tick loop
 // (-accel +Inf), shed nearly everything (-base-qps NaN) or replay NaN rows
-// (-loadtest-qps NaN), and a NaN or negative -soc or -peak, where 0 keeps
-// the default. It returns the -loadtest-qps levels.
-func checkFlags(accel, baseQPS, soc, peak float64, ltQPS string) ([]float64, error) {
+// (-loadtest-qps NaN), a NaN or negative -soc or -peak, where 0 keeps the
+// default, and a plant or sweep with no site, no battery or no server, or
+// more batteries than the panel's register map holds. It returns the
+// -loadtest-qps levels.
+func checkFlags(accel, baseQPS, soc, peak float64, ltQPS string, sites, batteries, servers int) ([]float64, error) {
 	if !(accel > 0 && accel <= math.MaxFloat64) {
 		return nil, fmt.Errorf("-accel %v: need a finite speed-up above 0", accel)
 	}
@@ -186,6 +189,15 @@ func checkFlags(accel, baseQPS, soc, peak float64, ltQPS string) ([]float64, err
 	}
 	if !(peak >= 0 && peak <= math.MaxFloat64) {
 		return nil, fmt.Errorf("-peak %v: need a finite power of at least 0 W, 0 for the natural trace", peak)
+	}
+	if sites < 1 {
+		return nil, fmt.Errorf("-loadtest-sites %d: need at least 1 site", sites)
+	}
+	if batteries < 1 || batteries > plc.MaxUnits {
+		return nil, fmt.Errorf("-batteries %d: need 1..%d battery units", batteries, plc.MaxUnits)
+	}
+	if servers < 1 {
+		return nil, fmt.Errorf("-servers %d: need at least 1 server", servers)
 	}
 	var qps []float64
 	for _, part := range strings.Split(ltQPS, ",") {

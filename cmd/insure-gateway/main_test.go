@@ -11,6 +11,7 @@ import (
 
 	"insure/internal/core"
 	"insure/internal/gateway"
+	"insure/internal/plc"
 	"insure/internal/sim"
 	"insure/internal/solar"
 	"insure/internal/telemetry"
@@ -329,15 +330,17 @@ func TestScrapeWhileTicking(t *testing.T) {
 // binds -addr, each with an error that names the flag: an -accel that
 // freezes the clock (0, NaN) or spins the tick loop (+Inf), a -base-qps
 // that is not a finite rate above 0, a NaN or negative -soc or -peak (0
-// keeps the default), and -loadtest-qps entries that are not finite rates
-// above 0.
+// keeps the default), -loadtest-qps entries that are not finite rates
+// above 0, and a -loadtest-sites, -batteries or -servers below 1 or, for
+// -batteries, above the register map's plc.MaxUnits.
 func TestCheckFlags(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	type flags struct {
 		accel, baseQPS, soc, peak float64
 		ltQPS                     string
+		sites, batteries, servers int
 	}
-	def := flags{accel: 60, baseQPS: 25, ltQPS: "5,15,40"}
+	def := flags{accel: 60, baseQPS: 25, ltQPS: "5,15,40", sites: 2, batteries: 6, servers: 4}
 	for _, tc := range []struct {
 		name string
 		edit func(*flags)
@@ -365,10 +368,20 @@ func TestCheckFlags(t *testing.T) {
 		{"loadtest-qps 0", func(f *flags) { f.ltQPS = "0,15" }, "-loadtest-qps"},
 		{"loadtest-qps empty entry", func(f *flags) { f.ltQPS = "5,,40" }, "-loadtest-qps"},
 		{"loadtest-qps word", func(f *flags) { f.ltQPS = "fast" }, "-loadtest-qps"},
+		{"loadtest-sites 0", func(f *flags) { f.sites = 0 }, "-loadtest-sites"},
+		{"loadtest-sites negative", func(f *flags) { f.sites = -3 }, "-loadtest-sites"},
+		{"loadtest-sites 1", func(f *flags) { f.sites = 1 }, ""},
+		{"batteries 0", func(f *flags) { f.batteries = 0 }, "-batteries"},
+		{"batteries negative", func(f *flags) { f.batteries = -6 }, "-batteries"},
+		{"batteries MaxUnits", func(f *flags) { f.batteries = plc.MaxUnits }, ""},
+		{"batteries above MaxUnits", func(f *flags) { f.batteries = plc.MaxUnits + 1 }, "-batteries"},
+		{"servers 0", func(f *flags) { f.servers = 0 }, "-servers"},
+		{"servers negative", func(f *flags) { f.servers = -4 }, "-servers"},
+		{"servers 1", func(f *flags) { f.servers = 1 }, ""},
 	} {
 		f := def
 		tc.edit(&f)
-		qps, err := checkFlags(f.accel, f.baseQPS, f.soc, f.peak, f.ltQPS)
+		qps, err := checkFlags(f.accel, f.baseQPS, f.soc, f.peak, f.ltQPS, f.sites, f.batteries, f.servers)
 		switch {
 		case tc.bad == "" && err != nil:
 			t.Errorf("%s: %v, want accepted", tc.name, err)

@@ -9,7 +9,7 @@ import (
 )
 
 // panelStateVersion guards the binary layout of a serialized panel.
-const panelStateVersion = 1
+const panelStateVersion = 2
 
 // panelSnapshotEvery is the snapshot cadence in plant ticks: at the
 // daemon's 1 s tick a snapshot rotates the journal once a minute.

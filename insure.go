@@ -31,7 +31,6 @@ import (
 
 	"insure/internal/baseline"
 	"insure/internal/battery"
-	"insure/internal/blink"
 	"insure/internal/core"
 	"insure/internal/experiments"
 	"insure/internal/genset"
@@ -370,7 +369,7 @@ func (c Config) build() (*sim.System, sim.Manager, error) {
 	case PolicyBaseline:
 		mgr = baseline.New(baseline.DefaultConfig())
 	case PolicyBlink:
-		mgr = blink.New(blink.DefaultConfig())
+		mgr = baseline.NewBlink()
 	default:
 		mcfg := core.DefaultConfig()
 		if c.Survival {

@@ -1,11 +1,12 @@
-// Package baseline implements the comparison power manager of §6.4: the
-// approach of state-of-the-art grid-connected green data centers (Parasol/
-// GreenSwitch [37], Oasis [38]) transplanted onto a standalone in-situ
-// system.
+// Package baseline implements the two unified-buffer power managers InSURE
+// is compared against.
 //
-// The baseline shaves peak power and tracks variable renewable generation,
-// but — as the paper emphasises — it can neither reconfigure its energy
-// buffer nor adapt its nodes to the off-grid supply:
+// Manager is the comparison power manager of §6.4: the approach of
+// state-of-the-art grid-connected green data centers (Parasol/GreenSwitch
+// [37], Oasis [38]) transplanted onto a standalone in-situ system. It
+// shaves peak power and tracks variable renewable generation, but — as the
+// paper emphasises — it can neither reconfigure its energy buffer nor adapt
+// its nodes to the off-grid supply:
 //
 //   - the battery array is a unified buffer: all units charge together or
 //     discharge together, and when the pack voltage trips the protection
@@ -14,6 +15,11 @@
 //   - load allocation tracks the instantaneous solar budget with a fixed
 //     battery allowance; there is no discharge-current capping, no duty
 //     scaling, and no wear balancing.
+//
+// Blink (blink.go) is the Blink-style tracker of reference [88]. Both
+// managers read the plant through the same models InSURE plans with
+// (sim.System.EstimatedSoC, server.Profile.Draw), so a paired-trace run
+// compares policies, not estimates.
 package baseline
 
 import (
@@ -49,16 +55,10 @@ func DefaultConfig() Config {
 // Manager is the unified-buffer baseline.
 type Manager struct {
 	cfg Config
+	unified
 
-	started  bool
 	lockout  bool // buffer disconnected after a protection trip
 	targetVM int
-
-	seenBrownouts int
-	holdDownUntil time.Duration
-	lastNow       time.Duration
-
-	modes []relay.Mode // the pass's relay command, reused
 }
 
 var _ sim.Manager = (*Manager)(nil)
@@ -75,18 +75,54 @@ func (m *Manager) Period() time.Duration { return m.cfg.Period }
 // InLockout reports whether the unified buffer is disconnected.
 func (m *Manager) InLockout() bool { return m.lockout }
 
-// packSoC estimates the unified pack's state of charge from the mean
-// transduced voltage.
-func packSoC(sys *sim.System) float64 {
-	p := sys.Config().BatteryParams
-	var sum float64
-	n := sys.Bank.Size()
-	for i := 0; i < n; i++ {
-		v, cur := sys.UnitReading(i)
-		ocv := float64(v) + float64(cur)*p.InternalOhm
-		sum += units.Clamp((ocv-float64(p.OCVEmpty))/float64(p.OCVFull-p.OCVEmpty), 0, 1)
+// unified is what the two unified-buffer managers share: the restart
+// hold-down and the one relay command that puts every unit on one bus.
+type unified struct {
+	seenBrownouts int
+	holdDownUntil time.Duration
+	lastNow       time.Duration
+
+	modes []relay.Mode // the pass's relay command, reused
+}
+
+// restarted reports whether the plant restarted since the last pass. A
+// day rollover (multi-day campaigns re-enter at a smaller time of day)
+// drops the stale hold-down and adopts the fresh plant's brownout counter.
+// A brownout that shut the cluster down mid-period holds restarts down for
+// 10 minutes, the same hold-down InSURE uses.
+func (u *unified) restarted(sys *sim.System, now time.Duration) bool {
+	restarted := now < u.lastNow
+	if restarted {
+		u.holdDownUntil = 0
 	}
-	return sum / float64(n)
+	u.lastNow = now
+	if b := sys.Brownouts(); b < u.seenBrownouts {
+		u.seenBrownouts = b
+	} else if b > u.seenBrownouts {
+		u.seenBrownouts = b
+		u.holdDownUntil = now + 10*time.Minute
+		restarted = true
+	}
+	return restarted
+}
+
+// command puts every unit on the same bus: the discharge bus when
+// mayDischarge holds and the cluster draws more than the renewables
+// supply, the charge bus otherwise. It writes one coil block and scans, so
+// the relays move this pass.
+func (u *unified) command(sys *sim.System, mayDischarge bool) {
+	mode := relay.Charging
+	if mayDischarge && sys.Cluster.Power() > sys.SolarNow() {
+		mode = relay.Discharging
+	}
+	if len(u.modes) != sys.Bank.Size() {
+		u.modes = make([]relay.Mode, sys.Bank.Size())
+	}
+	for i := range u.modes {
+		u.modes[i] = mode
+	}
+	sys.SetUnitModes(u.modes)
+	sys.PLC.ScanNow()
 }
 
 // minPackVolt is the weakest unit's transduced terminal voltage: the
@@ -102,46 +138,11 @@ func minPackVolt(sys *sim.System) units.Volt {
 	return min
 }
 
-// estPower predicts cluster draw for n VMs at full duty (the baseline
-// never throttles frequency).
-func estPower(sys *sim.System, n int) units.Watt {
-	prof := sys.Config().ServerProfile
-	if n <= 0 {
-		return 0
-	}
-	span := float64(prof.PeakPower - prof.IdlePower)
-	util := sys.Sink.Spec().Util
-	full := n / prof.VMSlots
-	rem := n % prof.VMSlots
-	perNode := float64(prof.IdlePower) + span*util
-	p := float64(full) * perNode
-	if rem > 0 {
-		p += float64(prof.IdlePower) + span*util*float64(rem)/float64(prof.VMSlots)
-	}
-	return units.Watt(p)
-}
-
 // Control implements sim.Manager.
 func (m *Manager) Control(sys *sim.System, now time.Duration) {
-	m.started = true
-
-	// Day rollover (multi-day campaigns re-enter at a smaller
-	// time-of-day): drop stale clock anchors and adopt the fresh plant's
-	// counters.
-	if now < m.lastNow {
-		m.holdDownUntil = 0
+	// A restarted plant's cluster starts dark.
+	if m.restarted(sys, now) {
 		m.targetVM = 0
-	}
-	m.lastNow = now
-
-	// Resync after a brownout shut the cluster down mid-period, with the
-	// same restart hold-down InSURE uses.
-	if b := sys.Brownouts(); b < m.seenBrownouts {
-		m.seenBrownouts = b
-	} else if b > m.seenBrownouts {
-		m.seenBrownouts = b
-		m.targetVM = 0
-		m.holdDownUntil = now + 10*time.Minute
 	}
 
 	// Protection trip: the whole unified buffer disconnects at the cutoff
@@ -150,21 +151,22 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 	if !m.lockout && minPackVolt(sys) < cutoff {
 		m.lockout = true
 	}
-	if m.lockout && packSoC(sys) >= m.cfg.ReconnectSoC {
+	if m.lockout && sys.MeanEstimatedSoC() >= m.cfg.ReconnectSoC {
 		m.lockout = false
 	}
 
 	// Load plan: greedy solar tracking with the fixed battery allowance
-	// (§6.4: the baseline cannot adapt its nodes to the off-grid supply).
-	// A protection trip takes the whole system down (§2.3: "InS has to be
-	// shut down and its solar energy utilization drops to zero") and every
-	// watt of solar goes to recharging the pack.
+	// (§6.4: the baseline cannot adapt its nodes to the off-grid supply)
+	// at full duty (the baseline never throttles frequency). A protection
+	// trip takes the whole system down (§2.3: "InS has to be shut down and
+	// its solar energy utilization drops to zero") and every watt of solar
+	// goes to recharging the pack.
 	budget := sys.SolarNow() + m.cfg.BatteryAllowance
 	target := 0
 	if sys.InWindow(now) && sys.Sink.HasWork(now) && now >= m.holdDownUntil && !m.lockout {
-		maxVMs := sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
-		for n := maxVMs; n >= 1; n-- {
-			if estPower(sys, n) <= budget {
+		prof, util := &sys.Config().ServerProfile, sys.Sink.Spec().Util
+		for n := sys.Cluster.TotalVMSlots(); n >= 1; n-- {
+			if prof.Draw(n, util, 1) <= budget {
 				target = n
 				break
 			}
@@ -190,16 +192,5 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 	// Unified buffer actuation: all units share one electrical role. A
 	// protection lockout keeps the pack on the charge bus only; otherwise a
 	// deficit discharges the whole pack and a surplus batch-charges it.
-	mode := relay.Charging
-	if !m.lockout && sys.Cluster.Power() > sys.SolarNow() {
-		mode = relay.Discharging
-	}
-	if len(m.modes) != sys.Bank.Size() {
-		m.modes = make([]relay.Mode, sys.Bank.Size())
-	}
-	for i := range m.modes {
-		m.modes[i] = mode
-	}
-	sys.SetUnitModes(m.modes)
-	sys.PLC.ScanNow()
+	m.command(sys, !m.lockout)
 }

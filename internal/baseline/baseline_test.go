@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"insure/internal/relay"
 	"insure/internal/sim"
 	"insure/internal/trace"
 )
@@ -40,8 +39,8 @@ func TestUnifiedBufferMovesTogether(t *testing.T) {
 		if tod%(5*time.Minute) != 0 {
 			continue
 		}
-		charging := len(sys.Fabric.UnitsIn(relay.Charging))
-		discharging := len(sys.Fabric.UnitsIn(relay.Discharging))
+		_, ch, dis := sys.Fabric.AppendByMode(nil, nil, nil)
+		charging, discharging := len(ch), len(dis)
 		if charging > 0 && discharging > 0 {
 			t.Fatalf("mixed buffer modes at %v: %d charging, %d discharging", tod, charging, discharging)
 		}

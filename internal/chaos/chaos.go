@@ -12,7 +12,7 @@
 // A campaign runs the same plant twice: a reference day that suffers only
 // the hardware faults, and a chaos day that additionally loses its
 // controller and its fieldbus over and over. Per-tick invariants (no
-// shorted relay topology, SoC in bounds, no recovery-induced brownout)
+// double-closed relay pair, SoC in bounds, no recovery-induced brownout)
 // are checked on the chaos day; at the end the two trajectories are
 // compared for convergence. Rerunning a campaign with the same seed must
 // reproduce the chaos trajectory bit-for-bit — the recovery path is as

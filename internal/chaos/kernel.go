@@ -132,9 +132,6 @@ func (w *watch) check(tod time.Duration) {
 			w.v.violate("%sunit %d: charge and discharge contacts both closed at %v", w.where, i, tod)
 		}
 	}
-	if f.P2.Closed() && (f.P1.Closed() || f.P3.Closed()) {
-		w.v.violate("%sseries switch P2 closed alongside a parallel switch at %v", w.where, tod)
-	}
 	const eps = 1e-9
 	for i := 0; i < w.sys.Bank.Size(); i++ {
 		if soc := w.sys.Bank.Unit(i).SoC(); soc < -eps || soc > 1+eps {

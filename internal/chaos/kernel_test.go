@@ -40,14 +40,6 @@ func TestWatchFlagsForcedBreaches(t *testing.T) {
 		expect(t, w, "unit 2: charge and discharge contacts both closed at 9h0m0s")
 	})
 
-	t.Run("series and parallel", func(t *testing.T) {
-		w := world(t, false)
-		w.sys.Fabric.P1.Set(true)
-		w.sys.Fabric.P2.Set(true)
-		w.check(at)
-		expect(t, w, "series switch P2 closed alongside a parallel switch at 9h0m0s")
-	})
-
 	for _, armed := range []bool{true, false} {
 		t.Run(fmt.Sprintf("crash armed=%v", armed), func(t *testing.T) {
 			w := world(t, armed)

@@ -21,7 +21,7 @@ import (
 // Every threshold is chosen so a healthy run can never trip it (healthy-run
 // bit-identity is an invariant the experiment goldens enforce):
 //
-//   - estSoC is voltage-based, so it legitimately swings when the unit's
+//   - EstimatedSoC is voltage-based, so it legitimately swings when the unit's
 //     current steps (I·R compensation is imperfect and the KiBaM surface
 //     charge sags under a new load). The sudden-drop screen therefore only
 //     compares like-for-like readings: a >25% SoC collapse inside one
@@ -159,7 +159,7 @@ func (m *Manager) detectFaults(sys *sim.System, now time.Duration) {
 			continue
 		}
 		v, cur := sys.UnitReading(i)
-		soc := estSoC(sys, i)
+		soc := sys.EstimatedSoC(i)
 
 		// Sudden capacity loss: a one-period SoC collapse at steady current.
 		// A current step invalidates the comparison — the voltage-based

@@ -232,41 +232,6 @@ func (m *Manager) Groups() []Group { return append([]Group(nil), m.groups...) }
 // Screenings counts SPM coarse-interval screenings.
 func (m *Manager) Screenings() int { return m.screenings }
 
-// EstimatedSoC is the transduced state-of-charge estimate for unit i — the
-// same reading the control plane steers by, exported so the fleet
-// coordinator ranks sites by the SoC their own controllers believe in
-// rather than by ground-truth battery state it could never observe.
-func EstimatedSoC(sys *sim.System, i int) float64 { return estSoC(sys, i) }
-
-// estSoC estimates a unit's state of charge from its transduced terminal
-// voltage, compensating the resistive sag with the transduced current.
-func estSoC(sys *sim.System, i int) float64 {
-	v, cur := sys.UnitReading(i)
-	p := &sys.Config().BatteryParams
-	ocv := float64(v) + float64(cur)*p.InternalOhm
-	return units.Clamp((ocv-float64(p.OCVEmpty))/float64(p.OCVFull-p.OCVEmpty), 0, 1)
-}
-
-// estNodePower predicts cluster draw for n VMs at the given duty.
-func estNodePower(sys *sim.System, n int, duty float64) units.Watt {
-	prof := sys.Config().ServerProfile
-	if n <= 0 {
-		return 0
-	}
-	span := float64(prof.PeakPower - prof.IdlePower)
-	util := sys.Sink.Spec().Util
-	perNode := float64(prof.IdlePower) + span*util*duty
-	// The last node may be partially filled.
-	full := n / prof.VMSlots
-	rem := n % prof.VMSlots
-	p := float64(full) * perNode
-	if rem > 0 {
-		frac := float64(rem) / float64(prof.VMSlots)
-		p += float64(prof.IdlePower) + span*util*duty*frac
-	}
-	return units.Watt(p)
-}
-
 // pickBestBatchVMs sizes batch allocations at the paper's Table 2 sweet
 // spot: the largest VM count whose energy efficiency (GB per joule) stays
 // within 30% of the best achievable. Pure per-joule optimisation would
@@ -274,11 +239,12 @@ func estNodePower(sys *sim.System, n int, duty float64) units.Watt {
 // steep efficiency cliff of the biggest configurations (8 VMs in Table 2).
 func pickBestBatchVMs(sys *sim.System) int {
 	spec := sys.Sink.Spec()
-	slots := sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
+	prof := &sys.Config().ServerProfile
+	slots := sys.Cluster.TotalVMSlots()
 	ratios := make([]float64, slots+1)
 	bestRatio := 0.0
 	for n := 1; n <= slots; n++ {
-		p := float64(estNodePower(sys, n, 1))
+		p := float64(prof.Draw(n, spec.Util, 1))
 		if p <= 0 {
 			continue
 		}
@@ -344,7 +310,7 @@ func (m *Manager) Control(sys *sim.System, now time.Duration) {
 	if m.bestBatchVMs == 0 {
 		m.bestBatchVMs = pickBestBatchVMs(sys)
 		if sys.Sink.Spec().Kind != workload.Batch {
-			m.bestBatchVMs = sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
+			m.bestBatchVMs = sys.Cluster.TotalVMSlots()
 		}
 	}
 	m.elapsed += controlPeriod
@@ -398,7 +364,8 @@ func (m *Manager) manageSecondary(sys *sim.System, now time.Duration) {
 	if gen == nil {
 		return
 	}
-	minService := estNodePower(sys, sys.Config().ServerProfile.VMSlots, 1)
+	prof := &sys.Config().ServerProfile
+	minService := prof.Draw(prof.VMSlots, sys.Sink.Spec().Util, 1)
 	renewable := sys.SolarNow() + m.dischargeablePower(sys)
 	switch {
 	case !sys.InWindow(now) || !sys.Sink.HasWork(now):
@@ -476,7 +443,7 @@ func (m *Manager) retireDrainedUnits(sys *sim.System) {
 			continue
 		}
 		v, _ := sys.UnitReading(i)
-		if estSoC(sys, i) < minSoC || v < cutoff {
+		if sys.EstimatedSoC(i) < minSoC || v < cutoff {
 			m.groups[i] = GroupOffline
 			m.commissioned[i] = false
 		}
@@ -498,7 +465,7 @@ func (m *Manager) promoteChargedUnits(sys *sim.System) {
 			m.chargeStall[i] = 0
 			continue
 		}
-		soc := estSoC(sys, i)
+		soc := sys.EstimatedSoC(i)
 		if soc >= targetSoC {
 			m.groups[i] = GroupStandby
 			m.commissioned[i] = true
@@ -524,6 +491,7 @@ func (m *Manager) promoteChargedUnits(sys *sim.System) {
 // online buffer may deliver under the current cap.
 func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 	spec := sys.Sink.Spec()
+	prof := &sys.Config().ServerProfile
 	reserve := m.dischargeablePower(sys)
 	if spec.Kind != workload.Batch {
 		// For continuous loads the buffer is ride-through headroom, not
@@ -568,7 +536,7 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 	}
 	// Fig 7 Standby flow: abundant green power drives the servers directly
 	// even while the buffer is still commissioning.
-	solarAlone := supply >= units.Watt(1.3*float64(estNodePower(sys, 2, 1)))
+	solarAlone := supply >= units.Watt(1.3*float64(prof.Draw(2, spec.Util, 1)))
 	// A warm generator is online reserve in its own right: when the
 	// survivability ladder has dispatched it, serving must not wait for
 	// battery commissioning the genset was started to substitute for.
@@ -584,7 +552,7 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 			// Everything the budget could have powered is shed posture.
 			m.sv.shedWatts = 0
 			if m.sv.mode >= ModeSurvival && sys.InWindow(now) && sys.Sink.HasWork(now) {
-				m.sv.shedWatts = float64(estNodePower(sys, m.budgetFitVMs(sys), m.duty))
+				m.sv.shedWatts = float64(prof.Draw(m.budgetFitVMs(sys), spec.Util, m.duty))
 			}
 			if m.tel != nil {
 				m.tel.shedWatts.Set(m.sv.shedWatts)
@@ -593,7 +561,7 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 		return
 	}
 
-	maxVMs := sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
+	maxVMs := sys.Cluster.TotalVMSlots()
 	limit := maxVMs
 	sizingBudget := budget
 	if spec.Kind == workload.Batch {
@@ -607,13 +575,13 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 		// their allocation through Conservative (duty cuts first) and are
 		// checkpoint-shed below the cap only from Survival on (after the
 		// sticky-hold logic, so the hold cannot undo the shed).
-		if c := m.sv.vmCap(maxVMs, sys.Config().ServerProfile.VMSlots); c < limit {
+		if c := m.sv.vmCap(maxVMs, prof.VMSlots); c < limit {
 			limit = c
 		}
 	}
 	target := 0
 	for n := limit; n >= 1; n-- {
-		if estNodePower(sys, n, m.duty) <= sizingBudget {
+		if prof.Draw(n, spec.Util, m.duty) <= sizingBudget {
 			target = n
 			break
 		}
@@ -628,16 +596,16 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 		// unsupportable.
 		switch {
 		case target > m.targetVM:
-			if float64(estNodePower(sys, target, m.duty)) > float64(budget)/1.15 {
+			if float64(prof.Draw(target, spec.Util, m.duty)) > float64(budget)/1.15 {
 				target = m.targetVM
 			}
-		case estNodePower(sys, m.targetVM, m.cfg.MinDuty) <= budget:
+		case prof.Draw(m.targetVM, spec.Util, m.cfg.MinDuty) <= budget:
 			target = m.targetVM // hold; TPM duty scaling covers the gap
 		}
 	case m.targetVM > 0 && target > 0:
 		// Stream hysteresis: changing node counts costs a 15-minute
 		// checkpoint cycle, so only move when the budget clearly says so.
-		if target > m.targetVM && float64(estNodePower(sys, target, m.duty)) > 0.9*float64(budget) {
+		if target > m.targetVM && float64(prof.Draw(target, spec.Util, m.duty)) > 0.9*float64(budget) {
 			target = m.targetVM
 		}
 	}
@@ -653,27 +621,26 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 		// Survival posture is a hard ceiling for every workload kind: batch
 		// sticky holds and stream hysteresis may never raise the target back
 		// above the rung's cap.
-		if c := m.sv.vmCap(maxVMs, sys.Config().ServerProfile.VMSlots); target > c {
+		if c := m.sv.vmCap(maxVMs, prof.VMSlots); target > c {
 			target = c
 		}
 		// Checkpointability invariant: never run more nodes than the plant
 		// could checkpoint in parallel out of present resources. A target
 		// the buffer cannot save on demand is a debt the next brownout
 		// collects as lost VM state, so it outranks even batch stickiness.
-		slots := sys.Config().ServerProfile.VMSlots
-		if c := m.ckptSupportNodes(sys, now) * slots; target > c {
+		if c := m.ckptSupportNodes(sys, now) * prof.VMSlots; target > c {
 			target = c
 		}
 		// shedWatts: what the raw budget supports minus what the posture
 		// allows — the survivability layer's live shedding depth.
 		unc := target
 		for n := uncappedLimit; n > target; n-- {
-			if estNodePower(sys, n, m.duty) <= sizingBudget {
+			if prof.Draw(n, spec.Util, m.duty) <= sizingBudget {
 				unc = n
 				break
 			}
 		}
-		m.sv.shedWatts = float64(estNodePower(sys, unc, m.duty)) - float64(estNodePower(sys, target, m.duty))
+		m.sv.shedWatts = float64(prof.Draw(unc, spec.Util, m.duty)) - float64(prof.Draw(target, spec.Util, m.duty))
 		if m.tel != nil {
 			m.tel.shedWatts.Set(m.sv.shedWatts)
 		}
@@ -700,7 +667,7 @@ func (m *Manager) planLoad(sys *sim.System, now time.Duration) {
 			maxDuty = m.sv.dutyCap(m.cfg.MinDuty)
 		}
 		for d := maxDuty; d >= m.cfg.MinDuty-1e-9; d -= dutyStep {
-			if estNodePower(sys, m.targetVM, d) <= dutyBudget {
+			if prof.Draw(m.targetVM, spec.Util, d) <= dutyBudget {
 				duty = d
 				break
 			}
@@ -719,7 +686,7 @@ func (m *Manager) dischargeablePower(sys *sim.System) units.Watt {
 	per := m.perUnitDischargePower(sys)
 	var p units.Watt
 	for i, g := range m.groups {
-		if g != GroupOffline && estSoC(sys, i) > minSoC+0.05 {
+		if g != GroupOffline && sys.EstimatedSoC(i) > minSoC+0.05 {
 			p += per
 		}
 	}
@@ -749,7 +716,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 		m.scratchA = charging
 		for a := 0; a < len(charging); a++ {
 			for b := a + 1; b < len(charging); b++ {
-				if estSoC(sys, charging[b]) > estSoC(sys, charging[a]) {
+				if sys.EstimatedSoC(charging[b]) > sys.EstimatedSoC(charging[a]) {
 					charging[a], charging[b] = charging[b], charging[a]
 				}
 			}
@@ -758,7 +725,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 			if avail >= need {
 				break
 			}
-			if estSoC(sys, i) > minSoC {
+			if sys.EstimatedSoC(i) > minSoC {
 				m.groups[i] = GroupStandby
 				avail++
 			}
@@ -798,7 +765,7 @@ func (m *Manager) assignDischargeSet(sys *sim.System, now time.Duration) {
 // receive float charging).
 func (m *Manager) assignChargeSet(sys *sim.System) {
 	for i, g := range m.groups {
-		if g == GroupStandby && estSoC(sys, i) < targetSoC-0.05 {
+		if g == GroupStandby && sys.EstimatedSoC(i) < targetSoC-0.05 {
 			m.groups[i] = GroupCharging
 		}
 	}
@@ -844,7 +811,7 @@ func (m *Manager) assignChargeSet(sys *sim.System) {
 		m.scratchB = candidates
 		for a := 0; a < len(candidates); a++ {
 			for b := a + 1; b < len(candidates); b++ {
-				if estSoC(sys, candidates[b]) < estSoC(sys, candidates[a]) {
+				if sys.EstimatedSoC(candidates[b]) < sys.EstimatedSoC(candidates[a]) {
 					candidates[a], candidates[b] = candidates[b], candidates[a]
 				}
 			}
@@ -874,7 +841,7 @@ func (m *Manager) temporalCap(sys *sim.System) {
 			id += float64(cur)
 		}
 		online++
-		socSum += estSoC(sys, i)
+		socSum += sys.EstimatedSoC(i)
 	}
 	capTotal := float64(m.cfg.UnitDischargeCap) * float64(max(online, 1))
 

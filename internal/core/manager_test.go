@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"insure/internal/baseline"
-	"insure/internal/relay"
 	"insure/internal/sim"
 	"insure/internal/trace"
 	"insure/internal/workload"
@@ -40,7 +39,7 @@ func TestMorningChargingSelectsSubset(t *testing.T) {
 	for tod := 7 * time.Hour; tod < 8*time.Hour; tod += time.Second {
 		sys.Tick(tod, m)
 	}
-	charging := sys.Fabric.UnitsIn(relay.Charging)
+	_, charging, _ := sys.Fabric.AppendByMode(nil, nil, nil)
 	if len(charging) == 0 {
 		t.Fatal("no unit charging in the morning sun")
 	}

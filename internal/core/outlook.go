@@ -12,8 +12,8 @@ import (
 // (internal/gateway) admits interactive requests against. Everything here
 // reads the same transduced estimates the controller itself plans with, so
 // an admission decision and a ladder decision can never disagree about what
-// the plant knows. (The fleet coordinator ranks sites by the per-unit
-// EstimatedSoC and Mode directly, once per pass.)
+// the plant knows. (The fleet coordinator ranks sites by the plant's
+// MeanEstimatedSoC and the manager's Mode directly, once per pass.)
 
 // socMemo is MeanSoC's last answer: mean, computed on plant sys at its
 // readings generation gen. A nil sys means there is none. The mean reads
@@ -46,7 +46,7 @@ func (m *Manager) MeanSoC(sys *sim.System) float64 {
 		if m.watch.quarantined[i] {
 			continue
 		}
-		sum += estSoC(sys, i)
+		sum += sys.EstimatedSoC(i)
 		n++
 	}
 	mean := 0.0

@@ -33,7 +33,7 @@ func TestOutlookSurface(t *testing.T) {
 	}
 	var sum float64
 	for i := 0; i < cfg.BatteryCount; i++ {
-		sum += EstimatedSoC(sys, i)
+		sum += sys.EstimatedSoC(i)
 	}
 	if want := sum / float64(cfg.BatteryCount); soc != want {
 		t.Fatalf("MeanSoC %v != mean of per-unit estimates %v", soc, want)
@@ -109,7 +109,7 @@ func recomputedMeanSoC(m *Manager, sys *sim.System) float64 {
 		if q {
 			continue
 		}
-		sum += EstimatedSoC(sys, i)
+		sum += sys.EstimatedSoC(i)
 		n++
 	}
 	if n == 0 {
@@ -175,7 +175,7 @@ func TestMeanSoCMemoExact(t *testing.T) {
 	before := m.MeanSoC(sys)
 	unit := -1
 	for i, q := range m.Quarantined() {
-		if !q && EstimatedSoC(sys, i) != before {
+		if !q && sys.EstimatedSoC(i) != before {
 			unit = i
 			break
 		}

@@ -266,9 +266,9 @@ func (m *Manager) budgetFitVMs(sys *sim.System) int {
 		budget += units.Watt(0.9 * float64(gen.Params().Rated))
 	}
 	budget = units.Watt(0.85 * float64(budget))
-	maxVMs := sys.Config().ServerProfile.VMSlots * sys.Config().ServerCount
-	for n := maxVMs; n >= 1; n-- {
-		if estNodePower(sys, n, m.duty) <= budget {
+	prof, util := &sys.Config().ServerProfile, sys.Sink.Spec().Util
+	for n := sys.Cluster.TotalVMSlots(); n >= 1; n-- {
+		if prof.Draw(n, util, m.duty) <= budget {
 			return n
 		}
 	}
@@ -276,16 +276,16 @@ func (m *Manager) budgetFitVMs(sys *sim.System) int {
 }
 
 // ckptSupportNodes is how many nodes the plant could checkpoint in
-// parallel right now. A checkpointing node draws IdlePower + 30% of the
-// span for minutes, so the bound is set by deliverable power, not stored
-// energy: dimmed solar, a sustained C/2 draw from every unit still holding
-// usable charge (the physical well limit, not the SPM's gentler per-unit
-// dispatch cap), and the genset when one is fitted and fueled. The 0.85
-// margin keeps an in-flight checkpoint funded when the count ticks down a
-// step mid-save (evening solar decay, a unit sagging below the floor).
+// parallel right now. A checkpointing node draws the profile's
+// TransitionDraw for minutes, so the bound is set by deliverable power,
+// not stored energy: dimmed solar, a sustained C/2 draw from every unit
+// still holding usable charge (the physical well limit, not the SPM's
+// gentler per-unit dispatch cap), and the genset when one is fitted and
+// fueled. The 0.85 margin keeps an in-flight checkpoint funded when the
+// count ticks down a step mid-save (evening solar decay, a unit sagging
+// below the floor).
 func (m *Manager) ckptSupportNodes(sys *sim.System, now time.Duration) int {
-	prof := sys.Config().ServerProfile
-	ckptW := float64(prof.IdlePower) + 0.3*float64(prof.PeakPower-prof.IdlePower)
+	ckptW := float64(sys.Config().ServerProfile.TransitionDraw())
 	if ckptW <= 0 {
 		return sys.Config().ServerCount
 	}
@@ -296,7 +296,7 @@ func (m *Manager) ckptSupportNodes(sys *sim.System, now time.Duration) int {
 		if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 			continue
 		}
-		if estSoC(sys, i) > minSoC+0.05 {
+		if sys.EstimatedSoC(i) > minSoC+0.05 {
 			supply += perUnit
 		}
 	}
@@ -355,7 +355,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 		if m.watch.quarantined[i] {
 			continue
 		}
-		soc := estSoC(sys, i)
+		soc := sys.EstimatedSoC(i)
 		socSum += soc
 		if soc > minSoC {
 			usableWh += (soc - minSoC) * unitWh
@@ -425,7 +425,7 @@ func (m *Manager) surviveEvaluate(sys *sim.System, now time.Duration) {
 				if m.watch.quarantined[i] || m.groups[i] == GroupOffline {
 					continue
 				}
-				if estSoC(sys, i) >= minSoC+0.1 {
+				if sys.EstimatedSoC(i) >= minSoC+0.1 {
 					m.commissioned[i] = true
 					if m.groups[i] == GroupCharging {
 						m.groups[i] = GroupStandby
@@ -488,7 +488,8 @@ func (m *Manager) surviveGenset(sys *sim.System, now time.Duration, demandW, gap
 	quiet := sys.Cluster.Power() == 0
 	// minService is one fully-occupied node: the smallest serving posture
 	// worth burning fuel for.
-	minService := float64(estNodePower(sys, sys.Config().ServerProfile.VMSlots, 1))
+	prof := &sys.Config().ServerProfile
+	minService := float64(prof.Draw(prof.VMSlots, sys.Sink.Spec().Util, 1))
 
 	switch {
 	case sv.mode == ModeNormal || ((sv.mode == ModeBlackout || !sys.InWindow(now) || !sys.Sink.HasWork(now)) && quiet):

@@ -163,8 +163,8 @@ func Fig14a(ctx context.Context) *Table {
 	firstCharge := make([]time.Duration, cfg.BatteryCount)
 	for tod := 7 * time.Hour; tod < 12*time.Hour; tod += time.Second {
 		sys.Tick(tod, m)
-		for _, i := range sys.Fabric.UnitsIn(relay.Charging) {
-			if firstCharge[i] == 0 {
+		for i := range firstCharge {
+			if firstCharge[i] == 0 && sys.Fabric.Pair(i).Mode() == relay.Charging {
 				firstCharge[i] = tod
 			}
 		}

@@ -48,21 +48,6 @@ func pairRuns(name string, tr *trace.Trace, mk func() sim.Sink) []sim.CampaignRu
 	}
 }
 
-// comparePair runs one InSURE/baseline pair concurrently and returns both
-// results.
-func comparePair(ctx context.Context, tr *trace.Trace, mk func() sim.Sink) (opt, base sim.Result) {
-	res, err := sim.RunCampaign(ctx, 0, pairRuns("pair", tr, mk))
-	if err != nil {
-		panic(err)
-	}
-	return res[0], res[1]
-}
-
-// microPair runs one micro kernel under both managers on the given trace.
-func microPair(ctx context.Context, spec workload.Spec, tr *trace.Trace) (opt, base sim.Result) {
-	return comparePair(ctx, tr, func() sim.Sink { return sim.NewMicroSink(spec) })
-}
-
 // lifeImprovement converts the per-unit wear ratio into a service-life
 // improvement, bounded to keep near-zero baselines from exploding.
 func lifeImprovement(opt, base sim.Result) float64 {

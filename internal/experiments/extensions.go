@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"insure/internal/baseline"
-	"insure/internal/blink"
 	"insure/internal/core"
 	"insure/internal/endurance"
 	"insure/internal/faults"
@@ -301,7 +300,7 @@ func ExtPriorArt(ctx context.Context) *Table {
 	}{
 		{"InSURE", func() sim.Manager { return core.New(core.DefaultConfig(), 6) }},
 		{"baseline (unified buffer)", func() sim.Manager { return baseline.New(baseline.DefaultConfig()) }},
-		{"blink (power-state tracking)", func() sim.Manager { return blink.New(blink.DefaultConfig()) }},
+		{"blink (power-state tracking)", func() sim.Manager { return baseline.NewBlink() }},
 	}
 	for _, m := range managers {
 		cfg := sim.DefaultConfig(day)

@@ -680,15 +680,7 @@ func (c *Coordinator) sample(fl *sim.Fleet, i int) {
 		return
 	}
 	sys := fl.System(i)
-	n := sys.Bank.Size()
-	var soc float64
-	for u := 0; u < n; u++ {
-		soc += core.EstimatedSoC(sys, u)
-	}
-	if n > 0 {
-		soc /= float64(n)
-	}
-	st.soc = soc
+	st.soc = sys.MeanEstimatedSoC()
 	st.solarW = float64(sys.SolarNow())
 	st.mode = core.ModeNormal
 	if m, ok := st.mgr.(interface{ Mode() core.OpMode }); ok {

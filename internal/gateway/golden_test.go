@@ -6,8 +6,6 @@ import (
 	"math"
 	"testing"
 	"time"
-
-	"insure/internal/core"
 )
 
 // exactPlant is SimPlant with every State answer checked against a live
@@ -25,7 +23,7 @@ func (p exactPlant) State(now time.Duration) State {
 	n := 0
 	for i, q := range p.Mgr.Quarantined() {
 		if !q {
-			sum += core.EstimatedSoC(p.Sys, i)
+			sum += p.Sys.EstimatedSoC(i)
 			n++
 		}
 	}

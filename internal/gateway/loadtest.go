@@ -125,22 +125,16 @@ type ServingPlane struct {
 // builds a fresh fleet, replays the deterministic request stream over the
 // fleet's whole day span, and records latency percentiles, shed counts,
 // SoC excursion, the set of ladder rungs visited, and the metered energy
-// bill. Deterministic: same config, same numbers.
+// bill. Deterministic: same config, same numbers. A sweep with no site,
+// battery, server, rate or regime is refused.
 func RunLoadTest(cfg LoadConfig) (*ServingPlane, error) {
-	if cfg.Sites <= 0 {
-		cfg.Sites = 2
-	}
-	if len(cfg.QPS) == 0 {
-		cfg.QPS = []float64{5, 15, 40}
-	}
-	if len(cfg.Regimes) == 0 {
-		cfg.Regimes = DefaultLoadConfig(cfg.Seed).Regimes
-	}
-	if cfg.Batteries <= 0 {
-		cfg.Batteries = 6
-	}
-	if cfg.Servers <= 0 {
-		cfg.Servers = 4
+	switch {
+	case cfg.Sites < 1, cfg.Batteries < 1, cfg.Servers < 1:
+		return nil, fmt.Errorf("gateway: loadtest needs at least 1 site, battery and server, got %d, %d and %d",
+			cfg.Sites, cfg.Batteries, cfg.Servers)
+	case len(cfg.QPS) == 0, len(cfg.Regimes) == 0:
+		return nil, fmt.Errorf("gateway: loadtest needs at least 1 rate and 1 regime, got %d and %d",
+			len(cfg.QPS), len(cfg.Regimes))
 	}
 	if cfg.Gateway.BaseQPS <= 0 {
 		cfg.Gateway.BaseQPS = 15

@@ -61,3 +61,26 @@ func TestLoadTestSmoke(t *testing.T) {
 		t.Fatalf("sweep not deterministic:\n%+v\n%+v", sp2.Regimes[0].Points[0], pt)
 	}
 }
+
+// TestRunLoadTestRefusesEmptySweep pins that a sweep with no site,
+// battery, server, rate or regime is an error, not a silent replay of the
+// default sweep.
+func TestRunLoadTestRefusesEmptySweep(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		edit func(*LoadConfig)
+	}{
+		{"no site", func(c *LoadConfig) { c.Sites = 0 }},
+		{"negative sites", func(c *LoadConfig) { c.Sites = -3 }},
+		{"no battery", func(c *LoadConfig) { c.Batteries = 0 }},
+		{"no server", func(c *LoadConfig) { c.Servers = 0 }},
+		{"no rate", func(c *LoadConfig) { c.QPS = nil }},
+		{"no regime", func(c *LoadConfig) { c.Regimes = nil }},
+	} {
+		cfg := DefaultLoadConfig(3)
+		tc.edit(&cfg)
+		if sp, err := RunLoadTest(cfg); err == nil {
+			t.Errorf("%s: RunLoadTest replayed %d sites, want an error", tc.name, sp.Sites)
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package logbook
 
-import (
-	"io"
-	"os"
-)
+import "os"
 
 // The logbook doubles as the forensic record of chaos and fault runs, so
 // the file-writing path must survive the process being killed right after
@@ -13,17 +10,7 @@ import (
 
 // WriteTextFile writes the human-readable log to path, fsyncs, and
 // closes, propagating the first error from any stage.
-func (b *Book) WriteTextFile(path string) error {
-	return b.writeFile(path, b.WriteText)
-}
-
-// WriteCSVFile writes the machine-readable log to path, fsyncs, and
-// closes, propagating the first error from any stage.
-func (b *Book) WriteCSVFile(path string) error {
-	return b.writeFile(path, b.WriteCSV)
-}
-
-func (b *Book) writeFile(path string, write func(w io.Writer) error) (err error) {
+func (b *Book) WriteTextFile(path string) (err error) {
 	f, cerr := os.Create(path)
 	if cerr != nil {
 		return cerr
@@ -33,7 +20,7 @@ func (b *Book) writeFile(path string, write func(w io.Writer) error) (err error)
 			err = cerr
 		}
 	}()
-	if err = write(f); err != nil {
+	if err = b.WriteText(f); err != nil {
 		return err
 	}
 	return f.Sync()

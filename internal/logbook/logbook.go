@@ -4,15 +4,13 @@
 // on/off cycles, VM operations, battery mode changes, emergencies).
 //
 // Events are typed, timestamped with simulation time, and can be rendered
-// as text or CSV for offline analysis.
+// as text for offline analysis.
 package logbook
 
 import (
-	"encoding/csv"
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -119,15 +117,6 @@ func (b *Book) Events() []Event {
 	return out
 }
 
-// CountByClass tallies events per class.
-func (b *Book) CountByClass() map[Class]int {
-	out := map[Class]int{}
-	for _, e := range b.Events() {
-		out[e.Class]++
-	}
-	return out
-}
-
 // Filter returns the events of one class.
 func (b *Book) Filter(class Class) []Event {
 	var out []Event
@@ -136,20 +125,6 @@ func (b *Book) Filter(class Class) []Event {
 			out = append(out, e)
 		}
 	}
-	return out
-}
-
-// Subjects returns the distinct subjects seen, sorted.
-func (b *Book) Subjects() []string {
-	set := map[string]bool{}
-	for _, e := range b.Events() {
-		set[e.Subject] = true
-	}
-	out := make([]string, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Strings(out)
 	return out
 }
 
@@ -176,28 +151,4 @@ func (b *Book) WriteText(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// WriteCSV renders the log as RFC 4180 CSV with a header row. Fields
-// containing commas, quotes, or newlines are quoted/escaped by the
-// encoder, so hostile event messages round-trip through any CSV reader;
-// the seq column preserves the deterministic tie-break order for
-// downstream joins against telemetry snapshots.
-func (b *Book) WriteCSV(w io.Writer) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"seconds", "seq", "class", "subject", "detail"}); err != nil {
-		return err
-	}
-	for _, e := range b.Events() {
-		rec := []string{
-			strconv.FormatInt(int64(e.At/time.Second), 10),
-			strconv.FormatUint(e.Seq, 10),
-			e.Class.String(), e.Subject, e.Detail,
-		}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
 }

@@ -2,7 +2,6 @@ package logbook
 
 import (
 	"bytes"
-	"encoding/csv"
 	"os"
 	"path/filepath"
 	"strings"
@@ -19,16 +18,8 @@ func TestAddAndQuery(t *testing.T) {
 	if b.Len() != 3 {
 		t.Fatalf("len = %d", b.Len())
 	}
-	counts := b.CountByClass()
-	if counts[Power] != 1 || counts[Load] != 1 || counts[Emergency] != 1 {
-		t.Errorf("counts = %v", counts)
-	}
 	if got := b.Filter(Emergency); len(got) != 1 || got[0].Subject != "bus" {
 		t.Errorf("filter = %v", got)
-	}
-	subjects := b.Subjects()
-	if len(subjects) != 3 || subjects[0] != "battery#1" {
-		t.Errorf("subjects = %v", subjects)
 	}
 }
 
@@ -56,63 +47,6 @@ func TestWriteText(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "13:05:09") || !strings.Contains(out, "battery#2") {
 		t.Errorf("text output %q", out)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	b := New(0)
-	b.Add(time.Hour, Load, "cluster", "duty 0.8")
-	var buf bytes.Buffer
-	if err := b.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("lines = %d", len(lines))
-	}
-	if lines[0] != "seconds,seq,class,subject,detail" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "3600,1,load,cluster") {
-		t.Errorf("row = %q", lines[1])
-	}
-}
-
-// TestWriteCSVHostileStrings proves event messages containing commas,
-// quotes, and newlines survive a round trip through a standard CSV
-// reader — the §5 log data must stay machine-readable whatever the
-// control plane prints into it.
-func TestWriteCSVHostileStrings(t *testing.T) {
-	b := New(0)
-	hostile := []string{
-		`plain`,
-		`comma, separated, detail`,
-		`quoted "detail" here`,
-		"multi\nline\ndetail",
-		`mixed, "everything"` + "\nat once",
-	}
-	for i, d := range hostile {
-		b.Add(time.Duration(i)*time.Second, Emergency, "unit,with\"chars", d)
-	}
-	var buf bytes.Buffer
-	if err := b.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	rows, err := csv.NewReader(&buf).ReadAll()
-	if err != nil {
-		t.Fatalf("rendered CSV does not parse: %v", err)
-	}
-	if len(rows) != len(hostile)+1 {
-		t.Fatalf("rows = %d, want %d", len(rows), len(hostile)+1)
-	}
-	for i, d := range hostile {
-		row := rows[i+1]
-		if row[3] != "unit,with\"chars" {
-			t.Errorf("row %d subject = %q", i, row[3])
-		}
-		if row[4] != d {
-			t.Errorf("row %d detail = %q, want %q", i, row[4], d)
-		}
 	}
 }
 
@@ -196,26 +130,20 @@ func TestWriteFilesAreDurable(t *testing.T) {
 
 	dir := t.TempDir()
 	txt := filepath.Join(dir, "log.txt")
-	csvPath := filepath.Join(dir, "log.csv")
 	if err := b.WriteTextFile(txt); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.WriteCSVFile(csvPath); err != nil {
+	raw, err := os.ReadFile(txt)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range []string{txt, csvPath} {
-		raw, err := os.ReadFile(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(string(raw), "quarantined") {
-			t.Errorf("%s missing event content", p)
-		}
+	if !strings.Contains(string(raw), "quarantined") {
+		t.Errorf("%s missing event content", txt)
 	}
 
 	// The write path must propagate errors instead of swallowing them:
 	// writing into a missing directory fails loudly.
-	if err := b.WriteCSVFile(filepath.Join(dir, "no-such-dir", "log.csv")); err == nil {
+	if err := b.WriteTextFile(filepath.Join(dir, "no-such-dir", "log.txt")); err == nil {
 		t.Error("want error writing into missing directory")
 	}
 }

@@ -129,9 +129,6 @@ func (p *Panel) AttachTelemetry(reg *telemetry.Registry) {
 		pair.Charge.OnSettle = onSettle
 		pair.Discharge.OnSettle = onSettle
 	}
-	p.Fabric.P1.OnSettle = onSettle
-	p.Fabric.P2.OnSettle = onSettle
-	p.Fabric.P3.OnSettle = onSettle
 }
 
 // Publish mirrors the bank and fabric into the gauges AttachTelemetry

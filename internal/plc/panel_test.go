@@ -4,9 +4,11 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"insure/internal/battery"
 	"insure/internal/relay"
+	"insure/internal/telemetry"
 	"insure/internal/units"
 )
 
@@ -17,6 +19,33 @@ func newTestPanel(t *testing.T, n int) *Panel {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestFreshPanelMovesNoRelay pins that a fresh panel reports no relay
+// cycle and no relay settle until a coil moves: NewPanel leaves every
+// relay of the fabric open, and the fabric holds only the unit pairs.
+func TestFreshPanelMovesNoRelay(t *testing.T) {
+	p := newTestPanel(t, 3)
+	reg := telemetry.NewRegistry()
+	p.AttachTelemetry(reg)
+	scan := func() (cycles float64, settles int64) {
+		p.PLC.ScanNow()
+		p.Fabric.Tick(time.Second)
+		p.Publish()
+		s := reg.Snapshot()
+		return s.Gauges["insure_relay_cycles"], s.Histograms["insure_relay_settle_seconds"].Count
+	}
+	for i := 0; i < 3; i++ {
+		if c, n := scan(); c != 0 || n != 0 {
+			t.Fatalf("scan %d, no coil written: %v relay cycles, %d settles, want 0 and 0", i, c, n)
+		}
+	}
+	if err := p.PLC.Regs.WriteCoil(CoilCharge(1), true); err != nil {
+		t.Fatal(err)
+	}
+	if c, n := scan(); c != 1 || n != 1 {
+		t.Errorf("one coil written: %v relay cycles, %d settles, want 1 and 1", c, n)
+	}
 }
 
 // TestPanelPowerCodesClamped drives out-of-range bus powers through the

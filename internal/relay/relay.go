@@ -244,24 +244,19 @@ func (p *Pair) Tick(dt time.Duration) {
 	p.Discharge.Tick(dt)
 }
 
-// Fabric is the whole switch network: one pair per battery unit plus the
-// series/parallel topology switches (P1, P2, P3 in Fig 6).
+// Fabric is the switch network: one relay pair per battery unit. The bank
+// is wired in parallel for good; Fig 6's series/parallel topology switches
+// (P1, P2, P3) are not modelled, since no manager ever leaves parallel.
 type Fabric struct {
 	pairs []*Pair
-
-	// Topology switches: P1/P3 closed + P2 open = parallel;
-	// P1/P3 open + P2 closed = series.
-	P1, P2, P3 *Relay
 }
 
-// NewFabric builds a fabric for n battery units, initially all open and in
-// parallel topology.
+// NewFabric builds a fabric for n battery units, every relay open.
 func NewFabric(n int) *Fabric {
-	f := &Fabric{pairs: make([]*Pair, n), P1: New("P1"), P2: New("P2"), P3: New("P3")}
+	f := &Fabric{pairs: make([]*Pair, n)}
 	for i := range f.pairs {
 		f.pairs[i] = NewPair(i)
 	}
-	f.SetParallel()
 	return f
 }
 
@@ -271,46 +266,12 @@ func (f *Fabric) Size() int { return len(f.pairs) }
 // Pair returns the relay pair for unit i.
 func (f *Fabric) Pair(i int) *Pair { return f.pairs[i] }
 
-// SetParallel configures the bank for parallel output (same voltage, summed
-// ampere-hours).
-func (f *Fabric) SetParallel() {
-	f.P2.Set(false)
-	f.P1.Set(true)
-	f.P3.Set(true)
-}
-
-// SetSeries configures the bank for series output (summed voltage).
-func (f *Fabric) SetSeries() {
-	f.P1.Set(false)
-	f.P3.Set(false)
-	f.P2.Set(true)
-}
-
-// Parallel reports whether the topology is parallel.
-func (f *Fabric) Parallel() bool {
-	return f.P1.Closed() && f.P3.Closed() && !f.P2.Closed()
-}
-
-// Tick advances every relay in the fabric: pair contacts first (charge then
-// discharge per unit), then the topology switches.
+// Tick advances every relay in the fabric, unit by unit, charge then
+// discharge contact.
 func (f *Fabric) Tick(dt time.Duration) {
 	for _, p := range f.pairs {
 		p.Tick(dt)
 	}
-	f.P1.Tick(dt)
-	f.P2.Tick(dt)
-	f.P3.Tick(dt)
-}
-
-// UnitsIn returns the indices currently in the given mode.
-func (f *Fabric) UnitsIn(m Mode) []int {
-	var idx []int
-	for i, p := range f.pairs {
-		if p.Mode() == m {
-			idx = append(idx, i)
-		}
-	}
-	return idx
 }
 
 // AppendByMode is one pass over the fabric: it appends each unit's index to
@@ -339,5 +300,5 @@ func (f *Fabric) TotalCycles() int64 {
 	for _, p := range f.pairs {
 		n += p.Charge.Cycles() + p.Discharge.Cycles()
 	}
-	return n + f.P1.Cycles() + f.P2.Cycles() + f.P3.Cycles()
+	return n
 }

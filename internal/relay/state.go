@@ -39,15 +39,11 @@ func (st *RelayState) walk(c journal.Codec) {
 }
 
 // Walk is the fabric's one persisted layout: the pair count, which must
-// match the fabric's, then every pair's contacts and the three topology
-// switches.
+// match the fabric's, then every pair's contacts.
 func (f *Fabric) Walk(c journal.Codec) {
 	c.Size(len(f.pairs), "relay: restoring %d pairs into fabric of %d")
 	for _, p := range f.pairs {
 		p.Charge.st.walk(c)
 		p.Discharge.st.walk(c)
 	}
-	f.P1.st.walk(c)
-	f.P2.st.walk(c)
-	f.P3.st.walk(c)
 }

@@ -48,11 +48,6 @@ func exercise(f *Fabric, steps int) {
 		for i := 0; i < f.Size(); i++ {
 			f.Pair(i).SetMode(modes[(s+i)%len(modes)])
 		}
-		if s%3 == 0 {
-			f.SetSeries()
-		} else {
-			f.SetParallel()
-		}
 		// Odd tick size: some switches stay in flight across captures.
 		f.Tick(10 * time.Millisecond)
 	}

@@ -50,6 +50,37 @@ func (p Profile) RestoreFor(vms int) time.Duration {
 	return p.RestoreTime + time.Duration(vms)*p.RestorePerVM
 }
 
+// Draw is the steady draw of vms VMs packed onto nodes of this profile the
+// way the allocator packs them: full nodes first, the last one partly
+// filled, every VM at per-VM utilisation util and DVFS duty cycle duty.
+// It is what the nodes' Power sums to once they are all On, and the one
+// load model every power manager plans with.
+func (p Profile) Draw(vms int, util, duty float64) units.Watt {
+	if vms <= 0 {
+		return 0
+	}
+	full := vms / p.VMSlots
+	rem := vms % p.VMSlots
+	w := float64(full) * p.onDraw(util, duty, 1)
+	if rem > 0 {
+		w += p.onDraw(util, duty, float64(rem)/float64(p.VMSlots))
+	}
+	return units.Watt(w)
+}
+
+// onDraw is one On node's draw with the fraction frac of its VM slots
+// running at util and duty.
+func (p Profile) onDraw(util, duty, frac float64) float64 {
+	return float64(p.IdlePower) + float64(p.PeakPower-p.IdlePower)*util*duty*frac
+}
+
+// TransitionDraw is a node's draw while it checkpoints or restores: idle
+// plus 30% of the span, for the disks and network busy saving or loading
+// VM images.
+func (p Profile) TransitionDraw() units.Watt {
+	return p.IdlePower + units.Watt(0.3*float64(p.PeakPower-p.IdlePower))
+}
+
 // Xeon is the prototype's legacy high-performance node.
 func Xeon() Profile {
 	return Profile{
@@ -213,18 +244,14 @@ func (n *Node) VMsLost() int { return n.vmsLost }
 // Running reports whether the node currently executes work.
 func (n *Node) Running() bool { return n.state == On }
 
-// Power is the node's present draw. Transitions draw idle-plus power (disk
-// and network busy saving or loading VM images) but make no progress.
+// Power is the node's present draw. Transitions draw the profile's
+// TransitionDraw but make no progress.
 func (n *Node) Power() units.Watt {
-	span := float64(n.prof.PeakPower - n.prof.IdlePower)
 	switch n.state {
-	case Off:
-		return 0
 	case Restoring, Checkpointing:
-		return n.prof.IdlePower + units.Watt(0.3*span)
+		return n.prof.TransitionDraw()
 	case On:
-		frac := float64(n.activeVMs) / float64(n.prof.VMSlots)
-		return n.prof.IdlePower + units.Watt(span*n.util*n.duty*frac)
+		return units.Watt(n.prof.onDraw(n.util, n.duty, float64(n.activeVMs)/float64(n.prof.VMSlots)))
 	}
 	return 0
 }

@@ -73,6 +73,57 @@ func TestNodePowerEnvelope(t *testing.T) {
 	}
 }
 
+// TestDrawMatchesNodePower pins the load model the managers plan with to
+// the draw the nodes report, bit for bit, on both profiles: Draw of k full
+// nodes is k times a full On node's Power, a partly filled last node adds
+// that node's Power, and TransitionDraw is Power while a node restores or
+// checkpoints.
+func TestDrawMatchesNodePower(t *testing.T) {
+	for _, p := range []Profile{Xeon(), CoreI7()} {
+		if got := p.Draw(0, 1, 1); got != 0 {
+			t.Errorf("%s: Draw of 0 VMs = %v, want 0", p.Name, got)
+		}
+		for _, util := range []float64{0, 0.41, 1} {
+			for _, duty := range []float64{0.1, 0.55, 1} {
+				on := make([]units.Watt, p.VMSlots+1) // an On node's Power by occupancy
+				for vms := 1; vms <= p.VMSlots; vms++ {
+					n := NewNode(p)
+					n.SetActiveVMs(vms)
+					n.SetUtil(util)
+					n.SetDuty(duty)
+					n.PowerOn()
+					if got := n.Power(); got != p.TransitionDraw() {
+						t.Errorf("%s: restoring Power %v, TransitionDraw %v", p.Name, got, p.TransitionDraw())
+					}
+					for n.State() != On {
+						n.Step(time.Minute)
+					}
+					on[vms] = n.Power()
+					n.PowerOff()
+					if got := n.Power(); got != p.TransitionDraw() {
+						t.Errorf("%s: checkpointing Power %v, TransitionDraw %v", p.Name, got, p.TransitionDraw())
+					}
+				}
+				for k := 0; k <= 4; k++ {
+					for rem := 0; rem < p.VMSlots; rem++ {
+						if k == 0 && rem == 0 {
+							continue
+						}
+						want := float64(k) * float64(on[p.VMSlots])
+						if rem > 0 {
+							want += float64(on[rem])
+						}
+						if got := p.Draw(k*p.VMSlots+rem, util, duty); got != units.Watt(want) {
+							t.Errorf("%s util %v duty %v: Draw(%d) = %v, want %v",
+								p.Name, util, duty, k*p.VMSlots+rem, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestSeismicPowerCalibration(t *testing.T) {
 	// Table 2: the 8-VM seismic configuration averages ~1397 W over four
 	// nodes (~350 W/node) and the 4-VM configuration ~696 W over two.

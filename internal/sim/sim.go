@@ -355,6 +355,29 @@ func (s *System) UnitReading(i int) (units.Volt, units.Amp) {
 	return s.Probes[i].Readings()
 }
 
+// EstimatedSoC is unit i's state of charge as the control plane can know
+// it: the transduced terminal voltage, with the resistive sag put back from
+// the transduced current, placed on the battery's linear OCV curve. Every
+// power manager, the fleet coordinator and the gateway read the buffer
+// through it, so they never disagree about what the plant knows.
+func (s *System) EstimatedSoC(i int) float64 {
+	v, cur := s.UnitReading(i)
+	p := &s.cfg.BatteryParams
+	ocv := float64(v) + float64(cur)*p.InternalOhm
+	return units.Clamp((ocv-float64(p.OCVEmpty))/float64(p.OCVFull-p.OCVEmpty), 0, 1)
+}
+
+// MeanEstimatedSoC is EstimatedSoC averaged over every unit, summed in
+// index order.
+func (s *System) MeanEstimatedSoC() float64 {
+	n := s.Bank.Size()
+	var sum float64
+	for i := 0; i < n; i++ {
+		sum += s.EstimatedSoC(i)
+	}
+	return sum / float64(n)
+}
+
 // ReadingsGen is the readings generation: a counter that moves whenever
 // UnitReading's answers can change, which is on every PLC scan (the probes
 // sample) and every fieldbus image install (the probes take the panel's
