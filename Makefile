@@ -145,11 +145,13 @@ race-wan:
 
 # smoke-bitrot runs the quick self-healing storage gates: the seeded
 # disk-fault filesystem's own suite, the mirrored-journal and scrubber
-# tests, and the clean-disk harness pin of the bit-rot storm. A failing
+# tests under the race detector (the journal fsyncs its two copies at
+# once), and the clean-disk harness pin of the bit-rot storm. A failing
 # storm prints its seed; rerun with `go test -run TestBitrotStorm
 # ./internal/chaos -v`.
 smoke-bitrot:
 	$(GO) test -count=1 ./internal/diskfault
+	$(GO) test -race -count=1 ./internal/journal
 	$(GO) test -count=1 -run 'TestBitrotStormCleanDiskIsQuiet' -v ./internal/chaos
 
 # race-bitrot runs the full three-day bit-rot storm — torn writes, failed
@@ -205,12 +207,14 @@ bench:
 bench-json:
 	$(GO) run ./cmd/insure-bench -bench-json BENCH.json
 
-# perf-diff times the four hot-path benchmarks (system_tick, plc_scan,
-# gateway_offer, full_day_insure) in process and compares them against the
-# committed BENCH.json. It fails only when a benchmark the committed report
-# records at 0 allocs/op (system_tick, plc_scan, gateway_offer) allocates;
-# ns/op deltas are printed but not judged, since one run against one run on
-# a drifting host decides nothing.
+# perf-diff times the five hot-path benchmarks (system_tick, plc_scan,
+# gateway_offer, journal_commit, full_day_insure) in process and compares
+# them against the committed BENCH.json. It fails only when a benchmark the
+# committed report records at 0 allocs/op (system_tick, plc_scan,
+# gateway_offer, journal_commit) allocates; ns/op deltas are printed but not
+# judged, since one run against one run on a drifting host decides nothing.
+# journal_commit fsyncs a store in a directory under the working directory
+# and removes it afterwards.
 perf-diff:
 	$(GO) run ./cmd/insure-bench -perf-diff BENCH.json
 
@@ -223,6 +227,6 @@ experiments:
 # untracked outputs .gitignore lists. It keeps BENCH.json, the committed
 # baseline perf-diff compares against.
 clean:
-	rm -rf .bench_build
+	rm -rf .bench_build .journal-commit-*
 	rm -f insure-* benchmark/benchmark
 	find . -name '*.test' -type f -not -path './.git/*' -delete

@@ -14,6 +14,7 @@ import (
 	"insure/internal/core"
 	"insure/internal/experiments"
 	"insure/internal/gateway"
+	"insure/internal/journal"
 	"insure/internal/sim"
 	"insure/internal/solar"
 	"insure/internal/telemetry"
@@ -96,6 +97,7 @@ var benchmarks = []struct {
 }{
 	{"system_tick", benchSystemTick},
 	{"gateway_offer", benchGatewayOffer},
+	{"journal_commit", benchJournalCommit},
 	{"telemetry_scrape", benchTelemetryScrape},
 	{"plc_scan", benchPLCScan},
 	{"full_day_insure", benchFullDay},
@@ -290,6 +292,50 @@ func benchGatewayOffer(b *testing.B) {
 		}
 		gw.Offer(tod, servingMix[i%len(servingMix)])
 	}
+}
+
+// benchJournalCommit times one journaled control-pass commit: Append of
+// a survival-armed manager's state image after four hours of a cloudy
+// day (about 700 B, so the pair takes the fieldbus workload's ~1.4 KB per
+// pass), with both copies fsynced. $TMPDIR may be tmpfs, where an fsync
+// costs nothing, so the store lives in a directory under the working
+// directory, removed afterwards.
+func benchJournalCommit(b *testing.B) {
+	cfg := sim.DefaultConfig(trace.Table6Day(solar.Cloudy, 2015))
+	sys, err := sim.New(cfg, sim.NewSeismicSink())
+	if err != nil {
+		b.Fatal(err)
+	}
+	mc := core.DefaultConfig()
+	mc.Survival = core.DefaultSurvivalConfig()
+	mgr := core.New(mc, cfg.BatteryCount)
+	lo, _ := sys.Span()
+	for tod := lo; tod < lo+4*time.Hour; tod += cfg.Step {
+		sys.Tick(tod, mgr)
+	}
+	var img journal.Encoder
+	mgr.AppendState(&img)
+	dir, err := os.MkdirTemp(".", ".journal-commit-")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	store, err := journal.Open(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := store.Append(img.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if err := store.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(len(img.Bytes())), "image_bytes")
 }
 
 // offersPerSecond is the serving workload's request rate.

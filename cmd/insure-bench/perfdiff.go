@@ -18,8 +18,9 @@ import (
 // threshold on one run each reports the host, not the code.
 
 // perfDiffCases are the benchmarks compared: the hot-path names present in
-// every BENCH.json since the suite existed, plus gateway admission.
-var perfDiffCases = []string{"system_tick", "plc_scan", "gateway_offer", "full_day_insure"}
+// every BENCH.json since the suite existed, plus gateway admission and the
+// journaled commit.
+var perfDiffCases = []string{"system_tick", "plc_scan", "gateway_offer", "journal_commit", "full_day_insure"}
 
 func loadBenchReport(path string) (*benchReport, error) {
 	data, err := os.ReadFile(path)

@@ -20,6 +20,7 @@ func TestPerfDiffVerdict(t *testing.T) {
 				{Name: "gateway_offer", NsPerOp: 303.3},
 				{Name: "plc_scan", NsPerOp: 333.2},
 				{Name: "full_day_insure", NsPerOp: 70997349, AllocsPerOp: 415},
+				{Name: "journal_commit", NsPerOp: 82317},
 			},
 		}
 	}
@@ -35,6 +36,9 @@ func TestPerfDiffVerdict(t *testing.T) {
 	offerAllocs := base()
 	offerAllocs.Benchmarks[1].AllocsPerOp = 2
 
+	commitAllocs := base()
+	commitAllocs.Benchmarks[4].AllocsPerOp = 1
+
 	cases := []struct {
 		name string
 		cur  *benchReport
@@ -44,6 +48,7 @@ func TestPerfDiffVerdict(t *testing.T) {
 		{"noisy pair of one tree", noisy, 0},
 		{"system_tick 0 -> 1 allocs/op", tickAllocs, 1},
 		{"gateway_offer 0 -> 2 allocs/op", offerAllocs, 1},
+		{"journal_commit 0 -> 1 allocs/op", commitAllocs, 1},
 	}
 	for _, tc := range cases {
 		var out bytes.Buffer

@@ -79,7 +79,11 @@ func main() {
 	jsonOut := flag.String("json", "", "with -loadtest, also write the serving_plane JSON block to this path")
 	flag.Parse()
 
-	qps, err := checkFlags(*accel, *baseQPS, *initSoC, *peak, *ltQPS, *ltSites, *batteries, *servers)
+	qps, err := checkFlags(flagValues{
+		accel: *accel, baseQPS: *baseQPS, soc: *initSoC, peak: *peak,
+		ltQPS: *ltQPS, sites: *ltSites, batteries: *batteries, servers: *servers,
+		loadtest: *loadtest, survival: *survival, genset: *gensetFit,
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -170,37 +174,52 @@ func main() {
 	log.Print("signal received; drained and stopped")
 }
 
+// flagValues are the parsed flags checkFlags vets.
+type flagValues struct {
+	accel, baseQPS, soc, peak  float64
+	ltQPS                      string
+	sites, batteries, servers  int
+	loadtest, survival, genset bool
+}
+
 // checkFlags refuses, before anything binds -addr, the numeric flags that
 // would serve a frozen clock (-accel 0 or NaN), spin the tick loop
 // (-accel +Inf), shed nearly everything (-base-qps NaN) or replay NaN rows
 // (-loadtest-qps NaN), a NaN or negative -soc or -peak, where 0 keeps the
-// default, and a plant or sweep with no site, no battery or no server, or
-// more batteries than the panel's register map holds. It returns the
-// -loadtest-qps levels.
-func checkFlags(accel, baseQPS, soc, peak float64, ltQPS string, sites, batteries, servers int) ([]float64, error) {
-	if !(accel > 0 && accel <= math.MaxFloat64) {
-		return nil, fmt.Errorf("-accel %v: need a finite speed-up above 0", accel)
+// default, a plant or sweep with no site, no battery or no server, or
+// more batteries than the panel's register map holds, and the plant
+// flags -loadtest would ignore: its sweep always arms the survivability
+// ladder and never fits a generator. It returns the -loadtest-qps levels.
+func checkFlags(f flagValues) ([]float64, error) {
+	if !(f.accel > 0 && f.accel <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-accel %v: need a finite speed-up above 0", f.accel)
 	}
-	if !(baseQPS > 0 && baseQPS <= math.MaxFloat64) {
-		return nil, fmt.Errorf("-base-qps %v: need a finite rate above 0", baseQPS)
+	if !(f.baseQPS > 0 && f.baseQPS <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-base-qps %v: need a finite rate above 0", f.baseQPS)
 	}
-	if !(soc >= 0 && soc <= 1) {
-		return nil, fmt.Errorf("-soc %v: need a state of charge in [0, 1], 0 for the default", soc)
+	if !(f.soc >= 0 && f.soc <= 1) {
+		return nil, fmt.Errorf("-soc %v: need a state of charge in [0, 1], 0 for the default", f.soc)
 	}
-	if !(peak >= 0 && peak <= math.MaxFloat64) {
-		return nil, fmt.Errorf("-peak %v: need a finite power of at least 0 W, 0 for the natural trace", peak)
+	if !(f.peak >= 0 && f.peak <= math.MaxFloat64) {
+		return nil, fmt.Errorf("-peak %v: need a finite power of at least 0 W, 0 for the natural trace", f.peak)
 	}
-	if sites < 1 {
-		return nil, fmt.Errorf("-loadtest-sites %d: need at least 1 site", sites)
+	if f.sites < 1 {
+		return nil, fmt.Errorf("-loadtest-sites %d: need at least 1 site", f.sites)
 	}
-	if batteries < 1 || batteries > plc.MaxUnits {
-		return nil, fmt.Errorf("-batteries %d: need 1..%d battery units", batteries, plc.MaxUnits)
+	if f.batteries < 1 || f.batteries > plc.MaxUnits {
+		return nil, fmt.Errorf("-batteries %d: need 1..%d battery units", f.batteries, plc.MaxUnits)
 	}
-	if servers < 1 {
-		return nil, fmt.Errorf("-servers %d: need at least 1 server", servers)
+	if f.servers < 1 {
+		return nil, fmt.Errorf("-servers %d: need at least 1 server", f.servers)
+	}
+	if f.loadtest && f.genset {
+		return nil, fmt.Errorf("-genset with -loadtest: the sweep never fits a generator")
+	}
+	if f.loadtest && !f.survival {
+		return nil, fmt.Errorf("-survival=false with -loadtest: the sweep always arms the survivability ladder")
 	}
 	var qps []float64
-	for _, part := range strings.Split(ltQPS, ",") {
+	for _, part := range strings.Split(f.ltQPS, ",") {
 		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
 		if err != nil || !(v > 0 && v <= math.MaxFloat64) {
 			return nil, fmt.Errorf("-loadtest-qps %q: need finite rates above 0", part)

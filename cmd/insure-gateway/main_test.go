@@ -335,53 +335,53 @@ func TestScrapeWhileTicking(t *testing.T) {
 // -batteries, above the register map's plc.MaxUnits.
 func TestCheckFlags(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
-	type flags struct {
-		accel, baseQPS, soc, peak float64
-		ltQPS                     string
-		sites, batteries, servers int
-	}
-	def := flags{accel: 60, baseQPS: 25, ltQPS: "5,15,40", sites: 2, batteries: 6, servers: 4}
+	def := flagValues{accel: 60, baseQPS: 25, ltQPS: "5,15,40", sites: 2, batteries: 6, servers: 4, survival: true}
 	for _, tc := range []struct {
 		name string
-		edit func(*flags)
+		edit func(*flagValues)
 		bad  string // the flag the error must name; "" when accepted
 	}{
-		{"defaults", func(*flags) {}, ""},
-		{"accel 0", func(f *flags) { f.accel = 0 }, "-accel"},
-		{"accel NaN", func(f *flags) { f.accel = nan }, "-accel"},
-		{"accel +Inf", func(f *flags) { f.accel = inf }, "-accel"},
-		{"accel negative", func(f *flags) { f.accel = -60 }, "-accel"},
-		{"accel 600", func(f *flags) { f.accel = 600 }, ""},
-		{"base-qps NaN", func(f *flags) { f.baseQPS = nan }, "-base-qps"},
-		{"base-qps 0", func(f *flags) { f.baseQPS = 0 }, "-base-qps"},
-		{"base-qps +Inf", func(f *flags) { f.baseQPS = inf }, "-base-qps"},
-		{"soc NaN", func(f *flags) { f.soc = nan }, "-soc"},
-		{"soc negative", func(f *flags) { f.soc = -0.1 }, "-soc"},
-		{"soc above 1", func(f *flags) { f.soc = 1.5 }, "-soc"},
-		{"soc 0.48", func(f *flags) { f.soc = 0.48 }, ""},
-		{"peak NaN", func(f *flags) { f.peak = nan }, "-peak"},
-		{"peak negative", func(f *flags) { f.peak = -250 }, "-peak"},
-		{"peak +Inf", func(f *flags) { f.peak = inf }, "-peak"},
-		{"peak 250", func(f *flags) { f.peak = 250 }, ""},
-		{"loadtest-qps NaN", func(f *flags) { f.ltQPS = "NaN" }, "-loadtest-qps"},
-		{"loadtest-qps +Inf", func(f *flags) { f.ltQPS = "5,+Inf" }, "-loadtest-qps"},
-		{"loadtest-qps 0", func(f *flags) { f.ltQPS = "0,15" }, "-loadtest-qps"},
-		{"loadtest-qps empty entry", func(f *flags) { f.ltQPS = "5,,40" }, "-loadtest-qps"},
-		{"loadtest-qps word", func(f *flags) { f.ltQPS = "fast" }, "-loadtest-qps"},
-		{"loadtest-sites 0", func(f *flags) { f.sites = 0 }, "-loadtest-sites"},
-		{"loadtest-sites negative", func(f *flags) { f.sites = -3 }, "-loadtest-sites"},
-		{"loadtest-sites 1", func(f *flags) { f.sites = 1 }, ""},
-		{"batteries 0", func(f *flags) { f.batteries = 0 }, "-batteries"},
-		{"batteries negative", func(f *flags) { f.batteries = -6 }, "-batteries"},
-		{"batteries MaxUnits", func(f *flags) { f.batteries = plc.MaxUnits }, ""},
-		{"batteries above MaxUnits", func(f *flags) { f.batteries = plc.MaxUnits + 1 }, "-batteries"},
-		{"servers 0", func(f *flags) { f.servers = 0 }, "-servers"},
-		{"servers negative", func(f *flags) { f.servers = -4 }, "-servers"},
-		{"servers 1", func(f *flags) { f.servers = 1 }, ""},
+		{"defaults", func(*flagValues) {}, ""},
+		{"accel 0", func(f *flagValues) { f.accel = 0 }, "-accel"},
+		{"accel NaN", func(f *flagValues) { f.accel = nan }, "-accel"},
+		{"accel +Inf", func(f *flagValues) { f.accel = inf }, "-accel"},
+		{"accel negative", func(f *flagValues) { f.accel = -60 }, "-accel"},
+		{"accel 600", func(f *flagValues) { f.accel = 600 }, ""},
+		{"base-qps NaN", func(f *flagValues) { f.baseQPS = nan }, "-base-qps"},
+		{"base-qps 0", func(f *flagValues) { f.baseQPS = 0 }, "-base-qps"},
+		{"base-qps +Inf", func(f *flagValues) { f.baseQPS = inf }, "-base-qps"},
+		{"soc NaN", func(f *flagValues) { f.soc = nan }, "-soc"},
+		{"soc negative", func(f *flagValues) { f.soc = -0.1 }, "-soc"},
+		{"soc above 1", func(f *flagValues) { f.soc = 1.5 }, "-soc"},
+		{"soc 0.48", func(f *flagValues) { f.soc = 0.48 }, ""},
+		{"peak NaN", func(f *flagValues) { f.peak = nan }, "-peak"},
+		{"peak negative", func(f *flagValues) { f.peak = -250 }, "-peak"},
+		{"peak +Inf", func(f *flagValues) { f.peak = inf }, "-peak"},
+		{"peak 250", func(f *flagValues) { f.peak = 250 }, ""},
+		{"loadtest-qps NaN", func(f *flagValues) { f.ltQPS = "NaN" }, "-loadtest-qps"},
+		{"loadtest-qps +Inf", func(f *flagValues) { f.ltQPS = "5,+Inf" }, "-loadtest-qps"},
+		{"loadtest-qps 0", func(f *flagValues) { f.ltQPS = "0,15" }, "-loadtest-qps"},
+		{"loadtest-qps empty entry", func(f *flagValues) { f.ltQPS = "5,,40" }, "-loadtest-qps"},
+		{"loadtest-qps word", func(f *flagValues) { f.ltQPS = "fast" }, "-loadtest-qps"},
+		{"loadtest-sites 0", func(f *flagValues) { f.sites = 0 }, "-loadtest-sites"},
+		{"loadtest-sites negative", func(f *flagValues) { f.sites = -3 }, "-loadtest-sites"},
+		{"loadtest-sites 1", func(f *flagValues) { f.sites = 1 }, ""},
+		{"batteries 0", func(f *flagValues) { f.batteries = 0 }, "-batteries"},
+		{"batteries negative", func(f *flagValues) { f.batteries = -6 }, "-batteries"},
+		{"batteries MaxUnits", func(f *flagValues) { f.batteries = plc.MaxUnits }, ""},
+		{"batteries above MaxUnits", func(f *flagValues) { f.batteries = plc.MaxUnits + 1 }, "-batteries"},
+		{"servers 0", func(f *flagValues) { f.servers = 0 }, "-servers"},
+		{"servers negative", func(f *flagValues) { f.servers = -4 }, "-servers"},
+		{"servers 1", func(f *flagValues) { f.servers = 1 }, ""},
+		{"genset live", func(f *flagValues) { f.genset = true }, ""},
+		{"survival=false live", func(f *flagValues) { f.survival = false }, ""},
+		{"loadtest", func(f *flagValues) { f.loadtest = true }, ""},
+		{"genset with loadtest", func(f *flagValues) { f.loadtest, f.genset = true, true }, "-genset"},
+		{"survival=false with loadtest", func(f *flagValues) { f.loadtest, f.survival = true, false }, "-survival=false"},
 	} {
 		f := def
 		tc.edit(&f)
-		qps, err := checkFlags(f.accel, f.baseQPS, f.soc, f.peak, f.ltQPS, f.sites, f.batteries, f.servers)
+		qps, err := checkFlags(f)
 		switch {
 		case tc.bad == "" && err != nil:
 			t.Errorf("%s: %v, want accepted", tc.name, err)

@@ -18,7 +18,8 @@
 // snapshot is written to a temporary file, fsynced, renamed over the
 // *older* generation slot, and the directory is fsynced — at any instant
 // the directory holds at least one intact generation. Each commit is
-// appended to the journal and its mirror; on snapshot the journal pair is
+// appended to the journal and its mirror, and both copies are fsynced at
+// once before it returns; on snapshot the journal pair is
 // sealed (renamed) into an immutable segment pair that the scrubber can
 // CRC-verify and repair copy-from-copy. Replay prefers the newest intact
 // generation and falls back to the older one plus a longer replay through
@@ -40,6 +41,7 @@ package journal
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -614,6 +616,12 @@ type Store struct {
 
 	frame []byte // reusable framing buffer so Append never allocates
 
+	// syncMirror fsyncs fm and sends the verdict on mirrorSynced. It is
+	// built once in OpenFS, so starting it as a goroutine per commit
+	// allocates nothing.
+	syncMirror   func()
+	mirrorSynced chan error
+
 	failed  error     // first write/fsync failure; poisons the store
 	slotSeq [2]uint64 // intact snapshot generation per slot
 	maxSeal uint64    // highest sealed-segment seq
@@ -664,16 +672,19 @@ func OpenFS(fsys FS, dir string) (*Store, error) {
 	if err != nil {
 		return nil, errors.Join(err, f.Close())
 	}
-	return &Store{
-		fsys:    fsys,
-		dir:     dir,
-		f:       f,
-		fm:      fm,
-		seq:     st.res.LastSeq,
-		slotSeq: st.slotSeq,
-		maxSeal: st.maxSeal,
-		jsize:   int64(len(canon)),
-	}, nil
+	s := &Store{
+		fsys:         fsys,
+		dir:          dir,
+		f:            f,
+		fm:           fm,
+		seq:          st.res.LastSeq,
+		mirrorSynced: make(chan error, 1),
+		slotSeq:      st.slotSeq,
+		maxSeal:      st.maxSeal,
+		jsize:        int64(len(canon)),
+	}
+	s.syncMirror = func() { s.mirrorSynced <- s.fm.Sync() }
+	return s, nil
 }
 
 // openAtEnd opens a journal file for appending.
@@ -725,10 +736,20 @@ func (s *Store) poison(err error) error {
 	return err
 }
 
+// syncPair fsyncs the active journal pair at once: the mirror on a
+// goroutine, the primary on the caller's. It returns after both fsyncs
+// have, so a commit waits for one fsync latency, not two in a row.
+func (s *Store) syncPair() (primary, mirror error) {
+	go s.syncMirror()
+	primary = s.f.Sync()
+	return primary, <-s.mirrorSynced
+}
+
 // Append commits one state payload to the journal pair and fsyncs both
-// copies before returning: commit means durable. The payload is copied into
-// the store's framing buffer, so the caller may reuse its own buffer
-// immediately. Any write or fsync failure poisons the store.
+// copies at once before returning: commit means durable. The payload is
+// copied into the store's framing buffer, so the caller may reuse its own
+// buffer immediately. Any write or fsync failure poisons the store; when
+// both fsyncs fail, the primary's error is the one reported.
 func (s *Store) Append(payload []byte) (uint64, error) {
 	if s.failed != nil {
 		return 0, fmt.Errorf("%w: %v", ErrPoisoned, s.failed)
@@ -752,10 +773,7 @@ func (s *Store) Append(payload []byte) (uint64, error) {
 	if _, err := s.fm.Write(s.frame); err != nil {
 		return 0, s.poison(err)
 	}
-	if err := s.f.Sync(); err != nil {
-		return 0, s.poison(err)
-	}
-	if err := s.fm.Sync(); err != nil {
+	if err := cmp.Or(s.syncPair()); err != nil {
 		return 0, s.poison(err)
 	}
 	s.jsize += int64(len(s.frame))
@@ -811,10 +829,7 @@ func (s *Store) seal() error {
 	if s.jsize == 0 {
 		return nil
 	}
-	if err := s.f.Sync(); err != nil {
-		return err
-	}
-	if err := s.fm.Sync(); err != nil {
+	if err := cmp.Or(s.syncPair()); err != nil {
 		return err
 	}
 	if err := s.f.Close(); err != nil {
@@ -872,20 +887,17 @@ func (s *Store) prune(seq uint64) error {
 	return nil
 }
 
-// Close fsyncs and closes the journal pair. A poisoned store skips the
-// syncs (they cannot be trusted) and reports the poisoning error.
+// Close fsyncs the journal pair at once, reporting both verdicts, and
+// closes it. A poisoned store skips the syncs (they cannot be trusted) and
+// reports the poisoning error.
 func (s *Store) Close() error {
 	if s.f == nil {
 		return nil
 	}
 	var errs []error
 	if s.failed == nil {
-		if err := s.f.Sync(); err != nil {
-			errs = append(errs, err)
-		}
-		if err := s.fm.Sync(); err != nil {
-			errs = append(errs, err)
-		}
+		perr, merr := s.syncPair()
+		errs = append(errs, perr, merr)
 	} else {
 		errs = append(errs, s.failed)
 	}

@@ -3,9 +3,12 @@ package journal
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -545,6 +548,130 @@ func TestStorePoisonedByFailedSync(t *testing.T) {
 type failingFile struct{ File }
 
 func (f failingFile) Sync() error { return errors.New("injected: fsync failed") }
+
+// pairFS wraps Disk and routes every fsync of the active journal pair
+// through onSync, with half 0 the primary and 1 the mirror. With onSync
+// nil the files fsync as usual.
+type pairFS struct {
+	FS
+	onSync func(half int, f File) error
+}
+
+type pairFile struct {
+	File
+	fs   *pairFS
+	half int
+}
+
+func (p *pairFS) OpenFile(name string, flag int) (File, error) {
+	f, err := p.FS.OpenFile(name, flag)
+	if err != nil {
+		return nil, err
+	}
+	switch filepath.Base(name) {
+	case journalName:
+		return &pairFile{File: f, fs: p, half: 0}, nil
+	case journalMirror:
+		return &pairFile{File: f, fs: p, half: 1}, nil
+	}
+	return f, nil
+}
+
+func (f *pairFile) Sync() error {
+	if f.fs.onSync == nil {
+		return f.File.Sync()
+	}
+	return f.fs.onSync(f.half, f.File)
+}
+
+// TestAppendOverlapsPairFsyncs pins that a commit waits for one fsync
+// latency, not two in a row: each copy's Sync waits for the other copy's
+// to start, which two serial fsyncs never do. Append must still return
+// only after the mirror's Sync has.
+func TestAppendOverlapsPairFsyncs(t *testing.T) {
+	const patience = 5 * time.Second
+	fsys := &pairFS{FS: Disk}
+	s, err := OpenFS(fsys, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	started := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var once [2]sync.Once
+	var mirrorReturned atomic.Bool
+	fsys.onSync = func(half int, f File) error {
+		once[half].Do(func() { close(started[half]) })
+		select {
+		case <-started[1-half]:
+		case <-time.After(patience):
+			return fmt.Errorf("half %d's fsync waited %v for the other half's to start", half, patience)
+		}
+		err := f.Sync()
+		if half == 1 {
+			time.Sleep(20 * time.Millisecond) // a slow mirror
+			mirrorReturned.Store(true)
+		}
+		return err
+	}
+	if _, err := s.Append([]byte("both at once")); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	if !mirrorReturned.Load() {
+		t.Fatal("Append returned before the mirror's fsync did")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendPoisonsOnEitherFsyncVerdict pins that both fsync verdicts of
+// a commit reach the poisoning: the mirror is synced even when the
+// primary's fsync fails, and the primary's error takes precedence.
+func TestAppendPoisonsOnEitherFsyncVerdict(t *testing.T) {
+	errPrimary := errors.New("injected: primary fsync failed")
+	errMirror := errors.New("injected: mirror fsync failed")
+	for _, tc := range []struct {
+		name            string
+		primary, mirror error
+		want            error
+	}{
+		{"primary only", errPrimary, nil, errPrimary},
+		{"mirror only", nil, errMirror, errMirror},
+		{"both", errPrimary, errMirror, errPrimary},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fsys := &pairFS{FS: Disk}
+			s, err := OpenFS(fsys, t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var mirrorSyncs atomic.Int32
+			fsys.onSync = func(half int, f File) error {
+				if half == 1 {
+					mirrorSyncs.Add(1)
+				}
+				if fail := [2]error{tc.primary, tc.mirror}[half]; fail != nil {
+					return fail
+				}
+				return f.Sync()
+			}
+			if _, err := s.Append([]byte("doomed")); !errors.Is(err, tc.want) {
+				t.Fatalf("append = %v, want %v", err, tc.want)
+			}
+			if n := mirrorSyncs.Load(); n != 1 {
+				t.Errorf("mirror fsyncs = %d, want 1", n)
+			}
+			if !errors.Is(s.Failed(), tc.want) {
+				t.Errorf("Failed() = %v, want %v", s.Failed(), tc.want)
+			}
+			if _, err := s.Append([]byte("after")); !errors.Is(err, ErrPoisoned) {
+				t.Errorf("append after poison = %v, want ErrPoisoned", err)
+			}
+			if err := s.Close(); !errors.Is(err, tc.want) {
+				t.Errorf("close = %v, want the poisoning %v", err, tc.want)
+			}
+		})
+	}
+}
 
 func TestStoreEmptyDirectory(t *testing.T) {
 	res, err := Load(filepath.Join(t.TempDir(), "never-created"))
