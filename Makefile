@@ -95,11 +95,19 @@ smoke-fleet:
 
 # race-fleet runs the full federation suite — coordinator migration, log
 # recovery, site-loss disposability, the heterogeneous kill/resume replay,
-# and the multi-day site-loss campaign — under the race detector. A failing
-# campaign prints its seed; rerun with `go test -run TestSiteLoss
-# ./internal/chaos -v`.
+# a site's panic raised on RunDay's goroutine, the sim.Fleet oracles, the
+# fleet daemon's drills, the per-site chaos watches breached in one
+# period, and the multi-day site-loss campaign — under the race detector.
+# Sites tick concurrently between coordinator passes, one per pool worker,
+# and the pool runs inline at GOMAXPROCS 1, so the fleet and sim.Fleet
+# tests run at -cpu 1 and 4, and the daemon's and the watches' at -cpu 4:
+# a 1-CPU host reaches the concurrent path too. A failing campaign prints
+# its seed; rerun with `go test -run TestSiteLoss ./internal/chaos -v`.
 race-fleet:
-	$(GO) test -race -count=1 ./internal/fleet
+	$(GO) test -race -count=1 -cpu 1,4 ./internal/fleet
+	$(GO) test -race -count=1 -cpu 1,4 -run 'TestFleet' ./internal/sim
+	$(GO) test -race -count=1 -cpu 4 ./cmd/insure-fleetd
+	$(GO) test -race -count=1 -cpu 4 -run 'TestFleetWatchesTallyPerSite' ./internal/chaos
 	$(GO) test -race -count=1 -run 'TestSiteLoss' -v ./internal/chaos
 
 # smoke-gateway runs the serving-plane gates: admission/ladder/deadline

@@ -11,14 +11,17 @@ import (
 	"testing"
 	"time"
 
+	"insure/internal/battery"
 	"insure/internal/core"
 	"insure/internal/experiments"
+	"insure/internal/fleet"
 	"insure/internal/gateway"
 	"insure/internal/journal"
 	"insure/internal/sim"
 	"insure/internal/solar"
 	"insure/internal/telemetry"
 	"insure/internal/trace"
+	"insure/internal/workload"
 )
 
 // benchCase is one micro/macro benchmark result in BENCH.json.
@@ -101,6 +104,7 @@ var benchmarks = []struct {
 	{"telemetry_scrape", benchTelemetryScrape},
 	{"plc_scan", benchPLCScan},
 	{"full_day_insure", benchFullDay},
+	{"fleet_day", benchFleetDay},
 }
 
 // timeBenchmarks runs the rows of benchmarks that keep accepts, in table
@@ -409,4 +413,68 @@ func benchFullDay(b *testing.B) {
 		b.ReportMetric(res.ProcessedGB, "gb_per_day")
 		b.ReportMetric(float64(res.WearAhPerUnit), "wear_ah_per_unit")
 	}
+}
+
+// fleetDaySites is the fleet_day row's federation size.
+const fleetDaySites = 3
+
+// benchFleetDay times one federated day: RunDay of three sites with
+// migration on over an ideal link, in insure-fleetd's shape — site 0
+// rainy, at 30% charge and with two batch arrivals, sites 1 and 2 sunny
+// at 50% — so the darkened site's ladder drops and its deferred work
+// ships. The sites, their coordinator and the day's configs are built
+// with the timer stopped; RunDay, which builds the day's plants, ticks
+// them and runs the coordinator's passes, is timed. us_per_period is the
+// time per 5-minute control period: one pass plus a period of ticks of
+// every site.
+func benchFleetDay(b *testing.B) {
+	traces := make([]*trace.Trace, fleetDaySites)
+	for i := range traces {
+		sky := solar.Sunny
+		if i == 0 {
+			sky = solar.Rainy
+		}
+		traces[i] = trace.Synthesize(sky, 2015+1000*int64(i), time.Second)
+	}
+	periods := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		b.StopTimer()
+		sites := make([]fleet.Site, fleetDaySites)
+		cfgs := make([]sim.Config, fleetDaySites)
+		for i := range sites {
+			soc, arrivals := 0.50, []time.Duration{7 * time.Hour}
+			if i == 0 {
+				soc, arrivals = 0.30, []time.Duration{7 * time.Hour, 13 * time.Hour}
+			}
+			cfgs[i] = sim.DefaultConfig(traces[i])
+			bank, err := battery.NewBank(battery.DefaultParams(), cfgs[i].BatteryCount, soc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfgs[i].Bank = bank
+			mc := core.DefaultConfig()
+			mc.Survival = core.DefaultSurvivalConfig()
+			sites[i] = fleet.Site{
+				Sink: &sim.BatchSink{
+					Queue: workload.NewBatchQueue(workload.Seismic()), Arrivals: arrivals, JobGB: 40,
+				},
+				Manager: core.New(mc, cfgs[i].BatteryCount),
+			}
+		}
+		c, err := fleet.New(fleet.Config{Migration: true, Prepare: func(_ int, fl *sim.Fleet) {
+			lo, hi := fl.Bounds()
+			periods = int((hi-1)/(5*time.Minute) - (lo-1)/(5*time.Minute))
+		}}, sites)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := c.RunDay(cfgs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*periods), "us_per_period")
 }

@@ -21,12 +21,17 @@
 // retransmit totals, reroutes, heals, the exactly-once guard counters), and
 // GET /healthz reports ok/degraded with one check per WAN link — a
 // partitioned or lost site degrades health until its heartbeat returns.
+// -debug-addr, empty by default, serves net/http/pprof on its own
+// listener. Like the metrics listener it belongs to the process and
+// outlives watchdog rebuilds.
 //
 // Usage:
 //
 //	insure-fleetd -sites 3 -days 3 -state-dir /var/lib/insure-fleetd
 //	insure-fleetd -sites 3 -drop 0.3 -partitions 1 -migration=false
+//	insure-fleetd -debug-addr 127.0.0.1:6062 -days 30
 //	curl http://127.0.0.1:9630/healthz
+//	go tool pprof http://127.0.0.1:6062/debug/pprof/profile?seconds=10
 package main
 
 import (
@@ -52,6 +57,7 @@ import (
 type daemonOpts struct {
 	worldConfig
 	MetricsAddr string
+	DebugAddr   string // net/http/pprof listener; empty binds none
 	KillAt      string // "day:tod" test hook, e.g. "1:15h"
 	MaxRestarts int    // watchdog rebuilds after a panic, needs StateDir
 
@@ -93,14 +99,14 @@ func runAttempt(ctx context.Context, w *world, killAt func(int, time.Duration) b
 	return w.run(ctx, killAt)
 }
 
-// runDaemon checks the flags, serves telemetry, builds the world (resuming
-// from StateDir when a snapshot exists), and runs the campaign to completion
-// under the watchdog.
-// The registry and its listener live as long as the process: a rebuilt
-// world re-attaches to them, so scrapes keep answering at one address and
-// counters keep counting across a rebuild. It returns the final report on
-// success; on an abort the state dir holds everything the next incarnation
-// needs.
+// runDaemon checks the flags, serves telemetry and pprof, builds the world
+// (resuming from StateDir when a snapshot exists), and runs the campaign to
+// completion under the watchdog.
+// The registry and both listeners live as long as the process: a rebuilt
+// world re-attaches to the registry, so scrapes keep answering at one
+// address and counters keep counting across a rebuild, and a profile can
+// span one. It returns the final report on success; on an abort the state
+// dir holds everything the next incarnation needs.
 func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Report, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
@@ -126,6 +132,18 @@ func runDaemon(ctx context.Context, out io.Writer, opts daemonOpts) (*fleet.Repo
 		}()
 		fmt.Fprintf(out, "telemetry on http://%s/metrics and /healthz (%d link checks)\n",
 			srv.Addr(), opts.Sites)
+	}
+	if opts.DebugAddr != "" {
+		ds, err := telemetry.Listen(opts.DebugAddr, telemetry.DebugMux())
+		if err != nil {
+			return nil, err
+		}
+		defer func() {
+			if err := ds.Shutdown(); err != nil {
+				fmt.Fprintf(out, "debug listener: %v\n", err)
+			}
+		}()
+		fmt.Fprintf(out, "pprof on http://%s/debug/pprof/\n", ds.Addr())
 	}
 	for attempt := 0; ; attempt++ {
 		w, err := newWorld(opts.worldConfig)
@@ -173,6 +191,7 @@ func main() {
 	flag.IntVar(&opts.PartitionsPerDay, "partitions", 1, "scheduled WAN partitions per day (0 disables)")
 	flag.StringVar(&opts.StateDir, "state-dir", "", "journal fleet state to this directory; a restarted daemon resumes the campaign bit-identically")
 	flag.StringVar(&opts.MetricsAddr, "metrics-addr", "127.0.0.1:9630", "HTTP listen address for /metrics and /healthz (empty disables)")
+	flag.StringVar(&opts.DebugAddr, "debug-addr", "", "HTTP listen address for net/http/pprof (empty disables)")
 	flag.StringVar(&opts.KillAt, "kill-at", "", "abort at day:tod (e.g. 1:15h); test hook for resume drills")
 	flag.IntVar(&opts.MaxRestarts, "max-restarts", 3, "watchdog rebuilds after a panic before giving up (needs -state-dir)")
 	flag.Parse()

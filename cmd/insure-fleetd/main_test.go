@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"math"
 	"net"
 	"net/http"
@@ -280,9 +281,10 @@ func TestFleetdTelemetrySurvivesWatchdogRebuild(t *testing.T) {
 	}
 }
 
-// TestFleetdValidatesFlagsBeforeBinding holds the -metrics-addr address
-// and starts the daemon with a NaN -job-gb: the error must name the flag,
-// not the taken port, and no listener may have been reported.
+// TestFleetdValidatesFlagsBeforeBinding holds the -metrics-addr and
+// -debug-addr address and starts the daemon with a NaN -job-gb: the error
+// must name the flag, not the taken port, and no listener may have been
+// reported.
 func TestFleetdValidatesFlagsBeforeBinding(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -291,14 +293,68 @@ func TestFleetdValidatesFlagsBeforeBinding(t *testing.T) {
 	defer held.Close()
 	opts := fleetdFixture(907, "")
 	opts.MetricsAddr = held.Addr().String()
+	opts.DebugAddr = held.Addr().String()
 	opts.JobGB = math.NaN()
 	var out bytes.Buffer
 	_, err = runDaemon(context.Background(), &out, opts)
 	if err == nil || !strings.Contains(err.Error(), "-job-gb") {
 		t.Errorf("err = %v, want an error naming -job-gb", err)
 	}
-	if strings.Contains(out.String(), "telemetry on") {
-		t.Errorf("telemetry bound before the flags were checked:\n%s", out.String())
+	if strings.Contains(out.String(), "telemetry on") || strings.Contains(out.String(), "pprof on") {
+		t.Errorf("a listener bound before the flags were checked:\n%s", out.String())
+	}
+}
+
+// TestDebugAddrServesPprof runs a one-day campaign with -debug-addr set:
+// pprof answers on the debug listener while the day loop runs, and the
+// listener is shut down when runDaemon returns. With -debug-addr empty no
+// debug listener is bound.
+func TestDebugAddrServesPprof(t *testing.T) {
+	opts := fleetdFixture(908, "")
+	opts.Days = 1
+	opts.DebugAddr = "127.0.0.1:0"
+	var out bytes.Buffer
+	url := ""
+	opts.killFn = func(int, time.Duration) bool {
+		if url != "" {
+			return false
+		}
+		_, rest, ok := strings.Cut(out.String(), "pprof on http://")
+		addr, _, _ := strings.Cut(rest, "/")
+		if !ok || addr == "" {
+			t.Fatalf("no pprof address before the day loop:\n%s", out.String())
+		}
+		url = "http://" + addr + "/debug/pprof/"
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), "goroutine") {
+			t.Errorf("GET %s = %d, want 200 with the goroutine profile listed", url, resp.StatusCode)
+		}
+		return false
+	}
+	if _, err := runDaemon(context.Background(), &out, opts); err != nil {
+		t.Fatal(err)
+	}
+	if url == "" {
+		t.Fatal("the day loop never polled its abort hook")
+	}
+	if resp, err := http.Get(url); err == nil {
+		defer resp.Body.Close()
+		t.Errorf("GET %s answered %d after runDaemon returned", url, resp.StatusCode)
+	}
+
+	opts = fleetdFixture(908, "")
+	opts.Days = 1
+	out.Reset()
+	if _, err := runDaemon(context.Background(), &out, opts); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out.String(), "pprof on") {
+		t.Errorf("empty -debug-addr bound a debug listener:\n%s", out.String())
 	}
 }
 

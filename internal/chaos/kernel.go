@@ -44,6 +44,14 @@ func (v *Verdict) violate(format string, args ...any) {
 	}
 }
 
+// absorb folds u's tally into v: the count stays exact, and u's messages
+// follow v's up to the maxViolationDetail cap.
+func (v *Verdict) absorb(u *Verdict) {
+	v.ViolationCount += u.ViolationCount
+	n := min(len(u.Violations), maxViolationDetail-len(v.Violations))
+	v.Violations = append(v.Violations, u.Violations[:n]...)
+}
+
 // FNV-1a's 64-bit parameters, shared by every digest a campaign folds.
 const (
 	fnvOffset = 14695981039346656037
@@ -114,11 +122,14 @@ type watch struct {
 func newWatch(v *Verdict, where string, sys *sim.System, mgr *core.Manager, plan faults.Plan, armed bool) *watch {
 	w := &watch{v: v, where: where, sys: sys, mgr: mgr, armed: armed, mode: mgr.Mode(),
 		inj: faults.NewInjector(plan, faults.Target{Panel: sys.Panel})}
-	sys.SetTickHook(func(tod time.Duration) {
-		w.inj.Tick(tod)
-		w.check(tod)
-	})
+	sys.SetTickHook(w.tick)
 	return w
+}
+
+// tick is the watch's tick hook: land the faults due at tod, then check.
+func (w *watch) tick(tod time.Duration) {
+	w.inj.Tick(tod)
+	w.check(tod)
 }
 
 func (w *watch) check(tod time.Duration) {

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"insure/internal/fleet"
+	"insure/internal/sim"
 )
 
 // TestWatchFlagsForcedBreaches forces each per-tick breach from outside the
@@ -63,5 +66,76 @@ func TestWatchFlagsForcedBreaches(t *testing.T) {
 				expect(t, w)
 			}
 		})
+	}
+}
+
+// TestFleetWatchesTallyPerSite breaches two sites of the federated storm
+// fixture in the same control period, in each of eight periods: at 150 s
+// past every hour from 9h to 16h, mid-period, a hook wrapped around the
+// watches of sites 2 and 0 closes both contacts of pair 0 before the watch
+// checks, and that tick's PLC scan drives the pair back to its coils. The
+// sites tick concurrently on the pool (run this under -race), so each
+// watch tallies into its own Verdict; the campaign's verdict must hold
+// exactly the sixteen breaches, site-major whatever the schedule.
+func TestFleetWatchesTallyPerSite(t *testing.T) {
+	breach := func(tod time.Duration) bool {
+		return tod%time.Hour == 150*time.Second && tod >= 9*time.Hour && tod < 17*time.Hour
+	}
+	cfg := DefaultSiteLossConfig(2015)
+	cfg.Days = 1
+	v := new(Verdict)
+	f, err := newStormFleet(cfg, v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.c, err = fleet.New(fleet.Config{Prepare: func(day int, fl *sim.Fleet) {
+		f.prepare(day, fl)
+		for _, i := range []int{2, 0} {
+			w, p := f.watches[i], fl.System(i).Fabric.Pair(0)
+			fl.System(i).SetTickHook(func(tod time.Duration) {
+				if breach(tod) {
+					p.Charge.Set(true)
+					p.Discharge.Set(true)
+				}
+				w.tick(tod)
+			})
+		}
+	}}, f.sites)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.c.Close()
+	if err := f.run(nil); err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, i := range []int{0, 2} {
+		for h := 9 * time.Hour; h < 17*time.Hour; h += time.Hour {
+			want = append(want, fmt.Sprintf("day 0 site %d: unit 0: charge and discharge contacts both closed at %v", i, h+150*time.Second))
+		}
+	}
+	if v.ViolationCount != len(want) || !reflect.DeepEqual(v.Violations, want) {
+		t.Errorf("%d violations %q, want %q", v.ViolationCount, v.Violations, want)
+	}
+}
+
+// TestVerdictAbsorbKeepsCap folds verdicts past the detail cap: the count
+// stays exact and the kept messages are the first maxViolationDetail in
+// fold order.
+func TestVerdictAbsorbKeepsCap(t *testing.T) {
+	var v Verdict
+	var want []string
+	for site := 0; site < 3; site++ {
+		u := new(Verdict)
+		for k := 0; k < 7; k++ {
+			u.violate("site %d breach %d", site, k)
+			if len(want) < maxViolationDetail {
+				want = append(want, fmt.Sprintf("site %d breach %d", site, k))
+			}
+		}
+		v.absorb(u)
+	}
+	if v.ViolationCount != 21 || !reflect.DeepEqual(v.Violations, want) {
+		t.Errorf("%d violations %q, want 21 with %q", v.ViolationCount, v.Violations, want)
 	}
 }

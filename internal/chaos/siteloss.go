@@ -204,13 +204,16 @@ func (f *stormFleet) dayConfigs(day int) []sim.Config {
 // watch installs site i's watch for day. The storm site takes the surge
 // faults; with migration armed, so is every site's survivability ladder —
 // the federated emergency contract is that no VM state is lost to a power
-// cut anywhere in the fleet.
+// cut anywhere in the fleet. The watch runs as the site's tick hook, on a
+// pool worker concurrently with the other sites' (sim.Fleet.Advance), so
+// it tallies into a Verdict of its own; run folds them into f.v in site
+// order.
 func (f *stormFleet) watch(day, i int, sys *sim.System) *watch {
 	var plan faults.Plan
 	if i == f.cfg.StormSite {
 		plan = stormDayFaults(day, f.cfg.Batteries)
 	}
-	return newWatch(f.v, fmt.Sprintf("day %d site %d: ", day, i), sys, f.mgrs[i], plan, f.cfg.Migration)
+	return newWatch(new(Verdict), fmt.Sprintf("day %d site %d: ", day, i), sys, f.mgrs[i], plan, f.cfg.Migration)
 }
 
 // prepare is the coordinator's per-day hook: it watches every site of the
@@ -223,7 +226,8 @@ func (f *stormFleet) prepare(day int, fl *sim.Fleet) {
 }
 
 // run drives the coordinator through every day, chaining each site's
-// trajectory day-major and calling after (when set) at each day boundary.
+// trajectory day-major, folding each site's watch verdict into f.v in site
+// order, and calling after (when set) at each day boundary.
 func (f *stormFleet) run(after func(day int) error) error {
 	for day := 0; day < f.cfg.Days; day++ {
 		res, err := f.c.RunDay(f.dayConfigs(day))
@@ -243,6 +247,7 @@ func (f *stormFleet) run(after func(day int) error) error {
 			} else {
 				w.settle()
 			}
+			f.v.absorb(w.v)
 			f.hash = chain(f.hash, hashFrames(w.sys.Recorder().Frames()))
 		}
 		if after != nil {

@@ -5,14 +5,17 @@
 // paper's in-situ servers).
 //
 // The coordinator is built on sim.Fleet: every site stays an independent
-// plant with its own battery bank, mode ladder, journal, and telemetry, and
-// the coordinator drives the same interleaved tick loop Fleet.Run uses. At
-// its control period it samples each site's energy state (the transduced
-// SoC its own controller steers by, solar input, ladder rung, deferred-work
-// depth) and — when migration is enabled — moves deferred batch jobs from
-// energy-needy sites to surplus ones and ships completed VM checkpoint
-// images off sites that are evacuating, so a storm-darkened site hands its
-// work to a sunny one instead of sitting on it.
+// plant with its own battery bank, mode ladder, journal, and telemetry.
+// Sites couple only at the coordinator's pass, so between two passes the
+// sites tick concurrently on the campaign pool (sim.Fleet.Advance, one site
+// per cell) and the pass runs on RunDay's goroutine once they all reach the
+// pass tick. At its control period the coordinator samples each site's
+// energy state (the transduced SoC its own controller steers by, solar
+// input, ladder rung, deferred-work depth) and — when migration is
+// enabled — moves deferred batch jobs from energy-needy sites to surplus
+// ones and ships completed VM checkpoint images off sites that are
+// evacuating, so a storm-darkened site hands its work to a sunny one
+// instead of sitting on it.
 //
 // Disposability invariants (after qserv's worker/czar split):
 //
@@ -73,7 +76,10 @@ type Config struct {
 	Images *ImageStore
 	// Prepare, when set, runs once per day after the day's Systems are
 	// built and before the first tick — the hook the chaos campaign uses to
-	// attach fault injectors and invariant probes.
+	// attach fault injectors and invariant probes. Prepare itself runs on
+	// RunDay's goroutine, but the tick hooks it installs run on pool
+	// workers, each site's concurrently with the other sites' (see
+	// sim.Fleet.Advance): no two sites' hooks may share mutable state.
 	Prepare func(day int, fl *sim.Fleet)
 
 	// WAN is the backhaul every cross-site shipment rides: transfers move
@@ -90,9 +96,11 @@ type Config struct {
 	// than any partition the chaos campaigns schedule, so a partitioned
 	// site is never declared dead).
 	LeasePasses int
-	// Abort, when set, is polled at every tick; returning true stops
-	// RunDay immediately with ErrAborted. The fleet daemon wires SIGTERM
-	// and its kill-injection test hook through this.
+	// Abort, when set, is polled once per tick, on RunDay's goroutine, one
+	// control period at a time: before a chunk of ticks runs, RunDay calls
+	// Abort for each of the chunk's ticks in order, and the first true
+	// stops the day with ErrAborted before that chunk runs. The fleet
+	// daemon wires SIGTERM and its kill-injection test hook through this.
 	Abort func(day int, tod time.Duration) bool
 }
 
@@ -150,6 +158,8 @@ type siteState struct {
 	dead bool
 	// evacuate is latched by the migrate-before-shed mode hook when the
 	// site's ladder downgrades, and cleared when it recovers to Normal.
+	// The hook runs inside this site's tick, on its pool worker; the pass
+	// reads the latch only after Advance has returned.
 	evacuate bool
 
 	// Failure-detector view. dead above is physical truth the
@@ -254,7 +264,7 @@ type transfer struct {
 	backoffUntil time.Duration
 }
 
-// Coordinator owns N federated sites and drives their interleaved day loop.
+// Coordinator owns N federated sites and drives their day loop.
 type Coordinator struct {
 	cfg    Config
 	tariff cost.MigrationTariff
@@ -583,8 +593,18 @@ func gbToBytes(gb float64) int64 { return int64(math.Round(gb * cost.BytesPerGB)
 func bytesToGB(b int64) float64 { return float64(b) / cost.BytesPerGB }
 
 // RunDay builds one System per site from cfgs (banks typically carry across
-// days via Config.Bank), and runs the interleaved federated day. Results
-// come back in site order. With Migration off this is exactly Fleet.Run.
+// days via Config.Bank), and runs the federated day. Results come back in
+// site order. With Migration off this is exactly Fleet.Run.
+//
+// The sites share no state between two passes, so RunDay walks the day in
+// chunks, each from the tick after one pass up to and including the next
+// pass tick (a day whose first tick is a pass tick starts with a one-tick
+// chunk). Each chunk's ticks of every live site run through Fleet.Advance,
+// one site per pool cell, and the pass runs after them on RunDay's
+// goroutine. A pending ScheduleSiteFailure cuts its chunk short, so the
+// failure lands before the tick it is due at, and the dead site is left
+// out of every later chunk. A site whose manager or tick hook panics
+// panics RunDay on the caller's goroutine.
 func (c *Coordinator) RunDay(cfgs []sim.Config) ([]sim.Result, error) {
 	if len(cfgs) != len(c.sites) {
 		return nil, fmt.Errorf("fleet: %d day configs for %d sites", len(cfgs), len(c.sites))
@@ -626,30 +646,61 @@ func (c *Coordinator) RunDay(cfgs []sim.Config) ([]sim.Result, error) {
 
 	lo, hi := fl.Bounds()
 	step := fl.Step()
-	for tod := lo; tod < hi; tod += step {
-		if c.cfg.Abort != nil && c.cfg.Abort(c.day, tod) {
-			return nil, ErrAborted
+	live := make([]int, 0, len(c.sites))
+	for from := lo; from < hi; {
+		to := c.chunkEnd(from, hi, step)
+		if c.cfg.Abort != nil {
+			for tod := from; tod < to; tod += step {
+				if c.cfg.Abort(c.day, tod) {
+					return nil, ErrAborted
+				}
+			}
 		}
 		for _, sf := range c.failures {
-			if !sf.done && sf.day == c.day && tod >= sf.at {
+			if !sf.done && sf.day == c.day && from >= sf.at {
 				sf.done = true
 				c.failSite(fl, sf.site)
 			}
 		}
+		live = live[:0]
 		for i := range c.sites {
 			if !c.sites[i].dead {
-				fl.TickSite(i, tod)
+				live = append(live, i)
 			}
 		}
-		if tod%controlPeriod == 0 {
-			if err := c.pass(fl, tod); err != nil {
+		fl.Advance(from, to, live)
+		if last := to - step; last%controlPeriod == 0 {
+			if err := c.pass(fl, last); err != nil {
 				return nil, err
 			}
 		}
+		from = to
 	}
 	res := fl.Finish()
 	c.day++
 	return res, nil
+}
+
+// chunkEnd returns the exclusive end of the chunk of ticks that starts at
+// from: the chunk runs up to and including the first pass tick at or after
+// from, stops before the first tick at or after a pending site failure
+// (so the failure lands before that tick, as it would on a per-tick loop),
+// and never runs past hi.
+func (c *Coordinator) chunkEnd(from, hi, step time.Duration) time.Duration {
+	cut := hi
+	for _, sf := range c.failures {
+		if !sf.done && sf.day == c.day && sf.at > from && sf.at < cut {
+			cut = sf.at
+		}
+	}
+	to := from
+	for {
+		pass := to%controlPeriod == 0
+		to += step
+		if pass || to >= cut {
+			return to
+		}
+	}
 }
 
 // failSite executes a scheduled site loss. The coordinator cannot observe

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"fmt"
 	"time"
 )
@@ -19,8 +20,10 @@ type FleetSpec struct {
 // The plants are operationally independent: no power, control, or workload
 // coupling exists between them, each owns its bank and relay fabric, and
 // each produces exactly the Result its System would produce under
-// System.Run. Run interleaves plants tick-by-tick; interleaving is
-// result-invariant because the plants share no state.
+// System.Run. Advance and Run step the plants concurrently, one plant per
+// cell of the campaign pool (RunCells), and Tick steps them one after
+// another; either way the results are the same because the plants share
+// no state.
 type Fleet struct {
 	step    time.Duration
 	systems []*System
@@ -75,7 +78,7 @@ func NewFleet(specs []FleetSpec) (*Fleet, error) {
 		f.systems[i] = sys
 		f.mgrs[i] = specs[i].Manager
 		f.starts[i], f.ends[i] = sys.Span()
-		// The batch loop visits tod = starts[0] + k·step; a plant whose own
+		// The fleet's tick grid is tod = starts[0] + k·step; a plant whose own
 		// span start is off that grid would tick at different instants than
 		// its solo Run, breaking result equivalence. Reject it up front.
 		if (f.starts[i]-f.starts[0])%step != 0 {
@@ -106,8 +109,8 @@ func (f *Fleet) SimulatedTime() time.Duration {
 // Step is the shared simulation step.
 func (f *Fleet) Step() time.Duration { return f.step }
 
-// Bounds returns the union [lo, hi) of every plant's span — the range the
-// interleaved batch loop walks.
+// Bounds returns the union [lo, hi) of every plant's span — the range Run
+// advances over.
 func (f *Fleet) Bounds() (lo, hi time.Duration) {
 	lo, hi = f.starts[0], f.ends[0]
 	for i := 1; i < len(f.systems); i++ {
@@ -121,18 +124,39 @@ func (f *Fleet) Bounds() (lo, hi time.Duration) {
 	return lo, hi
 }
 
-// Tick advances every plant whose span covers tod by one step.
+// Tick advances every plant whose span covers tod by one step, one plant
+// after another on the caller's goroutine.
 func (f *Fleet) Tick(tod time.Duration) {
-	for i := range f.systems {
-		f.TickSite(i, tod)
+	for i, sys := range f.systems {
+		if tod >= f.starts[i] && tod < f.ends[i] {
+			sys.Tick(tod, f.mgrs[i])
+		}
 	}
 }
 
-// TickSite advances plant i alone if its span covers tod. The federation
-// coordinator uses it to keep the survivors ticking after a site is lost.
-func (f *Fleet) TickSite(i int, tod time.Duration) {
-	if tod >= f.starts[i] && tod < f.ends[i] {
-		f.systems[i].Tick(tod, f.mgrs[i])
+// Advance steps each listed plant through the ticks in [from, to) that its
+// span covers; from must lie on the tick grid (Bounds' lo plus a multiple
+// of Step). The plants run as cells of one RunCells batch, so the worker
+// count follows GOMAXPROCS, and at GOMAXPROCS 1 they run inline one after
+// another.
+//
+// A plant's tick hook and manager run on a pool worker, concurrently with
+// the other listed plants', so no two plants' hooks, managers or sinks may
+// share mutable state. Advance returns once every listed plant has reached
+// to; a plant that panics stops the batch, and the panic, carrying the
+// plant's stack, is raised again on the caller's goroutine.
+func (f *Fleet) Advance(from, to time.Duration, plants []int) {
+	err := RunCells(context.Background(), 0, len(plants), func(_ context.Context, k int, _ *Arena) error {
+		i := plants[k]
+		sys, mgr := f.systems[i], f.mgrs[i]
+		end := min(to, f.ends[i])
+		for tod := max(from, f.starts[i]); tod < end; tod += f.step {
+			sys.Tick(tod, mgr)
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
 }
 
@@ -145,15 +169,16 @@ func (f *Fleet) Finish() []Result {
 	return out
 }
 
-// Run steps every plant over its full-day span, interleaved tick-by-tick
-// (all plants advance through time-of-day together), and returns each
-// plant's Result in input order. Because the plants are independent, the
-// results are identical to calling systems[i].Run(mgrs[i]) one after
-// another.
+// Run steps every plant over its full-day span (Advance over Bounds) and
+// returns each plant's Result in input order. Because the plants are
+// independent, the results are identical to calling systems[i].Run(mgrs[i])
+// one after another.
 func (f *Fleet) Run() []Result {
-	lo, hi := f.Bounds()
-	for tod := lo; tod < hi; tod += f.step {
-		f.Tick(tod)
+	all := make([]int, len(f.systems))
+	for i := range all {
+		all[i] = i
 	}
+	lo, hi := f.Bounds()
+	f.Advance(lo, hi, all)
 	return f.Finish()
 }
